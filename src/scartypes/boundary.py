@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from . import opspace
+from . import canonical, opspace
 from .opspace import LocalOperator, Region
 
 ACCEPT = 1e-8
@@ -59,22 +59,21 @@ class TypeLabel:
 
 
 def spectral_norm(op: LocalOperator) -> float:
-    """Largest |eigenvalue| of a Hermitian operator via implicit Lanczos."""
+    """Largest |eigenvalue| of a Hermitian operator via Lanczos on its CSR matrix."""
     dim = 1 << op.n_sites
     if not op.terms:
         return 0.0
     if dim <= 256:
         return float(np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max())
-    lin = LinearOperator((dim, dim), matvec=lambda v: opspace.apply(op, v),
-                         dtype=complex)
+    mat = opspace.to_sparse(op)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     try:
-        low = eigsh(lin, k=1, which="SA", v0=v0, tol=1e-9,
+        low = eigsh(mat, k=1, which="SA", v0=v0, tol=1e-9,
                     return_eigenvectors=False)
-        high = eigsh(lin, k=1, which="LA", v0=v0, tol=1e-9,
+        high = eigsh(mat, k=1, which="LA", v0=v0, tol=1e-9,
                      return_eigenvectors=False)
         return float(max(abs(low[0]), abs(high[0])))
-    except Exception:
+    except (ArpackError, ArpackNoConvergence):
         return op.coeff_norm()
 
 
@@ -163,57 +162,42 @@ def solve_boundary_dense(targets, psis, n_sites, local_dim,
     return a_mat, b_mat, f, max(per_state)
 
 
+# boson-code coefficients (rows: id, sd, s, n) of the site matrix units
+# |r><c| (columns: 2r + c): |0><0| = id - n, |0><1| = s, |1><0| = sd, |1><1| = n
+_UNIT_TO_BOSON = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
+                           [0, 1, 0, 0], [-1, 0, 0, 1]], dtype=complex)
+
+
 def _window_operator(mat: np.ndarray, sites, n_sites: int) -> LocalOperator:
-    """Dense d^w window matrix back to a LocalOperator on the given sites.
+    """Dense 2^w window matrix back to a LocalOperator on the given sites.
 
     The dense index is big-endian over ``sites`` (first site most
-    significant), matching _site_axes_apply.
+    significant), matching _site_axes_apply.  Each site's (row, column) bit
+    pair is projected onto the boson codes by one tensor contraction.
     """
     w = len(sites)
-    op = opspace.zero(n_sites)
-    for row in range(1 << w):
-        for col in range(1 << w):
-            if abs(mat[row, col]) <= opspace.COEFF_TOL:
-                continue
-            factors = []
-            for k in range(w):
-                shift = w - 1 - k
-                rb, cb = (row >> shift) & 1, (col >> shift) & 1
-                code = {(0, 0): None, (1, 1): "n", (1, 0): "sd", (0, 1): "s"}[(rb, cb)]
-                if code == "n":
-                    factors.append((sites[k], "n"))
-                elif code:
-                    factors.append((sites[k], code))
-                else:
-                    factors.append((sites[k], "_proj0"))
-            op = op + _ketbra_term(n_sites, mat[row, col], factors)
-    return op
+    coeffs = np.asarray(mat, dtype=complex).reshape((2,) * (2 * w))
+    coeffs = coeffs.transpose([a for k in range(w) for a in (k, w + k)])
+    coeffs = coeffs.reshape((4,) * w)
+    for k in range(w):
+        coeffs = np.moveaxis(np.tensordot(_UNIT_TO_BOSON, coeffs, axes=([1], [k])), 0, k)
+    strings = [
+        opspace.string_term(n_sites, coeffs[codes],
+                            [(sites[k], opspace.BOSON_CODES[c])
+                             for k, c in enumerate(codes) if c])
+        for codes in zip(*np.nonzero(np.abs(coeffs) > opspace.COEFF_TOL))]
+    return opspace.op_sum(n_sites, strings)
 
 
-def _ketbra_term(n_sites, coeff, factors) -> LocalOperator:
-    out = opspace.identity(n_sites, coeff)
-    for site, code in factors:
-        if code == "_proj0":
-            out = _compose_site(out, site, {"id": 1.0, "n": -1.0})
-        else:
-            out = _compose_site(out, site, {code: 1.0})
-    return out
-
-
-def _compose_site(op: LocalOperator, site, expansion) -> LocalOperator:
-    acc = opspace.zero(op.n_sites)
-    for code, w in expansion.items():
-        for (start, ops), coeff in op.terms.items():
-            extra = [] if code == "id" else [(site, code)]
-            base = [(int((start + k) % op.n_sites), c)
-                    for k, c in enumerate(ops) if c != "id"]
-            acc = acc + opspace.string_term(op.n_sites, coeff * w, base + extra)
-    return acc
+def _require_window(r_max: int) -> None:
+    if r_max < 1:
+        raise ValueError(f"boundary window R_max = {r_max} must be at least 1")
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
                    hermitian: bool = False, basis: str = "boson") -> BoundarySolve:
     """Boundary fit for a truncated qubit Hamiltonian on its target states."""
+    _require_window(r_max)
     if lam.length < 2 * r_max + 2:
         raise ValueError(
             f"patch length {lam.length} < 2 R_max + 2 = {2 * r_max + 2}: windows overlap")
@@ -298,8 +282,13 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,), lam_sweep=None,
     fit itself rejected somewhere.  Residuals inside the dead zone yield an
     explicit indeterminate outcome.  The left/right-independence clause is
     cross-checked by comparing the left operator across right-edge
-    positions at fixed anchor.
+    positions at fixed anchor.  Every target state must be an eigenstate
+    of h (ClassificationError otherwise).
     """
+    for r_max in r_max_list:
+        _require_window(r_max)
+    for psi in states_list:
+        canonical.require_eigenstate(h, psi)
     notes = []
     evidence = []
     all_h_ok, all_g_ok = True, True
@@ -351,8 +340,13 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     Both inputs are assumed to have been classified type II already.  The
     normalized combination is scanned on a coarse angle grid and the best
     candidates refined by golden-section; residuals are measured against
-    the larger of the two truncated action norms.
+    the larger of the two truncated action norms.  Every target state must
+    be an eigenstate of both inputs (ClassificationError otherwise).
     """
+    _require_window(r_max)
+    for psi in states_list:
+        canonical.require_eigenstate(h_a, psi)
+        canonical.require_eigenstate(h_b, psi)
     n_sites = h_a.n_sites
     if lam is None:
         floor = max(2 * r_max + 2,

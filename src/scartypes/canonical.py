@@ -18,71 +18,84 @@ from itertools import combinations
 import numpy as np
 
 from . import opspace, states
-from .opspace import LocalOperator, hs_norm, identity, string_term, zero
+from .opspace import LocalOperator, hs_norm, identity, op_sum, string_term
 
 EIGENSTATE_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 
 
 class ClassificationError(ValueError):
-    """Raised when the W state is not an eigenstate; carries the defect norm."""
+    """Raised when a target state is not an eigenstate; carries the defect norm."""
 
     def __init__(self, message, defect=None):
         super().__init__(message)
         self.defect = defect
 
 
+def require_eigenstate(op: LocalOperator, psi: np.ndarray,
+                       tol: float = EIGENSTATE_TOL) -> complex:
+    """Energy <psi|op|psi> of a normalized eigenstate.
+
+    Raises ClassificationError when ||(op - E)|psi>|| exceeds
+    tol * max(coeff_norm, 1).
+    """
+    hpsi = opspace.apply(op, psi)
+    energy = complex(np.vdot(psi, hpsi))
+    defect = float(np.linalg.norm(hpsi - energy * psi))
+    if defect > tol * max(op.coeff_norm(), 1.0):
+        raise ClassificationError(
+            f"target state is not an eigenstate: ||(H - E)|psi>|| = {defect:.3e}",
+            defect)
+    return energy
+
+
 # -- builtin Hamiltonians ----------------------------------------------------
 
+def _strings(n_sites: int, strings) -> LocalOperator:
+    """Sum of string_term(n_sites, coeff, site_ops) over (coeff, site_ops)."""
+    return op_sum(n_sites, [string_term(n_sites, c, f) for c, f in strings])
+
+
 def n_tot(n_sites: int) -> LocalOperator:
-    op = zero(n_sites)
-    for j in range(n_sites):
-        op = op + string_term(n_sites, 1.0, [(j, "n")])
-    return op
+    return _strings(n_sites, ((1.0, [(j, "n")]) for j in range(n_sites)))
 
 
 def h_imhop(n_sites: int) -> LocalOperator:
     """(i/2) sum_j (sd_j s_{j+1} - sd_{j+1} s_j) on the periodic ring."""
-    op = zero(n_sites)
-    for j in range(n_sites):
-        op = op + string_term(n_sites, 0.5j, [(j, "sd"), (j + 1, "s")])
-        op = op + string_term(n_sites, -0.5j, [(j + 1, "sd"), (j, "s")])
-    return op
+    return _strings(n_sites, (
+        s for j in range(n_sites)
+        for s in ((0.5j, [(j, "sd"), (j + 1, "s")]),
+                  (-0.5j, [(j + 1, "sd"), (j, "s")]))))
 
 
 def h_rehop(n_sites: int) -> LocalOperator:
     """(1/2) sum_j (n_j + n_{j+1} - sd_j s_{j+1} - sd_{j+1} s_j)."""
-    op = zero(n_sites)
-    for j in range(n_sites):
-        op = op + string_term(n_sites, 0.5, [(j, "n")])
-        op = op + string_term(n_sites, 0.5, [(j + 1, "n")])
-        op = op + string_term(n_sites, -0.5, [(j, "sd"), (j + 1, "s")])
-        op = op + string_term(n_sites, -0.5, [(j + 1, "sd"), (j, "s")])
-    return op
+    return _strings(n_sites, (
+        s for j in range(n_sites)
+        for s in ((0.5, [(j, "n")]), (0.5, [(j + 1, "n")]),
+                  (-0.5, [(j, "sd"), (j + 1, "s")]),
+                  (-0.5, [(j + 1, "sd"), (j, "s")]))))
 
 
 def h_imhop2(n_sites: int) -> LocalOperator:
     """(i/2) sum_j (|110><011| - |011><110|) on consecutive site triples."""
-    op = zero(n_sites)
-    for j in range(n_sites):
-        op = op + string_term(n_sites, 0.5j,
-                              [(j, "sd"), (j + 1, "n"), (j + 2, "s")])
-        op = op + string_term(n_sites, -0.5j,
-                              [(j, "s"), (j + 1, "n"), (j + 2, "sd")])
-    return op
+    return _strings(n_sites, (
+        s for j in range(n_sites)
+        for s in ((0.5j, [(j, "sd"), (j + 1, "n"), (j + 2, "s")]),
+                  (-0.5j, [(j, "s"), (j + 1, "n"), (j + 2, "sd")]))))
 
 
 def h_imhop_p(n_sites: int, p: int) -> LocalOperator:
     """i sum_j (|1..10><01..1| - H.c.) on p+1 sites; annihilates every W^m."""
     if p < 1:
         raise ValueError("p >= 1 required")
-    op = zero(n_sites)
-    for j in range(n_sites):
-        fwd = [(j, "sd")] + [(j + k, "n") for k in range(1, p)] + [(j + p, "s")]
-        bwd = [(j, "s")] + [(j + k, "n") for k in range(1, p)] + [(j + p, "sd")]
-        op = op + string_term(n_sites, 1j, fwd)
-        op = op + string_term(n_sites, -1j, bwd)
-    return op
+
+    def hops(j):
+        mid = [(j + k, "n") for k in range(1, p)]
+        return ((1j, [(j, "sd")] + mid + [(j + p, "s")]),
+                (-1j, [(j, "s")] + mid + [(j + p, "sd")]))
+
+    return _strings(n_sites, (s for j in range(n_sites) for s in hops(j)))
 
 
 def h_dmi(n_sites: int, axis: str = "z") -> LocalOperator:
@@ -96,49 +109,41 @@ def h_dmi(n_sites: int, axis: str = "z") -> LocalOperator:
     if axis not in pairs:
         raise ValueError(f"axis must be one of x,y,z, got {axis!r}")
     a, b = pairs[axis]
-    op = zero(n_sites)
-    for j in range(n_sites):
-        op = op + string_term(n_sites, 0.25, [(j, a), (j + 1, b)])
-        op = op + string_term(n_sites, -0.25, [(j, b), (j + 1, a)])
-    return op
+    return _strings(n_sites, (
+        s for j in range(n_sites)
+        for s in ((0.25, [(j, a), (j + 1, b)]), (-0.25, [(j, b), (j + 1, a)]))))
 
 
 def h_heis(n_sites: int) -> LocalOperator:
     """sum_j (1/4 - S_j.S_{j+1}): nearest-neighbor singlet projectors."""
-    op = h_rehop(n_sites)
-    for j in range(n_sites):
-        op = op + string_term(n_sites, -1.0, [(j, "n"), (j + 1, "n")])
-    return op
+    return h_rehop(n_sites) + _strings(
+        n_sites, ((-1.0, [(j, "n"), (j + 1, "n")]) for j in range(n_sites)))
 
 
 def p_re(n_sites: int, j: int, alpha: int) -> LocalOperator:
     """sd_j s_{j+a} + sd_{j+a} s_j - n_j - n_{j+a}; annihilates W and vacuum."""
     if alpha < 1:
         raise ValueError("alpha >= 1 required")
-    op = string_term(n_sites, 1.0, [(j, "sd"), (j + alpha, "s")])
-    op = op + string_term(n_sites, 1.0, [(j + alpha, "sd"), (j, "s")])
-    op = op + string_term(n_sites, -1.0, [(j, "n")])
-    op = op + string_term(n_sites, -1.0, [(j + alpha, "n")])
-    return op
+    return _strings(n_sites, ((1.0, [(j, "sd"), (j + alpha, "s")]),
+                              (1.0, [(j + alpha, "sd"), (j, "s")]),
+                              (-1.0, [(j, "n")]), (-1.0, [(j + alpha, "n")])))
 
 
 def p_im(n_sites: int, j: int, alpha: int) -> LocalOperator:
     """i sd_j s_{j+a} - i (chain of nearest-neighbor hops) + H.c., a >= 2."""
     if alpha < 2:
         raise ValueError("alpha >= 2 required")
-    op = string_term(n_sites, 1j, [(j, "sd"), (j + alpha, "s")])
-    for k in range(1, alpha + 1):
-        op = op + string_term(n_sites, -1j, [(j + k - 1, "sd"), (j + k, "s")])
+    op = _strings(n_sites, [(1j, [(j, "sd"), (j + alpha, "s")])]
+                  + [(-1j, [(j + k - 1, "sd"), (j + k, "s")])
+                     for k in range(1, alpha + 1)])
     return op + op.dagger()
 
 
 def p_nonherm(n_sites: int, j: int) -> LocalOperator:
     """(i/2)(sd_j s_{j+1} - sd_{j+1} s_j - n_j + n_{j+1}); kills W, not W under dagger."""
-    op = string_term(n_sites, 0.5j, [(j, "sd"), (j + 1, "s")])
-    op = op + string_term(n_sites, -0.5j, [(j + 1, "sd"), (j, "s")])
-    op = op + string_term(n_sites, -0.5j, [(j, "n")])
-    op = op + string_term(n_sites, 0.5j, [(j + 1, "n")])
-    return op
+    return _strings(n_sites, ((0.5j, [(j, "sd"), (j + 1, "s")]),
+                              (-0.5j, [(j + 1, "sd"), (j, "s")]),
+                              (-0.5j, [(j, "n")]), (0.5j, [(j + 1, "n")])))
 
 
 _BUILTINS = {
@@ -266,25 +271,14 @@ class CanonicalForm:
     residual_norm: float
 
     def reconstruct(self, n_sites: int) -> LocalOperator:
-        op = identity(n_sites, self.omega_id)
-        op = op + self.omega_n * n_tot(n_sites)
+        ops = [identity(n_sites, self.omega_id), n_tot(n_sites)]
+        coeffs = [1.0, self.omega_n]
         if self.t_im:
-            op = op + self.t_im * h_imhop(n_sites)
-        for h in self.annihilators:
-            op = op + h
-        return op
-
-
-def _check_w_eigenstate(op: LocalOperator, tol: float):
-    w = states.w_state(op.n_sites)
-    hw = opspace.apply(op, w)
-    energy = complex(np.vdot(w, hw))
-    defect = float(np.linalg.norm(hw - energy * w))
-    scale = max(op.coeff_norm(), 1.0)
-    if defect > tol * scale:
-        raise ClassificationError(
-            f"W is not an eigenstate: ||(H - E)|W>|| = {defect:.3e}", defect)
-    return energy
+            ops.append(h_imhop(n_sites))
+            coeffs.append(self.t_im)
+        ops.extend(self.annihilators)
+        coeffs.extend([1.0] * len(self.annihilators))
+        return op_sum(n_sites, ops, coeffs)
 
 
 def _hopping_matrix(op: LocalOperator):
@@ -319,7 +313,7 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     """
     if not h.hermitian():
         raise ClassificationError("decompose requires a Hermitian operator")
-    _check_w_eigenstate(h, tol)
+    require_eigenstate(h, states.w_state(h.n_sites), tol)
     op = opspace.to_boson_basis(h)
     n_sites = op.n_sites
     omega_id = op.identity_coefficient()
@@ -373,13 +367,12 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
         n, m = _string_nm(start, ops)
         if (n, m) == (1, 1) or m == 0 or n == 0:
             continue  # hopping handled above; pure creation/annihilation vanish
-        dkey = next(iter(LocalOperator(n_sites, {(start, ops): 1.0}).dagger().terms))
+        dkey = (start, _dagger_pattern(ops))
         if n >= 2 and m == 1:
             done.add((start, ops))
             done.add(dkey)
             key = _creation_sites(n_sites, start, ops)
-            part = LocalOperator(n_sites, {(start, ops): coeff})
-            groups_21[key] = groups_21.get(key, zero(n_sites)) + part
+            groups_21.setdefault(key, {})[(start, ops)] = coeff
         elif n == 1 and m >= 2:
             continue  # conjugate of a (n>=2, m=1) string; bundled there
         else:
@@ -391,7 +384,8 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
                 partner = op.terms.get(dkey, 0.0)
                 annihilators.append(LocalOperator(
                     n_sites, {(start, ops): coeff, dkey: partner}))
-    for bundle in groups_21.values():
+    for terms in groups_21.values():
+        bundle = LocalOperator(n_sites, terms)
         annihilators.append(bundle + bundle.dagger())
 
     form = CanonicalForm(omega_id, omega_n, t_im, tuple(annihilators), 0.0)
@@ -406,7 +400,7 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
     omega removed is a strictly local annihilator), and the (n=0, m=1)
     class is rewritten over the range-2 differences s_k - s_{k+1}.
     """
-    _check_w_eigenstate(g, tol)
+    require_eigenstate(g, states.w_state(g.n_sites), tol)
     op = opspace.to_boson_basis(g)
     n_sites = op.n_sites
     omega_id = op.identity_coefficient()
@@ -416,12 +410,10 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
     row_sums = c.sum(axis=1)
     omega_n = complex(np.mean(row_sums))
     for j in range(n_sites):
-        row = zero(n_sites)
-        for k in range(n_sites):
-            if abs(c[j, k]) > opspace.COEFF_TOL:
-                factors = [(j, "n")] if k == j else [(j, "sd"), (k, "s")]
-                row = row + string_term(n_sites, c[j, k], factors)
-        row = row + string_term(n_sites, -omega_n, [(j, "n")])
+        row = _strings(n_sites, [
+            (c[j, k], [(j, "n")] if k == j else [(j, "sd"), (k, "s")])
+            for k in range(n_sites) if abs(c[j, k]) > opspace.COEFF_TOL]
+            + [(-omega_n, [(j, "n")])])
         if len(row):
             annihilators.append(row)
 
@@ -434,13 +426,12 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
             single[_annihilation_sites(n_sites, start, ops)[0]] += coeff
     if np.abs(single).max() > opspace.COEFF_TOL:
         partial = np.cumsum(single)
-        chain = zero(n_sites)
-        for k in range(n_sites):
-            if abs(partial[k]) > opspace.COEFF_TOL:
-                chain = chain + string_term(n_sites, partial[k], [(k, "s")])
-                chain = chain + string_term(n_sites, -partial[k], [(k + 1, "s")])
-        annihilators.append(chain)
+        annihilators.append(_strings(n_sites, (
+            s for k in range(n_sites) if abs(partial[k]) > opspace.COEFF_TOL
+            for s in ((partial[k], [(k, "s")]), (-partial[k], [(k + 1, "s")])))))
 
+    # (n>=2, m=1) strings bundle into zero-row-sum groups per creation set
+    groups_21: dict = {}
     for (start, ops), coeff in op.terms.items():
         if not ops:
             continue
@@ -448,29 +439,13 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
         if m >= 2:
             annihilators.append(LocalOperator(n_sites, {(start, ops): coeff}))
         elif m == 1 and n >= 2:
-            annihilators.append(LocalOperator(n_sites, {(start, ops): coeff}))
-    # regroup the (n>=2, m=1) singles into zero-row-sum bundles per creation set
-    annihilators = _merge_21_groups(n_sites, annihilators)
+            key = _creation_sites(n_sites, start, ops)
+            groups_21.setdefault(key, {})[(start, ops)] = coeff
+    annihilators.extend(LocalOperator(n_sites, terms) for terms in groups_21.values())
 
     form = CanonicalForm(omega_id, omega_n, 0.0, tuple(annihilators), 0.0)
     residual = hs_norm(op - form.reconstruct(n_sites))
     return CanonicalForm(omega_id, omega_n, 0.0, tuple(annihilators), residual)
-
-
-def _merge_21_groups(n_sites, ops_list):
-    merged, groups = [], {}
-    for item in ops_list:
-        if len(item.terms) == 1:
-            ((start, ops), _), = item.terms.items()
-            n, m = _string_nm(start, ops)
-            if n >= 2 and m == 1:
-                key = _creation_sites(n_sites, start, ops)
-                groups.setdefault(key, zero(n_sites))
-                groups[key] = groups[key] + item
-                continue
-        merged.append(item)
-    merged.extend(groups.values())
-    return merged
 
 
 # -- Table-II generator catalog and random type-I ensembles --------------------
@@ -565,14 +540,9 @@ def random_type1(n_sites: int, rng: np.random.Generator,
     family across chain lengths.
     """
     pats = table2_patterns(max_range)
-    op = zero(n_sites)
     if translation_invariant:
-        coeffs = rng.uniform(-1.0, 1.0, size=len(pats))
-        for c, pat in zip(coeffs, pats):
-            for j in range(n_sites):
-                op = op + c * instantiate_pattern(n_sites, pat, j)
+        coeffs = np.repeat(rng.uniform(-1.0, 1.0, size=len(pats)), n_sites)
     else:
-        for pat in pats:
-            for j in range(n_sites):
-                op = op + rng.uniform(-1.0, 1.0) * instantiate_pattern(n_sites, pat, j)
-    return op
+        coeffs = rng.uniform(-1.0, 1.0, size=len(pats) * n_sites)
+    return op_sum(n_sites, [instantiate_pattern(n_sites, pat, j)
+                            for pat in pats for j in range(n_sites)], coeffs)

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 COEFF_TOL = 1e-14          # canonicalization drop tolerance (absolute)
 HERMITIAN_TOL = 1e-12
@@ -110,6 +111,8 @@ def _canonical_key(n_sites, start, ops):
     """
     if len(ops) > n_sites:
         raise ValueError("string longer than the ring")
+    if ops and 2 * len(ops) <= n_sites and ops[0] != "id" and ops[-1] != "id":
+        return (start % n_sites, ops)   # both ends occupied: already minimal
     support = {}
     for k, code in enumerate(ops):
         if code != "id":
@@ -131,7 +134,10 @@ def _canonical_key(n_sites, start, ops):
 class LocalOperator:
     """Finite linear combination of operator strings on an N-site ring.
 
-    Immutable after construction; all algebra returns new instances.
+    Immutable after construction; all algebra returns new instances.  Keys
+    are always canonical (fixed points of _canonical_key): the constructor
+    canonicalizes its input, and the algebra, which maps canonical keys to
+    canonical keys, builds its results through the trusted ``_trusted``.
     """
 
     __slots__ = ("n_sites", "terms")
@@ -146,6 +152,15 @@ class LocalOperator:
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "terms",
                            {k: v for k, v in canon.items() if abs(v) > COEFF_TOL})
+
+    @classmethod
+    def _trusted(cls, n_sites: int, terms: dict) -> "LocalOperator":
+        """Instance over keys that are already canonical; only drops tiny terms."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "n_sites", n_sites)
+        object.__setattr__(op, "terms",
+                           {k: v for k, v in terms.items() if abs(v) > COEFF_TOL})
+        return op
 
     def __setattr__(self, *_):
         raise AttributeError("LocalOperator is immutable")
@@ -166,19 +181,15 @@ class LocalOperator:
 
     # -- linear algebra ----------------------------------------------------
     def __add__(self, other: "LocalOperator") -> "LocalOperator":
-        if self.n_sites != other.n_sites:
-            raise DimensionError("chain length mismatch")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + v
-        return LocalOperator(self.n_sites, terms)
+        return op_sum(self.n_sites, (self, other))
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
+    def __sub__(self, other: "LocalOperator") -> "LocalOperator":
+        return op_sum(self.n_sites, (self, other), (1.0, -1.0))
 
     def __mul__(self, scalar):
-        return LocalOperator(self.n_sites,
-                             {k: v * scalar for k, v in self.terms.items()})
+        scalar = complex(scalar)
+        return LocalOperator._trusted(
+            self.n_sites, {k: v * scalar for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -186,9 +197,9 @@ class LocalOperator:
         return self * (-1.0)
 
     def dagger(self) -> "LocalOperator":
-        return LocalOperator(
+        return LocalOperator._trusted(
             self.n_sites,
-            {(start, tuple(_DAGGER[c] for c in ops)): np.conj(coeff)
+            {(start, tuple(_DAGGER[c] for c in ops)): coeff.conjugate()
              for (start, ops), coeff in self.terms.items()})
 
     def hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
@@ -209,6 +220,25 @@ def zero(n_sites: int) -> LocalOperator:
     return LocalOperator(n_sites, {})
 
 
+def op_sum(n_sites: int, ops, coeffs=None) -> LocalOperator:
+    """Linear combination sum_k coeffs[k] * ops[k] (all ones by default).
+
+    Accumulates into one dict in a single pass, so building a sum of many
+    operators costs their total number of terms.
+    """
+    acc: dict = {}
+    ops = list(ops)
+    scalars = [1.0] * len(ops) if coeffs is None else [complex(c) for c in coeffs]
+    if len(scalars) != len(ops):
+        raise ValueError(f"{len(ops)} operators but {len(scalars)} coefficients")
+    for op, c in zip(ops, scalars):
+        if op.n_sites != n_sites:
+            raise DimensionError("chain length mismatch")
+        for k, v in op.terms.items():
+            acc[k] = acc.get(k, 0.0) + c * v
+    return LocalOperator._trusted(n_sites, acc)
+
+
 def string_term(n_sites: int, coeff, site_ops) -> LocalOperator:
     """Single string from [(site, code), ...]; sites must fit one window.
 
@@ -222,8 +252,10 @@ def string_term(n_sites: int, coeff, site_ops) -> LocalOperator:
     per_site: dict[int, list] = {}
     for site, code in site_ops:
         per_site.setdefault(site % n_sites, []).append(code)
-    sites = sorted(per_site)
-    start, length = _ring_window(n_sites, sites)
+    # the minimal window covering the sites, by canonicalizing a ring-long string
+    start, window = _canonical_key(
+        n_sites, 0, tuple("x" if j in per_site else "id" for j in range(n_sites)))
+    length = len(window)
     factors = []
     for k in range(length):
         j = (start + k) % n_sites
@@ -258,29 +290,17 @@ def string_term(n_sites: int, coeff, site_ops) -> LocalOperator:
     return LocalOperator(n_sites, terms)
 
 
-def _ring_window(n_sites, sites):
-    """Minimal contiguous window covering a site set (ties: smallest start)."""
-    best = None
-    for a in sites:
-        length = max((s - a) % n_sites for s in sites) + 1
-        if best is None or (length, a) < best:
-            best = (length, a)
-    return best[1], best[0]
-
-
 # -- state application ------------------------------------------------------
 
-def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
-    """Action of the operator on a dense 2^N amplitude vector (site j = bit j)."""
-    dim = 1 << op.n_sites
-    if psi.shape != (dim,):
-        raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
-    out = np.zeros(dim, dtype=complex)
-    idx_all = np.arange(dim)
+def _string_masks(op: LocalOperator):
+    """Decode every string of the operator into its action on basis indices.
+
+    Yields (src, flip, vals) per string: the string keeps the basis indices
+    ``src`` (site j = bit j), maps each to ``src ^ flip`` and multiplies it
+    by ``vals`` (a scalar, or one sign-carrying amplitude per index).
+    """
+    idx_all = np.arange(1 << op.n_sites)
     for (start, ops), coeff in op.terms.items():
-        if not ops:
-            out += coeff * psi
-            continue
         sel_mask = sel_bits = flip_mask = sign_mask = 0
         amp = coeff
         for k, code in enumerate(ops):
@@ -308,10 +328,17 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
             src = src[(src & sel_mask) == sel_bits]
             if src.size == 0:
                 continue
-        vals = amp * psi[src]
-        if sign_mask:
-            vals = vals * _parity_sign(src, sign_mask)
-        out[src ^ flip_mask] += vals
+        yield src, flip_mask, amp * _parity_sign(src, sign_mask) if sign_mask else amp
+
+
+def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
+    """Action of the operator on a dense 2^N amplitude vector (site j = bit j)."""
+    dim = 1 << op.n_sites
+    if psi.shape != (dim,):
+        raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
+    out = np.zeros(dim, dtype=complex)
+    for src, flip, vals in _string_masks(op):
+        out[src ^ flip] += vals * psi[src]
     return out
 
 
@@ -365,7 +392,7 @@ def _convert(op: LocalOperator, table) -> LocalOperator:
                 continue
             for code, w in table[ops[k]]:
                 stack.append((k + 1, amp * w, acc + [code]))
-    return LocalOperator(op.n_sites, terms)
+    return LocalOperator._trusted(op.n_sites, terms)
 
 
 def to_pauli_basis(op: LocalOperator) -> LocalOperator:
@@ -405,52 +432,40 @@ def truncate(op: LocalOperator, lam: Region, basis: str = "boson") -> LocalOpera
     for (start, ops), coeff in expanded.terms.items():
         if all((start + k) % op.n_sites in lam for k in range(len(ops))):
             kept[(start, ops)] = coeff
-    return LocalOperator(op.n_sites, kept)
+    return LocalOperator._trusted(op.n_sites, kept)
+
+
+def to_sparse(op: LocalOperator) -> sparse.csr_matrix:
+    """2^N x 2^N CSR matrix (site j = bit j).
+
+    Strings sharing a flip mask fill the same entries (i ^ flip, i), so they
+    are summed on one dense diagonal of length 2^N per flip mask first;
+    memory is O(#flip masks * 2^N), not O(#terms * 2^N).
+    """
+    dim = 1 << op.n_sites
+    diagonals: dict = {}
+    for src, flip, vals in _string_masks(op):
+        if flip not in diagonals:
+            diagonals[flip] = np.zeros(dim, dtype=complex)
+        diagonals[flip][src] += vals
+    rows, cols, data = [], [], []
+    for flip, diag in diagonals.items():
+        nz = np.flatnonzero(diag)
+        rows.append(nz ^ flip)
+        cols.append(nz)
+        data.append(diag[nz])
+    if not data:
+        return sparse.csr_matrix((dim, dim), dtype=complex)
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
 
 
 def to_matrix(op: LocalOperator) -> np.ndarray:
     """Dense 2^N x 2^N matrix; guarded against exponential blowup."""
     if op.n_sites > MATRIX_MAX_SITES:
         raise CapacityError(f"N={op.n_sites} exceeds dense guard {MATRIX_MAX_SITES}")
-    dim = 1 << op.n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
-    idx_all = np.arange(dim)
-    for (start, ops), coeff in op.terms.items():
-        if not ops:
-            mat[idx_all, idx_all] += coeff
-            continue
-        sel_mask = sel_bits = flip_mask = sign_mask = 0
-        amp = coeff
-        for k, code in enumerate(ops):
-            b = 1 << ((start + k) % op.n_sites)
-            if code == "sd":
-                sel_mask |= b
-                flip_mask |= b
-            elif code == "s":
-                sel_mask |= b
-                sel_bits |= b
-                flip_mask |= b
-            elif code == "n":
-                sel_mask |= b
-                sel_bits |= b
-            elif code == "x":
-                flip_mask |= b
-            elif code == "y":
-                flip_mask |= b
-                sign_mask |= b
-                amp = amp * 1j
-            elif code == "z":
-                sign_mask |= b
-        src = idx_all
-        if sel_mask:
-            src = src[(src & sel_mask) == sel_bits]
-            if src.size == 0:
-                continue
-        vals = np.full(src.shape, amp, dtype=complex)
-        if sign_mask:
-            vals = vals * _parity_sign(src, sign_mask)
-        np.add.at(mat, (src ^ flip_mask, src), vals)
-    return mat
+    return to_sparse(op).toarray()
 
 
 # -- textual format ----------------------------------------------------------
@@ -493,7 +508,7 @@ def _format_coeff(c: complex) -> str:
 
 def parse_operator(text: str, n_sites: int) -> LocalOperator:
     """Parse ``coeff * op@site op@site ...`` terms joined by ';' or newlines."""
-    op = zero(n_sites)
+    strings = []
     for chunk in re.split(r"[;\n]", text):
         chunk = chunk.strip()
         if not chunk:
@@ -512,8 +527,8 @@ def parse_operator(text: str, n_sites: int) -> LocalOperator:
                 raise ValueError(f"bad factor {tok!r}")
             if m.group(1) != "id":
                 factors.append((int(m.group(2)), m.group(1)))
-        op = op + string_term(n_sites, coeff, factors)
-    return op
+        strings.append(string_term(n_sites, coeff, factors))
+    return op_sum(n_sites, strings)
 
 
 def format_operator(op: LocalOperator) -> str:

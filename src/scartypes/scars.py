@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import opspace, states
+from . import canonical, opspace, states
 from .opspace import LocalOperator
 
 VARIANCE_FLOOR = -1e-12
@@ -81,7 +81,7 @@ def variance_scan_q(h: LocalOperator, n_sites: int, m_list,
     The largest-q point is excluded from the fit by default (lattice
     effects dominate it).  W must be an exact eigenstate of h.
     """
-    _require_w_eigenstate(h)
+    canonical.require_eigenstate(h, states.w_state(h.n_sites))
     points = []
     for m in m_list:
         q = 2.0 * np.pi * (m % n_sites) / n_sites
@@ -120,11 +120,3 @@ def _fit_points(points, drop_largest=False, drop_smallest=False):
     if len(xs) < 2:
         return None
     return loglog_fit(xs, ys)
-
-
-def _require_w_eigenstate(h: LocalOperator, tol: float = 1e-10):
-    w = states.w_state(h.n_sites)
-    hw = opspace.apply(h, w)
-    e = np.vdot(w, hw)
-    if np.linalg.norm(hw - e * w) > tol * max(h.coeff_norm(), 1.0):
-        raise ValueError("W is not an exact eigenstate of the given Hamiltonian")

@@ -79,6 +79,20 @@ class TestBoundarySolve:
         assert sol.residual < 1e-10
 
 
+class TestSpectralNorm:
+    def test_matches_dense_eigvalsh(self, setup10):
+        s = setup10
+        n = s["n"]
+        rng = np.random.default_rng(12)
+        ops = [opspace.truncate(s["imhop2"], Region(0, 7, n), "boson"),
+               opspace.truncate(canonical.random_type1(n, rng) + s["imhop"],
+                                Region(3, 9, n), "boson"),
+               s["rehop"]]
+        for op in ops:
+            dense = np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max()
+            assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense
+
+
 class TestClassify:
     def test_rehop_type_one(self, setup10):
         s = setup10
@@ -93,6 +107,19 @@ class TestClassify:
     def test_ntot_type_three(self, setup10):
         s = setup10
         assert classify(s["ntot"], [s["vac"], s["w"]]).value == "III"
+
+    def test_preconditions(self, setup10):
+        s = setup10
+        drop = states.droplet(s["n"], 3, 1)
+        with pytest.raises(canonical.ClassificationError) as err:
+            classify(s["rehop"], [s["vac"], drop])
+        assert err.value.defect > 0.1
+        with pytest.raises(canonical.ClassificationError):
+            equivalence_test(s["imhop"], s["rehop"], [s["vac"], drop])
+        with pytest.raises(ValueError):
+            classify(s["rehop"], [s["vac"], s["w"]], r_max_list=(0,))
+        with pytest.raises(ValueError):
+            boundary_solve(s["rehop"], [s["w"]], s["lam"], 0)
 
     def test_imhop2_type_two_with_pair_boundary(self, setup10):
         s = setup10

@@ -27,6 +27,19 @@ class TestClassify:
         assert report["schema"] == 1
         assert all("residual_general" in row for row in report["evidence"])
 
+    def test_non_eigenstate_precondition(self):
+        # the droplet is no eigenstate of h_rehop: ||(H - E)psi|| = 0.47
+        code, out = invoke(["classify", "--ham", "h_rehop",
+                            "--states", "droplet:M=3", "--N", "10"])
+        assert code == 2
+        assert out == ""
+
+    def test_zero_window_precondition(self):
+        code, out = invoke(["classify", "--ham", "n_tot", "--states", "w,vacuum",
+                            "--N", "10", "--Rmax", "0"])
+        assert code == 2
+        assert out == ""
+
 
 class TestDecompose:
     def test_builtin(self):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from scartypes import canonical, opspace, states
 from scartypes.opspace import (Region, apply, dagger, format_operator, hs_inner,
-                               identity, parse_operator, string_term, to_boson_basis,
-                               to_matrix, to_pauli_basis, truncate, zero)
+                               identity, op_sum, parse_operator, string_term,
+                               to_boson_basis, to_matrix, to_pauli_basis, to_sparse,
+                               truncate, zero)
 
 
 def random_operator(n_sites, rng, n_terms=6, max_len=3, paulis=False):
@@ -306,3 +307,174 @@ class TestTextFormat:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             parse_operator("1.0 * q@3", 8)
+
+
+# -- differential guard for the fast paths -------------------------------------
+
+def random_strings(n_sites, rng, n_terms):
+    """Random operator over all seven site codes, ``id`` inside and at the ends."""
+    terms = {}
+    for _ in range(n_terms):
+        length = int(rng.integers(1, min(4, n_sites) + 1))
+        ops = tuple(opspace.ALL_CODES[i] for i in rng.integers(0, 7, size=length))
+        terms[(int(rng.integers(n_sites)), ops)] = complex(rng.normal(), rng.normal())
+    return opspace.LocalOperator(n_sites, terms)
+
+
+def dense_reference(op):
+    """Kronecker-product matrix, independent of the string-mask decoder."""
+    n = op.n_sites
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    for (start, ops), coeff in op.terms.items():
+        codes = {(start + k) % n: c for k, c in enumerate(ops)}
+        term = np.ones((1, 1), dtype=complex)
+        for j in range(n):      # site j = bit j, so later sites are more significant
+            term = np.kron(opspace._MATS[codes.get(j, "id")], term)
+        mat += coeff * term
+    return mat
+
+
+def is_canonical(op):
+    return all(opspace._canonical_key(op.n_sites, start, ops) == (start, ops)
+               for start, ops in op.terms)
+
+
+def plus_loop(n_sites, strings):
+    """Sum built term by term with +, the construction op_sum replaces."""
+    op = zero(n_sites)
+    for coeff, factors in strings:
+        op = op + string_term(n_sites, coeff, factors)
+    return op
+
+
+SEED_BUILTINS = {
+    "n_tot": lambda n: plus_loop(n, [(1.0, [(j, "n")]) for j in range(n)]),
+    "h_imhop": lambda n: plus_loop(n, [
+        s for j in range(n) for s in ((0.5j, [(j, "sd"), (j + 1, "s")]),
+                                      (-0.5j, [(j + 1, "sd"), (j, "s")]))]),
+    "h_rehop": lambda n: plus_loop(n, [
+        s for j in range(n) for s in ((0.5, [(j, "n")]), (0.5, [(j + 1, "n")]),
+                                      (-0.5, [(j, "sd"), (j + 1, "s")]),
+                                      (-0.5, [(j + 1, "sd"), (j, "s")]))]),
+    "h_imhop2": lambda n: plus_loop(n, [
+        s for j in range(n)
+        for s in ((0.5j, [(j, "sd"), (j + 1, "n"), (j + 2, "s")]),
+                  (-0.5j, [(j, "s"), (j + 1, "n"), (j + 2, "sd")]))]),
+    "h_imhop_p": lambda n: plus_loop(n, [
+        s for j in range(n)
+        for s in ((1j, [(j, "sd"), (j + 1, "n"), (j + 2, "n"), (j + 3, "s")]),
+                  (-1j, [(j, "s"), (j + 1, "n"), (j + 2, "n"), (j + 3, "sd")]))]),
+    "h_dmi": lambda n: plus_loop(n, [
+        s for j in range(n) for s in ((0.25, [(j, "z"), (j + 1, "x")]),
+                                      (-0.25, [(j, "x"), (j + 1, "z")]))]),
+    "h_heis": lambda n: SEED_BUILTINS["h_rehop"](n) + plus_loop(
+        n, [(-1.0, [(j, "n"), (j + 1, "n")]) for j in range(n)]),
+    "p_re": lambda n: plus_loop(n, [(1.0, [(1, "sd"), (3, "s")]),
+                                    (1.0, [(3, "sd"), (1, "s")]),
+                                    (-1.0, [(1, "n")]), (-1.0, [(3, "n")])]),
+    "p_im": lambda n: (lambda op: op + op.dagger())(plus_loop(
+        n, [(1j, [(n - 1, "sd"), (n + 2, "s")])]
+        + [(-1j, [(n - 2 + k, "sd"), (n - 1 + k, "s")]) for k in range(1, 4)])),
+    "p_nonherm": lambda n: plus_loop(n, [(0.5j, [(2, "sd"), (3, "s")]),
+                                         (-0.5j, [(3, "sd"), (2, "s")]),
+                                         (-0.5j, [(2, "n")]), (0.5j, [(3, "n")])]),
+}
+BUILTIN_ARGS = {"h_imhop_p": {"p": 3}, "h_dmi": {"axis": "y"},
+                "p_re": {"j": 1, "alpha": 2}, "p_im": {"j": -1, "alpha": 3},
+                "p_nonherm": {"j": 2}}
+
+
+class TestFastPathDifferential:
+    """op_sum, trusted algebra, to_sparse and apply against dense references."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8),
+           st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=40, deadline=None)
+    def test_algebra_matches_dense(self, seed, n, scalar):
+        rng = np.random.default_rng(seed)
+        a, b, c = (random_strings(n, rng, int(rng.integers(1, 9))) for _ in range(3))
+        ma, mb, mc = dense_reference(a), dense_reference(b), dense_reference(c)
+        x, y = complex(rng.normal(), rng.normal()), float(rng.normal())
+        cases = [
+            (op_sum(n, [a, b, c], [scalar, x, y]), scalar * ma + x * mb + y * mc),
+            (op_sum(n, [a, b, c]), ma + mb + mc),
+            (op_sum(n, []), np.zeros_like(ma)),
+            (a + b, ma + mb),
+            (a - b, ma - mb),
+            (a - a, np.zeros_like(ma)),
+            (scalar * a, scalar * ma),
+            (a * scalar, scalar * ma),
+            (-a, -ma),
+            (a.dagger(), ma.conj().T),
+            (to_pauli_basis(a), ma),
+            (to_boson_basis(a), ma),
+            (to_boson_basis(to_pauli_basis(a)), ma),
+            (to_pauli_basis(to_boson_basis(a)), ma),
+        ]
+        for got, want in cases:
+            assert is_canonical(got)
+            scale = max(float(np.abs(want).max()), 1.0)
+            assert np.abs(dense_reference(got) - want).max() <= 1e-12 * scale
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_matrix_and_apply_match_dense(self, seed, n):
+        rng = np.random.default_rng(seed)
+        op = random_strings(n, rng, int(rng.integers(1, 12)))
+        want = dense_reference(op)
+        scale = max(float(np.abs(want).max()), 1.0)
+        sparse_mat = to_sparse(op)
+        assert np.abs(to_matrix(op) - want).max() <= 1e-12 * scale
+        assert np.array_equal(sparse_mat.toarray(), to_matrix(op))
+        psi = random_state(n, rng)
+        assert np.abs(sparse_mat @ psi - apply(op, psi)).max() <= 1e-12 * scale
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_key_matches_window_enumeration(self, seed, n):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            ops = tuple(str(c) for c in
+                        rng.choice(["id", "x", "sd"], size=int(rng.integers(0, n + 1))))
+            start = int(rng.integers(-n, 2 * n))
+            codes = {(start + k) % n: c for k, c in enumerate(ops) if c != "id"}
+            # shortest window over all starts and lengths, ties to the smallest start
+            length, a = min((w, a) for a in range(n) for w in range(1, n + 1)
+                            if all((s - a) % n < w for s in codes)) if codes else (0, 0)
+            want = (a, tuple(codes.get((a + k) % n, "id") for k in range(length)))
+            assert opspace._canonical_key(n, start, ops) == want
+
+    def test_op_sum_checks_its_inputs(self):
+        with pytest.raises(opspace.DimensionError):
+            op_sum(4, [identity(4), identity(5)])
+        with pytest.raises(ValueError):
+            op_sum(4, [identity(4)], [1.0, 2.0])
+
+    @pytest.mark.parametrize("name", sorted(SEED_BUILTINS))
+    def test_builtins_match_plus_loop(self, name):
+        for n in (6, 9):
+            got = canonical.builtin(name, n, **BUILTIN_ARGS.get(name, {}))
+            want = SEED_BUILTINS[name](n)
+            assert is_canonical(got)
+            assert opspace.operators_equal(got, want, tol=1e-12)
+            assert np.abs(to_matrix(got) - to_matrix(want)).max() < 1e-12
+
+    @pytest.mark.parametrize("translation_invariant", [True, False])
+    def test_random_type1_matches_plus_loop(self, translation_invariant):
+        n = 8
+        got = canonical.random_type1(n, np.random.default_rng(11),
+                                     translation_invariant=translation_invariant)
+        rng = np.random.default_rng(11)
+        pats = canonical.table2_patterns(3)
+        want = zero(n)
+        if translation_invariant:
+            for c, pat in zip(rng.uniform(-1.0, 1.0, size=len(pats)), pats):
+                for j in range(n):
+                    want = want + c * canonical.instantiate_pattern(n, pat, j)
+        else:
+            for pat in pats:
+                for j in range(n):
+                    want = want + rng.uniform(-1.0, 1.0) * \
+                        canonical.instantiate_pattern(n, pat, j)
+        assert is_canonical(got)
+        assert opspace.operators_equal(got, want, tol=1e-12)
