@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from . import canonical, opspace
@@ -41,14 +42,6 @@ class BoundarySolve:
     lam: Region
     left_window: tuple
     right_window: tuple
-
-    @property
-    def accepted(self) -> bool:
-        return self.residual < ACCEPT
-
-    @property
-    def rejected(self) -> bool:
-        return self.residual > REJECT
 
 
 @dataclass(frozen=True)
@@ -81,39 +74,72 @@ def spectral_norm(op: LocalOperator) -> float:
 
 def _site_axes_apply(mat: np.ndarray, psi: np.ndarray, sites, local_dim: int,
                      n_sites: int) -> np.ndarray:
-    """Apply a d^w x d^w matrix on the given sites of a dense qudit state.
+    """Apply a d^w x d^w matrix, or a (k, d^w, d^w) stack, on the given sites.
 
     The state index is little-endian, index = sum_j s_j d^j, so site j is
     tensor axis n_sites-1-j after reshape; the matrix row index runs
-    big-endian over ``sites`` (first listed site most significant).
+    big-endian over ``sites`` (first listed site most significant).  A
+    stack returns one (k, d^N) row per matrix.
     """
-    w = len(sites)
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
     tens = psi.reshape((local_dim,) * n_sites)
     axes = [n_sites - 1 - j for j in sites]
     rest = [a for a in range(n_sites) if a not in axes]
     perm = axes + rest
-    moved = np.transpose(tens, perm).reshape(local_dim ** w, -1)
-    out = (mat @ moved).reshape([local_dim] * w + [local_dim] * (n_sites - w))
-    inv = np.argsort(perm)
-    return np.transpose(out, inv).reshape(-1)
+    moved = np.transpose(tens, perm).reshape(local_dim ** len(sites), -1)
+    out = (mat @ moved).reshape(lead + (local_dim,) * n_sites)
+    inv = [*range(len(lead)), *(len(lead) + np.argsort(perm))]
+    return np.transpose(out, inv).reshape(lead + (psi.size,))
 
 
-def _traceless_hermitian_basis(dim: int):
-    """Hermitian traceless matrix basis of u(dim) minus the identity ray."""
-    mats = []
-    for i in range(dim - 1):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i], m[i + 1, i + 1] = 1.0, -1.0
-        mats.append(m)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            mats.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j], m[j, i] = -1j, 1j
-            mats.append(m)
-    return mats
+def _traceless_hermitian_basis(dim: int) -> np.ndarray:
+    """(dim^2 - 1, dim, dim) Hermitian traceless basis of u(dim) minus the identity ray."""
+    unit = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)  # unit[i, j] = |i><j|
+    mats = [unit[i, i] - unit[i + 1, i + 1] for i in range(dim - 1)]
+    for i, j in zip(*np.triu_indices(dim, 1)):
+        mats += [unit[i, j] + unit[j, i], 1j * (unit[j, i] - unit[i, j])]
+    return np.array(mats, dtype=complex).reshape(-1, dim, dim)
+
+
+def _design_matrix(psis, n_sites, local_dim, left_sites, right_sites) -> np.ndarray:
+    """Complex design matrix of the boundary fit, one row block per state.
+
+    Columns: the traceless Hermitian basis acting on the left window, then
+    on the right window, then one identity-gauge column per state.
+    """
+    blocks = []
+    for sites in (left_sites, right_sites):
+        basis = _traceless_hermitian_basis(local_dim ** len(sites))
+        blocks.append(np.concatenate(
+            [_site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
+            axis=1))
+    blocks.append(block_diag(*psis))
+    return np.vstack(blocks).T
+
+
+def _realify(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x.real, x.imag])
+
+
+def _fit(mat, targets, hermitian: bool, left_dim: int, right_dim: int):
+    """Least-squares fit of the targets on a design matrix; returns (A, B, f, r_abs).
+
+    Window coefficients are complex (unconstrained) or real (Hermitian);
+    ``r_abs`` is the worst per-state residual norm.
+    """
+    rhs = np.concatenate(targets)
+    if hermitian:
+        sol, *_ = np.linalg.lstsq(_realify(mat), _realify(rhs), rcond=None)
+        sol = sol.astype(complex)
+    else:
+        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    resid = (mat @ sol - rhs).reshape(len(targets), -1)
+    nl, nr = left_dim ** 2 - 1, right_dim ** 2 - 1
+    a_mat = np.tensordot(sol[:nl], _traceless_hermitian_basis(left_dim), 1)
+    b_mat = np.tensordot(sol[nl:nl + nr], _traceless_hermitian_basis(right_dim), 1)
+    f = tuple(complex(c) for c in sol[nl + nr:])
+    return a_mat, b_mat, f, float(np.linalg.norm(resid, axis=1).max())
 
 
 def solve_boundary_dense(targets, psis, n_sites, local_dim,
@@ -125,41 +151,9 @@ def solve_boundary_dense(targets, psis, n_sites, local_dim,
     complex (unconstrained) or real (Hermitian) coefficients; per-state
     scalars absorb the identity gauge.
     """
-    basis = _traceless_hermitian_basis(local_dim ** len(left_sites))
-    basis_r = (basis if len(right_sites) == len(left_sites)
-               else _traceless_hermitian_basis(local_dim ** len(right_sites)))
-    n_states = len(psis)
-    dim = psis[0].size
-    cols = []
-    for m in basis:
-        col = np.concatenate([_site_axes_apply(m, psi, left_sites, local_dim, n_sites)
-                              for psi in psis])
-        cols.append(col)
-    for m in basis_r:
-        col = np.concatenate([_site_axes_apply(m, psi, right_sites, local_dim, n_sites)
-                              for psi in psis])
-        cols.append(col)
-    for n in range(n_states):
-        col = np.zeros(n_states * dim, dtype=complex)
-        col[n * dim:(n + 1) * dim] = psis[n]
-        cols.append(col)
-    mat = np.array(cols).T
-    rhs = np.concatenate(targets)
-    if hermitian:
-        real_mat = np.vstack([mat.real, mat.imag])
-        real_rhs = np.concatenate([rhs.real, rhs.imag])
-        sol, *_ = np.linalg.lstsq(real_mat, real_rhs, rcond=None)
-        sol = sol.astype(complex)
-    else:
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid_vec = mat @ sol - rhs
-    per_state = [float(np.linalg.norm(resid_vec[n * dim:(n + 1) * dim]))
-                 for n in range(n_states)]
-    nl, nr = len(basis), len(basis_r)
-    a_mat = sum(c * m for c, m in zip(sol[:nl], basis))
-    b_mat = sum(c * m for c, m in zip(sol[nl:nl + nr], basis_r))
-    f = tuple(complex(c) for c in sol[nl + nr:])
-    return a_mat, b_mat, f, max(per_state)
+    mat = _design_matrix(psis, n_sites, local_dim, left_sites, right_sites)
+    return _fit(mat, targets, hermitian,
+                local_dim ** len(left_sites), local_dim ** len(right_sites))
 
 
 # boson-code coefficients (rows: id, sd, s, n) of the site matrix units
@@ -194,9 +188,12 @@ def _require_window(r_max: int) -> None:
         raise ValueError(f"boundary window R_max = {r_max} must be at least 1")
 
 
-def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
-                   hermitian: bool = False, basis: str = "boson") -> BoundarySolve:
-    """Boundary fit for a truncated qubit Hamiltonian on its target states."""
+def _patch(h: LocalOperator, states_list, lam: Region, r_max: int, basis: str):
+    """One patch of the sweep: one truncation, action, design matrix and norm.
+
+    Returns (fit, scale, (left_sites, right_sites)); ``fit(hermitian)`` solves
+    the patch's design matrix and returns (A, B, f, r_abs).
+    """
     _require_window(r_max)
     if lam.length < 2 * r_max + 2:
         raise ValueError(
@@ -206,11 +203,18 @@ def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
     h_lam = opspace.truncate(h, lam, basis=basis)
     targets = [opspace.apply(h_lam, psi) for psi in states_list]
     sites = lam.sites()
-    left_sites = tuple(sites[:r_max])
-    right_sites = tuple(sites[-r_max:])
-    a_mat, b_mat, f, r_abs = solve_boundary_dense(
-        targets, states_list, h.n_sites, 2, left_sites, right_sites, hermitian)
+    windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
+    mat = _design_matrix(states_list, h.n_sites, 2, *windows)
     scale = max(spectral_norm(h_lam), 1e-300)
+    return (lambda hermitian: _fit(mat, targets, hermitian, 2 ** r_max, 2 ** r_max),
+            scale, windows)
+
+
+def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
+                   hermitian: bool = False, basis: str = "boson") -> BoundarySolve:
+    """Boundary fit for a truncated qubit Hamiltonian on its target states."""
+    fit, scale, (left_sites, right_sites) = _patch(h, states_list, lam, r_max, basis)
+    a_mat, b_mat, f, r_abs = fit(hermitian)
     return BoundarySolve(
         left_op=_window_operator(a_mat, left_sites, h.n_sites),
         right_op=_window_operator(b_mat, right_sites, h.n_sites),
@@ -242,9 +246,16 @@ def action_equivalent(op_a: LocalOperator, op_b: LocalOperator, states_list,
 
 
 def default_sweep(n_sites: int, r_max: int, anchors=(0,), op_range: int = 0):
-    """Patch lengths from max(2 R_max + 2, 2*range + 1) to N - 2 per anchor."""
+    """Patch lengths from max(2 R_max + 2, 2*range + 1) to N - 2 per anchor.
+
+    Raises ValueError when that range is empty.
+    """
     lams = []
     min_len = max(2 * r_max + 2, 2 * op_range + 1)
+    if min_len > n_sites - 2:
+        raise ValueError(
+            f"no patch to sweep at N={n_sites}, R_max={r_max}: patches need at "
+            f"least {min_len} sites and at most N - 2 = {n_sites - 2}")
     for anchor in anchors:
         for length in range(min_len, n_sites - 1):
             lams.append(Region(anchor, (anchor + length - 1) % n_sites, n_sites))
@@ -283,7 +294,8 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,), lam_sweep=None,
     explicit indeterminate outcome.  The left/right-independence clause is
     cross-checked by comparing the left operator across right-edge
     positions at fixed anchor.  Every target state must be an eigenstate
-    of h (ClassificationError otherwise).
+    of h (ClassificationError otherwise), and every R_max must leave a
+    patch to sweep (ValueError otherwise).
     """
     for r_max in r_max_list:
         _require_window(r_max)
@@ -291,33 +303,25 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,), lam_sweep=None,
         canonical.require_eigenstate(h, psi)
     notes = []
     evidence = []
-    all_h_ok, all_g_ok = True, True
-    any_h_reject, any_g_reject = False, False
-    dead_zone = False
     for r_max in r_max_list:
         sweep = lam_sweep or default_sweep(h.n_sites, r_max,
                                            anchors=(0, h.n_sites // 3),
                                            op_range=h.declared_range)
         for lam in sweep:
-            gen = boundary_solve(h, states_list, lam, r_max, hermitian=False,
-                                 basis=basis)
-            her = boundary_solve(h, states_list, lam, r_max, hermitian=True,
-                                 basis=basis)
-            evidence.append((r_max, lam.length, gen.residual, her.residual))
-            all_g_ok &= gen.accepted
-            all_h_ok &= her.accepted
-            any_g_reject |= gen.rejected
-            any_h_reject |= her.rejected
-            if (not gen.accepted and not gen.rejected) or \
-               (not her.accepted and not her.rejected):
-                dead_zone = True
-        if all_g_ok and not _left_independent(h, states_list, r_max, basis):
+            fit, scale, _ = _patch(h, states_list, lam, r_max, basis)
+            evidence.append((r_max, lam.length,
+                             *(fit(hermitian)[3] / scale for hermitian in (False, True))))
+        if all(row[2] < ACCEPT for row in evidence) and \
+                not _left_independent(h, states_list, r_max, basis):
             notes.append(f"left operator varies with right edge at R_max={r_max}")
+    gen, her = [row[2] for row in evidence], [row[3] for row in evidence]
+    all_g_ok, all_h_ok = all(r < ACCEPT for r in gen), all(r < ACCEPT for r in her)
+    dead_zone = any(not (r < ACCEPT or r > REJECT) for r in gen + her)
     if all_g_ok and all_h_ok:
         value = "I"
-    elif all_g_ok and any_h_reject and not dead_zone:
+    elif all_g_ok and any(r > REJECT for r in her) and not dead_zone:
         value = "II"
-    elif any_g_reject:
+    elif any(r > REJECT for r in gen):
         value = "III"
     else:
         value = "indeterminate"
@@ -335,63 +339,60 @@ class EquivalenceResult:
 def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
                      lam: Region | None = None, r_max: int = 2,
                      basis: str = "boson") -> EquivalenceResult:
-    """Search for alpha, beta with (alpha H^A - beta H^B) Hermitian-feasible.
+    """Find alpha, beta with (alpha H^A - beta H^B) Hermitian-feasible.
 
-    Both inputs are assumed to have been classified type II already.  The
-    normalized combination is scanned on a coarse angle grid and the best
-    candidates refined by golden-section; residuals are measured against
-    the larger of the two truncated action norms.  Every target state must
-    be an eigenstate of both inputs (ClassificationError otherwise).
+    Both inputs are assumed to have been classified type II already.  With
+    alpha = cos theta and beta = sin theta the Hermitian fit is real least
+    squares, so state n leaves the residual P(cos theta a_n - sin theta b_n):
+    a_n and b_n are the realified truncated actions of H^A and H^B, and P
+    projects off the column span of the realified design matrix (one SVD,
+    cut like numpy lstsq's default rank).  Its squared norm is the sinusoid
+    A_n + B_n cos 2theta + C_n sin 2theta, so the worst state's residual is
+    smallest at one sinusoid's minimum or at a crossing of two; the angle
+    is the best of that finite candidate set, reported in [0, pi).
+    Residuals are measured against the larger of the two truncated action
+    norms.  Every target state must be an eigenstate of both inputs
+    (ClassificationError otherwise).
     """
     _require_window(r_max)
     for psi in states_list:
         canonical.require_eigenstate(h_a, psi)
         canonical.require_eigenstate(h_b, psi)
-    n_sites = h_a.n_sites
+    n_sites, n_states = h_a.n_sites, len(states_list)
     if lam is None:
         floor = max(2 * r_max + 2,
                     2 * max(h_a.declared_range, h_b.declared_range) + 1)
         length = min(n_sites - 2, max(floor, n_sites - 3))
         lam = Region(0, length - 1, n_sites)
-    ha_lam = opspace.truncate(h_a, lam, basis=basis)
-    hb_lam = opspace.truncate(h_b, lam, basis=basis)
-    acts_a = [opspace.apply(ha_lam, psi) for psi in states_list]
-    acts_b = [opspace.apply(hb_lam, psi) for psi in states_list]
-    scale = max(max(np.linalg.norm(v) for v in acts_a),
-                max(np.linalg.norm(v) for v in acts_b), 1e-300)
+    h_lams = [opspace.truncate(h, lam, basis=basis) for h in (h_a, h_b)]
+    acts = np.array([[opspace.apply(op, psi) for psi in states_list] for op in h_lams])
+    scale = max(np.linalg.norm(acts, axis=2).max(), 1e-300)
     sites = lam.sites()
-    left_sites, right_sites = tuple(sites[:r_max]), tuple(sites[-r_max:])
-
-    def residual(theta: float) -> float:
-        targets = [np.cos(theta) * a - np.sin(theta) * b
-                   for a, b in zip(acts_a, acts_b)]
-        *_, r_abs = solve_boundary_dense(targets, states_list, n_sites, 2,
-                                         left_sites, right_sites, hermitian=True)
-        return r_abs / scale
-
-    thetas = np.linspace(0.0, np.pi, 257)[:-1]
-    vals = np.array([residual(t) for t in thetas])
-    order = np.argsort(vals)
-    best_theta, best_val = thetas[order[0]], vals[order[0]]
-    for idx in order[:3]:
-        lo, hi = thetas[idx] - np.pi / 256, thetas[idx] + np.pi / 256
-        gr = (np.sqrt(5.0) - 1) / 2
-        a, b = lo, hi
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = residual(c), residual(d)
-        for _ in range(80):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = residual(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = residual(d)
-        theta = (a + b) / 2
-        val = residual(theta)
-        if val < best_val:
-            best_theta, best_val = theta, val
+    real_mat = _realify(_design_matrix(states_list, n_sites, 2,
+                                       tuple(sites[:r_max]), tuple(sites[-r_max:])))
+    u, svals, _ = np.linalg.svd(real_mat, full_matrices=False)
+    span = u[:, svals > np.finfo(float).eps * max(real_mat.shape) * svals[0]]
+    ab = np.concatenate([acts.real, acts.imag], axis=1).reshape(2, -1)
+    ab = ab - (ab @ span) @ span.T
+    # (state, a/b, real and imaginary rows of that state)
+    ab = ab.reshape(2, 2, n_states, -1).transpose(2, 0, 1, 3).reshape(n_states, 2, -1)
+    gram = ab @ ab.transpose(0, 2, 1)
+    # ||r_n||^2 = A_n + Re(z_n e^{-2i theta}) with z_n = B_n + i C_n: least at
+    # 2 theta = arg(-z_n); states m, n cross where |dz| cos(arg dz - 2 theta) = A_n - A_m
+    big_a = (gram[:, 0, 0] + gram[:, 1, 1]) / 2
+    z = (gram[:, 0, 0] - gram[:, 1, 1]) / 2 - 1j * gram[:, 0, 1]
+    m, n = np.triu_indices(n_states, 1)
+    dz = z[m] - z[n]
+    ratio = np.divide(big_a[n] - big_a[m], abs(dz), out=np.zeros(m.size), where=abs(dz) > 0)
+    spread = np.arccos(np.clip(ratio, -1.0, 1.0))
+    two_theta = np.concatenate([np.angle(-z), np.angle(dz) + spread,
+                                np.angle(dz) - spread])
+    thetas = np.mod(two_theta / 2, np.pi)
+    resid = (np.cos(thetas)[:, None, None] * ab[:, 0]
+             - np.sin(thetas)[:, None, None] * ab[:, 1])
+    vals = np.linalg.norm(resid, axis=2).max(axis=1) / scale
+    best = int(np.argmin(vals))
+    best_theta, best_val = thetas[best], float(vals[best])
     if best_val < ACCEPT:
         return EquivalenceResult("same-class", float(np.cos(best_theta)),
                                  float(np.sin(best_theta)), best_val)

@@ -341,8 +341,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, opspace.DimensionError,
-            opspace.CapacityError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_PRECONDITION
 

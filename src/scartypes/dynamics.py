@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scars import loglog_fit
+
 OCCUPATION_TOL = 1e-12
 
 
@@ -231,16 +233,11 @@ def scaling_fit(series, window, theory_exponent: float | None = None) -> Scaling
         raise ValueError(f"need >= 6 points in window, have {len(pts)}")
     ts = np.array([p[0] for p in pts])
     us = np.array([p[1] for p in pts])
-    lx, ly = np.log(ts), np.log(np.abs(us))
-    coeffs, res, *_ = np.polyfit(lx, ly, 1, full=True)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    stderr = 0.0
-    if len(pts) > 2 and res.size:
-        stderr = float(np.sqrt(res[0] / (len(pts) - 2) / np.sum((lx - lx.mean()) ** 2)))
+    fit = loglog_fit(ts, np.abs(us))
     pref_c = None
     if theory_exponent is not None:
         pref_c = complex(np.mean(us / ts ** theory_exponent))
-    return ScalingFit(slope, float(np.exp(intercept)), stderr, pref_c)
+    return ScalingFit(fit.exponent, fit.prefactor, fit.stderr, pref_c)
 
 
 def integer_g_times(schedule_rate: float, t_lo: float, t_hi: float,

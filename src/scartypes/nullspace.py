@@ -233,6 +233,8 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     All dimensions are real dimensions in the shared realified coefficient
     space.
     """
+    if r_glo < 1:
+        raise ValueError(f"range R = {r_glo} must be at least 1")
     if r_loc < r_glo:
         raise ValueError("R' >= R required")
     if n_sites > GLOBAL_SCAN_MAX_SITES:

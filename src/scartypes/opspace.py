@@ -42,10 +42,6 @@ _MATS = {
 
 _DAGGER = {"id": "id", "sd": "s", "s": "sd", "n": "n", "x": "x", "y": "y", "z": "z"}
 
-# single-site Hilbert-Schmidt table tr(a^dag b), used by hs_inner
-_HS1 = {(a, b): complex(np.trace(_MATS[a].conj().T @ _MATS[b]))
-        for a in ALL_CODES for b in ALL_CODES}
-
 # site-code expansions between the two string bases
 _TO_PAULI = {
     "id": (("id", 1.0),),
@@ -357,21 +353,15 @@ def dagger(op: LocalOperator) -> LocalOperator:
 
 
 def hs_inner(a: LocalOperator, b: LocalOperator) -> complex:
-    """Normalized Hilbert-Schmidt inner product tr(a^dag b) / 2^N."""
+    """Normalized Hilbert-Schmidt inner product tr(a^dag b) / 2^N.
+
+    Canonical Pauli strings are orthonormal under it, so it is the dot
+    product of the two operators' Pauli coefficients.
+    """
     if a.n_sites != b.n_sites:
         raise DimensionError("chain length mismatch")
-    total = 0.0 + 0.0j
-    for (sa, opa), ca in a.terms.items():
-        amap = {(sa + k) % a.n_sites: c for k, c in enumerate(opa)}
-        for (sb, opb), cb in b.terms.items():
-            bmap = {(sb + k) % a.n_sites: c for k, c in enumerate(opb)}
-            prod = np.conj(ca) * cb
-            for j in set(amap) | set(bmap):
-                prod *= _HS1[(amap.get(j, "id"), bmap.get(j, "id"))] / 2.0
-                if prod == 0:
-                    break
-            total += prod
-    return complex(total)
+    pa, pb = to_pauli_basis(a).terms, to_pauli_basis(b).terms
+    return complex(sum((np.conj(c) * pb[key] for key, c in pa.items() if key in pb), 0j))
 
 
 def hs_norm(a: LocalOperator) -> float:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from scartypes import boundary, canonical, opspace, states
+from scartypes import boundary, canonical, mps, opspace, states
 from scartypes.boundary import (Region, action_equivalent, boundary_solve,
                                 classify, equivalence_test)
 from scartypes.opspace import apply, string_term
@@ -121,6 +122,30 @@ class TestClassify:
         with pytest.raises(ValueError):
             boundary_solve(s["rehop"], [s["w"]], s["lam"], 0)
 
+    def test_empty_sweep_precondition(self):
+        for n, r_max in ((3, 2), (10, 4)):
+            with pytest.raises(ValueError, match=f"N={n}, R_max={r_max}"):
+                classify(canonical.n_tot(n), [states.vacuum(n), states.w_state(n)],
+                         r_max_list=(r_max,))
+
+    def test_evidence_matches_boundary_solve(self, setup10):
+        s = setup10
+        n = s["n"]
+        cases = [(s["imhop"], [s["vac"], s["w"]]),
+                 (s["imhop2"], [s["vac"], s["w"], s["w2"]]),
+                 (canonical.random_type1(n, np.random.default_rng(4)) + s["imhop"],
+                  [s["vac"], s["w"]])]
+        for h, psis in cases:
+            label = classify(h, psis)
+            sweep = boundary.default_sweep(n, 2, anchors=(0, n // 3),
+                                           op_range=h.declared_range)
+            assert len(label.evidence) == len(sweep)
+            for (_, length, gen, her), lam in zip(label.evidence, sweep):
+                assert length == lam.length
+                for hermitian, got in ((False, gen), (True, her)):
+                    ref = boundary_solve(h, psis, lam, 2, hermitian=hermitian)
+                    assert abs(got - ref.residual) <= 1e-12
+
     def test_imhop2_type_two_with_pair_boundary(self, setup10):
         s = setup10
         psis = [s["vac"], s["w"], s["w2"]]
@@ -176,3 +201,65 @@ class TestEquivalence:
                                [s["vac"], s["w"], s["w2"]])
         assert res.verdict == "different"
         assert res.residual > 1e-3
+
+    def test_exact_angle_against_lstsq(self, setup10):
+        # the least-squares fit at fixed angle is the reference: the reported
+        # residual is attained there and no grid angle does better.  With a
+        # single state the best angle is that state's minimum; on W and W_q
+        # under h_rehop ~ h_imhop it is a crossing of the two states' curves.
+        s = setup10
+        n, lam = s["n"], Region(0, 6, s["n"])
+        vw, vww2 = [s["vac"], s["w"]], [s["vac"], s["w"], s["w2"]]
+        rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(22)
+        cases = [(s["imhop"], canonical.h_dmi(n), vw, "same-class"),
+                 (s["imhop"], s["imhop2"], vww2, "different"),
+                 (s["imhop"], s["imhop2"], [s["w"]], "same-class"),
+                 (s["rehop"], s["imhop"], [s["w"], states.w_q(n, 1)], "different"),
+                 (canonical.random_type1(n, rng_a) + s["imhop"],
+                  canonical.random_type1(n, rng_b) + 0.7 * s["imhop"], vw, "same-class")]
+        sites = lam.sites()
+        for h_a, h_b, psis, verdict in cases:
+            res = equivalence_test(h_a, h_b, psis, lam=lam)
+            assert res.verdict == verdict
+            ha, hb = (opspace.truncate(h, lam, "boson") for h in (h_a, h_b))
+            acts = [(apply(ha, psi), apply(hb, psi)) for psi in psis]
+            scale = max(np.linalg.norm(v) for pair in acts for v in pair)
+
+            def reference(theta):
+                targets = [np.cos(theta) * a - np.sin(theta) * b for a, b in acts]
+                *_, r_abs = boundary.solve_boundary_dense(
+                    targets, psis, n, 2, tuple(sites[:2]), tuple(sites[-2:]),
+                    hermitian=True)
+                return r_abs / scale
+
+            grid = np.linspace(0.0, np.pi, 64, endpoint=False)
+            ref_grid = np.array([reference(t) for t in grid])
+            assert res.residual <= ref_grid.min() + 1e-12
+            if res.verdict == "same-class":
+                theta = np.arctan2(res.beta, res.alpha)
+                assert abs(reference(theta) - res.residual) <= 1e-12
+            else:
+                best = grid[np.argmin(ref_grid)]
+                local = minimize_scalar(reference, bounds=(best - np.pi / 64,
+                                                           best + np.pi / 64),
+                                        method="bounded", options={"xatol": 1e-10})
+                assert abs(local.fun - res.residual) <= 1e-9
+        assert res.beta / res.alpha == pytest.approx(1 / 0.7, rel=1e-8)
+
+
+class TestSiteAxesApply:
+    @pytest.mark.parametrize("local_dim, n_sites", [(2, 6), (3, 5)])
+    def test_stack_matches_single_matrices(self, local_dim, n_sites):
+        rng = np.random.default_rng(local_dim)
+        if local_dim == 3:
+            psi = mps.to_dense(mps.builtin_aklt(), n_sites)
+        else:
+            psi = rng.normal(size=2 ** n_sites) + 1j * rng.normal(size=2 ** n_sites)
+        for sites in ((1,), (3, 0), (0, 2, 4)):
+            dim = local_dim ** len(sites)
+            stack = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+            got = boundary._site_axes_apply(stack, psi, sites, local_dim, n_sites)
+            want = [boundary._site_axes_apply(m, psi, sites, local_dim, n_sites)
+                    for m in stack]
+            assert got.shape == (4, psi.size)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scartypes import dynamics
 from scartypes.cli import run
@@ -39,6 +40,19 @@ class TestClassify:
                             "--N", "10", "--Rmax", "0"])
         assert code == 2
         assert out == ""
+
+    def test_empty_sweep_precondition(self):
+        # N=3 leaves no patch between 2 R_max + 2 sites and N - 2 sites
+        code, out = invoke(["classify", "--ham", "n_tot", "--N", "3"])
+        assert code == 2
+        assert out == ""
+
+    def test_missing_operator_file(self, tmp_path, capsys):
+        code, out = invoke(["classify", "--ham", str(tmp_path / "missing.op"),
+                            "--N", "10"])
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(capsys.readouterr().err)
 
 
 class TestDecompose:
@@ -141,6 +155,12 @@ class TestMpsCommand:
         assert code == 0
         assert report["type"] == "II"
 
+    def test_missing_tensor_file(self, tmp_path, capsys):
+        code, out = invoke(["mps", "--tensor", str(tmp_path / "nofile.json")])
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_aklt_report(self):
         code, out = invoke(["mps", "--tensor", "aklt", "--generator", "sz"])
         report = json.loads(out)
@@ -198,3 +218,37 @@ class TestProtocol:
         _, first = invoke(argv)
         _, second = invoke(argv)
         assert first == second
+
+
+_N = st.integers(2, 8).map(str)
+_HAM = st.sampled_from(["h_rehop", "h_imhop", "h_imhop2", "h_dmi", "h_heis", "n_tot",
+                        "p_nonherm", "bogus", "missing.op", "no/such/dir/ham.op",
+                        "missing.json"])
+_STATES = st.lists(st.sampled_from(["vacuum", "w", "wq:m=1", "wp:p=2", "droplet:M=2",
+                                    "bogus"]), min_size=1, max_size=3).map(",".join)
+_OUT = st.sampled_from([[], ["--out", "no/such/dir/report.json"]])
+_ARGV = st.one_of(
+    st.tuples(st.just(["decompose", "--ham"]), _HAM, st.just("--N"), _N, _OUT),
+    st.tuples(st.just(["classify", "--ham"]), _HAM, st.just("--states"), _STATES,
+              st.just("--N"), _N, st.just("--Rmax"), st.integers(-1, 4).map(str), _OUT),
+    st.tuples(st.just(["scan-classes", "--N"]), _N, st.just("--R"),
+              st.integers(-1, 3).map(str), st.just("--Rp"), st.integers(-1, 3).map(str),
+              st.just("--states"), _STATES, _OUT),
+    st.tuples(st.just(["droplet", "--dispersion"]),
+              st.sampled_from(["rehop", "imhop", "chop:a=0.5,b=0.5", "bogus"]),
+              st.just("--N"), _N, st.just("--M"), st.integers(0, 9).map(str),
+              st.just("--G"), st.sampled_from(["0", "wt", "bwt", "1.5", "x"]),
+              st.just(["--tmax", "2", "--steps", "2"]), _OUT),
+).map(lambda parts: [w for p in parts for w in (p if isinstance(p, list) else [p])])
+
+
+class TestFuzz:
+    @given(_ARGV)
+    @settings(max_examples=40, deadline=None)
+    def test_documented_exit_codes(self, argv):
+        # paths under no/such/dir never exist, so nothing is written
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2, 3, 64)
+        assert "Traceback" not in err.getvalue()

@@ -189,3 +189,6 @@ class TestClassCounts:
             count_type_classes(8, 3, 2, psis)
         with pytest.raises(opspace.CapacityError):
             count_type_classes(13, 2, 2, [states.vacuum(13)])
+        for r_glo in (0, -1):
+            with pytest.raises(ValueError):
+                count_type_classes(8, r_glo, 2, psis)
