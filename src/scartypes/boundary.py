@@ -237,12 +237,7 @@ def action_equivalent(op_a: LocalOperator, op_b: LocalOperator, states_list,
     difference must act as a per-state constant.
     """
     diff = op_a - op_b
-    for psi in states_list:
-        out = opspace.apply(diff, psi)
-        c = complex(np.vdot(psi, out))
-        if np.linalg.norm(out - c * psi) > tol:
-            return False
-    return True
+    return not any(opspace.eigen_defect(diff, psi)[1] > tol for psi in states_list)
 
 
 def default_sweep(n_sites: int, r_max: int, anchors=(0,), op_range: int = 0):

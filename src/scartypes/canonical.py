@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import opspace, states
-from .opspace import LocalOperator, hs_norm, identity, op_sum, string_term
+from .opspace import LocalOperator, hs_norm, identity, op_sum
 
 EIGENSTATE_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -39,9 +39,7 @@ def require_eigenstate(op: LocalOperator, psi: np.ndarray,
     Raises ClassificationError when ||(op - E)|psi>|| exceeds
     tol * max(coeff_norm, 1).
     """
-    hpsi = opspace.apply(op, psi)
-    energy = complex(np.vdot(psi, hpsi))
-    defect = float(np.linalg.norm(hpsi - energy * psi))
+    energy, defect = opspace.eigen_defect(op, psi)
     if defect > tol * max(op.coeff_norm(), 1.0):
         raise ClassificationError(
             f"target state is not an eigenstate: ||(H - E)|psi>|| = {defect:.3e}",
@@ -49,53 +47,97 @@ def require_eigenstate(op: LocalOperator, psi: np.ndarray,
     return energy
 
 
+# -- operator families as anchored patterns ------------------------------------
+#
+# A pattern is a tuple of ((offset, ops), coeff) entries anchored at site 0;
+# its window is the largest offset + len(ops).
+
+def _dagger_pattern(ops):
+    return tuple(opspace._DAGGER[c] for c in ops)
+
+
+def _hop(alpha: int) -> tuple:
+    """Codes of sd_0 s_alpha over the window [0, alpha]."""
+    return ("sd",) + ("id",) * (alpha - 1) + ("s",)
+
+
+def _pattern(entries: dict) -> tuple:
+    return tuple(sorted(entries.items()))
+
+
+def _p_re_pattern(alpha: int) -> tuple:
+    """sd_0 s_a + sd_a s_0 - n_0 - n_a."""
+    return _pattern({(0, _hop(alpha)): 1.0, (0, _dagger_pattern(_hop(alpha))): 1.0,
+                     (0, ("n",)): -1.0, (alpha, ("n",)): -1.0})
+
+
+def _p_im_pattern(alpha: int) -> tuple:
+    """i sd_0 s_a - i (chain of nearest-neighbor hops) + H.c."""
+    entries = {(0, _hop(alpha)): 1j, (0, _dagger_pattern(_hop(alpha))): -1j}
+    for k in range(alpha):
+        entries[(k, ("sd", "s"))] = -1j
+        entries[(k, ("s", "sd"))] = 1j
+    return _pattern(entries)
+
+
+def _imhop_p_pattern(p: int) -> tuple:
+    """i (|1..10><01..1| - H.c.) on p+1 sites."""
+    mid = ("n",) * (p - 1)
+    return (((0, ("sd",) + mid + ("s",)), 1j), ((0, ("s",) + mid + ("sd",)), -1j))
+
+
+def _translates(n_sites: int, patterns, sites, coeffs=None) -> LocalOperator:
+    """sum_{p, j} coeffs[p, j] * (pattern p anchored at site j), pattern-major.
+
+    Accumulates the translated keys in one dict, so the LocalOperator
+    constructor canonicalizes each distinct key once.  Raises ValueError
+    when a pattern's window exceeds the ring.
+    """
+    placements = [(pattern, j) for pattern in patterns for j in sites]
+    scalars = [1.0] * len(placements) if coeffs is None else list(coeffs)
+    terms: dict = {}
+    for pattern in patterns:
+        width = max((off + len(ops) for (off, ops), _ in pattern), default=0)
+        if width > n_sites:
+            raise ValueError(f"pattern window {width} exceeds the ring N = {n_sites}")
+    for (pattern, site), c in zip(placements, scalars):
+        for (offset, ops), v in pattern:
+            key = ((site + offset) % n_sites, ops)
+            terms[key] = terms.get(key, 0.0) + c * v
+    return LocalOperator(n_sites, terms)
+
+
 # -- builtin Hamiltonians ----------------------------------------------------
 
-def _strings(n_sites: int, strings) -> LocalOperator:
-    """Sum of string_term(n_sites, coeff, site_ops) over (coeff, site_ops)."""
-    return op_sum(n_sites, [string_term(n_sites, c, f) for c, f in strings])
-
-
 def n_tot(n_sites: int) -> LocalOperator:
-    return _strings(n_sites, ((1.0, [(j, "n")]) for j in range(n_sites)))
+    return _translates(n_sites, [(((0, ("n",)), 1.0),)], range(n_sites))
 
 
 def h_imhop(n_sites: int) -> LocalOperator:
     """(i/2) sum_j (sd_j s_{j+1} - sd_{j+1} s_j) on the periodic ring."""
-    return _strings(n_sites, (
-        s for j in range(n_sites)
-        for s in ((0.5j, [(j, "sd"), (j + 1, "s")]),
-                  (-0.5j, [(j + 1, "sd"), (j, "s")]))))
+    return _translates(n_sites, [(((0, ("sd", "s")), 0.5j), ((0, ("s", "sd")), -0.5j))],
+                       range(n_sites))
+
+
+_REHOP = (((0, ("n",)), 0.5), ((1, ("n",)), 0.5),
+          ((0, ("sd", "s")), -0.5), ((0, ("s", "sd")), -0.5))
 
 
 def h_rehop(n_sites: int) -> LocalOperator:
     """(1/2) sum_j (n_j + n_{j+1} - sd_j s_{j+1} - sd_{j+1} s_j)."""
-    return _strings(n_sites, (
-        s for j in range(n_sites)
-        for s in ((0.5, [(j, "n")]), (0.5, [(j + 1, "n")]),
-                  (-0.5, [(j, "sd"), (j + 1, "s")]),
-                  (-0.5, [(j + 1, "sd"), (j, "s")]))))
+    return _translates(n_sites, [_REHOP], range(n_sites))
 
 
 def h_imhop2(n_sites: int) -> LocalOperator:
     """(i/2) sum_j (|110><011| - |011><110|) on consecutive site triples."""
-    return _strings(n_sites, (
-        s for j in range(n_sites)
-        for s in ((0.5j, [(j, "sd"), (j + 1, "n"), (j + 2, "s")]),
-                  (-0.5j, [(j, "s"), (j + 1, "n"), (j + 2, "sd")]))))
+    return 0.5 * _translates(n_sites, [_imhop_p_pattern(2)], range(n_sites))
 
 
 def h_imhop_p(n_sites: int, p: int) -> LocalOperator:
     """i sum_j (|1..10><01..1| - H.c.) on p+1 sites; annihilates every W^m."""
     if p < 1:
         raise ValueError("p >= 1 required")
-
-    def hops(j):
-        mid = [(j + k, "n") for k in range(1, p)]
-        return ((1j, [(j, "sd")] + mid + [(j + p, "s")]),
-                (-1j, [(j, "s")] + mid + [(j + p, "sd")]))
-
-    return _strings(n_sites, (s for j in range(n_sites) for s in hops(j)))
+    return _translates(n_sites, [_imhop_p_pattern(p)], range(n_sites))
 
 
 def h_dmi(n_sites: int, axis: str = "z") -> LocalOperator:
@@ -109,41 +151,33 @@ def h_dmi(n_sites: int, axis: str = "z") -> LocalOperator:
     if axis not in pairs:
         raise ValueError(f"axis must be one of x,y,z, got {axis!r}")
     a, b = pairs[axis]
-    return _strings(n_sites, (
-        s for j in range(n_sites)
-        for s in ((0.25, [(j, a), (j + 1, b)]), (-0.25, [(j, b), (j + 1, a)]))))
+    return _translates(n_sites, [(((0, (a, b)), 0.25), ((0, (b, a)), -0.25))],
+                       range(n_sites))
 
 
 def h_heis(n_sites: int) -> LocalOperator:
     """sum_j (1/4 - S_j.S_{j+1}): nearest-neighbor singlet projectors."""
-    return h_rehop(n_sites) + _strings(
-        n_sites, ((-1.0, [(j, "n"), (j + 1, "n")]) for j in range(n_sites)))
+    return _translates(n_sites, [_REHOP + (((0, ("n", "n")), -1.0),)], range(n_sites))
 
 
 def p_re(n_sites: int, j: int, alpha: int) -> LocalOperator:
     """sd_j s_{j+a} + sd_{j+a} s_j - n_j - n_{j+a}; annihilates W and vacuum."""
     if alpha < 1:
         raise ValueError("alpha >= 1 required")
-    return _strings(n_sites, ((1.0, [(j, "sd"), (j + alpha, "s")]),
-                              (1.0, [(j + alpha, "sd"), (j, "s")]),
-                              (-1.0, [(j, "n")]), (-1.0, [(j + alpha, "n")])))
+    return _translates(n_sites, [_p_re_pattern(alpha)], [j])
 
 
 def p_im(n_sites: int, j: int, alpha: int) -> LocalOperator:
     """i sd_j s_{j+a} - i (chain of nearest-neighbor hops) + H.c., a >= 2."""
     if alpha < 2:
         raise ValueError("alpha >= 2 required")
-    op = _strings(n_sites, [(1j, [(j, "sd"), (j + alpha, "s")])]
-                  + [(-1j, [(j + k - 1, "sd"), (j + k, "s")])
-                     for k in range(1, alpha + 1)])
-    return op + op.dagger()
+    return _translates(n_sites, [_p_im_pattern(alpha)], [j])
 
 
 def p_nonherm(n_sites: int, j: int) -> LocalOperator:
     """(i/2)(sd_j s_{j+1} - sd_{j+1} s_j - n_j + n_{j+1}); kills W, not W under dagger."""
-    return _strings(n_sites, ((0.5j, [(j, "sd"), (j + 1, "s")]),
-                              (-0.5j, [(j + 1, "sd"), (j, "s")]),
-                              (-0.5j, [(j, "n")]), (0.5j, [(j + 1, "n")])))
+    return _translates(n_sites, [(((0, ("sd", "s")), 0.5j), ((0, ("s", "sd")), -0.5j),
+                                  ((0, ("n",)), -0.5j), ((1, ("n",)), 0.5j))], [j])
 
 
 _BUILTINS = {
@@ -191,20 +225,11 @@ class TableReport:
         return all(c.satisfied for c in self.conditions)
 
 
-def _string_nm(start, ops):
-    n = sum(1 for c in ops if c in ("sd", "n"))
-    m = sum(1 for c in ops if c in ("s", "n"))
-    return n, m
-
-
-def _creation_sites(n_sites, start, ops):
-    return tuple(sorted((start + k) % n_sites
-                        for k, c in enumerate(ops) if c in ("sd", "n")))
-
-
-def _annihilation_sites(n_sites, start, ops):
-    return tuple(sorted((start + k) % n_sites
-                        for k, c in enumerate(ops) if c in ("s", "n")))
+def _sites(n_sites, start, ops):
+    """(creation sites, annihilation sites) of a boson string, each sorted."""
+    sites = [((start + k) % n_sites, c) for k, c in enumerate(ops)]
+    return (tuple(sorted(j for j, c in sites if c in ("sd", "n"))),
+            tuple(sorted(j for j, c in sites if c in ("s", "n"))))
 
 
 def verify_table(g: LocalOperator, tol: float = 1e-12) -> TableReport:
@@ -223,20 +248,17 @@ def verify_table(g: LocalOperator, tol: float = 1e-12) -> TableReport:
     terms_01 = []
     hop_rows = np.zeros(op.n_sites, dtype=complex)
     for (start, ops), coeff in op.terms.items():
-        if not ops:
-            continue
-        n, m = _string_nm(start, ops)
+        cre, ann = _sites(op.n_sites, start, ops)
+        n, m = len(cre), len(ann)
         if n >= 1 and m == 0:
             pure_creation.append(((start, ops), coeff))
         elif n == 0 and m == 1:
             row_sum_01 += coeff
             terms_01.append(((start, ops), coeff))
         elif n >= 2 and m == 1:
-            key = _creation_sites(op.n_sites, start, ops)
-            row_sums_21.setdefault(key, []).append(((start, ops), coeff))
+            row_sums_21.setdefault(cre, []).append(((start, ops), coeff))
         elif n == 1 and m == 1:
-            j = _creation_sites(op.n_sites, start, ops)[0]
-            hop_rows[j] += coeff
+            hop_rows[cre[0]] += coeff
     conditions = []
     conditions.append(TableCondition(
         "n>=1,m=0", not pure_creation, tuple(pure_creation)))
@@ -285,14 +307,9 @@ def _hopping_matrix(op: LocalOperator):
     """Coefficient matrix c[j,k] of the (n=1, m=1) strings sd_j s_k."""
     c = np.zeros((op.n_sites, op.n_sites), dtype=complex)
     for (start, ops), coeff in op.terms.items():
-        if not ops:
-            continue
-        n, m = _string_nm(start, ops)
-        if (n, m) != (1, 1):
-            continue
-        j = _creation_sites(op.n_sites, start, ops)[0]
-        k = _annihilation_sites(op.n_sites, start, ops)[0]
-        c[j, k] += coeff
+        cre, ann = _sites(op.n_sites, start, ops)
+        if len(cre) == len(ann) == 1:
+            c[cre[0], ann[0]] += coeff
     return c
 
 
@@ -362,17 +379,17 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     done = set()
     groups_21: dict = {}
     for (start, ops), coeff in op.terms.items():
-        if not ops or (start, ops) in done:
+        if (start, ops) in done:
             continue
-        n, m = _string_nm(start, ops)
+        cre, ann = _sites(n_sites, start, ops)
+        n, m = len(cre), len(ann)
         if (n, m) == (1, 1) or m == 0 or n == 0:
             continue  # hopping handled above; pure creation/annihilation vanish
         dkey = (start, _dagger_pattern(ops))
         if n >= 2 and m == 1:
             done.add((start, ops))
             done.add(dkey)
-            key = _creation_sites(n_sites, start, ops)
-            groups_21.setdefault(key, {})[(start, ops)] = coeff
+            groups_21.setdefault(cre, {})[(start, ops)] = coeff
         elif n == 1 and m >= 2:
             continue  # conjugate of a (n>=2, m=1) string; bundled there
         else:
@@ -410,37 +427,32 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
     row_sums = c.sum(axis=1)
     omega_n = complex(np.mean(row_sums))
     for j in range(n_sites):
-        row = _strings(n_sites, [
-            (c[j, k], [(j, "n")] if k == j else [(j, "sd"), (k, "s")])
-            for k in range(n_sites) if abs(c[j, k]) > opspace.COEFF_TOL]
-            + [(-omega_n, [(j, "n")])])
+        terms = {(j, ("n",) if k == j else _hop((k - j) % n_sites)): c[j, k]
+                 for k in range(n_sites) if abs(c[j, k]) > opspace.COEFF_TOL}
+        terms[(j, ("n",))] = terms.get((j, ("n",)), 0.0) - omega_n
+        row = LocalOperator(n_sites, terms)
         if len(row):
             annihilators.append(row)
 
     single = np.zeros(n_sites, dtype=complex)
     for (start, ops), coeff in op.terms.items():
-        if not ops:
-            continue
-        n, m = _string_nm(start, ops)
-        if (n, m) == (0, 1):
-            single[_annihilation_sites(n_sites, start, ops)[0]] += coeff
+        cre, ann = _sites(n_sites, start, ops)
+        if not cre and len(ann) == 1:
+            single[ann[0]] += coeff
     if np.abs(single).max() > opspace.COEFF_TOL:
         partial = np.cumsum(single)
-        annihilators.append(_strings(n_sites, (
-            s for k in range(n_sites) if abs(partial[k]) > opspace.COEFF_TOL
-            for s in ((partial[k], [(k, "s")]), (-partial[k], [(k + 1, "s")])))))
+        keep = [k for k in range(n_sites) if abs(partial[k]) > opspace.COEFF_TOL]
+        annihilators.append(_translates(
+            n_sites, [(((0, ("s",)), 1.0), ((1, ("s",)), -1.0))], keep, partial[keep]))
 
     # (n>=2, m=1) strings bundle into zero-row-sum groups per creation set
     groups_21: dict = {}
     for (start, ops), coeff in op.terms.items():
-        if not ops:
-            continue
-        n, m = _string_nm(start, ops)
-        if m >= 2:
+        cre, ann = _sites(n_sites, start, ops)
+        if len(ann) >= 2:
             annihilators.append(LocalOperator(n_sites, {(start, ops): coeff}))
-        elif m == 1 and n >= 2:
-            key = _creation_sites(n_sites, start, ops)
-            groups_21.setdefault(key, {})[(start, ops)] = coeff
+        elif len(ann) == 1 and len(cre) >= 2:
+            groups_21.setdefault(cre, {})[(start, ops)] = coeff
     annihilators.extend(LocalOperator(n_sites, terms) for terms in groups_21.values())
 
     form = CanonicalForm(omega_id, omega_n, 0.0, tuple(annihilators), 0.0)
@@ -453,27 +465,16 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
 def table2_patterns(max_range: int = 3):
     """Anchored generator patterns for strictly local Hermitian annihilators.
 
-    Returns a list of coefficient dicts {offset-pattern: coeff} over boson
-    codes, each defining one Hermitian h_X anchored at site 0 with window at
-    most ``max_range``.  Covers the (n=m=1) P^Re/P^Im rows, the zero-row-sum
+    Returns a list of patterns (sorted tuples of ((offset, ops), coeff)
+    entries over boson codes), each defining one Hermitian h_X anchored at
+    site 0 with window at most ``max_range``.  Covers the (n=m=1) P^Re/P^Im rows, the zero-row-sum
     (n>=2, m=1) + H.c. row, and the unconstrained (n>=2, m>=2) + H.c. row.
     """
-    pats = []
+    pats = [_p_re_pattern(alpha) for alpha in range(1, max_range)]
+    pats += [_p_im_pattern(alpha) for alpha in range(2, max_range)]
 
     def add(entries):
-        pats.append(tuple(sorted(entries.items())))
-
-    for alpha in range(1, max_range):
-        add({(0, ("sd",) + ("id",) * (alpha - 1) + ("s",)): 1.0,
-             (0, ("s",) + ("id",) * (alpha - 1) + ("sd",)): 1.0,
-             (0, ("n",)): -1.0, (alpha, ("n",)): -1.0})
-    for alpha in range(2, max_range):
-        entries = {(0, ("sd",) + ("id",) * (alpha - 1) + ("s",)): 1j,
-                   (0, ("s",) + ("id",) * (alpha - 1) + ("sd",)): -1j}
-        for k in range(alpha):
-            entries[(k, ("sd", "s"))] = entries.get((k, ("sd", "s")), 0.0) - 1j
-            entries[(k, ("s", "sd"))] = entries.get((k, ("s", "sd")), 0.0) + 1j
-        add(entries)
+        pats.append(_pattern(entries))
 
     def pattern_of(creation, annihilation, window):
         ops = []
@@ -519,16 +520,8 @@ def table2_patterns(max_range: int = 3):
     return pats
 
 
-def _dagger_pattern(ops):
-    return tuple(opspace._DAGGER[c] for c in ops)
-
-
 def instantiate_pattern(n_sites: int, pattern, site: int) -> LocalOperator:
-    terms = {}
-    for (offset, ops), coeff in pattern:
-        key = ((site + offset) % n_sites, ops)
-        terms[key] = terms.get(key, 0.0) + coeff
-    return LocalOperator(n_sites, terms)
+    return _translates(n_sites, [pattern], [site])
 
 
 def random_type1(n_sites: int, rng: np.random.Generator,
@@ -544,5 +537,4 @@ def random_type1(n_sites: int, rng: np.random.Generator,
         coeffs = np.repeat(rng.uniform(-1.0, 1.0, size=len(pats)), n_sites)
     else:
         coeffs = rng.uniform(-1.0, 1.0, size=len(pats) * n_sites)
-    return op_sum(n_sites, [instantiate_pattern(n_sites, pat, j)
-                            for pat in pats for j in range(n_sites)], coeffs)
+    return _translates(n_sites, pats, range(n_sites), coeffs.tolist())

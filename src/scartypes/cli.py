@@ -145,22 +145,16 @@ def _cmd_scan_classes(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    rng_seed = args.seed
-    if args.scan == "q":
-        def build(n):
-            rng = np.random.default_rng(rng_seed)
-            return canonical.random_type1(n, rng) + canonical.h_imhop(n) \
-                if args.ham == "random" else _load_hamiltonian(args.ham, n)
-        h = build(args.N)
-        scan = scars.variance_scan_q(h, args.N, list(range(1, args.points + 1)))
-    else:
-        n_list = [int(x) for x in args.N_list.split(",")]
+    def build(n):
+        if args.ham != "random":
+            return _load_hamiltonian(args.ham, n)
+        return canonical.random_type1(n, np.random.default_rng(args.seed)) \
+            + canonical.h_imhop(n)
 
-        def build(n):
-            rng = np.random.default_rng(rng_seed)
-            return canonical.random_type1(n, rng) + canonical.h_imhop(n) \
-                if args.ham == "random" else _load_hamiltonian(args.ham, n)
-        scan = scars.variance_scan_n(build, args.p, n_list)
+    if args.scan == "q":
+        scan = scars.variance_scan_q(build(args.N), args.N, list(range(1, args.points + 1)))
+    else:
+        scan = scars.variance_scan_n(build, args.p, [int(x) for x in args.N_list.split(",")])
     rows = [(float(c), float(e), float(v)) for c, e, v in scan.points]
     if args.csv:
         _write_csv(args.csv, ("control", "expectation", "variance"), rows)

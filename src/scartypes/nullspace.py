@@ -39,16 +39,13 @@ GLOBAL_SCAN_MAX_SITES = 12
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """Ordered operator basis with orthogonality metadata."""
+    """Ordered basis of single strings V_mu, one canonical (start, ops) key each."""
 
-    elements: tuple
-    keys: tuple            # canonical (start, ops) per element, all single strings
-    orthogonal: bool
-    scope: str             # "strictly-local window" or "extensive-local range-R"
+    keys: tuple
     n_sites: int
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -74,30 +71,20 @@ class SubspaceReport:
     tolerance: float
     gap: float             # smallest eigenvalue above the accepted null space
 
-    def operators(self, op_basis: OperatorBasis) -> list:
-        out = []
-        for row in self.basis:
-            terms = {key: c for key, c in zip(op_basis.keys, row) if abs(c) > 0}
-            out.append(LocalOperator(op_basis.n_sites, terms))
-        return out
-
 
 def _pauli_patterns_upto(max_len: int):
     """Pauli code tuples with non-identity ends, window length 1..max_len."""
+    ends = opspace.PAULI_CODES[1:]
     pats = []
     for length in range(1, max_len + 1):
-        for mid in product("ixyz", repeat=max(length - 2, 0)):
-            for a in "xyz":
+        for mid in product(opspace.PAULI_CODES, repeat=max(length - 2, 0)):
+            for a in ends:
                 if length == 1:
-                    pats.append((_code(a),))
+                    pats.append((a,))
                     continue
-                for b in "xyz":
-                    pats.append((_code(a),) + tuple(_code(c) for c in mid) + (_code(b),))
+                for b in ends:
+                    pats.append((a,) + mid + (b,))
     return pats
-
-
-def _code(ch: str) -> str:
-    return {"i": "id", "x": "x", "y": "y", "z": "z"}[ch]
 
 
 def pauli_string_basis(n_sites: int, max_range: int) -> OperatorBasis:
@@ -110,9 +97,7 @@ def pauli_string_basis(n_sites: int, max_range: int) -> OperatorBasis:
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
-    elements = tuple(LocalOperator(n_sites, {k: 1.0}) for k in keys)
-    return OperatorBasis(elements, tuple(keys), True,
-                         f"extensive-local range-{max_range}", n_sites)
+    return OperatorBasis(tuple(keys), n_sites)
 
 
 def window_basis(n_sites: int, start: int, width: int) -> OperatorBasis:
@@ -121,17 +106,7 @@ def window_basis(n_sites: int, start: int, width: int) -> OperatorBasis:
     for pat in _pauli_patterns_upto(width):
         for off in range(width - len(pat) + 1):
             keys.append(opspace._canonical_key(n_sites, start + off, pat))
-    elements = tuple(LocalOperator(n_sites, {k: 1.0}) for k in keys)
-    return OperatorBasis(elements, tuple(keys), True,
-                         f"strictly-local window [{start},{start + width - 1}]", n_sites)
-
-
-def _action_matrix(basis: OperatorBasis, psi: np.ndarray) -> np.ndarray:
-    """Rows V_mu |psi>."""
-    acts = np.empty((len(basis), psi.size), dtype=complex)
-    for i, el in enumerate(basis.elements):
-        acts[i] = opspace.apply(el, psi)
-    return acts
+    return OperatorBasis(tuple(keys), n_sites)
 
 
 def build_correlation(basis: OperatorBasis, states_list, kind: str,
@@ -145,14 +120,18 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
     """
     if kind not in ("H", "G"):
         raise ValueError("kind must be 'H' or 'G'")
-    if kind == "H":
-        for el in basis.elements:
-            if not el.hermitian():
-                raise ValueError("kind H requires a Hermitian basis")
+    if kind == "H" and any(c != opspace._DAGGER[c] for _, ops in basis.keys for c in ops):
+        raise ValueError("kind H requires a Hermitian basis")
     gram = np.zeros((len(basis), len(basis)), dtype=complex)
     expect = []
     for psi in states_list:
-        acts = _action_matrix(basis, psi)
+        if psi.shape != (1 << basis.n_sites,):
+            raise opspace.DimensionError(f"state has shape {psi.shape} for N={basis.n_sites}")
+        # rows V_mu |psi>, every key decoded in one pass
+        acts = np.zeros((len(basis), psi.size), dtype=complex)
+        masks = opspace._string_masks(basis.n_sites, ((key, 1.0) for key in basis.keys))
+        for row, (src, flip, vals) in zip(acts, masks):
+            row[src ^ flip] = vals * psi[src]
         e = acts @ psi.conj()
         gram += acts.conj() @ acts.T - np.outer(e.conj(), e)
         expect.append(e)
@@ -287,12 +266,5 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
 def verify_null_vector(basis: OperatorBasis, coeffs: np.ndarray, states_list,
                        tol: float = 1e-8) -> float:
     """Residual max_n ||(V - <V>_n)|psi_n>|| for the recombined operator."""
-    worst = 0.0
-    for psi in states_list:
-        acc = np.zeros_like(psi)
-        for c, el in zip(coeffs, basis.elements):
-            if abs(c) > 0:
-                acc += c * opspace.apply(el, psi)
-        e = complex(np.vdot(psi, acc))
-        worst = max(worst, float(np.linalg.norm(acc - e * psi)))
-    return worst
+    op = LocalOperator(basis.n_sites, dict(zip(basis.keys, coeffs)))
+    return max((opspace.eigen_defect(op, psi)[1] for psi in states_list), default=0.0)

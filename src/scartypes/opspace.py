@@ -288,19 +288,20 @@ def string_term(n_sites: int, coeff, site_ops) -> LocalOperator:
 
 # -- state application ------------------------------------------------------
 
-def _string_masks(op: LocalOperator):
-    """Decode every string of the operator into its action on basis indices.
+def _string_masks(n_sites: int, terms):
+    """Decode every ((start, ops), coeff) string into its action on basis indices.
 
-    Yields (src, flip, vals) per string: the string keeps the basis indices
-    ``src`` (site j = bit j), maps each to ``src ^ flip`` and multiplies it
-    by ``vals`` (a scalar, or one sign-carrying amplitude per index).
+    Yields one (src, flip, vals) per string, in order: the string keeps the
+    basis indices ``src`` (site j = bit j), maps each to ``src ^ flip`` and
+    multiplies it by ``vals`` (a scalar, or one sign-carrying amplitude per
+    index).
     """
-    idx_all = np.arange(1 << op.n_sites)
-    for (start, ops), coeff in op.terms.items():
+    idx_all = np.arange(1 << n_sites)
+    for (start, ops), coeff in terms:
         sel_mask = sel_bits = flip_mask = sign_mask = 0
         amp = coeff
         for k, code in enumerate(ops):
-            b = 1 << ((start + k) % op.n_sites)
+            b = 1 << ((start + k) % n_sites)
             if code == "sd":
                 sel_mask |= b
                 flip_mask |= b
@@ -322,8 +323,6 @@ def _string_masks(op: LocalOperator):
         src = idx_all
         if sel_mask:
             src = src[(src & sel_mask) == sel_bits]
-            if src.size == 0:
-                continue
         yield src, flip_mask, amp * _parity_sign(src, sign_mask) if sign_mask else amp
 
 
@@ -333,9 +332,16 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     if psi.shape != (dim,):
         raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
     out = np.zeros(dim, dtype=complex)
-    for src, flip, vals in _string_masks(op):
+    for src, flip, vals in _string_masks(op.n_sites, op.terms.items()):
         out[src ^ flip] += vals * psi[src]
     return out
+
+
+def eigen_defect(op: LocalOperator, psi: np.ndarray) -> tuple:
+    """(E, ||op psi - E psi||) with E = <psi|op|psi>, for a normalized psi."""
+    out = apply(op, psi)
+    energy = complex(np.vdot(psi, out))
+    return energy, float(np.linalg.norm(out - energy * psi))
 
 
 def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
@@ -434,7 +440,7 @@ def to_sparse(op: LocalOperator) -> sparse.csr_matrix:
     """
     dim = 1 << op.n_sites
     diagonals: dict = {}
-    for src, flip, vals in _string_masks(op):
+    for src, flip, vals in _string_masks(op.n_sites, op.terms.items()):
         if flip not in diagonals:
             diagonals[flip] = np.zeros(dim, dtype=complex)
         diagonals[flip][src] += vals

@@ -51,6 +51,24 @@ class TestBuiltins:
         assert operators_equal(builtin("h_dmi", n, axis="z"),
                                -1.0 * builtin("h_imhop", n))
 
+    @pytest.mark.parametrize("name, kwargs, width", [
+        ("n_tot", {}, 1), ("h_imhop", {}, 2), ("h_rehop", {}, 2), ("h_imhop2", {}, 3),
+        ("h_imhop_p", {"p": 3}, 4), ("h_dmi", {"axis": "x"}, 2), ("h_heis", {}, 2),
+        ("p_re", {"j": 1, "alpha": 4}, 5), ("p_im", {"j": 2, "alpha": 3}, 4),
+        ("p_nonherm", {"j": 0}, 2)])
+    def test_window_wider_than_ring_raises(self, name, kwargs, width):
+        builtin(name, width, **kwargs)
+        with pytest.raises(ValueError, match="exceeds the ring"):
+            builtin(name, width - 1, **kwargs)
+
+    def test_generator_wider_than_ring_raises(self):
+        pat = table2_patterns(3)[-1]
+        assert len(instantiate_pattern(3, pat, 2)) > 0
+        with pytest.raises(ValueError, match="exceeds the ring"):
+            instantiate_pattern(2, pat, 0)
+        with pytest.raises(ValueError, match="exceeds the ring"):
+            random_type1(2, np.random.default_rng(0))
+
     def test_all_builtins_keep_w_an_eigenstate(self):
         n = 8
         w = states.w_state(n)

@@ -81,6 +81,13 @@ class TestDecompose:
         assert code == 2
 
 
+    def test_window_wider_than_ring(self, capsys):
+        code, out = invoke(["decompose", "--ham", "h_imhop2", "--N", "2"])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the ring" in json.loads(capsys.readouterr().err)["error"]
+
+
 class TestScanClasses:
     def test_w_vacuum_counts(self):
         code, out = invoke(["scan-classes", "--N", "8", "--R", "2", "--Rp", "2",
@@ -222,8 +229,8 @@ class TestProtocol:
 
 _N = st.integers(2, 8).map(str)
 _HAM = st.sampled_from(["h_rehop", "h_imhop", "h_imhop2", "h_dmi", "h_heis", "n_tot",
-                        "p_nonherm", "bogus", "missing.op", "no/such/dir/ham.op",
-                        "missing.json"])
+                        "p_nonherm", "h_imhop_p:p=3", "p_re:alpha=4", "bogus",
+                        "missing.op", "no/such/dir/ham.op", "missing.json"])
 _STATES = st.lists(st.sampled_from(["vacuum", "w", "wq:m=1", "wp:p=2", "droplet:M=2",
                                     "bogus"]), min_size=1, max_size=3).map(",".join)
 _OUT = st.sampled_from([[], ["--out", "no/such/dir/report.json"]])
@@ -239,6 +246,14 @@ _ARGV = st.one_of(
               st.just("--N"), _N, st.just("--M"), st.integers(0, 9).map(str),
               st.just("--G"), st.sampled_from(["0", "wt", "bwt", "1.5", "x"]),
               st.just(["--tmax", "2", "--steps", "2"]), _OUT),
+    st.tuples(st.just(["variance", "--scan"]), st.sampled_from(["q", "N"]),
+              st.just("--ham"), _HAM | st.just("random"), st.just("--N"), _N,
+              st.just("--N-list"), st.lists(_N, min_size=1, max_size=3).map(",".join),
+              st.just("--p"), st.integers(0, 3).map(str),
+              st.just("--points"), st.integers(-1, 3).map(str), _OUT),
+    st.tuples(st.just(["mps", "--tensor"]),
+              st.sampled_from(["aklt", "ssh", "no/such/dir/tensor.json"]),
+              st.just("--generator"), st.sampled_from(["sz", "sx", "bogus"]), _OUT),
 ).map(lambda parts: [w for p in parts for w in (p if isinstance(p, list) else [p])])
 
 

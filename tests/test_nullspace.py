@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scartypes import canonical, nullspace, opspace, states
 from scartypes.nullspace import (OperatorBasis, build_correlation,
                                  count_type_classes, null_space,
                                  pauli_string_basis, verify_null_vector,
                                  window_basis)
-from scartypes.opspace import LocalOperator, to_matrix, to_pauli_basis
+from scartypes.opspace import LocalOperator, apply, to_matrix, to_pauli_basis
 
 
 def _vector_of(op, basis):
@@ -28,33 +29,72 @@ def _vector_of(op, basis):
 class TestBuildCorrelation:
     def test_sigma_z_on_vacuum(self):
         n = 6
-        basis = OperatorBasis(
-            (LocalOperator(n, {(0, ("z",)): 1.0}),), ((0, ("z",)),), True, "t", n)
+        basis = OperatorBasis(((0, ("z",)),), n)
         corr = build_correlation(basis, [states.vacuum(n)], "H")
         assert np.allclose(corr.entries, [[0.0]])
 
     def test_sigma_x_on_vacuum(self):
         n = 6
-        basis = OperatorBasis(
-            (LocalOperator(n, {(0, ("x",)): 1.0}),), ((0, ("x",)),), True, "t", n)
+        basis = OperatorBasis(((0, ("x",)),), n)
         corr = build_correlation(basis, [states.vacuum(n)], "H")
         assert np.allclose(corr.entries, [[1.0]])
 
     def test_zero_operator_gives_zero_row(self):
         n = 6
-        basis = OperatorBasis(
-            (LocalOperator(n, {(0, ("z",)): 1.0}), opspace.zero(n)),
-            ((0, ("z",)), (0, ())), True, "t", n)
+        basis = OperatorBasis(((0, ("z",)), (0, ())), n)
         corr = build_correlation(basis, [states.w_state(n)], "G")
         assert np.allclose(corr.entries[1, :], 0.0)
         assert np.allclose(corr.entries[:, 1], 0.0)
 
     def test_hermitian_kind_requires_hermitian_basis(self):
         n = 4
-        bad = OperatorBasis(
-            (LocalOperator(n, {(0, ("sd",)): 1.0}),), ((0, ("sd",)),), True, "t", n)
+        bad = OperatorBasis(((0, ("sd",)),), n)
         with pytest.raises(ValueError):
             build_correlation(bad, [states.vacuum(n)], "H")
+
+    def test_hermitian_kind_accepts_number_strings(self):
+        n = 4
+        basis = OperatorBasis(((0, ("n",)), (1, ("n", "z")), (0, ())), n)
+        corr = build_correlation(basis, [states.w_state(n)], "H")
+        assert corr.entries.shape == (3, 3)
+        with pytest.raises(ValueError):
+            build_correlation(OperatorBasis(((0, ("n", "sd")),), n),
+                              [states.w_state(n)], "H")
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_entries_match_per_key_apply(self, seed, n, degenerate):
+        rng = np.random.default_rng(seed)
+        psis = []
+        for _ in range(int(rng.integers(1, 4))):
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            psis.append(psi / np.linalg.norm(psi))
+        for kind, codes in (("H", ["x", "y", "z", "n"]), ("G", ["x", "y", "z", "n", "sd"])):
+            keys = [(0, ())]
+            for _ in range(int(rng.integers(1, 12))):
+                width = int(rng.integers(1, n + 1))
+                ops = [str(c) for c in rng.choice(codes + ["id"], size=width)]
+                ops[0], ops[-1] = (str(c) for c in rng.choice(codes, size=2))
+                keys.append((int(rng.integers(n)), tuple(ops)))
+            basis = OperatorBasis(tuple(keys), n)
+            got = build_correlation(basis, psis, kind, degenerate).entries
+            # reference: one apply per key and state, entries summed one by one
+            want = np.zeros((len(keys), len(keys)), dtype=complex)
+            expect = []
+            for psi in psis:
+                acts = [apply(LocalOperator(n, {key: 1.0}), psi) for key in keys]
+                e = np.array([np.vdot(psi, a) for a in acts])
+                for i, a in enumerate(acts):
+                    for j, b in enumerate(acts):
+                        want[i, j] += np.vdot(a, b) - np.conj(e[i]) * e[j]
+                expect.append(e)
+            if degenerate:
+                for e in expect:
+                    d = e - np.mean(expect, axis=0)
+                    want += np.outer(d.conj(), d)
+            if kind == "H":
+                want = want.real
+            assert np.abs(got - want).max() <= 1e-12
 
     def test_psd(self):
         n = 6
@@ -120,7 +160,7 @@ class TestBruteForceOracles:
         psis = [states.vacuum(n), states.w_state(n)]
         win = window_basis(n, 0, 2)
         rep = null_space(build_correlation(win, psis, kind))
-        mats = [to_matrix(el) for el in win.elements]
+        mats = [to_matrix(LocalOperator(n, {key: 1.0})) for key in win.keys]
         if kind == "H":
             # commutant oracle: real combos commuting with every |psi><psi|
             rows = []
