@@ -9,6 +9,8 @@ boundary operators separates type I from type II.  The solver minimizes
 
 over window operators A_l, B_r (traceless; the identity is gauge shared
 with f_n) and scalars f_n, optionally restricting A_l, B_r to Hermitian.
+The window basis is the site products of {1, traceless Hermitian}: for
+qubits the window's Pauli strings, whose coefficients the fit returns.
 
 Residuals are reported relative to the spectral norm of H_Lam with the
 accept/reject dead zone fixed at 1e-8 / 1e-3: the impossibility proofs are
@@ -17,6 +19,7 @@ exact statements, finite-size numerics needs the buffer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,9 @@ from .opspace import LocalOperator, Region
 
 ACCEPT = 1e-8
 REJECT = 1e-3
+
+# qubit one-site basis: the identity, then _traceless_hermitian_basis(2) = (z, x, y)
+_SITE_CODES = ("id", "z", "x", "y")
 
 
 @dataclass(frozen=True)
@@ -102,15 +108,32 @@ def _traceless_hermitian_basis(dim: int) -> np.ndarray:
     return np.array(mats, dtype=complex).reshape(-1, dim, dim)
 
 
+def _window_basis(local_dim: int, width: int) -> np.ndarray:
+    """(d^(2w) - 1, d^w, d^w) site products of {1, traceless Hermitian}.
+
+    Products run in itertools.product order over the sites, the first site
+    most significant as in _site_axes_apply; the all-identity product is
+    left out (the identity is the gauge of the per-state constants).  For
+    qubits the products are the window's Pauli strings over _SITE_CODES.
+    """
+    site = np.concatenate([np.eye(local_dim, dtype=complex)[None],
+                           _traceless_hermitian_basis(local_dim)])
+    mats = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(width):      # Kronecker products of every pair, stack-wise
+        mats = np.einsum("aij,bkl->abikjl", mats, site).reshape(
+            len(mats) * len(site), mats.shape[1] * local_dim, -1)
+    return mats[1:]
+
+
 def _design_matrix(psis, n_sites, local_dim, left_sites, right_sites) -> np.ndarray:
     """Complex design matrix of the boundary fit, one row block per state.
 
-    Columns: the traceless Hermitian basis acting on the left window, then
-    on the right window, then one identity-gauge column per state.
+    Columns: the window basis acting on the left window, then on the right
+    window, then one identity-gauge column per state.
     """
     blocks = []
     for sites in (left_sites, right_sites):
-        basis = _traceless_hermitian_basis(local_dim ** len(sites))
+        basis = _window_basis(local_dim, len(sites))
         blocks.append(np.concatenate(
             [_site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
             axis=1))
@@ -118,69 +141,52 @@ def _design_matrix(psis, n_sites, local_dim, left_sites, right_sites) -> np.ndar
     return np.vstack(blocks).T
 
 
-def _realify(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x.real, x.imag])
+def _lstsq(mat, rhs, hermitian: bool):
+    """Least squares mat @ sol ~ rhs; returns (sol, mat @ sol - rhs).
 
-
-def _fit(mat, targets, hermitian: bool, left_dim: int, right_dim: int):
-    """Least-squares fit of the targets on a design matrix; returns (A, B, f, r_abs).
-
-    Window coefficients are complex (unconstrained) or real (Hermitian);
-    ``r_abs`` is the worst per-state residual norm.
+    ``rhs`` is one right-hand side or several as columns.  With
+    ``hermitian`` the solution is real (the system is split into real and
+    imaginary rows); the residual is complex either way.  numpy's default
+    rank cut applies.
     """
-    rhs = np.concatenate(targets)
-    if hermitian:
-        sol, *_ = np.linalg.lstsq(_realify(mat), _realify(rhs), rcond=None)
-        sol = sol.astype(complex)
-    else:
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid = (mat @ sol - rhs).reshape(len(targets), -1)
-    nl, nr = left_dim ** 2 - 1, right_dim ** 2 - 1
-    a_mat = np.tensordot(sol[:nl], _traceless_hermitian_basis(left_dim), 1)
-    b_mat = np.tensordot(sol[nl:nl + nr], _traceless_hermitian_basis(right_dim), 1)
-    f = tuple(complex(c) for c in sol[nl + nr:])
-    return a_mat, b_mat, f, float(np.linalg.norm(resid, axis=1).max())
+    a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
+            else (mat, rhs))
+    sol = np.linalg.lstsq(a, b, rcond=None)[0].astype(complex)
+    return sol, mat @ sol - rhs
+
+
+def _fit(mat, targets, hermitian: bool, n_left: int):
+    """Boundary fit of the targets on a design matrix; returns (a, b, f, r_abs).
+
+    ``a`` and ``b`` are the window operators' coefficients over the window
+    basis (the first ``n_left`` columns, then the right window's), complex
+    (unconstrained) or real (Hermitian); ``f`` holds the per-state
+    constants and ``r_abs`` is the worst per-state residual norm.
+    """
+    sol, resid = _lstsq(mat, np.concatenate(targets), hermitian)
+    a, b, f = np.split(sol, [n_left, len(sol) - len(targets)])
+    r_abs = float(np.linalg.norm(resid.reshape(len(targets), -1), axis=1).max())
+    return a, b, tuple(complex(c) for c in f), r_abs
 
 
 def solve_boundary_dense(targets, psis, n_sites, local_dim,
                          left_sites, right_sites, hermitian: bool):
-    """Least-squares boundary fit on dense vectors; returns (A, B, f, r_abs).
+    """Least-squares boundary fit on dense vectors; returns (a, b, f, r_abs).
 
     ``targets[n]`` is the truncated-Hamiltonian action on ``psis[n]``.  The
-    window operators are expanded over the traceless Hermitian basis with
-    complex (unconstrained) or real (Hermitian) coefficients; per-state
-    scalars absorb the identity gauge.
+    window operators are expanded over _window_basis with complex
+    (unconstrained) or real (Hermitian) coefficients ``a`` and ``b``;
+    per-state scalars ``f`` absorb the identity gauge.
     """
     mat = _design_matrix(psis, n_sites, local_dim, left_sites, right_sites)
-    return _fit(mat, targets, hermitian,
-                local_dim ** len(left_sites), local_dim ** len(right_sites))
+    return _fit(mat, targets, hermitian, local_dim ** (2 * len(left_sites)) - 1)
 
 
-# boson-code coefficients (rows: id, sd, s, n) of the site matrix units
-# |r><c| (columns: 2r + c): |0><0| = id - n, |0><1| = s, |1><0| = sd, |1><1| = n
-_UNIT_TO_BOSON = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                           [0, 1, 0, 0], [-1, 0, 0, 1]], dtype=complex)
-
-
-def _window_operator(mat: np.ndarray, sites, n_sites: int) -> LocalOperator:
-    """Dense 2^w window matrix back to a LocalOperator on the given sites.
-
-    The dense index is big-endian over ``sites`` (first site most
-    significant), matching _site_axes_apply.  Each site's (row, column) bit
-    pair is projected onto the boson codes by one tensor contraction.
-    """
-    w = len(sites)
-    coeffs = np.asarray(mat, dtype=complex).reshape((2,) * (2 * w))
-    coeffs = coeffs.transpose([a for k in range(w) for a in (k, w + k)])
-    coeffs = coeffs.reshape((4,) * w)
-    for k in range(w):
-        coeffs = np.moveaxis(np.tensordot(_UNIT_TO_BOSON, coeffs, axes=([1], [k])), 0, k)
-    strings = [
-        opspace.string_term(n_sites, coeffs[codes],
-                            [(sites[k], opspace.BOSON_CODES[c])
-                             for k, c in enumerate(codes) if c])
-        for codes in zip(*np.nonzero(np.abs(coeffs) > opspace.COEFF_TOL))]
-    return opspace.op_sum(n_sites, strings)
+def _window_operator(coeffs, sites, n_sites: int) -> LocalOperator:
+    """Qubit window operator from its coefficients over _window_basis(2, w)."""
+    codes = itertools.product(_SITE_CODES, repeat=len(sites))
+    next(codes)                      # the identity string is not in the basis
+    return LocalOperator(n_sites, {(sites[0], c): v for c, v in zip(codes, coeffs)})
 
 
 def _require_window(r_max: int) -> None:
@@ -188,7 +194,7 @@ def _require_window(r_max: int) -> None:
         raise ValueError(f"boundary window R_max = {r_max} must be at least 1")
 
 
-def _patch(h: LocalOperator, states_list, lam: Region, r_max: int, basis: str):
+def _patch(h: LocalOperator, states_list, lam: Region, r_max: int):
     """One patch of the sweep: one truncation, action, design matrix and norm.
 
     Returns (fit, scale, (left_sites, right_sites)); ``fit(hermitian)`` solves
@@ -200,24 +206,24 @@ def _patch(h: LocalOperator, states_list, lam: Region, r_max: int, basis: str):
             f"patch length {lam.length} < 2 R_max + 2 = {2 * r_max + 2}: windows overlap")
     if not h.hermitian():
         raise ValueError("truncation tests are defined for Hermitian Hamiltonians")
-    h_lam = opspace.truncate(h, lam, basis=basis)
+    h_lam = opspace.truncate(h, lam)
     targets = [opspace.apply(h_lam, psi) for psi in states_list]
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
     mat = _design_matrix(states_list, h.n_sites, 2, *windows)
     scale = max(spectral_norm(h_lam), 1e-300)
-    return (lambda hermitian: _fit(mat, targets, hermitian, 2 ** r_max, 2 ** r_max),
+    return (lambda hermitian: _fit(mat, targets, hermitian, 4 ** r_max - 1),
             scale, windows)
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
-                   hermitian: bool = False, basis: str = "boson") -> BoundarySolve:
-    """Boundary fit for a truncated qubit Hamiltonian on its target states."""
-    fit, scale, (left_sites, right_sites) = _patch(h, states_list, lam, r_max, basis)
-    a_mat, b_mat, f, r_abs = fit(hermitian)
+                   hermitian: bool = False) -> BoundarySolve:
+    """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
+    fit, scale, (left_sites, right_sites) = _patch(h, states_list, lam, r_max)
+    a, b, f, r_abs = fit(hermitian)
     return BoundarySolve(
-        left_op=_window_operator(a_mat, left_sites, h.n_sites),
-        right_op=_window_operator(b_mat, right_sites, h.n_sites),
+        left_op=_window_operator(a, left_sites, h.n_sites),
+        right_op=_window_operator(b, right_sites, h.n_sites),
         constants=f,
         residual=r_abs / scale,
         residual_abs=r_abs,
@@ -257,7 +263,7 @@ def default_sweep(n_sites: int, r_max: int, anchors=(0,), op_range: int = 0):
     return lams
 
 
-def _left_independent(h, states_list, r_max, basis, tol=ACCEPT) -> bool:
+def _left_independent(h, states_list, r_max) -> bool:
     """Gauge-free check of the left/right-independence clause.
 
     Growing the patch by one site on the right must change the action only
@@ -270,17 +276,16 @@ def _left_independent(h, states_list, r_max, basis, tol=ACCEPT) -> bool:
     grown = Region(0, min_len, n_sites)
     if grown.length > n_sites - 2:
         return True
-    diff = opspace.truncate(h, grown, basis) - opspace.truncate(h, short, basis)
+    diff = opspace.truncate(h, grown) - opspace.truncate(h, short)
     targets = [opspace.apply(diff, psi) for psi in states_list]
     right_sites = tuple(grown.sites()[-(r_max + 1):])
     *_, r_abs = solve_boundary_dense(targets, states_list, n_sites, 2,
                                      (), right_sites, hermitian=False)
     scale = max(spectral_norm(diff), 1e-300)
-    return r_abs / scale < tol
+    return r_abs / scale < ACCEPT
 
 
-def classify(h: LocalOperator, states_list, r_max_list=(2,), lam_sweep=None,
-             basis: str = "boson") -> TypeLabel:
+def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
     """Type I/II/III verdict from the boundary-action sweep.
 
     I: Hermitian fit accepted on every patch.  II: general fit accepted
@@ -299,15 +304,13 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,), lam_sweep=None,
     notes = []
     evidence = []
     for r_max in r_max_list:
-        sweep = lam_sweep or default_sweep(h.n_sites, r_max,
-                                           anchors=(0, h.n_sites // 3),
-                                           op_range=h.declared_range)
-        for lam in sweep:
-            fit, scale, _ = _patch(h, states_list, lam, r_max, basis)
+        for lam in default_sweep(h.n_sites, r_max, anchors=(0, h.n_sites // 3),
+                                 op_range=h.declared_range):
+            fit, scale, _ = _patch(h, states_list, lam, r_max)
             evidence.append((r_max, lam.length,
                              *(fit(hermitian)[3] / scale for hermitian in (False, True))))
         if all(row[2] < ACCEPT for row in evidence) and \
-                not _left_independent(h, states_list, r_max, basis):
+                not _left_independent(h, states_list, r_max):
             notes.append(f"left operator varies with right edge at R_max={r_max}")
     gen, her = [row[2] for row in evidence], [row[3] for row in evidence]
     all_g_ok, all_h_ok = all(r < ACCEPT for r in gen), all(r < ACCEPT for r in her)
@@ -332,19 +335,18 @@ class EquivalenceResult:
 
 
 def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
-                     lam: Region | None = None, r_max: int = 2,
-                     basis: str = "boson") -> EquivalenceResult:
+                     lam: Region | None = None, r_max: int = 2) -> EquivalenceResult:
     """Find alpha, beta with (alpha H^A - beta H^B) Hermitian-feasible.
 
     Both inputs are assumed to have been classified type II already.  With
-    alpha = cos theta and beta = sin theta the Hermitian fit is real least
-    squares, so state n leaves the residual P(cos theta a_n - sin theta b_n):
-    a_n and b_n are the realified truncated actions of H^A and H^B, and P
-    projects off the column span of the realified design matrix (one SVD,
-    cut like numpy lstsq's default rank).  Its squared norm is the sinusoid
-    A_n + B_n cos 2theta + C_n sin 2theta, so the worst state's residual is
-    smallest at one sinusoid's minimum or at a crossing of two; the angle
-    is the best of that finite candidate set, reported in [0, pi).
+    alpha = cos theta and beta = sin theta the Hermitian fit is linear in
+    its target, so state n leaves the residual cos theta a_n - sin theta b_n:
+    a_n and b_n are the residuals of one Hermitian fit with the truncated
+    actions of H^A and H^B as two right-hand sides.  Its squared norm is
+    the sinusoid A_n + B_n cos 2theta + C_n sin 2theta, so the worst
+    state's residual is smallest at one sinusoid's minimum or at a crossing
+    of two; the angle is the best of that finite candidate set, reported
+    in [0, pi).
     Residuals are measured against the larger of the two truncated action
     norms.  Every target state must be an eigenstate of both inputs
     (ClassificationError otherwise).
@@ -359,19 +361,15 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
                     2 * max(h_a.declared_range, h_b.declared_range) + 1)
         length = min(n_sites - 2, max(floor, n_sites - 3))
         lam = Region(0, length - 1, n_sites)
-    h_lams = [opspace.truncate(h, lam, basis=basis) for h in (h_a, h_b)]
+    h_lams = [opspace.truncate(h, lam) for h in (h_a, h_b)]
     acts = np.array([[opspace.apply(op, psi) for psi in states_list] for op in h_lams])
     scale = max(np.linalg.norm(acts, axis=2).max(), 1e-300)
     sites = lam.sites()
-    real_mat = _realify(_design_matrix(states_list, n_sites, 2,
-                                       tuple(sites[:r_max]), tuple(sites[-r_max:])))
-    u, svals, _ = np.linalg.svd(real_mat, full_matrices=False)
-    span = u[:, svals > np.finfo(float).eps * max(real_mat.shape) * svals[0]]
-    ab = np.concatenate([acts.real, acts.imag], axis=1).reshape(2, -1)
-    ab = ab - (ab @ span) @ span.T
-    # (state, a/b, real and imaginary rows of that state)
-    ab = ab.reshape(2, 2, n_states, -1).transpose(2, 0, 1, 3).reshape(n_states, 2, -1)
-    gram = ab @ ab.transpose(0, 2, 1)
+    mat = _design_matrix(states_list, n_sites, 2,
+                         tuple(sites[:r_max]), tuple(sites[-r_max:]))
+    _, resid = _lstsq(mat, acts.reshape(2, -1).T, hermitian=True)
+    ab = resid.reshape(n_states, -1, 2)          # (state, amplitude, a/b)
+    gram = (ab.conj().transpose(0, 2, 1) @ ab).real
     # ||r_n||^2 = A_n + Re(z_n e^{-2i theta}) with z_n = B_n + i C_n: least at
     # 2 theta = arg(-z_n); states m, n cross where |dz| cos(arg dz - 2 theta) = A_n - A_m
     big_a = (gram[:, 0, 0] + gram[:, 1, 1]) / 2
@@ -383,9 +381,8 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     two_theta = np.concatenate([np.angle(-z), np.angle(dz) + spread,
                                 np.angle(dz) - spread])
     thetas = np.mod(two_theta / 2, np.pi)
-    resid = (np.cos(thetas)[:, None, None] * ab[:, 0]
-             - np.sin(thetas)[:, None, None] * ab[:, 1])
-    vals = np.linalg.norm(resid, axis=2).max(axis=1) / scale
+    vals = np.linalg.norm(ab @ np.stack([np.cos(thetas), -np.sin(thetas)]),
+                          axis=1).max(axis=0) / scale
     best = int(np.argmin(vals))
     best_theta, best_val = thetas[best], float(vals[best])
     if best_val < ACCEPT:

@@ -84,7 +84,6 @@ class DropletRun:
     n_sites: int
     m_size: int
     dispersion: Dispersion
-    times: tuple = ()                   # optional evaluation grid
     g_schedule: object = None           # optional t -> integer shift, G(0) = 0
 
     def __post_init__(self):

@@ -263,8 +263,10 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     return ClassCount(n_ii, n_iii, dims, tol)
 
 
-def verify_null_vector(basis: OperatorBasis, coeffs: np.ndarray, states_list,
-                       tol: float = 1e-8) -> float:
-    """Residual max_n ||(V - <V>_n)|psi_n>|| for the recombined operator."""
+def verify_null_vector(basis: OperatorBasis, coeffs: np.ndarray, states_list) -> float:
+    """Residual max_n ||(V - <V>_n)|psi_n>|| for the recombined operator.
+
+    The caller applies the threshold.
+    """
     op = LocalOperator(basis.n_sites, dict(zip(basis.keys, coeffs)))
     return max((opspace.eigen_defect(op, psi)[1] for psi in states_list), default=0.0)

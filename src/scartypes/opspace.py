@@ -10,8 +10,9 @@ families of site operators are supported,
 
 with the spin convention |0> <-> sigma^z = +1, so that n = (1 - z)/2.
 Strings are keyed by (start site, tuple of site codes); the first and last
-codes of a string are never ``id``.  On the ring a string window of length
-w is unambiguous as long as 2*w <= N, which every constructor enforces.
+codes of a string are never ``id``.  Windows up to N sites are accepted.  A
+window of length w <= N/2 is unambiguous on the ring; above N/2 the minimal
+window can tie, and _canonical_key breaks ties by the smallest start.
 """
 
 from __future__ import annotations

@@ -32,22 +32,22 @@ class VarianceScan:
     fit: FitResult | None
 
 
-def expectation(h: LocalOperator, psi: np.ndarray) -> float:
+def _moments(h: LocalOperator, psi: np.ndarray) -> tuple:
+    """(<H>, <H^2> - <H>^2) from one application: the variance is the
+    squared eigenstate defect ||(H - <H>) psi||^2."""
     if not h.hermitian():
-        raise ValueError("expectation requires a Hermitian operator")
-    return float(np.vdot(psi, opspace.apply(h, psi)).real)
+        raise ValueError("energy moments require a Hermitian operator")
+    energy, defect = opspace.eigen_defect(h, psi)
+    return energy.real, defect ** 2
+
+
+def expectation(h: LocalOperator, psi: np.ndarray) -> float:
+    return _moments(h, psi)[0]
 
 
 def variance(h: LocalOperator, psi: np.ndarray) -> float:
-    """<H^2> - <H>^2 via two applications; clipped at the numerical floor."""
-    if not h.hermitian():
-        raise ValueError("variance requires a Hermitian operator")
-    hpsi = opspace.apply(h, psi)
-    e = np.vdot(psi, hpsi).real
-    var = float(np.vdot(hpsi, hpsi).real - e * e)
-    if var < VARIANCE_FLOOR:
-        raise ValueError(f"variance {var:.3e} below numerical floor")
-    return max(var, 0.0)
+    """<H^2> - <H>^2 = ||(H - <H>) psi||^2, never negative."""
+    return _moments(h, psi)[1]
 
 
 def lifetime_bound(var: float) -> float:
@@ -74,29 +74,27 @@ def loglog_fit(xs, ys) -> FitResult:
     return FitResult(float(slope), float(np.exp(intercept)), stderr)
 
 
-def variance_scan_q(h: LocalOperator, n_sites: int, m_list,
-                    drop_largest: bool = True) -> VarianceScan:
+def variance_scan_q(h: LocalOperator, n_sites: int, m_list) -> VarianceScan:
     """Variance of the boosted W states versus q = 2 pi m / N.
 
-    The largest-q point is excluded from the fit by default (lattice
-    effects dominate it).  W must be an exact eigenstate of h.
+    The largest-q point is excluded from the fit (lattice effects dominate
+    it).  W must be an exact eigenstate of h.
     """
     canonical.require_eigenstate(h, states.w_state(h.n_sites))
     points = []
     for m in m_list:
         q = 2.0 * np.pi * (m % n_sites) / n_sites
         wq = states.w_q(n_sites, m)
-        points.append((q, expectation(h, wq), variance(h, wq)))
-    fit = _fit_points(points, drop_largest=drop_largest)
+        points.append((q, *_moments(h, wq)))
+    fit = _fit_points(points, slice(None, -1))
     return VarianceScan(tuple(points), fit)
 
 
-def variance_scan_n(h_builder, p: int, n_list,
-                    drop_smallest: bool = True) -> VarianceScan:
+def variance_scan_n(h_builder, p: int, n_list) -> VarianceScan:
     """Variance of W^p versus chain length for one Hamiltonian family.
 
     ``h_builder(N)`` must emit the same local pattern at each N; the
-    smallest N is excluded from the fit by default.
+    smallest N is excluded from the fit.
     """
     points = []
     for n_sites in n_list:
@@ -104,19 +102,19 @@ def variance_scan_n(h_builder, p: int, n_list,
             raise opspace.CapacityError(f"N={n_sites} over dense capacity")
         h = h_builder(n_sites)
         wp = states.w_p(n_sites, p)
-        points.append((n_sites, expectation(h, wp), variance(h, wp)))
-    fit = _fit_points(points, drop_smallest=drop_smallest)
+        points.append((n_sites, *_moments(h, wp)))
+    fit = _fit_points(points, slice(1, None))
     return VarianceScan(tuple(points), fit)
 
 
-def _fit_points(points, drop_largest=False, drop_smallest=False):
+def _fit_points(points, keep: slice):
+    """Log-log fit of variance on control; of more than two points only the
+    sorted points in ``keep`` enter.  Variances within the numerical floor
+    of zero (exact eigenstates) carry no exponent and are left out."""
     pts = sorted(points)
-    if drop_largest and len(pts) > 2:
-        pts = pts[:-1]
-    if drop_smallest and len(pts) > 2:
-        pts = pts[1:]
-    xs = [p[0] for p in pts if p[0] > 0 and p[2] > 0]
-    ys = [p[2] for p in pts if p[0] > 0 and p[2] > 0]
-    if len(xs) < 2:
+    if len(pts) > 2:
+        pts = pts[keep]
+    pts = [p for p in pts if p[0] > 0 and p[2] > -VARIANCE_FLOOR]
+    if len(pts) < 2:
         return None
-    return loglog_fit(xs, ys)
+    return loglog_fit([p[0] for p in pts], [p[2] for p in pts])

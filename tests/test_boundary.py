@@ -1,5 +1,8 @@
 """Boundary-action solves, I/II/III verdicts, and equivalence of type II classes."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -78,6 +81,21 @@ class TestBoundarySolve:
         s = setup10
         sol = boundary_solve(s["imhop"], [s["w"]], s["lam"], 2, hermitian=False)
         assert sol.residual < 1e-10
+
+    def test_boundary_operators_inside_windows(self, setup10):
+        s = setup10
+        n = s["n"]
+        cases = [(s["imhop"], [s["vac"], s["w"]], Region(9, 5, n), 2),
+                 (s["imhop2"], [s["vac"], s["w"], s["w2"]], Region(0, 7, n), 3),
+                 (s["rehop"], [s["vac"], s["w"]], Region(4, 1, n), 1)]
+        for h, psis, lam, r_max in cases:
+            for hermitian in (False, True):
+                sol = boundary_solve(h, psis, lam, r_max, hermitian=hermitian)
+                for op, window in ((sol.left_op, sol.left_window),
+                                   (sol.right_op, sol.right_window)):
+                    assert op.terms
+                    for start, ops in op.terms:
+                        assert {(start + k) % n for k in range(len(ops))} <= set(window)
 
 
 class TestSpectralNorm:
@@ -245,6 +263,23 @@ class TestEquivalence:
                                         method="bounded", options={"xatol": 1e-10})
                 assert abs(local.fun - res.residual) <= 1e-9
         assert res.beta / res.alpha == pytest.approx(1 / 0.7, rel=1e-8)
+
+
+class TestWindowBasis:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_qubit_basis_is_pauli_strings(self, width):
+        want = [functools.reduce(np.kron, [opspace._MATS[c] for c in codes])
+                for codes in itertools.product(boundary._SITE_CODES, repeat=width)][1:]
+        assert np.array_equal(boundary._window_basis(2, width), want)
+
+    @pytest.mark.parametrize("local_dim, width", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_qudit_basis_traceless_hermitian_full_rank(self, local_dim, width):
+        basis = boundary._window_basis(local_dim, width)
+        dim = local_dim ** width
+        assert basis.shape == (dim * dim - 1, dim, dim)
+        assert np.allclose(basis, basis.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
+        assert np.allclose(np.trace(basis, axis1=1, axis2=2), 0, rtol=0, atol=1e-14)
+        assert np.linalg.matrix_rank(basis.reshape(len(basis), -1)) == dim * dim - 1
 
 
 class TestSiteAxesApply:
