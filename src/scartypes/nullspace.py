@@ -13,8 +13,10 @@ null spaces:
     N_III = dim(ZH_glo u ZG_loc) - dim ZG_loc
     N_II  = dim(ZH_glo u ZH_loc) - dim(ZH_glo u ZG_loc) + dim ZG_loc - dim ZH_loc
 
-with all dimensions real (a complex space counts twice), computed from
-singular values of stacked orthonormal bases.
+with all dimensions real (a complex space counts twice).  For translation
+eigenstates window j's null space is window 0's translated by j, so only
+window 0 is solved and one span routine sums ranks over the N momentum
+sectors; for other states it takes all N windows' null spaces as one block.
 
 The operator basis is generalized Pauli strings: unlike the boson-string
 basis they are mutually Hilbert-Schmidt orthogonal, which the correlation
@@ -28,12 +30,13 @@ from itertools import product
 
 import numpy as np
 
-from . import opspace
+from . import opspace, states
 from .opspace import LocalOperator
 
 NULL_TOL = 1e-10      # eigenvalue cutoff relative to the largest
 RANK_TOL = 1e-10      # singular-value cutoff for union dimensions
 PSD_TOL = -1e-10
+TRANSLATION_TOL = 1e-12   # ||T psi - lambda psi|| / ||psi|| for the sector path
 GLOBAL_SCAN_MAX_SITES = 12
 
 
@@ -165,33 +168,60 @@ def null_space(corr: CorrelationMatrix, tol: float = NULL_TOL) -> SubspaceReport
     return SubspaceReport(basis_rows, dim, tol, above)
 
 
-# -- real-span arithmetic ------------------------------------------------------
+# -- span arithmetic -------------------------------------------------------------
 
-def _realify(rows: np.ndarray, complex_span: bool) -> np.ndarray:
-    """Map coefficient vectors into R^{2M}; complex spans contribute v and iv."""
-    if rows.size == 0:
-        return np.zeros((0, 0))
-    re, im = rows.real, rows.imag
-    blocks = [np.hstack([re, im])]
-    if complex_span:
-        blocks.append(np.hstack([-im, re]))
-    return np.vstack(blocks)
-
-
-def real_rank(rows: np.ndarray, tol: float = RANK_TOL) -> int:
-    if rows.size == 0:
-        return 0
+def real_rank(rows: np.ndarray, tol: float = RANK_TOL, scale: float | None = None) -> int:
+    """Number of singular values above tol * scale (default: the largest one)."""
     svals = np.linalg.svd(rows, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))
+    scale = (svals[0] if svals.size else 0.0) if scale is None else scale
+    return int(np.sum(svals > tol * scale))
 
 
-def _embed(rows: np.ndarray, keys, index: dict, width: int) -> np.ndarray:
-    out = np.zeros((rows.shape[0], width), dtype=complex)
-    cols = [index[k] for k in keys]
-    out[:, cols] = rows
-    return out
+def _translation_eigenstates(states_list, n_sites: int) -> bool:
+    """Whether ||T psi - lambda psi|| <= TRANSLATION_TOL ||psi|| for every state."""
+    def defect(psi):
+        moved = states.translate(psi, 1, n_sites)
+        lam = np.vdot(psi, moved) / np.vdot(psi, psi)
+        return np.linalg.norm(moved - lam * psi) / np.linalg.norm(psi)
+    return all(psi.shape == (1 << n_sites,) and defect(psi) <= TRANSLATION_TOL
+               for psi in states_list)
+
+
+def _span_dims(blocks, partner) -> dict:
+    """Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, summed over blocks.
+
+    ``blocks`` yields generator rows (glo, h_loc, g_loc) per momentum sector;
+    sector k's conjugate is sector ``partner[k]``.  ZH rows are images of
+    real vectors, so a ZH span's real dimension is its complex rank; ZG_loc
+    counts twice.  A union adds the rank of the ZH_glo rows projected off
+    the local span.  Off ZG_loc the residual is a real span: residual rows
+    r_k and partner rows r_p add rank [r_k, conj r_p] real dimensions (the
+    rank of [Re r_k, Im r_k] when p = k).  Residuals are coordinates along
+    the right singular vectors beyond the cut, which is RANK_TOL times the
+    largest singular value of the spans involved, over all blocks.
+    """
+    svals, coords = [], []
+    for glo, *local in blocks:
+        svals.append([np.linalg.svd(glo, compute_uv=False)])
+        coords.append([])
+        for rows in local:
+            # all right singular vectors; a full U only when it is the smaller
+            _, s, vh = np.linalg.svd(rows, full_matrices=len(rows) < rows.shape[1])
+            svals[-1].append(s)
+            coords[-1].append(glo @ vh.conj().T)
+    top = [max((s[i][0] for s in svals if s[i].size), default=0.0) for i in range(3)]
+    ranks = [[int(np.sum(s > RANK_TOL * t)) for s, t in zip(sv, top)] for sv in svals]
+
+    dims = dict.fromkeys(("ZH_glo", "ZH_loc", "ZG_loc", "union_H", "union_G"), 0)
+    for (off_h, off_g), (r_glo, r_h, r_g), p in zip(coords, ranks, partner):
+        off_p = coords[p][1][:, ranks[p][2]:].conj()
+        dims["ZH_glo"] += r_glo
+        dims["ZH_loc"] += r_h
+        dims["ZG_loc"] += 2 * r_g
+        dims["union_H"] += r_h + real_rank(off_h[:, r_h:], scale=max(top[0], top[1]))
+        dims["union_G"] += 2 * r_g + real_rank(np.hstack([off_g[:, r_g:], off_p]),
+                                               scale=max(top[0], top[2]))
+    return dims
 
 
 @dataclass(frozen=True)
@@ -208,9 +238,10 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
 
     ZH_glo is the Hermitian null space over all Pauli strings of range <= R
     (extensive-local combinations included automatically); ZH_loc / ZG_loc
-    are unions over the N windows [j, j+R'-1] of per-window null spaces.
-    All dimensions are real dimensions in the shared realified coefficient
-    space.
+    are spanned by the null spaces of the N windows [j, j+R'-1], in momentum
+    sectors or window by window (see the module docstring).  ``dims`` holds
+    the real dimensions, the null-space gap of ZH_glo and the smallest
+    window gaps of ZH_loc and ZG_loc.
     """
     if r_glo < 1:
         raise ValueError(f"range R = {r_glo} must be at least 1")
@@ -222,44 +253,42 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     if n_sites < 2 * r_loc:
         raise ValueError("need N >= 2 R' for unambiguous windows")
 
-    full = pauli_string_basis(n_sites, max(r_glo, r_loc))
-    index = {k: i for i, k in enumerate(full.keys)}
-    width = len(full.keys)
+    # pauli_string_basis lists each pattern at shifts 0..N-1 in a row: column
+    # i is pattern i // N at shift i % N, and translation acts on the shift
+    index = {k: i for i, k in enumerate(pauli_string_basis(n_sites, r_loc).keys)}
+    width = len(index)
+    sectors = n_sites if _translation_eigenstates(states_list, n_sites) else 1
 
     glo = pauli_string_basis(n_sites, r_glo)
     zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate), tol)
-    zh_glo_rows = _embed(zh_glo.basis, glo.keys, index, width)
+    windows = [window_basis(n_sites, j, r_loc) for j in range(n_sites if sectors == 1 else 1)]
+    zh = [null_space(build_correlation(w, states_list, "H", degenerate), tol) for w in windows]
+    zg = [null_space(build_correlation(w, states_list, "G", degenerate), tol) for w in windows]
 
-    zh_loc_rows, zg_loc_rows = [], []
-    for j in range(n_sites):
-        win = window_basis(n_sites, j, r_loc)
-        zh = null_space(build_correlation(win, states_list, "H", degenerate), tol)
-        zg = null_space(build_correlation(win, states_list, "G", degenerate), tol)
-        zh_loc_rows.append(_embed(zh.basis, win.keys, index, width))
-        zg_loc_rows.append(_embed(zg.basis, win.keys, index, width))
-    zh_loc = np.vstack(zh_loc_rows)
-    zg_loc = np.vstack(zg_loc_rows)
+    def shifted(parts, span):
+        """Stacked rows as (row, pattern, shift) arrays over shifts 0..span-1."""
+        parts = list(parts)
+        out = np.zeros((sum(rep.dim for rep, _ in parts), width // sectors, span), dtype=complex)
+        top = 0
+        for rep, basis in parts:
+            pos = np.array([index[k] for k in basis.keys])
+            out[top:top + rep.dim, pos // sectors, pos % sectors] = rep.basis
+            top += rep.dim
+        return out
 
-    r_zh_glo = _realify(zh_glo_rows, complex_span=False)
-    r_zh_loc = _realify(zh_loc, complex_span=False)
-    r_zg_loc = _realify(zg_loc, complex_span=True)
+    # normalized, ZH_glo's orthonormal rows keep sector singular values 1; a
+    # window's sector rows have the singular values of all N translates stacked
+    glo_rows = shifted([(zh_glo, glo)], sectors) / np.sqrt(sectors)
+    span = min(r_loc, sectors)       # window 0's strings start at shifts 0..R'-1
+    h_rows, g_rows = shifted(zip(zh, windows), span), shifted(zip(zg, windows), span)
+    phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
+    dims = _span_dims(((glo_rows @ ph, h_rows @ ph[:span], g_rows @ ph[:span]) for ph in phases),
+                      [-k % sectors for k in range(sectors)])
 
-    d_h_loc = real_rank(r_zh_loc)
-    d_g_loc = real_rank(r_zg_loc)
-    d_h_glo = real_rank(r_zh_glo)
-    u_h = real_rank(np.vstack([r_zh_glo, r_zh_loc]))
-    u_g = real_rank(np.vstack([r_zh_glo, r_zg_loc]))
-
-    n_iii = u_g - d_g_loc
-    n_ii = u_h - u_g + d_g_loc - d_h_loc
-    dims = {
-        "ZH_glo": d_h_glo,
-        "ZH_loc": d_h_loc,
-        "ZG_loc": d_g_loc,
-        "union_H": u_h,
-        "union_G": u_g,
-        "gap_ZH_glo": zh_glo.gap,
-    }
+    n_iii = dims["union_G"] - dims["ZG_loc"]
+    n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
+    dims.update(gap_ZH_glo=zh_glo.gap, gap_ZH_loc=min(r.gap for r in zh),
+                gap_ZG_loc=min(r.gap for r in zg))
     return ClassCount(n_ii, n_iii, dims, tol)
 
 

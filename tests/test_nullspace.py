@@ -1,5 +1,7 @@
 """Correlation matrices, null spaces and class counts vs brute-force oracles."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,3 +234,204 @@ class TestClassCounts:
         for r_glo in (0, -1):
             with pytest.raises(ValueError):
                 count_type_classes(8, r_glo, 2, psis)
+
+
+def _cluster(n):
+    """CZ ring on |+>^N: amplitude (-1)^(sum_j x_j x_{j+1}) / 2^(N/2)."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    parity = np.sum(bits * np.roll(bits, -1, axis=1), axis=1)
+    return ((-1.0) ** parity / np.sqrt(1 << n)).astype(complex)
+
+
+def _reference_count(n, r_glo, r_loc, psis, degenerate=False):
+    """All N windows, unions as ranks of realified stacks (the dense oracle).
+
+    Coefficient vectors live in R^{2M}: a real span contributes [Re v, Im v],
+    a complex span also [-Im v, Re v].
+    """
+    full = pauli_string_basis(n, r_loc)
+    index = {k: i for i, k in enumerate(full.keys)}
+
+    def null_rows(basis, kind):
+        rep = null_space(build_correlation(basis, psis, kind, degenerate))
+        out = np.zeros((rep.dim, len(full.keys)), dtype=complex)
+        out[:, [index[k] for k in basis.keys]] = rep.basis
+        return out
+
+    def realify(rows, complex_span):
+        blocks = [np.hstack([rows.real, rows.imag])]
+        if complex_span:
+            blocks.append(np.hstack([-rows.imag, rows.real]))
+        return np.vstack(blocks)
+
+    windows = [window_basis(n, j, r_loc) for j in range(n)]
+    glo = realify(null_rows(pauli_string_basis(n, r_glo), "H"), False)
+    h_loc = realify(np.vstack([null_rows(w, "H") for w in windows]), False)
+    g_loc = realify(np.vstack([null_rows(w, "G") for w in windows]), True)
+    dims = {"ZH_glo": nullspace.real_rank(glo),
+            "ZH_loc": nullspace.real_rank(h_loc),
+            "ZG_loc": nullspace.real_rank(g_loc),
+            "union_H": nullspace.real_rank(np.vstack([glo, h_loc])),
+            "union_G": nullspace.real_rank(np.vstack([glo, g_loc]))}
+    n_iii = dims["union_G"] - dims["ZG_loc"]
+    n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
+    return n_ii, n_iii, dims
+
+
+def _counted(res):
+    return res.n_ii, res.n_iii, {k: v for k, v in res.dims.items() if isinstance(v, int)}
+
+
+def _phased(psis, seed):
+    rng = np.random.default_rng(seed)
+    return [psi * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for psi in psis]
+
+
+def _invariant_sets(n):
+    vac, w, w2 = states.vacuum(n), states.w_state(n), states.w_p(n, 2)
+    return {"vac_w": [vac, w], "vac": [vac], "vac_w_w2": [vac, w, w2],
+            "vac_wq": [vac, states.w_q(n, 1)],
+            "phased_vac_w_w2": _phased([vac, w, w2], 5),
+            "phased_vac_wq2": _phased([vac, states.w_q(n, 2)], 6)}
+
+
+class TestSpanDims:
+    @pytest.mark.parametrize("momentum", [0, 1])
+    def test_real_span_off_complex_span(self, momentum):
+        # ZG_loc holds g1 - i g2 for real ZH_glo rows g1, g2 outside it: off
+        # ZG_loc they span a real plane, twice their complex rank
+        n, shifts = 4, np.arange(4)
+        glo = np.zeros((2, 2, n))            # (row, pattern, shift)
+        loc = np.zeros((1, 2, n), dtype=complex)
+        if momentum == 0:
+            glo[0, 0] = glo[1, 1] = 0.5
+            loc[0, :, 0] = 1.0, -1j
+        else:                                # sectors 1 and 3 = -1, paired
+            glo[0, 0] = np.cos(np.pi * shifts / 2) / np.sqrt(2)
+            glo[1, 0] = np.sin(np.pi * shifts / 2) / np.sqrt(2)
+            loc[0, 0] = np.exp(-0.5j * np.pi * shifts)
+        phases = np.exp(-2j * np.pi / n * np.outer(shifts, shifts))
+        none = np.zeros((0, 2))
+        sector = nullspace._span_dims(((glo @ ph / np.sqrt(n), none, loc @ ph) for ph in phases),
+                                      [-k % n for k in range(n)])
+        # one dense block: all translates of the local row
+        flat = glo.reshape(2, -1)
+        w_rows = np.vstack([np.roll(loc, j, axis=2).reshape(1, -1) for j in range(n)])
+        dense = nullspace._span_dims([(flat, np.zeros((0, 2 * n)), w_rows)], [0])
+        realified = np.vstack([np.hstack([flat, 0 * flat]),
+                               np.hstack([w_rows.real, w_rows.imag]),
+                               np.hstack([-w_rows.imag, w_rows.real])])
+        assert sector == dense
+        assert dense["union_G"] == nullspace.real_rank(realified) == dense["ZG_loc"] + 2
+        assert (dense["ZH_glo"], dense["ZH_loc"], dense["union_H"]) == (2, 0, 2)
+
+
+def _dense(monkeypatch):
+    """Route count_type_classes through the N-window path whatever the states."""
+    monkeypatch.setattr(nullspace, "_translation_eigenstates", lambda *args: False)
+
+
+class TestSectorPath:
+    """Momentum sectors of window 0 against all N windows and the realified oracle."""
+
+    def test_full_basis_is_pattern_by_shift(self):
+        # count_type_classes reshapes full-basis columns to (pattern, shift)
+        n = 8
+        for r in (2, 3, 4):
+            keys = pauli_string_basis(n, r).keys
+            pats = nullspace._pauli_patterns_upto(r)
+            assert keys == tuple((i % n, pats[i // n]) for i in range(n * len(pats)))
+
+    @pytest.mark.parametrize("name", list(_invariant_sets(8)))
+    @pytest.mark.parametrize("r_loc", [2, 3])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_sector_equals_dense(self, monkeypatch, name, r_loc, degenerate):
+        n = 8
+        psis = _invariant_sets(n)[name]
+        assert nullspace._translation_eigenstates(psis, n)
+        sector = _counted(count_type_classes(n, 2, r_loc, psis, degenerate))
+        _dense(monkeypatch)
+        assert _counted(count_type_classes(n, 2, r_loc, psis, degenerate)) == sector
+        if r_loc == 2 or not degenerate:
+            assert sector == _reference_count(n, 2, r_loc, psis, degenerate)
+
+    @pytest.mark.parametrize("r_loc", [2, 3])
+    def test_odd_ring(self, r_loc):
+        # odd N: sector 0 is the only self-conjugate one
+        n = 7
+        for name in ("vac_w", "phased_vac_wq2"):
+            psis = _invariant_sets(n)[name]
+            got = _counted(count_type_classes(n, 2, r_loc, psis))
+            assert got == _reference_count(n, 2, r_loc, psis)
+
+    def test_sector_equals_reference_n12(self):
+        n = 12
+        psis = [states.vacuum(n), states.w_state(n)]
+        want = _reference_count(n, 2, 3, psis)
+        assert _counted(count_type_classes(n, 2, 3, psis)) == want
+        assert want[:2] == (1, 1)
+
+    @pytest.mark.parametrize("shift", [0, 3, 5])
+    def test_droplet_sets_take_dense_path(self, monkeypatch, shift):
+        n = 8
+        vac, w, w2 = states.vacuum(n), states.w_state(n), states.w_p(n, 2)
+        drop = states.translate(states.droplet(n, 4, 1), shift, n)
+        calls = []
+        window = nullspace.window_basis
+        monkeypatch.setattr(nullspace, "window_basis",
+                            lambda *args: calls.append(args) or window(*args))
+        for psis in ([vac, drop], [vac, w, w2, drop]):
+            assert not nullspace._translation_eigenstates(psis, n)
+            calls.clear()
+            got = _counted(count_type_classes(n, 2, 2, psis))
+            assert len(calls) == n
+            assert got == _reference_count(n, 2, 2, psis)
+        calls.clear()
+        count_type_classes(n, 2, 2, [vac, w])
+        assert len(calls) == 1
+
+    def test_droplet_dense_path_r3(self):
+        n = 8
+        psis = _phased([states.vacuum(n),
+                        states.translate(states.droplet(n, 4, 1), 3, n)], 7)
+        got = _counted(count_type_classes(n, 2, 3, psis))
+        assert got == _reference_count(n, 2, 3, psis)
+        assert got[:2] == (0, 1)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_empty_local_span(self, monkeypatch, dense):
+        # the cluster state has no non-trivial eigenoperator on two sites
+        n = 8
+        psis = [_cluster(n)]
+        assert nullspace._translation_eigenstates(psis, n)
+        if dense:
+            _dense(monkeypatch)
+        res = count_type_classes(n, 2, 2, psis)
+        assert _counted(res) == (0, 24, {"ZH_glo": 24, "ZH_loc": 0, "ZG_loc": 0,
+                                         "union_H": 24, "union_G": 24})
+
+    def test_window_gaps_reported(self, monkeypatch):
+        n = 8
+        psis = [states.vacuum(n), states.w_state(n)]
+        win = window_basis(n, 0, 3)
+        sector = count_type_classes(n, 2, 3, psis).dims
+        for kind in ("H", "G"):
+            gap = null_space(build_correlation(win, psis, kind)).gap
+            assert sector[f"gap_Z{kind}_loc"] == gap > 1e-3
+        _dense(monkeypatch)
+        dense = count_type_classes(n, 2, 3, psis).dims
+        for key in ("gap_ZH_loc", "gap_ZG_loc"):
+            assert dense[key] == pytest.approx(sector[key], rel=1e-9)
+        assert list(dense)[:6] == ["ZH_glo", "ZH_loc", "ZG_loc", "union_H",
+                                   "union_G", "gap_ZH_glo"]
+
+    def test_w_and_vacuum_n10_rp5(self):
+        # the paper's (N_II, N_III) = (1, 1) at R' = N/2
+        n = 10
+        start = time.perf_counter()
+        res = count_type_classes(n, 2, 5, [states.vacuum(n), states.w_state(n)])
+        elapsed = time.perf_counter() - start
+        assert (res.n_ii, res.n_iii) == (1, 1)
+        assert [res.dims[k] for k in ("ZH_loc", "ZG_loc", "union_H", "union_G")] == \
+            [7040, 14718, 7042, 14719]
+        assert elapsed < 60.0
