@@ -186,33 +186,26 @@ def _parse_dispersion(spec: str) -> dynamics.Dispersion:
 def _cmd_droplet(args) -> int:
     disp = _parse_dispersion(args.dispersion)
     run = dynamics.DropletRun(args.N, args.M, disp)
-    rate = {"0": 0.0, "wt": disp.w,
-            "bwt": disp.beta * disp.w}.get(args.G, None)
-    if rate is None:
-        shift = float(args.G)           # fixed translation of the reference
-        g_of_t = lambda t: shift
-    else:
-        g_of_t = lambda t: rate * t
+    rate = {"0": 0.0, "wt": disp.w, "bwt": disp.beta * disp.w}.get(args.G)
+    shift = float(args.G) if rate is None else 0.0   # fixed translation
+    if args.steps < 0 or not np.isfinite([args.tmax, shift]).all():
+        raise ValueError("droplet needs --steps >= 0 and finite --tmax and --G")
     times = np.linspace(0.0, args.tmax, args.steps + 1)
     # CSV goes to --csv, or to stdout when no JSON path was requested
     csv_target = args.csv if args.csv else "-"
     json_wanted = bool(args.out) and args.out != "csv"
     if args.observable == "occupations":
-        rows = []
-        blocks = []
-        for t in times:
-            occ = dynamics.occupations(run, t)
-            rows.extend((float(t), j + 1, float(occ[j])) for j in range(args.N))
-            blocks.append((f"t = {t:g}",
-                           [(j + 1, float(occ[j])) for j in range(args.N)]))
+        occ = dynamics.occupations(run, times).tolist()
+        rows = [(t, j, n_j) for t, row in zip(times.tolist(), occ)
+                for j, n_j in enumerate(row, 1)]
         _write_csv(csv_target, ("t", "j", "n_j"), rows)
         if args.emit_plot:
-            _write_plot_blocks(args.emit_plot, blocks)
+            _write_plot_blocks(args.emit_plot, [(f"t = {t:g}", enumerate(row, 1))
+                                                for t, row in zip(times, occ)])
     else:
-        rows = []
-        for t in times[1:]:
-            ups = dynamics.upsilon_finite(run, t, g_of_t(t))
-            rows.append((float(t), ups.real, ups.imag))
+        ts = times[1:]
+        ups = dynamics.upsilon_finite(run, ts, shift if rate is None else rate * ts)
+        rows = [(t, u.real, u.imag) for t, u in zip(ts.tolist(), ups.tolist())]
         _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), rows)
         if args.emit_plot:
             _write_plot_blocks(args.emit_plot, [("upsilon", rows)])

@@ -22,8 +22,6 @@ import numpy as np
 
 from .scars import loglog_fit
 
-OCCUPATION_TOL = 1e-12
-
 
 class QuadratureError(RuntimeError):
     def __init__(self, message, achieved):
@@ -40,6 +38,10 @@ class Dispersion:
     alpha: float = 0.0
     beta: float = 0.0
     table: object = None      # callable q -> eps for kind "custom"
+
+    def __post_init__(self):
+        if not np.isfinite([self.w, self.alpha, self.beta]).all():
+            raise ValueError("dispersion parameters w, alpha, beta must be finite")
 
     def eps(self, q):
         q = np.asarray(q, dtype=float)
@@ -84,20 +86,14 @@ class DropletRun:
     n_sites: int
     m_size: int
     dispersion: Dispersion
-    g_schedule: object = None           # optional t -> integer shift, G(0) = 0
 
     def __post_init__(self):
         if not 1 <= self.m_size <= self.n_sites:
             raise ValueError("need 1 <= M <= N")
-        if self.g_schedule is not None and self.g_schedule(0.0) != 0:
-            raise ValueError("G schedule must start at zero shift")
 
     @property
     def momenta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_sites) / self.n_sites
-
-    def shift_at(self, t: float) -> float:
-        return 0.0 if self.g_schedule is None else self.g_schedule(t)
 
 
 def fq(m_size: int, n_sites: int, q) -> np.ndarray:
@@ -117,25 +113,36 @@ def _dirichlet(q: np.ndarray, m_size: int) -> np.ndarray:
     return np.where(small, m_size * np.cos(q * m_size / 2.0) / np.cos(q / 2.0), out)
 
 
-def orbital_amplitudes(run: DropletRun, t: float) -> np.ndarray:
-    """<j|phi(t)> for sites j = 1..N (array index j-1)."""
+def orbital_amplitudes(run: DropletRun, t) -> np.ndarray:
+    """<j|phi(t)>, sites j = 1..N on the last axis (index j-1), shape t.shape + (N,)."""
     qs = run.momenta
+    t = np.asarray(t, dtype=float)[..., None]
     g = fq(run.m_size, run.n_sites, qs) * np.exp(-1j * run.dispersion.eps(qs) * t)
-    amps = np.sqrt(run.n_sites) * np.fft.ifft(g)
-    return np.roll(amps, -1)        # index 0 <-> site j=1
+    amps = np.sqrt(run.n_sites) * np.fft.ifft(g, axis=-1)
+    return np.roll(amps, -1, axis=-1)       # index 0 <-> site j=1
 
 
-def occupations(run: DropletRun, t: float) -> np.ndarray:
-    """n_j(t) for j = 1..N; sums to 1 by unitarity."""
+def occupations(run: DropletRun, t) -> np.ndarray:
+    """n_j(t) for j = 1..N: shape (N,) for a scalar t, one row per time for an
+    array of times; each row sums to 1 by unitarity."""
     return np.abs(orbital_amplitudes(run, t)) ** 2
 
 
-def upsilon_finite(run: DropletRun, t: float, g_shift: float) -> complex:
-    """Overlap deficit Upsilon_G(t, M, N) as the exact momentum sum."""
+def upsilon_finite(run: DropletRun, t, g_shift):
+    """Overlap deficit Upsilon_G(t, M, N) as the exact momentum sum.
+
+    Scalars t, g_shift give a ``complex``; arrays that broadcast together give
+    a complex array of that shape, entry for entry equal to the scalar call.
+    """
+    ts, gs = np.broadcast_arrays(t, g_shift)
     qs = run.momenta
     kern = _dirichlet(qs, run.m_size) ** 2
-    phases = 1.0 - np.exp(1j * (qs * g_shift - run.dispersion.eps(qs) * t))
-    return complex(np.sum(kern * phases) / (run.m_size * run.n_sites))
+    eps = run.dispersion.eps(qs)
+    out = np.empty(ts.shape, dtype=complex)
+    for idx in np.ndindex(ts.shape):
+        phases = 1.0 - np.exp(1j * (qs * gs[idx] - eps * ts[idx]))
+        out[idx] = np.sum(kern * phases) / (run.m_size * run.n_sites)
+    return complex(out[()]) if out.ndim == 0 else out
 
 
 def upsilon_thermo(dispersion: Dispersion, m_size: int, t: float, g_shift: float,

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scartypes import dynamics
 from scartypes.cli import run
+from test_dynamics import _reference_occupations, _reference_upsilon
 
 
 def invoke(argv):
@@ -130,6 +132,46 @@ class TestDroplet:
         assert header == "t,ReUpsilon,ImUpsilon"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("observable,g_arg", [
+        ("occupations", "0"), ("upsilon", "wt"), ("upsilon", "1.5")])
+    def test_csv_equals_per_time_reference(self, observable, g_arg):
+        code, out = invoke(["droplet", "--dispersion", "chop:a=0.3,b=0.8,w=1.2",
+                            "--N", "150", "--M", "31", "--tmax", "25",
+                            "--steps", "5", "--G", g_arg,
+                            "--observable", observable])
+        assert code == 0
+        disp = dynamics.chop(0.3, 0.8, 1.2)
+        run_ = dynamics.DropletRun(150, 31, disp)
+        times = np.linspace(0.0, 25.0, 6)
+        if observable == "occupations":
+            lines = ["t,j,n_j"] + [
+                f"{t:.12g},{j},{n_j:.12g}" for t in times
+                for j, n_j in enumerate(_reference_occupations(run_, t), 1)]
+        else:
+            g_of = (lambda t: disp.w * t) if g_arg == "wt" else (lambda t: 1.5)
+            ups = [(t, _reference_upsilon(run_, t, g_of(t))) for t in times[1:]]
+            lines = ["t,ReUpsilon,ImUpsilon"] + [
+                f"{t:.12g},{u.real:.12g},{u.imag:.12g}" for t, u in ups]
+        assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--tmax", "inf"], ["--tmax", "nan"], ["--G", "nan"], ["--G", "inf"],
+        ["--steps", "-1"], ["--dispersion", "chop:a=0.5,b=nan"],
+        ["--dispersion", "rehop:w=inf", "--observable", "occupations"]])
+    def test_non_finite_or_negative_inputs_exit_2(self, extra):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(["droplet", "--dispersion", "imhop", "--N", "40",
+                                "--M", "8", "--steps", "3"] + extra)
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err.getvalue())
+
+    def test_zero_steps(self):
+        code, out = invoke(["droplet", "--dispersion", "imhop", "--N", "40",
+                            "--M", "8", "--steps", "0"])
+        assert (code, out) == (0, "t,ReUpsilon,ImUpsilon\n")
+
     def test_emit_plot(self, tmp_path):
         plot = tmp_path / "blocks.dat"
         code, _ = invoke(["droplet", "--dispersion", "rehop", "--N", "100",
@@ -245,7 +287,8 @@ _ARGV = st.one_of(
               st.sampled_from(["rehop", "imhop", "chop:a=0.5,b=0.5", "bogus"]),
               st.just("--N"), _N, st.just("--M"), st.integers(0, 9).map(str),
               st.just("--G"), st.sampled_from(["0", "wt", "bwt", "1.5", "x"]),
-              st.just(["--tmax", "2", "--steps", "2"]), _OUT),
+              st.just("--tmax"), st.sampled_from(["2", "inf", "nan"]),
+              st.just("--steps"), st.sampled_from(["-1", "0", "2"]), _OUT),
     st.tuples(st.just(["variance", "--scan"]), st.sampled_from(["q", "N"]),
               st.just("--ham"), _HAM | st.just("random"), st.just("--N"), _N,
               st.just("--N-list"), st.lists(_N, min_size=1, max_size=3).map(",".join),

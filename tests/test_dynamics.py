@@ -11,6 +11,22 @@ from scartypes.dynamics import (DropletRun, bec_overlap, bec_overlap_density,
                                 upsilon_finite, upsilon_thermo)
 
 
+def _reference_upsilon(run, t, g):
+    """The per-time momentum sum that the series path replaced."""
+    qs = run.momenta
+    kern = dynamics._dirichlet(qs, run.m_size) ** 2
+    phases = 1.0 - np.exp(1j * (qs * g - run.dispersion.eps(qs) * t))
+    return complex(np.sum(kern * phases) / (run.m_size * run.n_sites))
+
+
+def _reference_occupations(run, t):
+    """The per-time FFT profile that the batched path replaced."""
+    qs = run.momenta
+    g = fq(run.m_size, run.n_sites, qs) * np.exp(-1j * run.dispersion.eps(qs) * t)
+    amps = np.sqrt(run.n_sites) * np.fft.ifft(g)
+    return np.abs(np.roll(amps, -1)) ** 2
+
+
 class TestMomentumAmplitudes:
     def test_q_zero_limit(self):
         assert fq(51, 201, 0.0) == pytest.approx(np.sqrt(51 / 201))
@@ -50,6 +66,16 @@ class TestOccupations:
         rate = (occupations(run, 1e-6) - occupations(run, 0.0)) / 1e-6
         assert rate[0] == pytest.approx(-1 / m, rel=1e-4)
         assert rate[m - 1] == pytest.approx(1 / m, rel=1e-4)
+
+    @pytest.mark.parametrize("disp", [rehop(), chop(0.5, 0.5)])
+    def test_time_array_rows_match_per_time_calls(self, disp):
+        run = DropletRun(201, 51, disp)
+        ts = np.linspace(0.0, 40.0, 51)
+        rows = occupations(run, ts)
+        assert rows.shape == (51, 201)
+        for k, t in enumerate(ts):
+            assert np.array_equal(rows[k], occupations(run, t))
+            assert np.array_equal(rows[k], _reference_occupations(run, t))
 
     def test_ballistic_center_of_mass(self):
         run = DropletRun(201, 51, imhop())
@@ -99,6 +125,35 @@ class TestUpsilon:
         rhs = np.exp(-1j * c * t) * (1 - upsilon_finite(run0, t, 0))
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("disp", [
+        rehop(), imhop(0.7), chop(0.5, 0.5),
+        custom(lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
+    @pytest.mark.parametrize("shift", ["fixed", "linear"])
+    def test_series_matches_per_time_reference(self, disp, shift):
+        run = DropletRun(300, 41, disp)
+        ts = np.linspace(0.0, 60.0, 31)          # t = 0 included
+        gs = 4.0 if shift == "fixed" else 0.5 * ts
+        got = upsilon_finite(run, ts, gs)
+        want = [_reference_upsilon(run, t, g)
+                for t, g in zip(ts, np.broadcast_to(gs, ts.shape))]
+        assert got.dtype == complex and np.array_equal(got, want)
+
+    def test_series_list_and_empty_inputs(self):
+        run = DropletRun(120, 30, imhop())
+        got = upsilon_finite(run, [0.0, 2.5, 9.0], [0, 1, 3])
+        want = [_reference_upsilon(run, t, g)
+                for t, g in ((0.0, 0), (2.5, 1), (9.0, 3))]
+        assert np.array_equal(got, want)
+        assert upsilon_finite(run, np.array([]), 0.0).shape == (0,)
+        scalar = upsilon_finite(run, 2.5, 1)
+        assert type(scalar) is complex and scalar == want[1]
+
+    @pytest.mark.parametrize("bad", [{"w": np.inf}, {"alpha": np.nan},
+                                     {"beta": -np.inf}])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError):
+            dynamics.Dispersion("chop", **bad)
+
     def test_quadrature_convergence_error(self):
         with pytest.raises(dynamics.QuadratureError):
             upsilon_thermo(imhop(), 30, 5.0, 0, tol=1e-16, max_nodes=512)
@@ -145,14 +200,6 @@ class TestLeakage:
 
 
 class TestRunContainer:
-    def test_schedule_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            DropletRun(100, 10, imhop(), g_schedule=lambda t: 1.0)
-
-    def test_schedule_shift(self):
-        run = DropletRun(100, 10, imhop(), g_schedule=lambda t: round(t))
-        assert run.shift_at(3.2) == 3
-
     def test_size_bounds(self):
         with pytest.raises(ValueError):
             DropletRun(10, 11, imhop())
