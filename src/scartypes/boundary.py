@@ -23,14 +23,15 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from . import canonical, opspace
 from .opspace import LocalOperator, Region
 
 ACCEPT = 1e-8
 REJECT = 1e-3
+LANCZOS_TOL = 1e-9          # Ritz residual relative to the Ritz value
+LANCZOS_MAX_STEPS = 300
+LANCZOS_CHECK_EVERY = 4     # steps between convergence checks
 
 # qubit one-site basis: the identity, then _traceless_hermitian_basis(2) = (z, x, y)
 _SITE_CODES = ("id", "z", "x", "y")
@@ -58,21 +59,56 @@ class TypeLabel:
 
 
 def spectral_norm(op: LocalOperator) -> float:
-    """Largest |eigenvalue| of a Hermitian operator via Lanczos on its CSR matrix."""
+    """Largest |eigenvalue| of a Hermitian operator.
+
+    Dense eigvalsh up to 2^N = 256.  Above that, Lanczos with full
+    reorthogonalisation from a seeded normal start vector (a uniform one is
+    an eigenvector of every permutation-symmetric operator, where Lanczos
+    stops at once); the matrix acts as a gather over its flip diagonals,
+    (H v)[i] = sum_f g_f[i] v[i ^ f], in real arithmetic when every g_f is
+    real.  Every LANCZOS_CHECK_EVERY steps the Ritz value theta of largest
+    |theta| is accepted once its residual beta_k |s_k| is at most
+    LANCZOS_TOL |theta|, where s_k is the last component of its Ritz
+    vector; a Krylov space that closes (beta = 0) gives the exact value.
+    No convergence within LANCZOS_MAX_STEPS steps raises ValueError with
+    the residual reached.
+    """
     dim = 1 << op.n_sites
     if not op.terms:
         return 0.0
     if dim <= 256:
         return float(np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max())
-    # a seeded generic start vector: a uniform one is an eigenvector of every
-    # permutation-symmetric operator, where Lanczos stops at once
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    try:
-        top = eigsh(opspace.to_sparse(op), k=1, which="LM", v0=v0, tol=1e-9,
-                    return_eigenvectors=False)
-        return float(abs(top[0]))
-    except (ArpackError, ArpackNoConvergence):
-        return op.coeff_norm()
+    diagonals = opspace._flip_diagonals(op)
+    idx = np.arange(dim)
+    perm = idx ^ np.fromiter(diagonals, dtype=np.int64)[:, None]      # (flips, dim)
+    gains = np.take_along_axis(np.array(list(diagonals.values())), perm, axis=1)
+    if not gains.imag.any():        # a real matrix: Lanczos in real arithmetic
+        gains = gains.real
+    steps = min(dim, LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, dim), dtype=gains.dtype)
+    tri = np.zeros((steps + 1, steps + 1))          # the Lanczos tridiagonal matrix
+    v = np.random.default_rng(0).standard_normal(dim).astype(gains.dtype)
+    v /= np.linalg.norm(v)
+    for k in range(steps):
+        basis[k] = v
+        w = (gains * v[perm]).sum(axis=0)
+        tri[k, k] = np.vdot(v, w).real
+        w -= tri[k, k] * v
+        if k:
+            w -= tri[k - 1, k] * basis[k - 1]
+        kept = basis[:k + 1]
+        w -= (kept @ w.conj()).conj() @ kept
+        tri[k, k + 1] = tri[k + 1, k] = beta = np.linalg.norm(w)
+        if beta == 0.0 or (k + 1) % LANCZOS_CHECK_EVERY == 0 or k + 1 == steps:
+            theta, ritz = np.linalg.eigh(tri[:k + 1, :k + 1])
+            top = int(np.argmax(np.abs(theta)))
+            theta, residual = abs(theta[top]), beta * abs(ritz[-1, top])
+            if residual <= LANCZOS_TOL * theta:         # always when beta = 0
+                return float(theta)
+        v = w / beta
+    raise ValueError(
+        f"Lanczos spectral norm not converged in {steps} steps: Ritz residual "
+        f"{residual:.3e} > {LANCZOS_TOL:g} x |theta| = {theta:.6g}")
 
 
 # -- generic dense solver ------------------------------------------------------
@@ -136,8 +172,16 @@ def _design_matrix(psis, n_sites, local_dim, left_sites, right_sites) -> np.ndar
         blocks.append(np.concatenate(
             [_site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
             axis=1))
-    blocks.append(block_diag(*psis))
+    blocks.append(_gauge_block(psis))
     return np.vstack(blocks).T
+
+
+def _gauge_block(psis) -> np.ndarray:
+    """(n, n * dim) block-diagonal rows: psis[k] in row k, column block k."""
+    n_states, dim = len(psis), psis[0].size
+    block = np.zeros((n_states, n_states, dim), dtype=np.result_type(*psis))
+    block[np.arange(n_states), np.arange(n_states)] = psis
+    return block.reshape(n_states, n_states * dim)
 
 
 def _lstsq(mat, rhs, hermitian: bool):

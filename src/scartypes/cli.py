@@ -166,21 +166,27 @@ def _cmd_variance(args) -> int:
     return EXIT_OK
 
 
+_DISPERSION_KEYS = {"rehop": ("w",), "imhop": ("w",), "chop": ("a", "b", "w")}
+
+
 def _parse_dispersion(spec: str) -> dynamics.Dispersion:
+    """``name`` or ``name:key=value,...``; a key the dispersion lacks raises ValueError."""
     name, _, arg_txt = spec.partition(":")
+    name = name.lower()
+    if name not in _DISPERSION_KEYS:
+        raise ValueError(f"unknown dispersion {spec!r}")
     kwargs = {}
     for pair in filter(None, arg_txt.split(",")):
         key, _, val = pair.partition("=")
         kwargs[key.strip()] = float(val)
-    name = name.lower()
+    unknown = sorted(set(kwargs) - set(_DISPERSION_KEYS[name]))
+    if unknown:
+        raise ValueError(f"dispersion {name} takes keys {', '.join(_DISPERSION_KEYS[name])};"
+                         f" unknown: {', '.join(unknown)}")
     w = kwargs.get("w", 1.0)
-    if name == "rehop":
-        return dynamics.rehop(w)
-    if name == "imhop":
-        return dynamics.imhop(w)
     if name == "chop":
         return dynamics.chop(kwargs.get("a", 0.5), kwargs.get("b", 0.5), w)
-    raise ValueError(f"unknown dispersion {spec!r}")
+    return {"rehop": dynamics.rehop, "imhop": dynamics.imhop}[name](w)
 
 
 def _cmd_droplet(args) -> int:

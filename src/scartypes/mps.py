@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import boundary as boundary_mod
 
@@ -146,6 +145,19 @@ def injectivity_length(a: MPSTensor, max_block: int = 6):
     return NotInjective(max_block)
 
 
+def _symmetry_unitary(generator, theta: float) -> np.ndarray:
+    """U = e^{i theta L} from the eigendecomposition of the Hermitian generator L.
+
+    Raises ValueError when L is not Hermitian.
+    """
+    gen = np.asarray(generator, dtype=complex)
+    scale = max(np.abs(gen).max(initial=0.0), 1.0)
+    if np.abs(gen - gen.conj().T).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("symmetry generator must be Hermitian")
+    vals, vecs = np.linalg.eigh(gen)
+    return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
+
+
 def push_through_check(a: MPSTensor, generator: np.ndarray, theta: float):
     """Solve for the bond unitary V(theta); returns (V or None, residual).
 
@@ -155,7 +167,7 @@ def push_through_check(a: MPSTensor, generator: np.ndarray, theta: float):
     the push-through relation; when it exceeds the tolerance the state is
     not symmetric and V is withheld.
     """
-    u = expm(1j * theta * np.asarray(generator, dtype=complex))
+    u = _symmetry_unitary(generator, theta)
     ua = np.einsum("st,tab->sab", u, a.data)
     d, dim = a.d, a.bond
     f_mat = sum(np.kron(ua[s], a.data[s].conj()) for s in range(d))
@@ -183,8 +195,10 @@ def boundary_operators(a: MPSTensor, v: np.ndarray, r_inj: int):
     (least squares; exact under injectivity), and exponentiated: since the
     matrix equation iterates, W = exp(O) then satisfies
     sum_{s'} W[s,s'] A^{(s')} = V A^{(s)} and is invertible by construction.
+    The general (non-Hermitian) matrix exponential and logarithm come from
+    scipy.linalg, imported here: nothing else in the module needs scipy.
     """
-    from scipy.linalg import logm
+    from scipy.linalg import expm, logm
     blocks = _blocked(a, r_inj)
     flat = blocks.reshape(blocks.shape[0], -1)
     pinv = np.linalg.pinv(flat)
@@ -232,7 +246,7 @@ def _embed_window(mat: np.ndarray, sites, n_sites: int, local_dim: int,
 def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,
                               psi: np.ndarray, n_sites: int) -> np.ndarray:
     """U^theta restricted to the patch, applied to the dense state."""
-    u = expm(1j * theta * np.asarray(generator, dtype=complex))
+    u = _symmetry_unitary(generator, theta)
     out = psi
     for j in lam_sites:
         out = _embed_window(u, (j,), n_sites, a.d, out)

@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 COEFF_TOL = 1e-14          # canonicalization drop tolerance (absolute)
 HERMITIAN_TOL = 1e-12
@@ -432,12 +431,12 @@ def truncate(op: LocalOperator, lam: Region, basis: str = "boson") -> LocalOpera
     return LocalOperator._trusted(op.n_sites, kept)
 
 
-def to_sparse(op: LocalOperator) -> sparse.csr_matrix:
-    """2^N x 2^N CSR matrix (site j = bit j).
+def _flip_diagonals(op: LocalOperator) -> dict:
+    """The matrix as {flip mask: diagonal}: entry (i ^ flip, i) is diagonal[i].
 
-    Strings sharing a flip mask fill the same entries (i ^ flip, i), so they
-    are summed on one dense diagonal of length 2^N per flip mask first;
-    memory is O(#flip masks * 2^N), not O(#terms * 2^N).
+    Strings sharing a flip mask fill the same entries, so they are summed on
+    one dense diagonal of length 2^N per flip mask; memory is
+    O(#flip masks * 2^N), not O(#terms * 2^N).
     """
     dim = 1 << op.n_sites
     diagonals: dict = {}
@@ -445,8 +444,19 @@ def to_sparse(op: LocalOperator) -> sparse.csr_matrix:
         if flip not in diagonals:
             diagonals[flip] = np.zeros(dim, dtype=complex)
         diagonals[flip][src] += vals
+    return diagonals
+
+
+def to_sparse(op: LocalOperator) -> "scipy.sparse.csr_matrix":
+    """2^N x 2^N CSR matrix (site j = bit j), the nonzeros of _flip_diagonals.
+
+    The only function in the module that needs scipy; it imports
+    scipy.sparse when called.
+    """
+    from scipy import sparse
+    dim = 1 << op.n_sites
     rows, cols, data = [], [], []
-    for flip, diag in diagonals.items():
+    for flip, diag in _flip_diagonals(op).items():
         nz = np.flatnonzero(diag)
         rows.append(nz ^ flip)
         cols.append(nz)
@@ -459,10 +469,15 @@ def to_sparse(op: LocalOperator) -> sparse.csr_matrix:
 
 
 def to_matrix(op: LocalOperator) -> np.ndarray:
-    """Dense 2^N x 2^N matrix; guarded against exponential blowup."""
+    """Dense 2^N x 2^N matrix filled from _flip_diagonals; guarded against blowup."""
     if op.n_sites > MATRIX_MAX_SITES:
         raise CapacityError(f"N={op.n_sites} exceeds dense guard {MATRIX_MAX_SITES}")
-    return to_sparse(op).toarray()
+    dim = 1 << op.n_sites
+    mat = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    for flip, diag in _flip_diagonals(op).items():
+        mat[idx ^ flip, idx] = diag
+    return mat
 
 
 # -- textual format ----------------------------------------------------------

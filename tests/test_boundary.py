@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import minimize_scalar
 
 from scartypes import boundary, canonical, mps, opspace, states
@@ -112,6 +113,65 @@ class TestSpectralNorm:
         for op in ops:
             dense = np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max()
             assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense
+
+    def test_every_patch_operator_of_the_benchmark_cases(self, setup10, monkeypatch):
+        # the patch operators classify builds for the benchmark's five verdicts
+        # (recorded at the call), and the two equivalence tests' truncations
+        s = setup10
+        n, vw = s["n"], [s["vac"], s["w"]]
+        rng = np.random.default_rng(8)
+        cases = [(s["imhop"], vw), (s["ntot"], vw), (s["rehop"], vw),
+                 (s["imhop2"], vw + [s["w2"]]),
+                 (canonical.random_type1(n, rng) + s["imhop"], vw)]
+        seen = []
+        norm = boundary.spectral_norm
+        monkeypatch.setattr(boundary, "spectral_norm", lambda op: seen.append(op) or norm(op))
+        for h, psis in cases:
+            classify(h, psis)
+        monkeypatch.undo()
+        assert len(seen) == 30 and {1 << op.n_sites for op in seen} == {1024}
+        lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
+        seen += [opspace.truncate(h, lam) for h in (s["imhop"], canonical.h_dmi(n), s["imhop2"])]
+        for op in seen:
+            dense = _dense_norm(op)
+            assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense
+
+    def test_krylov_space_closes(self):
+        n = 9
+        # x - sd - s is the zero matrix: beta = 0 at the first step
+        zero_matrix = opspace.parse_operator("x@0 ; -1 * sd@0 ; -1 * s@0", n)
+        assert zero_matrix.terms and boundary.spectral_norm(zero_matrix) == 0.0
+        # two eigenvalues, 1 and 3: the Krylov space closes after two steps
+        two_level = opspace.parse_operator("2 * id ; z@4", n)
+        assert boundary.spectral_norm(two_level) == pytest.approx(3.0, rel=1e-12)
+
+    def test_step_cap_raises_with_residual(self, setup10, monkeypatch):
+        monkeypatch.setattr(boundary, "LANCZOS_MAX_STEPS", 6)
+        with pytest.raises(ValueError, match="not converged in 6 steps: Ritz residual"):
+            boundary.spectral_norm(setup10["imhop"])
+
+
+def _dense_norm(op) -> float:
+    """max |eigvalsh| of the dense matrix, one particle-number block at a time
+    when the operator conserves the particle number (the whole matrix otherwise)."""
+    mat = opspace.to_matrix(op)
+    count = np.array([bin(i).count("1") for i in range(len(mat))])
+    if np.any(mat[count[:, None] != count]):
+        return float(np.abs(np.linalg.eigvalsh(mat)).max())
+    return max(float(np.abs(np.linalg.eigvalsh(mat[np.ix_(count == p, count == p)])).max())
+               for p in range(op.n_sites + 1))
+
+
+class TestGaugeBlock:
+    @pytest.mark.parametrize("n_states", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_block_diag(self, n_states, dtype):
+        rng = np.random.default_rng(n_states)
+        psis = [rng.normal(size=16).astype(dtype) * (1 + 1j if dtype is complex else 1)
+                for _ in range(n_states)]
+        got, want = boundary._gauge_block(psis), block_diag(*psis)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestClassify:

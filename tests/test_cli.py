@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scartypes import dynamics
+from scartypes import boundary, dynamics
 from scartypes.cli import run
 from test_dynamics import _reference_occupations, _reference_upsilon
 
@@ -55,6 +55,12 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_spectral_norm_step_cap_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(boundary, "LANCZOS_MAX_STEPS", 6)
+        code, out = invoke(["classify", "--ham", "h_imhop", "--N", "10"])
+        assert (code, out) == (2, "")
+        assert "Ritz residual" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestDecompose:
@@ -166,6 +172,16 @@ class TestDroplet:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(err.getvalue())
+
+    @pytest.mark.parametrize("spec,allowed", [("chop:alpha=0.9", "a, b, w"),
+                                              ("rehop:a=3,bogus=1", "w")])
+    def test_unknown_dispersion_key_exit_2(self, spec, allowed):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(["droplet", "--dispersion", spec, "--N", "40",
+                                "--M", "8", "--steps", "3"])
+        assert (code, out) == (2, "")
+        assert f"takes keys {allowed};" in json.loads(err.getvalue())["error"]
 
     def test_zero_steps(self):
         code, out = invoke(["droplet", "--dispersion", "imhop", "--N", "40",
@@ -284,7 +300,8 @@ _ARGV = st.one_of(
               st.integers(-1, 3).map(str), st.just("--Rp"), st.integers(-1, 3).map(str),
               st.just("--states"), _STATES, _OUT),
     st.tuples(st.just(["droplet", "--dispersion"]),
-              st.sampled_from(["rehop", "imhop", "chop:a=0.5,b=0.5", "bogus"]),
+              st.sampled_from(["rehop", "imhop", "chop:a=0.5,b=0.5", "chop:alpha=0.9",
+                               "bogus"]),
               st.just("--N"), _N, st.just("--M"), st.integers(0, 9).map(str),
               st.just("--G"), st.sampled_from(["0", "wt", "bwt", "1.5", "x"]),
               st.just("--tmax"), st.sampled_from(["2", "inf", "nan"]),

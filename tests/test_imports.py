@@ -1,0 +1,50 @@
+"""scipy stays off the import path: `import scartypes` and the pinned CLI commands.
+
+Each check runs in a fresh interpreter, since this test process has scipy
+loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the benchmark's pinned commands
+COMMANDS = [
+    "decompose --ham h_rehop --N 10",
+    "classify --ham n_tot --states w,vacuum --N 10",
+    "scan-classes --N 8 --R 2 --Rp 3 --states w,vacuum",
+    "variance --scan q --N 12",
+    "droplet --dispersion chop:a=0.5,b=0.5 --N 10000 --M 2000 --steps 600 --G bwt",
+    "droplet --dispersion chop --N 201 --M 51 --observable occupations",
+    "mps --tensor aklt --generator sz",
+    "mps --tensor ssh --generator sz",
+]
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run, as the child prints them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import sys\nimport scartypes") == "[]"
+
+
+def test_pinned_commands_load_no_scipy():
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from scartypes import cli",
+        f"for argv in {COMMANDS!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.run(argv.split()) == 0, argv",
+    ])
+    assert _scipy_modules_after(code) == "[]"

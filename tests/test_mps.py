@@ -98,6 +98,20 @@ class TestPushThrough:
             bad_spec.resolve(builtin_aklt())
 
 
+class TestSymmetryUnitary:
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1, -2.0])
+    @pytest.mark.parametrize("generator", [spin1_matrix("x"), spin1_matrix("y"),
+                                           spin1_matrix("z"), ssh_sz_matrix()],
+                             ids=["spin1-x", "spin1-y", "spin1-z", "ssh-sz"])
+    def test_matches_expm(self, generator, theta):
+        got = mps._symmetry_unitary(generator, theta)
+        assert np.abs(got - expm(1j * theta * generator)).max() < 1e-13
+
+    def test_non_hermitian_generator_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            mps._symmetry_unitary(spin1_matrix("x") + 1j * spin1_matrix("z"), 0.3)
+
+
 class TestBoundaryOperators:
     def test_identity_at_theta_zero(self):
         aklt = builtin_aklt()
