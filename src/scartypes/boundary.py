@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import canonical, opspace
+from . import canonical, nullspace, opspace
 from .opspace import LocalOperator, Region
 
 ACCEPT = 1e-8
@@ -56,6 +56,7 @@ class TypeLabel:
     value: str               # "I", "II", "III" or "indeterminate"
     evidence: tuple          # rows: (R_max, lam_length, res_general, res_hermitian)
     notes: tuple = ()
+    anchors_solved: tuple = ()   # sweep anchors whose patches were solved
 
 
 def spectral_norm(op: LocalOperator) -> float:
@@ -189,12 +190,18 @@ def _lstsq(mat, rhs, hermitian: bool):
 
     ``rhs`` is one right-hand side or several as columns.  With
     ``hermitian`` the solution is real (the system is split into real and
-    imaginary rows); the residual is complex either way.  numpy's default
-    rank cut applies.
+    imaginary rows); the residual is complex either way.  Only rows some
+    column reaches are solved: the columns are images of the target
+    states, so the other rows are exactly zero and dropping them leaves
+    mat^H mat and the minimum-norm solution as they are.  The rank cut is
+    numpy's default for the full system; the residual runs over every row.
     """
-    a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
-            else (mat, rhs))
-    sol = np.linalg.lstsq(a, b, rcond=None)[0].astype(complex)
+    rows = mat.any(axis=1)
+    rcond = np.finfo(float).eps * max(len(mat) * (1 + hermitian), mat.shape[1])
+    a, b = mat[rows], rhs[rows]
+    if hermitian:
+        a, b = (np.concatenate([x.real, x.imag]) for x in (a, b))
+    sol = np.linalg.lstsq(a, b, rcond=rcond)[0].astype(complex)
     return sol, mat @ sol - rhs
 
 
@@ -339,19 +346,32 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
     positions at fixed anchor.  Every target state must be an eigenstate
     of h (ClassificationError otherwise), and every R_max must leave a
     patch to sweep (ValueError otherwise).
+
+    Anchors 0 and N//3 are swept, evidence rows in that order.  When h
+    equals its one-site translate term for term and every state is a
+    translation eigenstate, the anchor-N//3 fits are the anchor-0 fits up
+    to a unitary per state, which leaves residual norms as they are: only
+    anchor 0 is solved, its rows repeated (``anchors_solved``).
     """
     for r_max in r_max_list:
         _require_window(r_max)
     for psi in states_list:
         canonical.require_eigenstate(h, psi)
+    n_sites = h.n_sites
+    shifted = LocalOperator(n_sites, {(s + 1, ops): c for (s, ops), c in h.terms.items()})
+    invariant = shifted.terms == h.terms and \
+        nullspace._translation_eigenstates(states_list, n_sites)
+    solved = (0,) if invariant else (0, n_sites // 3)
     notes = []
     evidence = []
     for r_max in r_max_list:
-        for lam in default_sweep(h.n_sites, r_max, anchors=(0, h.n_sites // 3),
+        rows = []
+        for lam in default_sweep(n_sites, r_max, anchors=solved,
                                  op_range=h.declared_range):
             fit, scale, _ = _patch(h, states_list, lam, r_max)
-            evidence.append((r_max, lam.length,
-                             *(fit(hermitian)[3] / scale for hermitian in (False, True))))
+            rows.append((r_max, lam.length,
+                         *(fit(hermitian)[3] / scale for hermitian in (False, True))))
+        evidence += rows * (2 // len(solved))
         if all(row[2] < ACCEPT for row in evidence) and \
                 not _left_independent(h, states_list, r_max):
             notes.append(f"left operator varies with right edge at R_max={r_max}")
@@ -366,7 +386,7 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
         value = "III"
     else:
         value = "indeterminate"
-    return TypeLabel(value, tuple(evidence), tuple(notes))
+    return TypeLabel(value, tuple(evidence), tuple(notes), solved)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,7 @@ def _cmd_classify(args) -> int:
                       "residual_general": g, "residual_hermitian": hh}
                      for r, l, g, hh in label.evidence],
         "notes": list(label.notes),
+        "anchors_solved": list(label.anchors_solved),
     }, args)
     return EXIT_INDETERMINATE if label.value == "indeterminate" else EXIT_OK
 

@@ -163,9 +163,13 @@ def push_through_check(a: MPSTensor, generator: np.ndarray, theta: float):
 
     V is the dominant eigenvector of the symmetry-twisted transfer map
     M -> sum_s (U A)^s M (A^s)^dag, unitarized and gauge-fixed to
-    det V real positive.  The residual is the worst Frobenius defect of
-    the push-through relation; when it exceeds the tolerance the state is
-    not symmetric and V is withheld.
+    det V real positive, which leaves a D-th root of unity (D the bond
+    dimension): the root taken puts arg tr V in [-pi/D, pi/D), so
+    Re tr V > 0 for D = 2, an argument within 2 pi PUSH_TOL / D of pi/D
+    counting as -pi/D.  When |tr V| <= PUSH_TOL the first entry of V in
+    row-major order above PUSH_TOL stands in for tr V.  The residual is
+    the worst Frobenius defect of the push-through relation; when it
+    exceeds the tolerance the state is not symmetric and V is withheld.
     """
     u = _symmetry_unitary(generator, theta)
     ua = np.einsum("st,tab->sab", u, a.data)
@@ -180,6 +184,9 @@ def push_through_check(a: MPSTensor, generator: np.ndarray, theta: float):
     v = m / scale
     det = np.linalg.det(v)
     v = v * np.exp(-1j * np.angle(det) / dim)
+    ref = np.trace(v) if abs(np.trace(v)) > PUSH_TOL else v[np.abs(v) > PUSH_TOL][0]
+    turns = np.floor(dim * np.angle(ref) / (2 * np.pi) + 0.5 + PUSH_TOL)
+    v = v * np.exp(-2j * np.pi * turns / dim)
     residual = max(
         float(np.linalg.norm(ua[s] - v @ a.data[s] @ v.conj().T))
         for s in range(d))

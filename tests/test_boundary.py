@@ -114,25 +114,27 @@ class TestSpectralNorm:
             dense = np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max()
             assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense
 
-    def test_every_patch_operator_of_the_benchmark_cases(self, setup10, monkeypatch):
-        # the patch operators classify builds for the benchmark's five verdicts
-        # (recorded at the call), and the two equivalence tests' truncations
+    def test_every_patch_operator_of_the_benchmark_cases(self, setup10):
+        # the patch operators of the benchmark's five verdicts at both sweep
+        # anchors, the truncation differences of the left/right-independence
+        # clause (reached by the four type I/II cases), and the two
+        # equivalence tests' truncations
         s = setup10
         n, vw = s["n"], [s["vac"], s["w"]]
         rng = np.random.default_rng(8)
-        cases = [(s["imhop"], vw), (s["ntot"], vw), (s["rehop"], vw),
-                 (s["imhop2"], vw + [s["w2"]]),
-                 (canonical.random_type1(n, rng) + s["imhop"], vw)]
-        seen = []
-        norm = boundary.spectral_norm
-        monkeypatch.setattr(boundary, "spectral_norm", lambda op: seen.append(op) or norm(op))
-        for h, psis in cases:
-            classify(h, psis)
-        monkeypatch.undo()
-        assert len(seen) == 30 and {1 << op.n_sites for op in seen} == {1024}
+        cases = [s["imhop"], s["ntot"], s["rehop"], s["imhop2"],
+                 canonical.random_type1(n, rng) + s["imhop"]]
+        ops = [opspace.truncate(h, lam) for h in cases
+               for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3),
+                                                 op_range=h.declared_range)]
+        for h in (s["imhop"], s["rehop"], s["imhop2"], cases[-1]):
+            min_len = max(2 * 2 + 3, 2 * h.declared_range + 1)
+            ops.append(opspace.truncate(h, Region(0, min_len, n))
+                       - opspace.truncate(h, Region(0, min_len - 1, n)))
+        assert len(ops) == 30 and {1 << op.n_sites for op in ops} == {1024}
         lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
-        seen += [opspace.truncate(h, lam) for h in (s["imhop"], canonical.h_dmi(n), s["imhop2"])]
-        for op in seen:
+        ops += [opspace.truncate(h, lam) for h in (s["imhop"], canonical.h_dmi(n), s["imhop2"])]
+        for op in ops:
             dense = _dense_norm(op)
             assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense
 
@@ -172,6 +174,183 @@ class TestGaugeBlock:
         got, want = boundary._gauge_block(psis), block_diag(*psis)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def _phased(rng, psis):
+    return [psi * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for psi in psis]
+
+
+def _benchmark_fits(n, rng):
+    """(design matrix, right-hand sides, hermitian, states) of every patch fit
+    of the benchmark's five verdicts at both sweep anchors, of their
+    left/right-independence clause, and of its two equivalence tests."""
+    vw = _phased(rng, [states.vacuum(n), states.w_state(n)])
+    vww2 = vw + _phased(rng, [states.w_p(n, 2)])
+    cases = [(canonical.h_imhop(n), vw), (canonical.n_tot(n), vw),
+             (canonical.h_rehop(n), vw), (canonical.h_imhop2(n), vww2),
+             (canonical.random_type1(n, rng) + canonical.h_imhop(n), vw)]
+    fits = []
+    for h, psis in cases:
+        for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3),
+                                          op_range=h.declared_range):
+            sites = lam.sites()
+            mat = boundary._design_matrix(psis, n, 2, tuple(sites[:2]), tuple(sites[-2:]))
+            rhs = np.concatenate([apply(opspace.truncate(h, lam), psi) for psi in psis])
+            fits += [(mat, rhs, hermitian, len(psis)) for hermitian in (False, True)]
+        min_len = max(2 * 2 + 3, 2 * h.declared_range + 1)
+        diff = opspace.truncate(h, Region(0, min_len, n)) \
+            - opspace.truncate(h, Region(0, min_len - 1, n))
+        mat = boundary._design_matrix(psis, n, 2, (), tuple(range(min_len - 2, min_len + 1)))
+        fits.append((mat, np.concatenate([apply(diff, psi) for psi in psis]), False, len(psis)))
+    lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
+    for h_a, h_b, psis in ((canonical.h_imhop(n), canonical.h_dmi(n), vw),
+                           (canonical.h_imhop(n), canonical.h_imhop2(n), vww2)):
+        mat = boundary._design_matrix(psis, n, 2, (0, 1), (5, 6))
+        rhs = np.array([np.concatenate([apply(opspace.truncate(h, lam), psi) for psi in psis])
+                        for h in (h_a, h_b)]).T
+        fits.append((mat, rhs, True, len(psis)))
+    return fits
+
+
+class TestLstsqRowReduction:
+    """_lstsq solves only the rows some column reaches; the reference is
+    numpy's lstsq on every row with its default rank cut."""
+
+    @staticmethod
+    def _compare(mat, rhs, hermitian, n_states, monkeypatch):
+        ranks = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            out = lstsq(a, b, rcond=rcond)
+            ranks.append(out[2])
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        _, resid = boundary._lstsq(mat, rhs, hermitian)
+        monkeypatch.undo()
+        a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
+                else (mat, rhs))
+        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        ref = mat @ sol.astype(complex) - rhs
+
+        def per_state(r):
+            return np.linalg.norm(r.reshape(n_states, -1, *r.shape[1:]), axis=1)
+
+        scale = per_state(rhs).max()
+        assert ranks == [rank]
+        assert np.abs(per_state(resid) - per_state(ref)).max() <= 1e-12 * scale
+
+    def test_benchmark_fits_match_all_rows(self, monkeypatch):
+        fits = _benchmark_fits(10, np.random.default_rng(31))
+        assert len(fits) == 2 * 26 + 5 + 2
+        dropped = 0
+        for mat, rhs, hermitian, n_states in fits:
+            dropped += not mat.any(axis=1).all()
+            self._compare(mat, rhs, hermitian, n_states, monkeypatch)
+        assert dropped == len(fits)     # {vacuum, W} reach few rows
+
+    def test_no_row_dropped(self, monkeypatch):
+        # a product state with no zero amplitude: every row is reached
+        n = 8
+        site = np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)])
+        psi = functools.reduce(np.kron, [site] * n)
+        lam = Region(1, 6, n)
+        h_lam = opspace.truncate(canonical.h_rehop(n) + canonical.h_dmi(n), lam)
+        mat = boundary._design_matrix([psi], n, 2, (1, 2), (5, 6))
+        assert mat.any(axis=1).all()
+        for hermitian in (False, True):
+            self._compare(mat, apply(h_lam, psi), hermitian, 1, monkeypatch)
+
+    def test_target_off_the_column_support_counts(self, monkeypatch):
+        # one particle at site 3 hops to sites 2 and 4, rows no window
+        # operator on sites 0, 1, 5, 6 reaches from it
+        n = 8
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[1 << 3] = 1.0
+        rhs = apply(opspace.truncate(canonical.h_rehop(n), Region(0, 6, n)), psi)
+        mat = boundary._design_matrix([psi], n, 2, (0, 1), (5, 6))
+        off = ~mat.any(axis=1)
+        assert np.linalg.norm(rhs[off]) > 0.5
+        _, resid = boundary._lstsq(mat, rhs, hermitian=False)
+        assert np.linalg.norm(resid) >= np.linalg.norm(rhs[off])
+        self._compare(mat, rhs, False, 1, monkeypatch)
+
+    def test_rank_cut_of_the_full_system(self, monkeypatch):
+        # singular values 1 and 1e-13: numpy's default cut, eps * max(M, N),
+        # keeps the second on 20 rows but drops it on all 4020
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(20, 2)))
+        mat = np.zeros((4020, 2), dtype=complex)
+        mat[::201] = q * [1.0, 1e-13]
+        rhs = mat @ [1.0, 1.0] + np.eye(4020)[7]
+        for hermitian in (False, True):
+            self._compare(mat, rhs, hermitian, 1, monkeypatch)
+
+
+class TestAnchorShortcut:
+    """classify solves anchor 0 only when h equals its one-site translate and
+    every state is a translation eigenstate; otherwise both anchors."""
+
+    @staticmethod
+    def _classify(h, psis, monkeypatch):
+        lefts, norms = [], []
+        patch, norm = boundary._patch, boundary.spectral_norm
+        monkeypatch.setattr(boundary, "_patch",
+                            lambda h, psis, lam, r: lefts.append(lam.left) or patch(h, psis, lam, r))
+        monkeypatch.setattr(boundary, "spectral_norm", lambda op: norms.append(op) or norm(op))
+        label = classify(h, psis)
+        monkeypatch.undo()
+        return label, lefts, len(norms)
+
+    @staticmethod
+    def _evidence_matches_own_anchor(h, psis, label):
+        n = h.n_sites
+        sweep = boundary.default_sweep(n, 2, anchors=(0, n // 3), op_range=h.declared_range)
+        assert len(label.evidence) == len(sweep)
+        for (_, length, gen, her), lam in zip(label.evidence, sweep):
+            assert length == lam.length
+            for hermitian, got in ((False, gen), (True, her)):
+                ref = boundary_solve(h, psis, lam, 2, hermitian=hermitian)
+                assert abs(got - ref.residual) <= 1e-12
+
+    def test_invariant_case_solves_anchor_zero(self, setup10, monkeypatch):
+        s = setup10
+        psis = _phased(np.random.default_rng(5), [s["vac"], s["w"]])
+        label, lefts, norms = self._classify(s["imhop"], psis, monkeypatch)
+        assert label.value == "II" and label.anchors_solved == (0,)
+        # three patch lengths at anchor 0, and the independence clause
+        assert lefts == [0, 0, 0] and norms == 4
+        self._evidence_matches_own_anchor(s["imhop"], psis, label)
+
+    def test_momentum_state_phase(self, setup10, monkeypatch):
+        # W_q picks up e^{iq} under translation: residual norms do not see it
+        s = setup10
+        psis = [s["vac"], states.w_q(s["n"], 1)]
+        label, lefts, _ = self._classify(s["imhop"], psis, monkeypatch)
+        assert label.anchors_solved == (0,) and set(lefts) == {0}
+        self._evidence_matches_own_anchor(s["imhop"], psis, label)
+
+    @pytest.mark.parametrize("case", ["single_particle", "non_invariant", "moved_1e-13"])
+    def test_solves_both_anchors(self, setup10, monkeypatch, case):
+        s = setup10
+        n, vw = s["n"], [s["vac"], s["w"]]
+        if case == "single_particle":
+            # eigenstates of n_tot, but not translation eigenstates
+            one = np.zeros(1 << n, dtype=complex)
+            one[1] = 1.0
+            h, psis = s["ntot"], [s["vac"], one]
+        elif case == "non_invariant":
+            rng = np.random.default_rng(6)
+            h = canonical.random_type1(n, rng, translation_invariant=False) + s["imhop"]
+            psis = vw
+        else:
+            h = opspace.LocalOperator(n, {**s["ntot"].terms, (4, ("n",)): 1.0 + 1e-13})
+            psis = vw
+        label, lefts, _ = self._classify(h, psis, monkeypatch)
+        assert label.anchors_solved == (0, n // 3)
+        assert lefts == [0] * (len(lefts) // 2) + [n // 3] * (len(lefts) // 2)
+        self._evidence_matches_own_anchor(h, psis, label)
 
 
 class TestClassify:

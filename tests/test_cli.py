@@ -30,6 +30,19 @@ class TestClassify:
         assert report["schema"] == 1
         assert all("residual_general" in row for row in report["evidence"])
 
+    def test_anchors_solved(self):
+        # {W, vacuum} are translation eigenstates: anchor 0 stands for both;
+        # the droplet is not one, so anchors 0 and N//3 are both solved
+        for states_arg, anchors in (("w,vacuum", [0]), ("vacuum,droplet:M=3", [0, 3])):
+            code, out = invoke(["classify", "--ham", "n_tot", "--states", states_arg,
+                                "--N", "10"])
+            assert code == 0
+            assert json.loads(out)["anchors_solved"] == anchors
+
+    def test_default_reports_byte_identical(self):
+        argv = ["classify", "--ham", "h_imhop", "--states", "w,vacuum", "--N", "10"]
+        assert invoke(argv) == invoke(argv)
+
     def test_non_eigenstate_precondition(self):
         # the droplet is no eigenstate of h_rehop: ||(H - E)psi|| = 0.47
         code, out = invoke(["classify", "--ham", "h_rehop",

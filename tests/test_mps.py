@@ -83,6 +83,21 @@ class TestPushThrough:
         assert res < 1e-10
         assert abs(v[0, 1]) < 1e-10 and abs(v[1, 0]) < 1e-10
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("theta", [-2.0, np.pi])
+    def test_bond_unitary_sign_matches_expm_reference(self, axis, theta, monkeypatch):
+        # det V > 0 leaves V up to sign at bond dimension 2; Re tr V > 0 (at
+        # theta = pi, where tr V = 0, the tie-break) fixes it independently
+        # of how U = e^{i theta L} is computed
+        gen = spin1_matrix(axis)
+        v, _ = push_through_check(builtin_aklt(), gen, theta)
+        monkeypatch.setattr(mps, "_symmetry_unitary",
+                            lambda g, t: expm(1j * t * np.asarray(g, dtype=complex)))
+        ref, _ = push_through_check(builtin_aklt(), gen, theta)
+        assert np.abs(v - ref).max() < 1e-12
+        if theta == -2.0:
+            assert np.trace(v) == pytest.approx(2 * np.cos(1.0), abs=1e-12)
+
     def test_not_symmetric_reports_residual(self):
         bad = np.diag([1.0, 0.0, 0.0]).astype(complex)
         v, res = push_through_check(builtin_aklt(), bad, 0.5)
