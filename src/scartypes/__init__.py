@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from . import (boundary, canonical, cli, dynamics, mps, nullspace, opspace,
-               scars, states)
+from . import (boundary, canonical, dynamics, mps, nullspace, opspace, scars,
+               states)
 
 __all__ = ["boundary", "canonical", "cli", "dynamics", "mps", "nullspace",
            "opspace", "scars", "states", "__version__"]

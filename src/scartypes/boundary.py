@@ -318,14 +318,16 @@ def _left_independent(h, states_list, r_max) -> bool:
 
     Growing the patch by one site on the right must change the action only
     by right-localized operators: the truncation difference is fitted with
-    an empty left window.
+    an empty left window.  The clause is skipped (True) when the patch cannot
+    grow: the grown patch of min_len + 1 sites would leave fewer than two
+    sites outside it.
     """
     n_sites = h.n_sites
     min_len = max(2 * r_max + 3, 2 * h.declared_range + 1)
+    if min_len + 1 > n_sites - 2:
+        return True
     short = Region(0, min_len - 1, n_sites)
     grown = Region(0, min_len, n_sites)
-    if grown.length > n_sites - 2:
-        return True
     diff = opspace.truncate(h, grown) - opspace.truncate(h, short)
     targets = [opspace.apply(diff, psi) for psi in states_list]
     right_sites = tuple(grown.sites()[-(r_max + 1):])

@@ -180,30 +180,35 @@ def p_nonherm(n_sites: int, j: int) -> LocalOperator:
                                   ((0, ("n",)), -0.5j), ((1, ("n",)), 0.5j))], [j])
 
 
-_BUILTINS = {
-    "n_tot": lambda n, **kw: n_tot(n),
-    "h_imhop": lambda n, **kw: h_imhop(n),
-    "h_rehop": lambda n, **kw: h_rehop(n),
-    "h_imhop2": lambda n, **kw: h_imhop2(n),
-    "h_imhop_p": lambda n, **kw: h_imhop_p(n, kw.get("p", 2)),
-    "h_dmi": lambda n, **kw: h_dmi(n, kw.get("axis", "z")),
-    "h_heis": lambda n, **kw: h_heis(n),
-    "p_re": lambda n, **kw: p_re(n, kw.get("j", 0), kw.get("alpha", 1)),
-    "p_im": lambda n, **kw: p_im(n, kw.get("j", 0), kw.get("alpha", 2)),
-    "p_nonherm": lambda n, **kw: p_nonherm(n, kw.get("j", 0)),
+BUILTINS = {
+    "n_tot": (n_tot, {}),
+    "h_imhop": (h_imhop, {}),
+    "h_rehop": (h_rehop, {}),
+    "h_imhop2": (h_imhop2, {}),
+    "h_imhop_p": (h_imhop_p, {"p": 2}),
+    "h_dmi": (h_dmi, {"axis": "z"}),
+    "h_heis": (h_heis, {}),
+    "p_re": (p_re, {"j": 0, "alpha": 1}),
+    "p_im": (p_im, {"j": 0, "alpha": 2}),
+    "p_nonherm": (p_nonherm, {"j": 0}),
 }
 
 
 def builtin(name: str, n_sites: int, **kwargs) -> LocalOperator:
-    """Named PBC operators as printed in the source material."""
+    """Named PBC operators as printed in the source material.
+
+    ``BUILTINS`` maps each name to its constructor and {keyword: default}; an
+    unknown name raises KeyError, an unknown keyword ValueError.
+    """
     key = name.strip().lower()
-    if key not in _BUILTINS:
-        raise KeyError(f"unknown builtin {name!r}; have {sorted(_BUILTINS)}")
-    return _BUILTINS[key](n_sites, **kwargs)
-
-
-def builtin_names() -> list[str]:
-    return sorted(_BUILTINS)
+    if key not in BUILTINS:
+        raise KeyError(f"unknown builtin {name!r}; have {sorted(BUILTINS)}")
+    build, defaults = BUILTINS[key]
+    unknown = sorted(set(kwargs) - set(defaults))
+    if unknown:
+        raise ValueError(f"{key} takes keys {', '.join(defaults) or '(none)'};"
+                         f" unknown: {', '.join(unknown)}")
+    return build(n_sites, **{**defaults, **kwargs})
 
 
 # -- Table I/II verification --------------------------------------------------

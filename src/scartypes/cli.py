@@ -31,17 +31,66 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_STATES = {
+    "vacuum": (states.vacuum, {}),
+    "w": (states.w_state, {}),
+    "wq": (states.w_q, {"m": 1}),
+    "wp": (states.w_p, {"p": 2}),
+    "droplet": (states.droplet, {"M": None, "p": 1}),    # M defaults to N
+}
+
+_DISPERSIONS = {
+    "rehop": (dynamics.rehop, {"w": 1.0}),
+    "imhop": (dynamics.imhop, {"w": 1.0}),
+    "chop": (dynamics.chop, {"a": 0.5, "b": 0.5, "w": 1.0}),
+}
+
+
+def _build(spec: str, table: dict, what: str, *lead):
+    """Build ``name`` or ``name:key=value,...`` from ``table``.
+
+    ``table`` maps names to (constructor, {key: default}), keys in parameter
+    order after the ``lead`` arguments; a value takes its default's type, a
+    None default stands for N = lead[0].  An unknown name or key, or a value
+    that does not convert, raises ValueError.
+    """
+    name, _, arg_txt = spec.partition(":")
+    name = name.strip().lower()
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; have {', '.join(sorted(table))}")
+    build, defaults = table[name]
+    kwargs = {k: lead[0] if v is None else v for k, v in defaults.items()}
+    for pair in filter(None, arg_txt.split(",")):
+        key, _, val = pair.partition("=")
+        key = key.strip()
+        if key not in kwargs:
+            raise ValueError(f"{what} {name} takes keys {', '.join(kwargs) or '(none)'};"
+                             f" unknown: {key}")
+        kind = type(kwargs[key])
+        try:
+            kwargs[key] = kind(val)
+        except ValueError:
+            raise ValueError(f"{what} {name}: {key}={val!r} is not {kind.__name__}") from None
+    return build(*lead, *kwargs.values())
+
+
 def _load_hamiltonian(spec: str, n_sites: int) -> opspace.LocalOperator:
     """Builtin name, name:key=value options, or a .op file path."""
     if os.path.exists(spec) or spec.endswith(".op"):
         with open(spec) as fh:
             return opspace.parse_operator(fh.read(), n_sites)
-    name, _, arg_txt = spec.partition(":")
-    kwargs = {}
-    for pair in filter(None, arg_txt.split(",")):
-        key, _, val = pair.partition("=")
-        kwargs[key.strip()] = val if val.isalpha() else int(val)
-    return canonical.builtin(name, n_sites, **kwargs)
+    return _build(spec, canonical.BUILTINS, "Hamiltonian", n_sites)
+
+
+def _states_arg(text: str, n_sites: int):
+    """Comma-separated state specs; a bare key=value token continues the spec before it."""
+    specs = []
+    for tok in text.split(","):
+        if specs and "=" in tok and ":" not in tok:
+            specs[-1] += ("," if ":" in specs[-1] else ":") + tok
+        else:
+            specs.append(tok)
+    return [_build(spec, _STATES, "state", n_sites) for spec in specs]
 
 
 def _emit(report: dict, args) -> None:
@@ -87,19 +136,11 @@ def _write_plot_blocks(path, blocks):
         fh.write("\n\n".join(chunks) + "\n")
 
 
-def _states_arg(names: str, n_sites: int):
-    return [states.state_by_name(tok, n_sites) for tok in names.split(",")]
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_decompose(args) -> int:
     h = _load_hamiltonian(args.ham, args.N)
-    try:
-        form = canonical.decompose(h)
-    except canonical.ClassificationError as exc:
-        _emit({"error": str(exc), "config": _config(args)}, args)
-        return EXIT_PRECONDITION
+    form = canonical.decompose(h)
     _emit({
         "config": _config(args),
         "Omega": form.omega_id,
@@ -129,12 +170,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_scan_classes(args) -> int:
     psis = _states_arg(args.states, args.N)
-    try:
-        res = nullspace.count_type_classes(args.N, args.R, args.Rp, psis,
-                                           degenerate=args.degenerate)
-    except (ValueError, opspace.CapacityError) as exc:
-        _emit({"error": str(exc), "config": _config(args)}, args)
-        return EXIT_PRECONDITION
+    res = nullspace.count_type_classes(args.N, args.R, args.Rp, psis,
+                                       degenerate=args.degenerate)
     _emit({
         "config": _config(args),
         "N_II": res.n_ii,
@@ -167,31 +204,8 @@ def _cmd_variance(args) -> int:
     return EXIT_OK
 
 
-_DISPERSION_KEYS = {"rehop": ("w",), "imhop": ("w",), "chop": ("a", "b", "w")}
-
-
-def _parse_dispersion(spec: str) -> dynamics.Dispersion:
-    """``name`` or ``name:key=value,...``; a key the dispersion lacks raises ValueError."""
-    name, _, arg_txt = spec.partition(":")
-    name = name.lower()
-    if name not in _DISPERSION_KEYS:
-        raise ValueError(f"unknown dispersion {spec!r}")
-    kwargs = {}
-    for pair in filter(None, arg_txt.split(",")):
-        key, _, val = pair.partition("=")
-        kwargs[key.strip()] = float(val)
-    unknown = sorted(set(kwargs) - set(_DISPERSION_KEYS[name]))
-    if unknown:
-        raise ValueError(f"dispersion {name} takes keys {', '.join(_DISPERSION_KEYS[name])};"
-                         f" unknown: {', '.join(unknown)}")
-    w = kwargs.get("w", 1.0)
-    if name == "chop":
-        return dynamics.chop(kwargs.get("a", 0.5), kwargs.get("b", 0.5), w)
-    return {"rehop": dynamics.rehop, "imhop": dynamics.imhop}[name](w)
-
-
 def _cmd_droplet(args) -> int:
-    disp = _parse_dispersion(args.dispersion)
+    disp = _build(args.dispersion, _DISPERSIONS, "dispersion")
     run = dynamics.DropletRun(args.N, args.M, disp)
     rate = {"0": 0.0, "wt": disp.w, "bwt": disp.beta * disp.w}.get(args.G)
     shift = float(args.G) if rate is None else 0.0   # fixed translation

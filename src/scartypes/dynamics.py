@@ -31,13 +31,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dispersion:
-    """2-pi-periodic single-particle dispersion with eps(0) = 0."""
+    """2-pi-periodic dispersion eps(q) = w (alpha (1 - cos q) + beta sin q), or
+    ``table(q)`` when a callable table is given; eps(0) = 0."""
 
-    kind: str
     w: float = 1.0
     alpha: float = 0.0
     beta: float = 0.0
-    table: object = None      # callable q -> eps for kind "custom"
+    table: object = None
 
     def __post_init__(self):
         if not np.isfinite([self.w, self.alpha, self.beta]).all():
@@ -45,40 +45,32 @@ class Dispersion:
 
     def eps(self, q):
         q = np.asarray(q, dtype=float)
-        if self.kind == "rehop":
-            return self.w * (1.0 - np.cos(q))
-        if self.kind == "imhop":
-            return self.w * np.sin(q)
-        if self.kind == "chop":
-            return self.w * (self.alpha * (1.0 - np.cos(q)) + self.beta * np.sin(q))
-        if self.kind == "custom":
+        if self.table is not None:
             return np.asarray(self.table(q), dtype=float)
-        raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        return self.w * (self.alpha * (1.0 - np.cos(q)) + self.beta * np.sin(q))
 
     def velocity_scale(self) -> float:
         """Bound on |d eps/dq| used to size quadrature panels."""
-        if self.kind == "rehop" or self.kind == "imhop":
-            return abs(self.w)
-        if self.kind == "chop":
+        if self.table is None:
             return abs(self.w) * float(np.hypot(self.alpha, self.beta))
         qs = np.linspace(-np.pi, np.pi, 4097)
         return float(np.abs(np.gradient(self.eps(qs), qs)).max())
 
 
 def rehop(w: float = 1.0) -> Dispersion:
-    return Dispersion("rehop", w)
+    return Dispersion(w, 1.0, 0.0)
 
 
 def imhop(w: float = 1.0) -> Dispersion:
-    return Dispersion("imhop", w)
+    return Dispersion(w, 0.0, 1.0)
 
 
 def chop(alpha: float, beta: float, w: float = 1.0) -> Dispersion:
-    return Dispersion("chop", w, alpha, beta)
+    return Dispersion(w, alpha, beta)
 
 
 def custom(table) -> Dispersion:
-    return Dispersion("custom", 1.0, table=table)
+    return Dispersion(table=table)
 
 
 @dataclass(frozen=True)
@@ -181,19 +173,13 @@ def upsilon_thermo(dispersion: Dispersion, m_size: int, t: float, g_shift: float
 
 
 def early_time(dispersion: Dispersion, m_size: int, t: float) -> complex:
-    """Closed-form small-t limit of Upsilon_0(t, M) for the named kinds."""
+    """Closed-form small-t limit of Upsilon_0(t, M) for the alpha/beta formula."""
     if m_size < 2:
         raise ValueError("closed forms assume M >= 2")
-    w, wt = dispersion.w, dispersion.w * t
-    if dispersion.kind == "rehop":
-        return complex(wt ** 2 / (2 * m_size), wt / m_size)
-    if dispersion.kind == "imhop":
-        return complex(wt ** 2 / (2 * m_size), 0.0)
-    if dispersion.kind == "chop":
-        a, b = dispersion.alpha, dispersion.beta
-        return complex((a * a + b * b) * wt ** 2 / (2 * m_size),
-                       a * wt / m_size)
-    raise ValueError("early-time forms exist for rehop/imhop/chop only")
+    if dispersion.table is not None:
+        raise ValueError("early-time forms exist for the alpha/beta formula only")
+    a, b, wt = dispersion.alpha, dispersion.beta, dispersion.w * t
+    return complex((a * a + b * b) * wt ** 2 / (2 * m_size), a * wt / m_size)
 
 
 def leakage(run: DropletRun, t: float, g_shift: float) -> float:

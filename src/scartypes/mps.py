@@ -49,23 +49,6 @@ class NotInjective:
     max_block: int
 
 
-@dataclass(frozen=True)
-class SymmetrySpec:
-    generator: np.ndarray     # Hermitian d x d
-    theta_samples: tuple = (0.3, 0.7, 1.1)
-
-    def resolve(self, a: "MPSTensor") -> dict:
-        """Bond unitary and push-through residual per sampled angle."""
-        out = {}
-        for theta in self.theta_samples:
-            v, res = push_through_check(a, self.generator, theta)
-            if v is None:
-                raise NotSymmetricError(
-                    f"push-through residual {res:.3e} at theta={theta}")
-            out[theta] = (v, res)
-        return out
-
-
 def builtin_aklt() -> MPSTensor:
     """A^+- = +-sqrt(2/3) sigma^+-, A^0 = -(1/sqrt 3) sigma^z; basis (+,0,-)."""
     sp = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -132,25 +132,3 @@ def dense_schmidt_values(psi: np.ndarray, region: Region) -> np.ndarray:
     mat = np.zeros((1 << len(inside), 1 << len(outside)), dtype=complex)
     mat[row, col] = psi
     return np.linalg.svd(mat, compute_uv=False)
-
-
-def state_by_name(name: str, n_sites: int) -> np.ndarray:
-    """CLI-facing state names: vacuum, w, wq:m=3, wp:p=2, droplet:M=51,p=1."""
-    base, _, arg_txt = name.partition(":")
-    args = {}
-    if arg_txt:
-        for pair in arg_txt.split(","):
-            key, _, val = pair.partition("=")
-            args[key.strip()] = int(val)
-    base = base.strip().lower()
-    if base == "vacuum":
-        return vacuum(n_sites)
-    if base == "w":
-        return w_state(n_sites)
-    if base == "wq":
-        return w_q(n_sites, args.get("m", 1))
-    if base == "wp":
-        return w_p(n_sites, args.get("p", 2))
-    if base == "droplet":
-        return droplet(n_sites, args.get("M", n_sites), args.get("p", 1))
-    raise ValueError(f"unknown state {name!r}")

@@ -72,7 +72,7 @@ class TestBuiltins:
     def test_all_builtins_keep_w_an_eigenstate(self):
         n = 8
         w = states.w_state(n)
-        for name in canonical.builtin_names():
+        for name in sorted(canonical.BUILTINS):
             op = builtin(name, n)
             hw = apply(op, w)
             e = np.vdot(w, hw)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scartypes import boundary, dynamics
+from scartypes import boundary, canonical, cli, dynamics, states
 from scartypes.cli import run
+from scartypes.opspace import operators_equal
 from test_dynamics import _reference_occupations, _reference_upsilon
 
 
@@ -38,6 +39,13 @@ class TestClassify:
                                 "--N", "10"])
             assert code == 0
             assert json.loads(out)["anchors_solved"] == anchors
+
+    @pytest.mark.parametrize("ham,verdict", [("h_imhop", "II"), ("h_rehop", "I"),
+                                             ("h_dmi", "II"), ("n_tot", "III")])
+    def test_ring_of_two_rmax_plus_four(self, ham, verdict):
+        # N = 2 R_max + 4: the left/right-independence patch cannot grow
+        code, out = invoke(["classify", "--ham", ham, "--N", "8"])
+        assert (code, json.loads(out)["type"]) == (0, verdict)
 
     def test_default_reports_byte_identical(self):
         argv = ["classify", "--ham", "h_imhop", "--states", "w,vacuum", "--N", "10"]
@@ -95,12 +103,12 @@ class TestDecompose:
         assert code == 0
         assert report["omega"]["re"] == pytest.approx(1.0)
 
-    def test_non_eigenstate_precondition(self, tmp_path):
+    def test_non_eigenstate_precondition(self, tmp_path, capsys):
         path = tmp_path / "bad.op"
         path.write_text("1.0 * n@0\n")
-        code, _ = invoke(["decompose", "--ham", str(path), "--N", "8"])
-        assert code == 2
-
+        code, out = invoke(["decompose", "--ham", str(path), "--N", "8"])
+        assert (code, out) == (2, "")
+        assert "not an eigenstate" in json.loads(capsys.readouterr().err)["error"]
 
     def test_window_wider_than_ring(self, capsys):
         code, out = invoke(["decompose", "--ham", "h_imhop2", "--N", "2"])
@@ -123,6 +131,11 @@ class TestScanClasses:
         code, _ = invoke(["scan-classes", "--N", "14", "--R", "2", "--Rp", "2",
                           "--states", "vacuum"])
         assert code == 2
+
+    def test_window_order_error_on_stderr(self, capsys):
+        code, out = invoke(["scan-classes", "--N", "8", "--R", "3", "--Rp", "2"])
+        assert (code, out) == (2, "")
+        assert "R' >= R" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestDroplet:
@@ -277,6 +290,86 @@ class TestVariance:
         assert report["fit"] is None or "exponent" in report["fit"]
 
 
+_N_SPEC = 8
+
+
+def _dispersion(spec, n_sites):
+    return cli._build(spec, cli._DISPERSIONS, "dispersion")
+
+
+def _same(got, want):
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(np.array_equal, got, want))
+    if isinstance(want, dynamics.Dispersion):
+        return got == want
+    return operators_equal(got, want, tol=0.0)
+
+
+_GRAMMAR = [
+    # every builtin, each documented key set to a non-default value
+    *[(cli._load_hamiltonian, name, getattr(canonical, name))
+      for name in ("n_tot", "h_imhop", "h_rehop", "h_imhop2", "h_heis")],
+    (cli._load_hamiltonian, "h_imhop_p:p=3", lambda n: canonical.h_imhop_p(n, 3)),
+    (cli._load_hamiltonian, "h_dmi:axis=x", lambda n: canonical.h_dmi(n, "x")),
+    (cli._load_hamiltonian, "p_re:j=1,alpha=2", lambda n: canonical.p_re(n, 1, 2)),
+    (cli._load_hamiltonian, "p_im:j=2,alpha=3", lambda n: canonical.p_im(n, 2, 3)),
+    (cli._load_hamiltonian, "p_nonherm:j=3", lambda n: canonical.p_nonherm(n, 3)),
+    (cli._load_hamiltonian, "H_ImHop_P", lambda n: canonical.h_imhop_p(n, 2)),
+    # the five state names; a bare key=value continues the spec before it
+    (cli._states_arg, "vacuum", lambda n: [states.vacuum(n)]),
+    (cli._states_arg, "w", lambda n: [states.w_state(n)]),
+    (cli._states_arg, "wq:m=3", lambda n: [states.w_q(n, 3)]),
+    (cli._states_arg, "wp:p=2", lambda n: [states.w_p(n, 2)]),
+    (cli._states_arg, "droplet:M=5,p=1", lambda n: [states.droplet(n, 5, 1)]),
+    (cli._states_arg, "droplet", lambda n: [states.droplet(n, n, 1)]),
+    (cli._states_arg, "droplet:M=4,p=2,vacuum,wq:m=2,w",
+     lambda n: [states.droplet(n, 4, 2), states.vacuum(n), states.w_q(n, 2),
+                states.w_state(n)]),
+    (cli._states_arg, "droplet,p=2", lambda n: [states.droplet(n, n, 2)]),
+    # the three dispersions, float values
+    (_dispersion, "rehop:w=0.7", lambda n: dynamics.rehop(0.7)),
+    (_dispersion, "imhop", lambda n: dynamics.imhop()),
+    (_dispersion, "chop:a=0.3,b=0.8,w=2", lambda n: dynamics.chop(0.3, 0.8, 2.0)),
+]
+
+# each names the bad key or value its error must quote
+_MALFORMED = [
+    (["decompose", "--ham", "h_imhop_p:p=x"], "p='x'"),
+    (["decompose", "--ham", "p_re:alpha=x"], "alpha='x'"),
+    (["decompose", "--ham", "p_re:alpha="], "alpha=''"),
+    (["decompose", "--ham", "h_rehop:bogus=1"], "unknown: bogus"),
+    (["decompose", "--ham", "h_bogus"], "'h_bogus'"),
+    (["classify", "--ham", "h_imhop", "--states", "wq:M=3,vacuum"], "unknown: M"),
+    (["scan-classes", "--R", "2", "--Rp", "2", "--states", "wp:q=3"], "unknown: q"),
+    (["classify", "--ham", "h_imhop", "--states", "wp:p=x"], "p='x'"),
+    (["classify", "--ham", "h_imhop", "--states", "w,p=1"], "unknown: p"),
+    (["classify", "--ham", "h_imhop", "--states", "ghz"], "'ghz'"),
+    (["droplet", "--M", "4", "--dispersion", "chop:a=x"], "a='x'"),
+]
+
+
+class TestSpecGrammar:
+    @pytest.mark.parametrize("read,spec,want", _GRAMMAR, ids=[c[1] for c in _GRAMMAR])
+    def test_spec_builds(self, read, spec, want):
+        assert _same(read(spec, _N_SPEC), want(_N_SPEC))
+
+    @pytest.mark.parametrize("argv,named", _MALFORMED,
+                             ids=[argv[-1] for argv, _ in _MALFORMED])
+    def test_malformed_spec_exit_2(self, argv, named, capsys):
+        code, out = invoke(argv + ["--N", str(_N_SPEC)])
+        assert (code, out) == (2, "")
+        assert named in json.loads(capsys.readouterr().err)["error"]
+
+    def test_key_continues_state_spec(self):
+        reports = []
+        for states_arg in ("droplet:M=4,p=1,vacuum", "droplet:M=4,vacuum"):
+            code, out = invoke(["scan-classes", "--N", "8", "--R", "2", "--Rp", "2",
+                                "--states", states_arg])
+            assert code == 0
+            reports.append({k: v for k, v in json.loads(out).items() if k != "config"})
+        assert reports[0] == reports[1]
+
+
 class TestProtocol:
     def test_help_exits_zero(self):
         code, _ = invoke(["--help"])
@@ -301,9 +394,11 @@ class TestProtocol:
 _N = st.integers(2, 8).map(str)
 _HAM = st.sampled_from(["h_rehop", "h_imhop", "h_imhop2", "h_dmi", "h_heis", "n_tot",
                         "p_nonherm", "h_imhop_p:p=3", "p_re:alpha=4", "bogus",
+                        "h_imhop_p:p=x", "h_rehop:bogus=1", "p_re:alpha=",
                         "missing.op", "no/such/dir/ham.op", "missing.json"])
 _STATES = st.lists(st.sampled_from(["vacuum", "w", "wq:m=1", "wp:p=2", "droplet:M=2",
-                                    "bogus"]), min_size=1, max_size=3).map(",".join)
+                                    "bogus", "wq:M=3", "wp:p=x", "droplet:M=2,p=1"]),
+                   min_size=1, max_size=3).map(",".join)
 _OUT = st.sampled_from([[], ["--out", "no/such/dir/report.json"]])
 _ARGV = st.one_of(
     st.tuples(st.just(["decompose", "--ham"]), _HAM, st.just("--N"), _N, _OUT),
@@ -314,7 +409,7 @@ _ARGV = st.one_of(
               st.just("--states"), _STATES, _OUT),
     st.tuples(st.just(["droplet", "--dispersion"]),
               st.sampled_from(["rehop", "imhop", "chop:a=0.5,b=0.5", "chop:alpha=0.9",
-                               "bogus"]),
+                               "chop:a=x", "bogus"]),
               st.just("--N"), _N, st.just("--M"), st.integers(0, 9).map(str),
               st.just("--G"), st.sampled_from(["0", "wt", "bwt", "1.5", "x"]),
               st.just("--tmax"), st.sampled_from(["2", "inf", "nan"]),

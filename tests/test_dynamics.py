@@ -152,7 +152,7 @@ class TestUpsilon:
                                      {"beta": -np.inf}])
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValueError):
-            dynamics.Dispersion("chop", **bad)
+            dynamics.Dispersion(**bad)
 
     def test_quadrature_convergence_error(self):
         with pytest.raises(dynamics.QuadratureError):

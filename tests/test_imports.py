@@ -1,4 +1,5 @@
-"""scipy stays off the import path: `import scartypes` and the pinned CLI commands.
+"""Import hygiene: scipy stays off the import path of `import scartypes` and the
+pinned CLI commands, and `python -m scartypes.cli` runs without a runpy warning.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
@@ -24,12 +25,14 @@ COMMANDS = [
 ]
 
 
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def _scipy_modules_after(code: str) -> str:
     """The scipy modules loaded once ``code`` has run, as the child prints them."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     script = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
@@ -48,3 +51,11 @@ def test_pinned_commands_load_no_scipy():
         "        assert cli.run(argv.split()) == 0, argv",
     ])
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_module_entry_point_without_runpy_warning():
+    # the package must not import cli eagerly, or runpy warns that it is loaded twice
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "scartypes.cli", "mps", "--tensor", "aklt", "--generator", "sz"],
+                          env=ENV, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -103,15 +103,6 @@ class TestPushThrough:
         v, res = push_through_check(builtin_aklt(), bad, 0.5)
         assert v is None and res > 1e-3
 
-    def test_symmetry_spec_resolve(self):
-        spec = mps.SymmetrySpec(spin1_matrix("z"), (0.3, 0.7))
-        resolved = spec.resolve(builtin_aklt())
-        assert set(resolved) == {0.3, 0.7}
-        assert all(res < 1e-10 for _, res in resolved.values())
-        bad_spec = mps.SymmetrySpec(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        with pytest.raises(NotSymmetricError):
-            bad_spec.resolve(builtin_aklt())
-
 
 class TestSymmetryUnitary:
     @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1, -2.0])

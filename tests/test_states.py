@@ -135,18 +135,3 @@ class TestSchmidt:
         assert np.abs(got - expected).max() < 1e-10
         # remaining singular values vanish
         assert np.all(svals[np.argsort(-svals)][expected.size:] < 1e-10)
-
-
-class TestStateNames:
-    def test_names(self):
-        n = 8
-        assert np.allclose(states.state_by_name("vacuum", n), states.vacuum(n))
-        assert np.allclose(states.state_by_name("w", n), states.w_state(n))
-        assert np.allclose(states.state_by_name("wq:m=3", n), states.w_q(n, 3))
-        assert np.allclose(states.state_by_name("wp:p=2", n), states.w_p(n, 2))
-        assert np.allclose(states.state_by_name("droplet:M=5,p=1", n),
-                           states.droplet(n, 5, 1))
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            states.state_by_name("ghz", 4)
