@@ -74,15 +74,21 @@ def spectral_norm(op: LocalOperator) -> float:
     No convergence within LANCZOS_MAX_STEPS steps raises ValueError with
     the residual reached.
     """
-    dim = 1 << op.n_sites
-    if not op.terms:
+    return _spectral_norm(opspace._flip_diagonals(op), op.n_sites)
+
+
+def _spectral_norm(diagonals: dict, n_sites: int) -> float:
+    """spectral_norm of the operator with these flip diagonals."""
+    dim = 1 << n_sites
+    if not diagonals:
         return 0.0
-    if dim <= 256:
-        return float(np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max())
-    diagonals = opspace._flip_diagonals(op)
     idx = np.arange(dim)
     perm = idx ^ np.fromiter(diagonals, dtype=np.int64)[:, None]      # (flips, dim)
     gains = np.take_along_axis(np.array(list(diagonals.values())), perm, axis=1)
+    if dim <= 256:                  # the matrix of opspace.to_matrix, entry (i, i ^ f)
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[idx, perm] = gains
+        return float(np.abs(np.linalg.eigvalsh(mat)).max())
     if not gains.imag.any():        # a real matrix: Lanczos in real arithmetic
         gains = gains.real
     steps = min(dim, LANCZOS_MAX_STEPS)
@@ -244,6 +250,22 @@ def _require_window(r_max: int) -> None:
         raise ValueError(f"boundary window R_max = {r_max} must be at least 1")
 
 
+def _action(op: LocalOperator, states_list):
+    """Targets op|psi> for every state and op's spectral norm (floored at
+    1e-300), from one decode: (op psi)[i ^ f] += g_f[i] psi[i]."""
+    diagonals = opspace._flip_diagonals(op)
+    idx = np.arange(1 << op.n_sites)
+    targets = []
+    for psi in states_list:
+        if psi.shape != idx.shape:
+            raise opspace.DimensionError(f"state has shape {psi.shape}, expected {idx.shape}")
+        out = np.zeros(idx.size, dtype=complex)
+        for flip, gain in diagonals.items():
+            out[idx ^ flip] += gain * psi
+        targets.append(out)
+    return targets, max(_spectral_norm(diagonals, op.n_sites), 1e-300)
+
+
 def _patch(h: LocalOperator, states_list, lam: Region, r_max: int):
     """One patch of the sweep: one truncation, action, design matrix and norm.
 
@@ -256,12 +278,10 @@ def _patch(h: LocalOperator, states_list, lam: Region, r_max: int):
             f"patch length {lam.length} < 2 R_max + 2 = {2 * r_max + 2}: windows overlap")
     if not h.hermitian():
         raise ValueError("truncation tests are defined for Hermitian Hamiltonians")
-    h_lam = opspace.truncate(h, lam)
-    targets = [opspace.apply(h_lam, psi) for psi in states_list]
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
     mat = _design_matrix(states_list, h.n_sites, 2, *windows)
-    scale = max(spectral_norm(h_lam), 1e-300)
+    targets, scale = _action(opspace.truncate(h, lam), states_list)
     return (lambda hermitian: _fit(mat, targets, hermitian, 4 ** r_max - 1),
             scale, windows)
 
@@ -328,12 +348,11 @@ def _left_independent(h, states_list, r_max) -> bool:
         return True
     short = Region(0, min_len - 1, n_sites)
     grown = Region(0, min_len, n_sites)
-    diff = opspace.truncate(h, grown) - opspace.truncate(h, short)
-    targets = [opspace.apply(diff, psi) for psi in states_list]
+    targets, scale = _action(opspace.truncate(h, grown) - opspace.truncate(h, short),
+                             states_list)
     right_sites = tuple(grown.sites()[-(r_max + 1):])
     *_, r_abs = solve_boundary_dense(targets, states_list, n_sites, 2,
                                      (), right_sites, hermitian=False)
-    scale = max(spectral_norm(diff), 1e-300)
     return r_abs / scale < ACCEPT
 
 

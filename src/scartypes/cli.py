@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,13 @@ _STATES = {
     "wq": (states.w_q, {"m": 1}),
     "wp": (states.w_p, {"p": 2}),
     "droplet": (states.droplet, {"M": None, "p": 1}),    # M defaults to N
+}
+
+# built-in MPS tensors, each with the generator names it takes
+_MPS = {
+    "aklt": (mps.builtin_aklt, {f"s{axis}": (partial(mps.spin1_matrix, axis), {})
+                                for axis in "xyz"}),
+    "ssh": (mps.builtin_ssh, {"sz": (mps.ssh_sz_matrix, {})}),
 }
 
 _DISPERSIONS = {
@@ -244,16 +252,12 @@ def _load_complex_array(path: str) -> np.ndarray:
 
 
 def _cmd_mps(args) -> int:
-    tensor = {"aklt": mps.builtin_aklt, "ssh": mps.builtin_ssh}.get(args.tensor)
-    if tensor is None:
-        a = mps.MPSTensor(_load_complex_array(args.tensor))
-    else:
+    if args.tensor in _MPS:
+        tensor, generators = _MPS[args.tensor]
+        gen = _build(args.generator, generators, f"{args.tensor} generator")
         a = tensor()
-    if args.tensor == "aklt":
-        gen = mps.spin1_matrix(args.generator[-1])
-    elif args.tensor == "ssh":
-        gen = mps.ssh_sz_matrix()
     else:
+        a = mps.MPSTensor(_load_complex_array(args.tensor))
         gen = _load_complex_array(args.generator)
     spectrum = mps.transfer_spectrum(a)
     r_inj = mps.injectivity_length(a)

@@ -13,10 +13,14 @@ null spaces:
     N_III = dim(ZH_glo u ZG_loc) - dim ZG_loc
     N_II  = dim(ZH_glo u ZH_loc) - dim(ZH_glo u ZG_loc) + dim ZG_loc - dim ZH_loc
 
-with all dimensions real (a complex space counts twice).  For translation
-eigenstates window j's null space is window 0's translated by j, so only
-window 0 is solved and one span routine sums ranks over the N momentum
-sectors; for other states it takes all N windows' null spaces as one block.
+with all dimensions real (a complex space counts twice).  ZH_loc and ZG_loc,
+the spans of the N windows' null spaces, are found through their
+complements: v is orthogonal to a span exactly when each window restriction
+v|_j = R_j c_j lies in the window correlation's range R_j (the eigenvectors
+above the null cut), and a string shared by windows takes one value: a
+small system K c = 0.  Window j's null space is window 0's translated by j
+for translation eigenstates, so K links a pattern's copies in window 0 with
+Bloch phases, one K per momentum sector; other states link N windows' copies.
 
 The operator basis is generalized Pauli strings: unlike the boson-string
 basis they are mutually Hilbert-Schmidt orthogonal, which the correlation
@@ -25,7 +29,7 @@ construction requires.  The identity string is excluded throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -60,11 +64,14 @@ class CorrelationMatrix:
 
     def check_psd(self, tol: float = PSD_TOL) -> float:
         """Smallest eigenvalue; raises if materially negative."""
-        low = float(np.linalg.eigvalsh(self.entries)[0])
-        scale = max(float(np.abs(self.entries).max()), 1.0)
-        if low < tol * scale:
-            raise ValueError(f"correlation matrix not PSD: min eig {low:.3e}")
-        return low
+        return _require_psd(np.linalg.eigvalsh(self.entries)[0], self.entries, tol)
+
+
+def _require_psd(low, entries: np.ndarray, tol: float = PSD_TOL) -> float:
+    """``low``, the smallest eigenvalue of ``entries``; raises if materially negative."""
+    if low < tol * max(float(np.abs(entries).max()), 1.0):
+        raise ValueError(f"correlation matrix not PSD: min eig {low:.3e}")
+    return float(low)
 
 
 @dataclass(frozen=True)
@@ -73,20 +80,16 @@ class SubspaceReport:
     dim: int
     tolerance: float
     gap: float             # smallest eigenvalue above the accepted null space
+    range: np.ndarray      # columns: the eigenvectors above the cut
 
 
 def _pauli_patterns_upto(max_len: int):
     """Pauli code tuples with non-identity ends, window length 1..max_len."""
     ends = opspace.PAULI_CODES[1:]
-    pats = []
-    for length in range(1, max_len + 1):
-        for mid in product(opspace.PAULI_CODES, repeat=max(length - 2, 0)):
-            for a in ends:
-                if length == 1:
-                    pats.append((a,))
-                    continue
-                for b in ends:
-                    pats.append((a,) + mid + (b,))
+    pats = [(a,) for a in ends]
+    for length in range(2, max_len + 1):
+        for mid in product(opspace.PAULI_CODES, repeat=length - 2):
+            pats += [(a,) + mid + (b,) for a in ends for b in ends]
     return pats
 
 
@@ -143,29 +146,24 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
         for e in expect:
             d = e - mean
             gram += np.outer(d.conj(), d)
-    if kind == "H":
-        entries = gram.real.copy()
-    else:
-        entries = gram
+    entries = gram.real.copy() if kind == "H" else gram
     return CorrelationMatrix(entries, kind, basis, tuple(states_list))
 
 
 def null_space(corr: CorrelationMatrix, tol: float = NULL_TOL) -> SubspaceReport:
-    """Eigenvectors with eigenvalue <= tol * max eigenvalue.
+    """Eigenvectors with eigenvalue <= tol * max eigenvalue, and the range.
 
-    Also reports the spectral gap just above the accepted null space so the
-    robustness of the cut is visible to callers.
+    Raises ValueError as ``check_psd`` does.  Also reports the spectral gap
+    just above the accepted null space so the robustness of the cut is
+    visible to callers.
     """
-    corr.check_psd()
     vals, vecs = np.linalg.eigh(corr.entries)
+    _require_psd(vals[0], corr.entries)
     top = max(float(vals[-1]), 1e-300)
     keep = vals <= tol * top
     dim = int(np.sum(keep))
     above = float(vals[dim]) if dim < len(vals) else np.inf
-    basis_rows = vecs[:, keep].T
-    if corr.kind == "H":
-        basis_rows = basis_rows.real.astype(complex)
-    return SubspaceReport(basis_rows, dim, tol, above)
+    return SubspaceReport(vecs[:, keep].T.astype(complex), dim, tol, above, vecs[:, ~keep])
 
 
 # -- span arithmetic -------------------------------------------------------------
@@ -187,41 +185,53 @@ def _translation_eigenstates(states_list, n_sites: int) -> bool:
                for psi in states_list)
 
 
-def _span_dims(blocks, partner) -> dict:
-    """Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, summed over blocks.
+def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
+    """Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, and K's margins.
 
-    ``blocks`` yields generator rows (glo, h_loc, g_loc) per momentum sector;
-    sector k's conjugate is sector ``partner[k]``.  ZH rows are images of
-    real vectors, so a ZH span's real dimension is its complex rank; ZG_loc
-    counts twice.  A union adds the rank of the ZH_glo rows projected off
-    the local span.  Off ZG_loc the residual is a real span: residual rows
-    r_k and partner rows r_p add rank [r_k, conj r_p] real dimensions (the
-    rank of [Re r_k, Im r_k] when p = k).  Residuals are coordinates along
-    the right singular vectors beyond the cut, which is RANK_TOL times the
-    largest singular value of the spans involved, over all blocks.
+    ``glo`` holds ZH_glo's orthonormal rows over the full basis (index i:
+    column i // sectors, shift i % sectors), ``pos`` the full index of each
+    row of the windows' stacked ranges X.  K_k equates each later copy of a
+    column, phased by e^{-2 pi i k shift / sectors}, with its first copy,
+    which gives the complement's coordinates.  ZH_glo's sector rows r_k on
+    it add rank [r_k, conj r_{-k}] real dimensions to a union.  X's columns
+    are orthonormal, so K's cut RANK_TOL is absolute; a margin is the
+    smallest kept over the largest cut singular value in any sector, None
+    when one side of the cut is empty.
     """
-    svals, coords = [], []
-    for glo, *local in blocks:
-        svals.append([np.linalg.svd(glo, compute_uv=False)])
-        coords.append([])
-        for rows in local:
-            # all right singular vectors; a full U only when it is the smaller
-            _, s, vh = np.linalg.svd(rows, full_matrices=len(rows) < rows.shape[1])
-            svals[-1].append(s)
-            coords[-1].append(glo @ vh.conj().T)
-    top = [max((s[i][0] for s in svals if s[i].size), default=0.0) for i in range(3)]
-    ranks = [[int(np.sum(s > RANK_TOL * t)) for s, t in zip(sv, top)] for sv in svals]
+    columns, shifts = pos // sectors, pos % sectors
+    first = np.unique(columns, return_index=True)[1]
+    later = np.setdiff1d(np.arange(len(pos)), first)
+    phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
+    glo = glo.reshape(len(glo), -1, sectors) @ phases.T / np.sqrt(sectors)
 
-    dims = dict.fromkeys(("ZH_glo", "ZH_loc", "ZG_loc", "union_H", "union_G"), 0)
-    for (off_h, off_g), (r_glo, r_h, r_g), p in zip(coords, ranks, partner):
-        off_p = coords[p][1][:, ranks[p][2]:].conj()
-        dims["ZH_glo"] += r_glo
-        dims["ZH_loc"] += r_h
-        dims["ZG_loc"] += 2 * r_g
-        dims["union_H"] += r_h + real_rank(off_h[:, r_h:], scale=max(top[0], top[1]))
-        dims["union_G"] += 2 * r_g + real_rank(np.hstack([off_g[:, r_g:], off_p]),
-                                               scale=max(top[0], top[2]))
-    return dims
+    def project(ranges):
+        """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
+        left = np.cumsum([0] + [r.shape[1] for r in ranges])
+        stack = np.zeros((len(pos), left[-1]), dtype=complex)
+        for j, r in enumerate(ranges):          # block diagonal; windows are equal in size
+            stack[j * len(r):(j + 1) * len(r), left[j]:left[j + 1]] = r
+        coords, kept, cut = [], [], []
+        for k, ph in enumerate(phases[:, shifts]):
+            rows = ph[:, None] * stack
+            k_mat = rows[later] - rows[first[columns[later]]]
+            # all right singular vectors; a full U only when it is the smaller
+            _, svals, vh = np.linalg.svd(k_mat, full_matrices=len(k_mat) < k_mat.shape[1])
+            rank = int(np.sum(svals > RANK_TOL))
+            kept.append(svals[:rank])
+            cut.append(svals[rank:])
+            basis = np.linalg.qr(rows[first] @ vh[rank:].conj().T)[0]
+            coords.append(glo[:, :, k] @ basis.conj())
+        local = sum(len(first) - off.shape[1] for off in coords)
+        added = sum(real_rank(np.hstack([off, coords[-k].conj()]), scale=1.0)
+                    for k, off in enumerate(coords))
+        kept, cut = np.concatenate(kept), np.concatenate(cut)
+        with np.errstate(divide="ignore"):
+            return local, added, float(kept.min() / cut.max()) if kept.size and cut.size else None
+
+    (h_loc, h_add, margin_h), (g_loc, g_add, margin_g) = project(h_ranges), project(g_ranges)
+    dims = {"ZH_glo": len(glo), "ZH_loc": h_loc, "ZG_loc": 2 * g_loc,
+            "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
+    return dims, {"margin_ZH_loc": margin_h, "margin_ZG_loc": margin_g}
 
 
 @dataclass(frozen=True)
@@ -238,10 +248,10 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
 
     ZH_glo is the Hermitian null space over all Pauli strings of range <= R
     (extensive-local combinations included automatically); ZH_loc / ZG_loc
-    are spanned by the null spaces of the N windows [j, j+R'-1], in momentum
-    sectors or window by window (see the module docstring).  ``dims`` holds
-    the real dimensions, the null-space gap of ZH_glo and the smallest
-    window gaps of ZH_loc and ZG_loc.
+    are spanned by the null spaces of the N windows [j, j+R'-1] (see the
+    module docstring).  ``dims`` holds the real dimensions, the null-space
+    gap of ZH_glo, the smallest window gaps of ZH_loc and ZG_loc, and the
+    margins of the complements' cuts.
     """
     if r_glo < 1:
         raise ValueError(f"range R = {r_glo} must be at least 1")
@@ -253,42 +263,31 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     if n_sites < 2 * r_loc:
         raise ValueError("need N >= 2 R' for unambiguous windows")
 
-    # pauli_string_basis lists each pattern at shifts 0..N-1 in a row: column
+    # pauli_string_basis lists each pattern at shifts 0..N-1 in a row: index
     # i is pattern i // N at shift i % N, and translation acts on the shift
     index = {k: i for i, k in enumerate(pauli_string_basis(n_sites, r_loc).keys)}
-    width = len(index)
     sectors = n_sites if _translation_eigenstates(states_list, n_sites) else 1
 
     glo = pauli_string_basis(n_sites, r_glo)
     zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate), tol)
     windows = [window_basis(n_sites, j, r_loc) for j in range(n_sites if sectors == 1 else 1)]
-    zh = [null_space(build_correlation(w, states_list, "H", degenerate), tol) for w in windows]
-    zg = [null_space(build_correlation(w, states_list, "G", degenerate), tol) for w in windows]
+    zh, zg = [], []
+    for w in windows:
+        corr = build_correlation(w, states_list, "G", degenerate)
+        zg.append(null_space(corr, tol))
+        # C^H = Re C^G, the gram build_correlation(kind="H") computes again
+        zh.append(null_space(replace(corr, entries=corr.entries.real.copy(), kind="H"), tol))
 
-    def shifted(parts, span):
-        """Stacked rows as (row, pattern, shift) arrays over shifts 0..span-1."""
-        parts = list(parts)
-        out = np.zeros((sum(rep.dim for rep, _ in parts), width // sectors, span), dtype=complex)
-        top = 0
-        for rep, basis in parts:
-            pos = np.array([index[k] for k in basis.keys])
-            out[top:top + rep.dim, pos // sectors, pos % sectors] = rep.basis
-            top += rep.dim
-        return out
-
-    # normalized, ZH_glo's orthonormal rows keep sector singular values 1; a
-    # window's sector rows have the singular values of all N translates stacked
-    glo_rows = shifted([(zh_glo, glo)], sectors) / np.sqrt(sectors)
-    span = min(r_loc, sectors)       # window 0's strings start at shifts 0..R'-1
-    h_rows, g_rows = shifted(zip(zh, windows), span), shifted(zip(zg, windows), span)
-    phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
-    dims = _span_dims(((glo_rows @ ph, h_rows @ ph[:span], g_rows @ ph[:span]) for ph in phases),
-                      [-k % sectors for k in range(sectors)])
+    glo_rows = np.zeros((zh_glo.dim, len(index)), dtype=complex)
+    glo_rows[:, [index[k] for k in glo.keys]] = zh_glo.basis
+    pos = np.array([index[k] for w in windows for k in w.keys])
+    dims, margins = _complement_dims(
+        glo_rows, [r.range for r in zh], [r.range for r in zg], pos, sectors)
 
     n_iii = dims["union_G"] - dims["ZG_loc"]
     n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
     dims.update(gap_ZH_glo=zh_glo.gap, gap_ZH_loc=min(r.gap for r in zh),
-                gap_ZG_loc=min(r.gap for r in zg))
+                gap_ZG_loc=min(r.gap for r in zg), **margins)
     return ClassCount(n_ii, n_iii, dims, tol)
 
 

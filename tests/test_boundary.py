@@ -99,6 +99,52 @@ class TestBoundarySolve:
                         assert {(start + k) % n for k in range(len(ops))} <= set(window)
 
 
+def _patch_operators(s):
+    """The 33 operators whose norms the benchmark cases take at N=10."""
+    n = s["n"]
+    rng = np.random.default_rng(8)
+    cases = [s["imhop"], s["ntot"], s["rehop"], s["imhop2"],
+             canonical.random_type1(n, rng) + s["imhop"]]
+    ops = [opspace.truncate(h, lam) for h in cases
+           for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3),
+                                             op_range=h.declared_range)]
+    for h in (s["imhop"], s["rehop"], s["imhop2"], cases[-1]):
+        min_len = max(2 * 2 + 3, 2 * h.declared_range + 1)
+        ops.append(opspace.truncate(h, Region(0, min_len, n))
+                   - opspace.truncate(h, Region(0, min_len - 1, n)))
+    assert len(ops) == 30
+    lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
+    return ops + [opspace.truncate(h, lam) for h in (s["imhop"], canonical.h_dmi(n), s["imhop2"])]
+
+
+class TestAction:
+    """_action: every target and the norm from one decode of the flip diagonals."""
+
+    def test_targets_and_norm_match_apply(self, setup10, monkeypatch):
+        rng = np.random.default_rng(4)
+        small = [opspace.truncate(h, lam) for h in (canonical.h_imhop(8), canonical.h_dmi(8))
+                 for lam in (Region(0, 5, 8), Region(2, 7, 8))]        # the dense norm branch
+        cases = [(op, [states.vacuum(op.n_sites), states.w_state(op.n_sites),
+                       _phased(rng, [states.w_p(op.n_sites, 2)])[0],
+                       rng.normal(size=1 << op.n_sites) + 1j * rng.normal(size=1 << op.n_sites)])
+                 for op in _patch_operators(setup10) + small]
+        decodes, diagonals = [], opspace._flip_diagonals
+        monkeypatch.setattr(opspace, "_flip_diagonals",
+                            lambda op: decodes.append(op) or diagonals(op))
+        results = [boundary._action(op, psis) for op, psis in cases]
+        monkeypatch.undo()
+        assert len(decodes) == len(cases)
+        for (op, psis), (targets, scale) in zip(cases, results):
+            assert scale == max(boundary.spectral_norm(op), 1e-300)
+            for psi, got in zip(psis, targets):
+                want = apply(op, psi)
+                assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    def test_wrong_state_shape(self, setup10):
+        with pytest.raises(opspace.DimensionError):
+            boundary._action(setup10["imhop"], [states.vacuum(8)])
+
+
 class TestSpectralNorm:
     def test_matches_dense_eigvalsh(self, setup10):
         s = setup10
@@ -119,21 +165,8 @@ class TestSpectralNorm:
         # anchors, the truncation differences of the left/right-independence
         # clause (reached by the four type I/II cases), and the two
         # equivalence tests' truncations
-        s = setup10
-        n, vw = s["n"], [s["vac"], s["w"]]
-        rng = np.random.default_rng(8)
-        cases = [s["imhop"], s["ntot"], s["rehop"], s["imhop2"],
-                 canonical.random_type1(n, rng) + s["imhop"]]
-        ops = [opspace.truncate(h, lam) for h in cases
-               for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3),
-                                                 op_range=h.declared_range)]
-        for h in (s["imhop"], s["rehop"], s["imhop2"], cases[-1]):
-            min_len = max(2 * 2 + 3, 2 * h.declared_range + 1)
-            ops.append(opspace.truncate(h, Region(0, min_len, n))
-                       - opspace.truncate(h, Region(0, min_len - 1, n)))
-        assert len(ops) == 30 and {1 << op.n_sites for op in ops} == {1024}
-        lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
-        ops += [opspace.truncate(h, lam) for h in (s["imhop"], canonical.h_dmi(n), s["imhop2"])]
+        ops = _patch_operators(setup10)
+        assert {1 << op.n_sites for op in ops} == {1024}
         for op in ops:
             dense = _dense_norm(op)
             assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense
@@ -295,10 +328,11 @@ class TestAnchorShortcut:
     @staticmethod
     def _classify(h, psis, monkeypatch):
         lefts, norms = [], []
-        patch, norm = boundary._patch, boundary.spectral_norm
+        patch, norm = boundary._patch, boundary._spectral_norm
         monkeypatch.setattr(boundary, "_patch",
                             lambda h, psis, lam, r: lefts.append(lam.left) or patch(h, psis, lam, r))
-        monkeypatch.setattr(boundary, "spectral_norm", lambda op: norms.append(op) or norm(op))
+        monkeypatch.setattr(boundary, "_spectral_norm",
+                            lambda diag, n: norms.append(diag) or norm(diag, n))
         label = classify(h, psis)
         monkeypatch.undo()
         return label, lefts, len(norms)

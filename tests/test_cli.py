@@ -267,6 +267,17 @@ class TestMpsCommand:
         assert report["type"] == "I"
         assert report["rank_full"] is False
 
+    @pytest.mark.parametrize("tensor, generator, known", [
+        ("aklt", "bogusz", "sx, sy, sz"),     # was read as its last letter, sz
+        ("ssh", "sx", "sz"),                  # was ignored: the sz verdict
+        ("aklt", "q", "sx, sy, sz"),          # was the bare KeyError text
+    ])
+    def test_unknown_generator_exit_2(self, capsys, tensor, generator, known):
+        code, out = invoke(["mps", "--tensor", tensor, "--generator", generator])
+        assert (code, out) == (2, "")
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert f"{tensor} generator {generator!r}" in error and error.endswith(f"have {known}")
+
 
 class TestVariance:
     def test_n_scan_fit(self):

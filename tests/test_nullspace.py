@@ -146,6 +146,19 @@ class TestNullSpace:
             for row in rep.basis:
                 assert verify_null_vector(win, row, psis) < 1e-8
 
+    def test_one_eigendecomposition_and_psd_check(self, monkeypatch):
+        n = 6
+        corr = build_correlation(window_basis(n, 0, 2), [states.w_state(n)], "G")
+        want = null_space(corr)
+        monkeypatch.setattr(nullspace.np.linalg, "eigvalsh", None)
+        got = null_space(corr)
+        assert got.dim == want.dim and got.gap == want.gap
+        assert np.allclose(corr.entries @ got.range, got.range @ np.diag(
+            np.linalg.eigh(corr.entries)[0][got.dim:]))
+        bad = nullspace.CorrelationMatrix(np.diag([-1.0, 1.0]), "H", corr.basis, ())
+        with pytest.raises(ValueError, match="not PSD"):
+            null_space(bad)
+
     def test_gap_reported(self):
         n = 6
         win = window_basis(n, 0, 2)
@@ -243,6 +256,21 @@ def _cluster(n):
     return ((-1.0) ** parity / np.sqrt(1 << n)).astype(complex)
 
 
+def _ghz(n):
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
+    return psi
+
+
+def _product(n, theta, phi):
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> on every site."""
+    site = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    psi = np.ones(1, dtype=complex)
+    for _ in range(n):
+        psi = np.kron(site, psi)
+    return psi
+
+
 def _reference_count(n, r_glo, r_loc, psis, degenerate=False):
     """All N windows, unions as ranks of realified stacks (the dense oracle).
 
@@ -296,29 +324,37 @@ def _invariant_sets(n):
 
 
 class TestSpanDims:
+    """The complement solve on hand-built spans: sectors, all windows and the realified oracle."""
+
+    @staticmethod
+    def _range(null_rows):
+        """Orthonormal columns orthogonal to the null vectors (rows), as null_space reports."""
+        _, svals, vh = np.linalg.svd(null_rows.conj())
+        return vh[int(np.sum(svals > 1e-12)):].conj().T
+
     @pytest.mark.parametrize("momentum", [0, 1])
     def test_real_span_off_complex_span(self, momentum):
         # ZG_loc holds g1 - i g2 for real ZH_glo rows g1, g2 outside it: off
         # ZG_loc they span a real plane, twice their complex rank
         n, shifts = 4, np.arange(4)
-        glo = np.zeros((2, 2, n))            # (row, pattern, shift)
-        loc = np.zeros((1, 2, n), dtype=complex)
+        glo = np.zeros((2, 2, n))                   # (row, pattern, shift)
+        loc = np.zeros((2, n), dtype=complex)       # (pattern, shift)
         if momentum == 0:
             glo[0, 0] = glo[1, 1] = 0.5
-            loc[0, :, 0] = 1.0, -1j
-        else:                                # sectors 1 and 3 = -1, paired
+            loc[:, 0] = 1.0, -1j
+        else:                                       # sectors 1 and 3 = -1, paired
             glo[0, 0] = np.cos(np.pi * shifts / 2) / np.sqrt(2)
             glo[1, 0] = np.sin(np.pi * shifts / 2) / np.sqrt(2)
-            loc[0, 0] = np.exp(-0.5j * np.pi * shifts)
-        phases = np.exp(-2j * np.pi / n * np.outer(shifts, shifts))
-        none = np.zeros((0, 2))
-        sector = nullspace._span_dims(((glo @ ph / np.sqrt(n), none, loc @ ph) for ph in phases),
-                                      [-k % n for k in range(n)])
-        # one dense block: all translates of the local row
-        flat = glo.reshape(2, -1)
-        w_rows = np.vstack([np.roll(loc, j, axis=2).reshape(1, -1) for j in range(n)])
-        dense = nullspace._span_dims([(flat, np.zeros((0, 2 * n)), w_rows)], [0])
-        realified = np.vstack([np.hstack([flat, 0 * flat]),
+            loc[0] = np.exp(-0.5j * np.pi * shifts)
+        # one window holds every (pattern, shift) string; window j's null
+        # vector is loc translated by j, and no Hermitian operator is null
+        flat, pos = glo.reshape(2, -1).astype(complex), np.arange(2 * n)
+        every = self._range(np.zeros((0, 2 * n)))
+        w_rows = np.vstack([np.roll(loc, j, axis=1).reshape(1, -1) for j in range(n)])
+        sector, _ = nullspace._complement_dims(flat, [every], [self._range(w_rows[:1])], pos, n)
+        dense, _ = nullspace._complement_dims(
+            flat, [every] * n, [self._range(row[None]) for row in w_rows], np.tile(pos, n), 1)
+        realified = np.vstack([np.hstack([flat.real, 0 * flat.real]),
                                np.hstack([w_rows.real, w_rows.imag]),
                                np.hstack([-w_rows.imag, w_rows.real])])
         assert sector == dense
@@ -422,8 +458,50 @@ class TestSectorPath:
         dense = count_type_classes(n, 2, 3, psis).dims
         for key in ("gap_ZH_loc", "gap_ZG_loc"):
             assert dense[key] == pytest.approx(sector[key], rel=1e-9)
-        assert list(dense)[:6] == ["ZH_glo", "ZH_loc", "ZG_loc", "union_H",
-                                   "union_G", "gap_ZH_glo"]
+        assert list(dense) == ["ZH_glo", "ZH_loc", "ZG_loc", "union_H", "union_G",
+                               "gap_ZH_glo", "gap_ZH_loc", "gap_ZG_loc",
+                               "margin_ZH_loc", "margin_ZG_loc"]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_margins_reported(self, monkeypatch, dense):
+        # kept singular values of K are O(1), cut ones rounding noise
+        n = 8
+        if dense:
+            _dense(monkeypatch)
+        for psis in ([states.vacuum(n), states.w_state(n)],
+                     [states.vacuum(n), states.translate(states.droplet(n, 4, 1), 3, n)]):
+            dims = count_type_classes(n, 2, 3, psis).dims
+            for key in ("margin_ZH_loc", "margin_ZG_loc"):
+                assert isinstance(dims[key], float) and dims[key] > 1e12
+        # for {vacuum, W, W^2} at R' = 2 every K has full rank: nothing is cut
+        psis = [states.vacuum(n), states.w_state(n), states.w_p(n, 2)]
+        dims = count_type_classes(n, 2, 2, psis).dims
+        assert dims["margin_ZH_loc"] is None and dims["margin_ZG_loc"] is None
+
+    @pytest.mark.parametrize("shift", [0, 3, 5])
+    @pytest.mark.parametrize("r_loc", [2, 3])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_droplet_sets_match_reference(self, monkeypatch, shift, r_loc, dense):
+        n = 8
+        vac, w, w2 = states.vacuum(n), states.w_state(n), states.w_p(n, 2)
+        drop = states.translate(states.droplet(n, 4, 1), shift, n)
+        if dense:
+            _dense(monkeypatch)
+        for psis in ([vac, drop], [vac, w, w2, drop]):
+            got = _counted(count_type_classes(n, 2, r_loc, psis))
+            assert got == _reference_count(n, 2, r_loc, psis)
+
+    @pytest.mark.parametrize("n, r_loc, psis, want", [
+        (12, 5, lambda n: [_cluster(n)], (36, 7680, 16896, 7680, 16896)),
+        (10, 5, lambda n: [_ghz(n)], (59, 7039, 14718, 7039, 14718)),
+        (8, 4, lambda n: [_product(n, 0.7, 0.3)], (64, 1408, 2944, 1408, 2944)),
+    ], ids=["cluster", "ghz", "product"])
+    def test_pinned_dims(self, n, r_loc, psis, want):
+        # integer dims of the stacked-SVD span computation this solve replaced
+        res = count_type_classes(n, 2, r_loc, psis(n))
+        keys = ("ZH_glo", "ZH_loc", "ZG_loc", "union_H", "union_G")
+        assert tuple(res.dims[k] for k in keys) == want
+        assert (res.n_ii, res.n_iii) == (0, 0)
 
     def test_w_and_vacuum_n10_rp5(self):
         # the paper's (N_II, N_III) = (1, 1) at R' = N/2
@@ -434,4 +512,4 @@ class TestSectorPath:
         assert (res.n_ii, res.n_iii) == (1, 1)
         assert [res.dims[k] for k in ("ZH_loc", "ZG_loc", "union_H", "union_G")] == \
             [7040, 14718, 7042, 14719]
-        assert elapsed < 60.0
+        assert elapsed < 15.0
