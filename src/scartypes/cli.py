@@ -233,7 +233,8 @@ def _cmd_droplet(args) -> int:
                                                 for t, row in zip(times, occ)])
     else:
         ts = times[1:]
-        ups = dynamics.upsilon_finite(run, ts, shift if rate is None else rate * ts)
+        ups = dynamics.upsilon_series(run, args.tmax / max(args.steps, 1), args.steps,
+                                      rate or 0.0, shift)
         rows = [(t, u.real, u.imag) for t, u in zip(ts.tolist(), ups.tolist())]
         _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), rows)
         if args.emit_plot:

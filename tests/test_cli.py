@@ -179,12 +179,18 @@ class TestDroplet:
             lines = ["t,j,n_j"] + [
                 f"{t:.12g},{j},{n_j:.12g}" for t in times
                 for j, n_j in enumerate(_reference_occupations(run_, t), 1)]
-        else:
-            g_of = (lambda t: disp.w * t) if g_arg == "wt" else (lambda t: 1.5)
-            ups = [(t, _reference_upsilon(run_, t, g_of(t))) for t in times[1:]]
-            lines = ["t,ReUpsilon,ImUpsilon"] + [
-                f"{t:.12g},{u.real:.12g},{u.imag:.12g}" for t, u in ups]
-        assert out == "\n".join(lines) + "\n"
+            assert out == "\n".join(lines) + "\n"
+            return
+        # the grid summation may move Upsilon in its 12th digit: t stays exact,
+        # Re and Im are compared as numbers
+        g_of = (lambda t: disp.w * t) if g_arg == "wt" else (lambda t: 1.5)
+        header, *rows = out.splitlines()
+        assert header == "t,ReUpsilon,ImUpsilon" and len(rows) == 5
+        for t, row in zip(times[1:], rows):
+            t_text, re_text, im_text = row.split(",")
+            assert t_text == f"{t:.12g}"
+            want = _reference_upsilon(run_, t, g_of(t))
+            assert abs(complex(float(re_text), float(im_text)) - want) < 1e-12
 
     @pytest.mark.parametrize("extra", [
         ["--tmax", "inf"], ["--tmax", "nan"], ["--G", "nan"], ["--G", "inf"],

@@ -1,5 +1,7 @@
 """Droplet quench engine: kernels, unitarity, quadrature, scaling laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from scartypes.dynamics import (DropletRun, bec_overlap, bec_overlap_density,
                                 chop, custom, early_time, fq, imhop,
                                 integer_g_times, leakage, occupations,
                                 orbital_amplitudes, rehop, scaling_fit,
-                                upsilon_finite, upsilon_thermo)
+                                upsilon_finite, upsilon_series, upsilon_thermo)
 
 
 def _reference_upsilon(run, t, g):
@@ -41,6 +43,13 @@ class TestMomentumAmplitudes:
         vals = np.abs(fq(16, 16, run.momenta))
         assert vals[0] == pytest.approx(1.0)
         assert vals[1:].max() < 1e-12
+
+    def test_one_element_array_keeps_its_shape(self):
+        got = fq(51, 201, np.array([0.3]))
+        assert got.shape == (1,) and got[0] == fq(51, 201, 0.3)
+
+    def test_empty_array(self):
+        assert fq(3, 10, np.array([])).shape == (0,)
 
 
 class TestOccupations:
@@ -157,6 +166,55 @@ class TestUpsilon:
     def test_quadrature_convergence_error(self):
         with pytest.raises(dynamics.QuadratureError):
             upsilon_thermo(imhop(), 30, 5.0, 0, tol=1e-16, max_nodes=512)
+
+
+def _deficit(phi):
+    """1 - e^{i phi} without cancellation at small phi."""
+    return -2j * np.sin(phi / 2.0) * np.exp(0.5j * phi)
+
+
+class TestUpsilonSeries:
+    """The baby-step/giant-step grid form against the per-point definition."""
+
+    @pytest.mark.parametrize("disp", [
+        rehop(), imhop(0.7), chop(0.5, 0.5),
+        custom(lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
+    @pytest.mark.parametrize("rate,shift", [(0.0, 0.0), (0.0, 4.0), (0.5, 0.0),
+                                            (1.2, 1.5)])
+    @pytest.mark.parametrize("dt", [0.9, -0.35])
+    def test_matches_upsilon_finite(self, disp, rate, shift, dt):
+        run = DropletRun(300, 41, disp)
+        for steps in (0, 1, 2, 3, 15, 16, 17, 50):
+            ts = dt * np.arange(1, steps + 1)
+            got = upsilon_series(run, dt, steps, rate, shift)
+            assert got.dtype == complex and got.shape == (steps,)
+            want = upsilon_finite(run, ts, shift + rate * ts)
+            assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+    def test_small_values_keep_relative_accuracy(self):
+        # |Upsilon| falls to 8e-7 here: summing 1 - e^{i phi} as computed loses
+        # 3e-12 relative, splitting it as sum w - sum w e^{i phi} loses 3e-10
+        run = DropletRun(10000, 2000, rehop())
+        dt, steps = 1.0 / 600, 600
+        got = upsilon_series(run, dt, steps)
+        qs = run.momenta
+        wts = dynamics._dirichlet(qs, 2000) ** 2 / (2000 * 10000)
+        eps = run.dispersion.eps(qs)
+        want = np.array([np.sum(wts * _deficit(-eps * (k * dt)))
+                         for k in range(1, steps + 1)])
+        assert np.abs(want).min() < 1e-6
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_memory_stays_below_a_steps_by_n_array(self):
+        # a (600, 10000) complex array alone is 96 MB
+        run = DropletRun(10000, 2000, chop(0.5, 0.5))
+        tracemalloc.start()
+        try:
+            upsilon_series(run, 1.0 / 6, 600, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestEarlyTime:
