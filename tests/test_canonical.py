@@ -84,10 +84,23 @@ class TestVerifyTable:
         rep = verify_table(builtin("h_imhop", 8))
         assert rep.satisfied and abs(rep.lam) < 1e-14
 
-    def test_pure_creation_violates(self):
-        rep = verify_table(string_term(8, 1.0, [(3, "sd")]))
-        bad = [c.nm_class for c in rep.conditions if not c.satisfied]
-        assert bad == ["n>=1,m=0"]
+    @pytest.mark.parametrize("strings, bad_classes", [
+        ([(1.0, [(3, "sd")])], ["n>=1,m=0"]),
+        ([(1.0, [(3, "s")]), (1.0, [(2, "sd"), (3, "sd"), (4, "s")])],
+         ["n=0,m=1", "n>=2,m=1"]),
+        ([(1.0, [(3, "s")]), (-1.0, [(5, "s")]),
+          (1.0, [(1, "sd"), (2, "sd"), (3, "s")]), (-1.0, [(1, "sd"), (2, "sd"), (4, "s")])],
+         [])],
+        ids=["creation", "row-sums", "zero-row-sums"])
+    def test_class_conditions(self, strings, bad_classes):
+        op = opspace.op_sum(8, [string_term(8, c, s) for c, s in strings])
+        rep = verify_table(op)
+        bad = [c for c in rep.conditions if not c.satisfied]
+        assert [c.nm_class for c in bad] == bad_classes
+        # a violated class lists every string of its class
+        violating = sorted(t for c in bad for t in c.violating_terms)
+        assert violating == (sorted(op.terms.items()) if bad_classes else [])
+        assert rep.lam == 0.0       # no hopping strings: every row sum is 0
 
     def test_ntot_lambda_one(self):
         rep = verify_table(builtin("n_tot", 8))
@@ -203,7 +216,8 @@ class TestDecomposeGeneral:
         n = 8
         rng = np.random.default_rng(5)
         g = (identity(n, 1.0 + 0.5j) + (0.3 - 0.2j) * builtin("n_tot", n)
-             + canonical.p_nonherm(n, 2) + canonical.p_nonherm(n, 5))
+             + canonical.p_nonherm(n, 2) + canonical.p_nonherm(n, 5)
+             + random_type1(n, rng, translation_invariant=False))
         form = decompose_general(g)
         assert form.t_im == 0.0
         assert form.omega_id == pytest.approx(1.0 + 0.5j)

@@ -289,6 +289,9 @@ class TestTextFormat:
     def test_spec_example(self):
         op = parse_operator("0.5i * sd@3 s@4", 8)
         assert op.terms == {(3, ("sd", "s")): 0.5j}
+        # a repeated site composes, later factors acting last: s sd = 1 - n
+        assert parse_operator("sd@3 s@3", 8).terms == {(0, ()): 1.0, (3, ("n",)): -1.0}
+        assert parse_operator("s@3 s@3", 8).terms == {}
 
     def test_builtin_round_trip(self):
         for op in (canonical.h_imhop(8), canonical.h_heis(8),
