@@ -62,17 +62,16 @@ class TypeLabel:
 def spectral_norm(op: LocalOperator) -> float:
     """Largest |eigenvalue| of a Hermitian operator.
 
-    Dense eigvalsh up to 2^N = 256.  Above that, Lanczos with full
-    reorthogonalisation from a seeded normal start vector (a uniform one is
-    an eigenvector of every permutation-symmetric operator, where Lanczos
-    stops at once); the matrix acts as a gather over its flip diagonals,
-    (H v)[i] = sum_f g_f[i] v[i ^ f], in real arithmetic when every g_f is
-    real.  Every LANCZOS_CHECK_EVERY steps the Ritz value theta of largest
-    |theta| is accepted once its residual beta_k |s_k| is at most
-    LANCZOS_TOL |theta|, where s_k is the last component of its Ritz
-    vector; a Krylov space that closes (beta = 0) gives the exact value.
-    No convergence within LANCZOS_MAX_STEPS steps raises ValueError with
-    the residual reached.
+    Lanczos with full reorthogonalisation from a seeded normal start
+    vector (a uniform one is an eigenvector of every permutation-symmetric
+    operator, where Lanczos stops at once); the matrix acts as a gather
+    over its flip diagonals, (H v)[i] = sum_f g_f[i] v[i ^ f], in real
+    arithmetic when every g_f is real.  Every LANCZOS_CHECK_EVERY steps the
+    Ritz value theta of largest |theta| is accepted once its residual
+    beta_k |s_k| is at most LANCZOS_TOL |theta|, where s_k is the last
+    component of its Ritz vector; a Krylov space that closes (beta = 0)
+    gives the exact value.  No convergence within LANCZOS_MAX_STEPS steps
+    raises ValueError with the residual reached.
     """
     return _spectral_norm(opspace._flip_diagonals(op), op.n_sites)
 
@@ -85,10 +84,6 @@ def _spectral_norm(diagonals: dict, n_sites: int) -> float:
     idx = np.arange(dim)
     perm = idx ^ np.fromiter(diagonals, dtype=np.int64)[:, None]      # (flips, dim)
     gains = np.take_along_axis(np.array(list(diagonals.values())), perm, axis=1)
-    if dim <= 256:                  # the matrix of opspace.to_matrix, entry (i, i ^ f)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[idx, perm] = gains
-        return float(np.abs(np.linalg.eigvalsh(mat)).max())
     if not gains.imag.any():        # a real matrix: Lanczos in real arithmetic
         gains = gains.real
     steps = min(dim, LANCZOS_MAX_STEPS)

@@ -21,7 +21,6 @@ from . import opspace, states
 from .opspace import LocalOperator, hs_norm, identity, op_sum
 
 EIGENSTATE_TOL = 1e-10
-RESIDUAL_TOL = 1e-10
 
 
 class ClassificationError(ValueError):
@@ -230,11 +229,42 @@ class TableReport:
         return all(c.satisfied for c in self.conditions)
 
 
-def _sites(n_sites, start, ops):
-    """(creation sites, annihilation sites) of a boson string, each sorted."""
-    sites = [((start + k) % n_sites, c) for k, c in enumerate(ops)]
-    return (tuple(sorted(j for j, c in sites if c in ("sd", "n"))),
-            tuple(sorted(j for j, c in sites if c in ("s", "n"))))
+def _table_classes(op: LocalOperator):
+    """Sort the boson strings of ``op`` by (n creation, m annihilation) sites.
+
+    One pass returns (creation, single, hop, bundles, lone, pairs):
+      creation  {key: coeff} of the (n>=1, m=0) strings;
+      single    {key: coeff} of the (0, 1) strings, s_k keyed (k, ("s",));
+      hop       the (1, 1) matrix c[j, k] of sd_j s_k, n_j on the diagonal;
+      bundles   {creation sites: {key: coeff}} of the (n>=2, m=1) strings;
+      lone      {key: coeff} of the (n<=1, m>=2) strings;
+      pairs     {smaller of key and conjugate key: {key: coeff}} of the
+                (n>=2, m>=2) strings, in order of first appearance.
+    The identity string is in none of them.
+    """
+    n_sites = op.n_sites
+    creation, single, bundles, lone, pairs = {}, {}, {}, {}, {}
+    hop = np.zeros((n_sites, n_sites), dtype=complex)
+    for key, coeff in op.terms.items():
+        start, ops = key
+        sites = [((start + k) % n_sites, c) for k, c in enumerate(ops)]
+        cre = tuple(sorted(j for j, c in sites if c in ("sd", "n")))
+        ann = tuple(sorted(j for j, c in sites if c in ("s", "n")))
+        if not ann:
+            if cre:
+                creation[key] = coeff
+        elif len(ann) == 1:
+            if not cre:
+                single[key] = coeff
+            elif len(cre) == 1:
+                hop[cre[0], ann[0]] += coeff
+            else:
+                bundles.setdefault(cre, {})[key] = coeff
+        elif len(cre) < 2:
+            lone[key] = coeff
+        else:
+            pairs.setdefault(min(key, (start, _dagger_pattern(ops))), {})[key] = coeff
+    return creation, single, hop, bundles, lone, pairs
 
 
 def verify_table(g: LocalOperator, tol: float = 1e-12) -> TableReport:
@@ -247,44 +277,22 @@ def verify_table(g: LocalOperator, tol: float = 1e-12) -> TableReport:
     """
     op = opspace.to_boson_basis(g)
     scale = max((abs(v) for v in op.terms.values()), default=1.0)
-    pure_creation = []
-    row_sums_21: dict = {}
-    row_sum_01 = 0.0 + 0.0j
-    terms_01 = []
-    hop_rows = np.zeros(op.n_sites, dtype=complex)
-    for (start, ops), coeff in op.terms.items():
-        cre, ann = _sites(op.n_sites, start, ops)
-        n, m = len(cre), len(ann)
-        if n >= 1 and m == 0:
-            pure_creation.append(((start, ops), coeff))
-        elif n == 0 and m == 1:
-            row_sum_01 += coeff
-            terms_01.append(((start, ops), coeff))
-        elif n >= 2 and m == 1:
-            row_sums_21.setdefault(cre, []).append(((start, ops), coeff))
-        elif n == 1 and m == 1:
-            hop_rows[cre[0]] += coeff
-    conditions = []
-    conditions.append(TableCondition(
-        "n>=1,m=0", not pure_creation, tuple(pure_creation)))
-    bad01 = terms_01 if abs(row_sum_01) > tol * scale else []
-    conditions.append(TableCondition("n=0,m=1", not bad01, tuple(bad01)))
-    bad21 = []
-    for key, entries in row_sums_21.items():
-        if abs(sum(c for _, c in entries)) > tol * scale:
-            bad21.extend(entries)
-    conditions.append(TableCondition("n>=2,m=1", not bad21, tuple(bad21)))
+    creation, single, hop, bundles, _, _ = _table_classes(op)
+    bad01 = list(single.items()) if abs(sum(single.values())) > tol * scale else []
+    bad21 = [term for terms in bundles.values()
+             if abs(sum(terms.values())) > tol * scale for term in terms.items()]
     # sites with no hopping string contribute a zero row sum, so all N rows vote
-    lam = complex(np.mean(hop_rows))
-    bad11 = [(j, complex(hop_rows[j])) for j in range(op.n_sites)
-             if abs(hop_rows[j] - lam) > tol * max(scale, 1.0)]
-    if bad11:
-        lam = None
-    conditions.append(TableCondition("n=1,m=1", not bad11, tuple(bad11)))
-    conditions.append(TableCondition("n>=0,m>=2", True, ()))
-    if lam is not None:
-        lam = lam + op.identity_coefficient()
-    return TableReport(tuple(conditions), lam)
+    rows = hop.sum(axis=1)
+    lam = complex(np.mean(rows))
+    bad11 = [(j, complex(r)) for j, r in enumerate(rows)
+             if abs(r - lam) > tol * max(scale, 1.0)]
+    conditions = (
+        TableCondition("n>=1,m=0", not creation, tuple(creation.items())),
+        TableCondition("n=0,m=1", not bad01, tuple(bad01)),
+        TableCondition("n>=2,m=1", not bad21, tuple(bad21)),
+        TableCondition("n=1,m=1", not bad11, tuple(bad11)),
+        TableCondition("n>=0,m>=2", True, ()))
+    return TableReport(conditions, None if bad11 else lam + op.identity_coefficient())
 
 
 # -- Theorem-1 decomposition ---------------------------------------------------
@@ -308,22 +316,6 @@ class CanonicalForm:
         return op_sum(n_sites, ops, coeffs)
 
 
-def _hopping_matrix(op: LocalOperator):
-    """Coefficient matrix c[j,k] of the (n=1, m=1) strings sd_j s_k."""
-    c = np.zeros((op.n_sites, op.n_sites), dtype=complex)
-    for (start, ops), coeff in op.terms.items():
-        cre, ann = _sites(op.n_sites, start, ops)
-        if len(cre) == len(ann) == 1:
-            c[cre[0], ann[0]] += coeff
-    return c
-
-
-def _hop_distance(n_sites, j, k):
-    """Signed ring distance from j to k, minimal window version."""
-    fwd = (k - j) % n_sites
-    return fwd if fwd <= n_sites - fwd else fwd - n_sites
-
-
 def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     """Theorem-1 canonical form of a Hermitian W-parent Hamiltonian.
 
@@ -341,15 +333,13 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     omega_id = op.identity_coefficient()
     annihilators = []
 
-    c = _hopping_matrix(op)
+    _, _, c, bundles, _, pairs = _table_classes(op)
     sym = c.real.copy()
     asym = c.imag.copy()
-    max_alpha = 0
-    for j in range(n_sites):
-        for k in range(n_sites):
-            if (j != k and (abs(sym[j, k]) > opspace.COEFF_TOL
-                            or abs(asym[j, k]) > opspace.COEFF_TOL)):
-                max_alpha = max(max_alpha, abs(_hop_distance(n_sites, j, k)))
+    # the longest ring distance |k - j| over the hops present
+    hops = (np.abs(sym) > opspace.COEFF_TOL) | (np.abs(asym) > opspace.COEFF_TOL)
+    max_alpha = max((min((k - j) % n_sites, (j - k) % n_sites)
+                     for j, k in zip(*np.nonzero(hops))), default=0)
 
     for alpha in range(max_alpha, 0, -1):
         for j in range(n_sites):
@@ -378,35 +368,11 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     nn = np.array([asym[j, (j + 1) % n_sites] for j in range(n_sites)])
     t_im = float(2.0 * np.mean(nn))
 
-    # remaining classes: (n>=2, m=1) strings only annihilate in zero-row-sum
-    # bundles per creation set (with their conjugates), everything with
-    # n, m >= 2 pairs off with its conjugate string by string
-    done = set()
-    groups_21: dict = {}
-    for (start, ops), coeff in op.terms.items():
-        if (start, ops) in done:
-            continue
-        cre, ann = _sites(n_sites, start, ops)
-        n, m = len(cre), len(ann)
-        if (n, m) == (1, 1) or m == 0 or n == 0:
-            continue  # hopping handled above; pure creation/annihilation vanish
-        dkey = (start, _dagger_pattern(ops))
-        if n >= 2 and m == 1:
-            done.add((start, ops))
-            done.add(dkey)
-            groups_21.setdefault(cre, {})[(start, ops)] = coeff
-        elif n == 1 and m >= 2:
-            continue  # conjugate of a (n>=2, m=1) string; bundled there
-        else:
-            done.add((start, ops))
-            if dkey == (start, ops):
-                annihilators.append(LocalOperator(n_sites, {(start, ops): coeff}))
-            else:
-                done.add(dkey)
-                partner = op.terms.get(dkey, 0.0)
-                annihilators.append(LocalOperator(
-                    n_sites, {(start, ops): coeff, dkey: partner}))
-    for terms in groups_21.values():
+    # strings with n, m >= 2 pair off with their conjugates; (n>=2, m=1)
+    # strings only annihilate in zero-row-sum bundles per creation set, with
+    # their (1, m>=2) conjugates.  Pure creation/annihilation strings vanish.
+    annihilators.extend(LocalOperator(n_sites, terms) for terms in pairs.values())
+    for terms in bundles.values():
         bundle = LocalOperator(n_sites, terms)
         annihilators.append(bundle + bundle.dagger())
 
@@ -428,7 +394,7 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
     omega_id = op.identity_coefficient()
     annihilators = []
 
-    c = _hopping_matrix(op)
+    _, single, c, bundles, lone, pairs = _table_classes(op)
     row_sums = c.sum(axis=1)
     omega_n = complex(np.mean(row_sums))
     for j in range(n_sites):
@@ -439,26 +405,19 @@ def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> Canonica
         if len(row):
             annihilators.append(row)
 
-    single = np.zeros(n_sites, dtype=complex)
-    for (start, ops), coeff in op.terms.items():
-        cre, ann = _sites(n_sites, start, ops)
-        if not cre and len(ann) == 1:
-            single[ann[0]] += coeff
-    if np.abs(single).max() > opspace.COEFF_TOL:
-        partial = np.cumsum(single)
+    if single:
+        amps = np.zeros(n_sites, dtype=complex)
+        amps[[k for k, _ in single]] = list(single.values())
+        partial = np.cumsum(amps)
         keep = [k for k in range(n_sites) if abs(partial[k]) > opspace.COEFF_TOL]
         annihilators.append(_translates(
             n_sites, [(((0, ("s",)), 1.0), ((1, ("s",)), -1.0))], keep, partial[keep]))
 
-    # (n>=2, m=1) strings bundle into zero-row-sum groups per creation set
-    groups_21: dict = {}
-    for (start, ops), coeff in op.terms.items():
-        cre, ann = _sites(n_sites, start, ops)
-        if len(ann) >= 2:
-            annihilators.append(LocalOperator(n_sites, {(start, ops): coeff}))
-        elif len(ann) == 1 and len(cre) >= 2:
-            groups_21.setdefault(cre, {})[(start, ops)] = coeff
-    annihilators.extend(LocalOperator(n_sites, terms) for terms in groups_21.values())
+    # every m >= 2 string alone; (n>=2, m=1) strings in zero-row-sum bundles
+    # per creation set
+    many = [*lone.items(), *(term for terms in pairs.values() for term in terms.items())]
+    annihilators.extend(LocalOperator(n_sites, {key: coeff}) for key, coeff in many)
+    annihilators.extend(LocalOperator(n_sites, terms) for terms in bundles.values())
 
     form = CanonicalForm(omega_id, omega_n, 0.0, tuple(annihilators), 0.0)
     residual = hs_norm(op - form.reconstruct(n_sites))

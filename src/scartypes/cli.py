@@ -262,8 +262,7 @@ def _cmd_mps(args) -> int:
         gen = _load_complex_array(args.generator)
     spectrum = mps.transfer_spectrum(a)
     r_inj = mps.injectivity_length(a)
-    dense_sizes = (6,) if a.d ** 8 > mps.DENSE_MAX_DIM else (6, 8)
-    label = mps.classify_symmetry_generator(a, gen, dense_sizes=dense_sizes)
+    label = mps.classify_symmetry_generator(a, gen)
     _emit({
         "config": _config(args),
         "rank_full": mps.is_full_rank(a),

@@ -217,20 +217,12 @@ def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
     """
     if a.d ** n_sites > DENSE_MAX_DIM:
         raise ValueError("dense chain too large")
-    acc = a.data                      # (d^k, D, D), site 0 slowest so far
-    for _ in range(n_sites - 1):
-        acc = np.einsum("iab,jbc->ijac", acc, a.data).reshape(-1, a.bond, a.bond)
-    amps = np.trace(acc, axis1=1, axis2=2)
-    # acc index is big-endian in site order (site 0 most significant);
+    amps = np.trace(_blocked(a, n_sites), axis1=1, axis2=2)
+    # the blocked index is big-endian in site order (site 0 most significant);
     # convert to the package little-endian convention
     tens = amps.reshape((a.d,) * n_sites)
     amps = np.transpose(tens, list(range(n_sites - 1, -1, -1))).reshape(-1)
     return amps / np.linalg.norm(amps)
-
-
-def _embed_window(mat: np.ndarray, sites, n_sites: int, local_dim: int,
-                  psi: np.ndarray) -> np.ndarray:
-    return boundary_mod._site_axes_apply(mat, psi, list(sites), local_dim, n_sites)
 
 
 def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,
@@ -239,7 +231,7 @@ def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,
     u = _symmetry_unitary(generator, theta)
     out = psi
     for j in lam_sites:
-        out = _embed_window(u, (j,), n_sites, a.d, out)
+        out = boundary_mod._site_axes_apply(u, out, [j], a.d, n_sites)
     return out
 
 
@@ -255,8 +247,8 @@ def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
     target = truncated_symmetry_action(a, generator, theta, lam, psi, n_sites)
     left_sites = lam[:r_inj]
     right_sites = lam[-r_inj:]
-    got = _embed_window(w_left, left_sites, n_sites, a.d, psi)
-    got = _embed_window(w_right, right_sites, n_sites, a.d, got)
+    got = boundary_mod._site_axes_apply(w_left, psi, left_sites, a.d, n_sites)
+    got = boundary_mod._site_axes_apply(w_right, got, right_sites, a.d, n_sites)
     return float(np.linalg.norm(target - got))
 
 
@@ -268,7 +260,7 @@ def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
     lam = list(range(1, n_sites - 1))
     target = np.zeros_like(psi)
     for j in lam:
-        target = target + _embed_window(gen, (j,), n_sites, a.d, psi)
+        target = target + boundary_mod._site_axes_apply(gen, psi, [j], a.d, n_sites)
     width = max(r_inj, 1)
     *_, r_abs = boundary_mod.solve_boundary_dense(
         [target], [psi], n_sites, a.d,

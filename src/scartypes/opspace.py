@@ -26,7 +26,6 @@ COEFF_TOL = 1e-14          # canonicalization drop tolerance (absolute)
 HERMITIAN_TOL = 1e-12
 MATRIX_MAX_SITES = 14      # dense 2^N guard
 
-BOSON_CODES = ("id", "sd", "s", "n")
 PAULI_CODES = ("id", "x", "y", "z")
 ALL_CODES = ("id", "sd", "s", "n", "x", "y", "z")
 
@@ -445,27 +444,6 @@ def _flip_diagonals(op: LocalOperator) -> dict:
             diagonals[flip] = np.zeros(dim, dtype=complex)
         diagonals[flip][src] += vals
     return diagonals
-
-
-def to_sparse(op: LocalOperator) -> "scipy.sparse.csr_matrix":
-    """2^N x 2^N CSR matrix (site j = bit j), the nonzeros of _flip_diagonals.
-
-    The only function in the module that needs scipy; it imports
-    scipy.sparse when called.
-    """
-    from scipy import sparse
-    dim = 1 << op.n_sites
-    rows, cols, data = [], [], []
-    for flip, diag in _flip_diagonals(op).items():
-        nz = np.flatnonzero(diag)
-        rows.append(nz ^ flip)
-        cols.append(nz)
-        data.append(diag[nz])
-    if not data:
-        return sparse.csr_matrix((dim, dim), dtype=complex)
-    return sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
 
 
 def to_matrix(op: LocalOperator) -> np.ndarray:

@@ -13,8 +13,6 @@ import numpy as np
 
 from .opspace import Region
 
-NORM_TOL = 1e-12
-
 
 def _popcounts(n_sites: int) -> np.ndarray:
     idx = np.arange(1 << n_sites, dtype=np.int64)

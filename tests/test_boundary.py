@@ -155,7 +155,10 @@ class TestSpectralNorm:
                                 Region(3, 9, n), "boson"),
                s["rehop"],
                # |+>^N is an eigenvector of these: a uniform Lanczos start stalls
-               canonical.h_heis(n), s["imhop"], s["imhop2"]]
+               canonical.h_heis(n), s["imhop"], s["imhop2"],
+               # small rings, down to a 2 x 2 matrix
+               opspace.truncate(canonical.random_type1(8, rng), Region(1, 7, 8), "boson"),
+               canonical.h_imhop2(7), canonical.h_rehop(3), canonical.n_tot(1)]
         for op in ops:
             dense = np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max()
             assert abs(boundary.spectral_norm(op) - dense) <= 1e-10 * dense

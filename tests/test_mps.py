@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from scartypes import mps
+from scartypes import boundary, mps
 from scartypes.mps import (MPSTensor, NotInjective, NotSymmetricError,
                            boundary_operators, builtin_aklt, builtin_ssh,
                            classify_symmetry_generator, injectivity_length,
@@ -174,9 +174,9 @@ class TestBoundaryOperators:
             aklt, spin1_matrix("z"), theta, lam, psi, n_sites)
         v, _ = push_through_check(aklt, spin1_matrix("z"), theta)
         _, w_right, _ = boundary_operators(aklt, v, 2)
-        got = mps._embed_window(expm(1j * theta * o_left), lam[:2],
-                                n_sites, 3, psi)
-        got = mps._embed_window(w_right, lam[-2:], n_sites, 3, got)
+        got = boundary._site_axes_apply(expm(1j * theta * o_left), psi, lam[:2],
+                                        3, n_sites)
+        got = boundary._site_axes_apply(w_right, got, lam[-2:], 3, n_sites)
         assert np.linalg.norm(expected - got) < 1e-9
 
 
