@@ -278,9 +278,7 @@ def _cmd_mps(args) -> int:
 
 
 def _config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg.setdefault("seed", None)
-    return cfg
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def build_parser() -> _Parser:

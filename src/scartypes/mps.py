@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundary as boundary_mod
+from .nullspace import real_rank
 
 PUSH_TOL = 1e-10
 FULL_RANK_TOL = 1e-10
@@ -102,8 +103,7 @@ def transfer_spectrum(a: MPSTensor) -> np.ndarray:
 
 
 def is_full_rank(a: MPSTensor, tol: float = FULL_RANK_TOL) -> bool:
-    svals = np.linalg.svd(transfer_matrix(a), compute_uv=False)
-    return bool(svals[-1] > tol * svals[0])
+    return real_rank(transfer_matrix(a), tol) == a.bond ** 2
 
 
 def _blocked(a: MPSTensor, k: int) -> np.ndarray:
@@ -121,9 +121,7 @@ def injectivity_length(a: MPSTensor, max_block: int = 6):
         raise ValueError("max_block <= 6")
     target = a.bond ** 2
     for k in range(1, max_block + 1):
-        mats = _blocked(a, k).reshape(-1, target)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        if svals.size >= target and svals[target - 1] > 1e-10 * svals[0]:
+        if real_rank(_blocked(a, k).reshape(-1, target)) >= target:
             return k
     return NotInjective(max_block)
 

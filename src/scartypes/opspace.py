@@ -241,48 +241,45 @@ def string_term(n_sites: int, coeff, site_ops) -> LocalOperator:
     acting last, then re-expand in the boson site basis: e.g. the pair
     (j,'sd'),(j,'s') is s sd = |0><0| and yields the strings id - n.
     """
-    site_ops = list(site_ops)
-    if not site_ops:
-        return identity(n_sites, coeff)
     per_site: dict[int, list] = {}
     for site, code in site_ops:
         per_site.setdefault(site % n_sites, []).append(code)
     # the minimal window covering the sites, by canonicalizing a ring-long string
     start, window = _canonical_key(
         n_sites, 0, tuple("x" if j in per_site else "id" for j in range(n_sites)))
-    length = len(window)
     factors = []
-    for k in range(length):
-        j = (start + k) % n_sites
-        codes = per_site.get(j)
-        if codes is None:
-            factors.append((("id", 1.0),))
-            continue
+    for k in range(len(window)):
+        codes = per_site.get((start + k) % n_sites, ["id"])
         if len(codes) == 1:
             factors.append(((codes[0], 1.0),))
             continue
         # compose repeated site factors and re-expand in the boson basis:
-        # M = a*id + c*sd + b*s + (d-a)*n
+        # M = a*id + c*sd + b*s + (d-a)*n; a site composing to 0 empties the product
         mat = np.eye(2, dtype=complex)
         for code in codes:
             mat = _MATS[code] @ mat
         (a, b), (c, d) = mat
-        opts = [p for p in (("id", a), ("s", b), ("sd", c), ("n", d - a))
-                if abs(p[1]) > COEFF_TOL]
-        if not opts:
-            return zero(n_sites)
-        factors.append(tuple(opts))
-    terms: dict = {}
-    stack = [(0, 1.0, [])]
-    while stack:
-        k, amp, ops = stack.pop()
-        if k == length:
-            key = (start, tuple(ops))
-            terms[key] = terms.get(key, 0.0) + coeff * amp
-            continue
-        for code, w in factors[k]:
-            stack.append((k + 1, amp * w, ops + [code]))
-    return LocalOperator(n_sites, terms)
+        factors.append(tuple(p for p in (("id", a), ("s", b), ("sd", c), ("n", d - a))
+                             if abs(p[1]) > COEFF_TOL))
+    return LocalOperator(n_sites, {(start, ops): coeff * amp
+                                   for ops, amp in _expand(factors, 1.0)})
+
+
+def _expand(factors, amp) -> list:
+    """Every (codes, amplitude) term of amp times a product of per-site sums.
+
+    ``factors`` holds one ((code, weight), ...) sum per site; terms take
+    each site's options last first, the first site varying slowest, and
+    multiply the weights onto amp site by site.
+    """
+    out = [((), amp)]
+    for opts in factors:
+        grown = []
+        for ops, a in out:
+            for c, w in reversed(opts):
+                grown.append((ops + (c,), a * w))
+        out = grown
+    return out
 
 
 # -- state application ------------------------------------------------------
@@ -378,15 +375,9 @@ def hs_norm(a: LocalOperator) -> float:
 def _convert(op: LocalOperator, table) -> LocalOperator:
     terms: dict = {}
     for (start, ops), coeff in op.terms.items():
-        stack = [(0, coeff, [])]
-        while stack:
-            k, amp, acc = stack.pop()
-            if k == len(ops):
-                key = _canonical_key(op.n_sites, start, tuple(acc))
-                terms[key] = terms.get(key, 0.0) + amp
-                continue
-            for code, w in table[ops[k]]:
-                stack.append((k + 1, amp * w, acc + [code]))
+        for codes, amp in _expand(map(table.__getitem__, ops), coeff):
+            key = _canonical_key(op.n_sites, start, codes)
+            terms[key] = terms.get(key, 0.0) + amp
     return LocalOperator._trusted(op.n_sites, terms)
 
 
@@ -461,39 +452,24 @@ def to_matrix(op: LocalOperator) -> np.ndarray:
 # -- textual format ----------------------------------------------------------
 
 def _parse_coeff(text: str) -> complex:
-    """Coefficients like ``-1``, ``0.5i``, ``1e-3``, ``2-0.5i``, ``i``."""
+    """Python's complex() syntax with the unit written ``i``: ``-1``, ``1e-3``,
+    ``2-0.5i``, ``-i``; ``j`` and parentheses are rejected."""
     t = text.replace(" ", "")
-    if not t:
-        raise ValueError("empty coefficient")
     try:
-        if not t.endswith("i"):
-            return complex(float(t), 0.0)
-        split = None
-        for i in range(len(t) - 2, 0, -1):
-            if t[i] in "+-" and t[i - 1] not in "eE":
-                split = i
-                break
-        re_txt, im_txt = (t[:split], t[split:-1]) if split else ("", t[:-1])
-        if im_txt in ("", "+"):
-            im_val = 1.0
-        elif im_txt == "-":
-            im_val = -1.0
-        else:
-            im_val = float(im_txt)
-        return complex(float(re_txt) if re_txt else 0.0, im_val)
+        if "j" in t or "(" in t:
+            raise ValueError
+        return complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError as exc:
         raise ValueError(f"bad coefficient {text!r}") from exc
 
 
 def _format_coeff(c: complex) -> str:
-    def num(x):
-        return f"{x:.12g}"
-    if abs(c.imag) <= COEFF_TOL:
-        return num(c.real)
-    if abs(c.real) <= COEFF_TOL:
-        return f"{num(c.imag)}i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{num(c.real)}{sign}{num(abs(c.imag))}i"
+    """Each part by repr, which reads back exactly; a part of exactly 0.0 is omitted."""
+    if c.imag == 0.0:
+        return repr(c.real)
+    if c.real == 0.0:
+        return f"{c.imag!r}i"
+    return f"{c.real!r}{'' if c.imag < 0 else '+'}{c.imag!r}i"
 
 
 def parse_operator(text: str, n_sites: int) -> LocalOperator:

@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from .opspace import Region
+from .opspace import CapacityError, Region
 
 
 def _popcounts(n_sites: int) -> np.ndarray:
@@ -22,8 +22,15 @@ def _popcounts(n_sites: int) -> np.ndarray:
     return counts
 
 
+def _zeros(n_sites: int) -> np.ndarray:
+    """Zero 2^N amplitude vector; CapacityError above 24 sites (256 MiB)."""
+    if n_sites > 24:
+        raise CapacityError(f"N={n_sites} exceeds the dense-state guard of 24 sites")
+    return np.zeros(1 << n_sites, dtype=complex)
+
+
 def vacuum(n_sites: int) -> np.ndarray:
-    psi = np.zeros(1 << n_sites, dtype=complex)
+    psi = _zeros(n_sites)
     psi[0] = 1.0
     return psi
 
@@ -36,7 +43,7 @@ def w_p(n_sites: int, p: int) -> np.ndarray:
     """Uniform superposition over all p-particle configurations."""
     if not 0 <= p <= n_sites:
         raise ValueError(f"p={p} outside 0..{n_sites}")
-    psi = np.zeros(1 << n_sites, dtype=complex)
+    psi = _zeros(n_sites)
     mask = _popcounts(n_sites) == p
     psi[mask] = 1.0 / np.sqrt(comb(n_sites, p))
     return psi
@@ -50,7 +57,7 @@ def w_q(n_sites: int, m: int, conjugate: bool = False) -> np.ndarray:
     """
     q = 2.0 * np.pi * (m % n_sites) / n_sites
     sign = +1.0 if conjugate else -1.0
-    psi = np.zeros(1 << n_sites, dtype=complex)
+    psi = _zeros(n_sites)
     for j in range(n_sites):
         psi[1 << j] = np.exp(sign * 1j * q * j) / np.sqrt(n_sites)
     return psi
@@ -62,7 +69,7 @@ def droplet(n_sites: int, m_size: int, p: int) -> np.ndarray:
         raise ValueError(f"droplet size {m_size} outside 1..{n_sites}")
     if not 0 <= p <= m_size:
         raise ValueError(f"p={p} outside 0..{m_size}")
-    psi = np.zeros(1 << n_sites, dtype=complex)
+    psi = _zeros(n_sites)
     inner = w_p(m_size, p)
     psi[: 1 << m_size] = inner
     return psi

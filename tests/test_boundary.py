@@ -179,6 +179,7 @@ class TestSpectralNorm:
         # x - sd - s is the zero matrix: beta = 0 at the first step
         zero_matrix = opspace.parse_operator("x@0 ; -1 * sd@0 ; -1 * s@0", n)
         assert zero_matrix.terms and boundary.spectral_norm(zero_matrix) == 0.0
+        assert boundary.spectral_norm(opspace.zero(8)) == 0.0      # no flip diagonal
         # two eigenvalues, 1 and 3: the Krylov space closes after two steps
         two_level = opspace.parse_operator("2 * id ; z@4", n)
         assert boundary.spectral_norm(two_level) == pytest.approx(3.0, rel=1e-12)
@@ -417,6 +418,8 @@ class TestClassify:
             classify(s["rehop"], [s["vac"], s["w"]], r_max_list=(0,))
         with pytest.raises(ValueError):
             boundary_solve(s["rehop"], [s["w"]], s["lam"], 0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            classify(canonical.p_nonherm(s["n"], 0), [s["vac"], s["w"]])
 
     def test_empty_sweep_precondition(self):
         for n, r_max in ((3, 2), (10, 4)):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scartypes import boundary, canonical, cli, dynamics, states
+from scartypes import boundary, canonical, cli, dynamics, opspace, states
 from scartypes.cli import run
 from scartypes.opspace import operators_equal
 from test_dynamics import _reference_occupations, _reference_upsilon
@@ -77,6 +77,11 @@ class TestClassify:
         assert out == ""
         assert "error" in json.loads(capsys.readouterr().err)
 
+    def test_non_hermitian_exit_2(self, capsys):
+        code, out = invoke(["classify", "--ham", "p_nonherm", "--N", "10"])
+        assert (code, out) == (2, "")
+        assert "Hermitian" in json.loads(capsys.readouterr().err)["error"]
+
     def test_spectral_norm_step_cap_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(boundary, "LANCZOS_MAX_STEPS", 6)
         code, out = invoke(["classify", "--ham", "h_imhop", "--N", "10"])
@@ -102,6 +107,14 @@ class TestDecompose:
         report = json.loads(out)
         assert code == 0
         assert report["omega"]["re"] == pytest.approx(1.0)
+
+    def test_written_operator_file_is_exact(self, tmp_path):
+        h = canonical.random_type1(10, np.random.default_rng(5), translation_invariant=False)
+        path = tmp_path / "ham.op"
+        path.write_text(opspace.format_operator(h) + "\n")
+        code, out = invoke(["decompose", "--ham", str(path), "--N", "10"])
+        assert code == 0
+        assert json.loads(out)["residual"] == 0.0
 
     def test_non_eigenstate_precondition(self, tmp_path, capsys):
         path = tmp_path / "bad.op"
@@ -399,6 +412,15 @@ class TestProtocol:
     def test_unknown_command_is_usage_error(self):
         code, _ = invoke(["frobnicate"])
         assert code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--ham", "h_rehop", "--N", "40"],
+        ["classify", "--ham", "n_tot", "--N", "40"],
+        ["scan-classes", "--N", "40", "--R", "2", "--Rp", "3"],
+        ["variance", "--scan", "q", "--N", "40"]], ids=lambda argv: argv[0])
+    def test_dense_state_guard_exit_2(self, argv, capsys):
+        assert invoke(argv) == (2, "")
+        assert "dense-state guard" in json.loads(capsys.readouterr().err)["error"]
 
     def test_determinism(self):
         argv = ["--seed", "3", "scan-classes", "--N", "6", "--R", "2",

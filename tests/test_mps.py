@@ -39,6 +39,10 @@ class TestTransferMatrix:
     def test_full_rank_criterion(self):
         assert is_full_rank(builtin_aklt())
         assert not is_full_rank(builtin_ssh())
+        # every A^s of rank one: E has rank d = 2 of D^2 = 4
+        rng = np.random.default_rng(3)
+        rank_one = np.einsum("sa,sb->sab", rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+        assert not is_full_rank(MPSTensor(rank_one + 0j))
 
 
 class TestInjectivity:
@@ -226,6 +230,11 @@ class TestClassification:
         label = classify_symmetry_generator(builtin_ssh(), ssh_sz_matrix(),
                                             dense_sizes=(6,))
         assert label.value == "I"
+
+    def test_zero_generator_is_locally_symmetric(self):
+        label = classify_symmetry_generator(builtin_aklt(), np.zeros((3, 3)))
+        assert label.value == "I"
+        assert label.notes == ("tensor locally symmetric: V is a pure phase",)
 
     def test_not_symmetric_raises(self):
         bad = np.diag([1.0, 0.0, 0.0]).astype(complex)

@@ -136,6 +136,16 @@ class TestBasisConversion:
             diff = back - op
             assert all(abs(c) < 1e-12 for c in diff.terms.values())
 
+    def test_term_order(self):
+        # each site's expansion options are taken last first, the first site
+        # varying slowest; apply and to_matrix sum the terms in this order
+        assert list(string_term(6, 1.0, [(3, "sd"), (3, "s"), (4, "x")]).terms) == [
+            (3, ("n", "x")), (4, ("x",))]
+        assert list(to_pauli_basis(string_term(6, 1.0, [(0, "sd"), (1, "n")])).terms) == [
+            (0, ("y", "z")), (0, ("y",)), (0, ("x", "z")), (0, ("x",))]
+        assert list(to_boson_basis(string_term(6, 1.0, [(0, "x"), (1, "z")])).terms) == [
+            (0, ("s", "n")), (0, ("s",)), (0, ("sd", "n")), (0, ("sd",))]
+
     def test_conversion_preserves_action(self):
         rng = np.random.default_rng(5)
         op = random_operator(6, rng)
@@ -295,7 +305,7 @@ class TestTextFormat:
 
     def test_builtin_round_trip(self):
         for op in (canonical.h_imhop(8), canonical.h_heis(8),
-                   canonical.n_tot(8) + identity(8, 1.5 - 0.25j)):
+                   canonical.n_tot(8) + identity(8, 1.5 - 0.25j), zero(8)):
             back = parse_operator(format_operator(op), 8)
             assert (back - op).coeff_norm() < 1e-10
 
@@ -306,6 +316,33 @@ class TestTextFormat:
         op = random_operator(7, rng, paulis=bool(rng.integers(2)))
         back = parse_operator(format_operator(op), 7)
         assert (back - op).coeff_norm() < 1e-9 * max(op.coeff_norm(), 1.0)
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("translation_invariant", [True, False])
+    def test_exact_round_trip(self, n, translation_invariant):
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * n + seed)
+            op = (canonical.random_type1(n, rng, translation_invariant=translation_invariant)
+                  + canonical.h_imhop(n) + identity(n, complex(rng.normal(), rng.normal())))
+            assert parse_operator(format_operator(op), n).terms == op.terms
+
+    @pytest.mark.parametrize("coeff", [1e-15 + 0.5j, 0.5 - 1e-16j, 1 / 3, 0.1,
+                                       -2.5e-7 - 1e300j])
+    def test_exact_round_trip_of_one_string(self, coeff):
+        op = string_term(8, coeff, [(2, "sd"), (3, "n"), (4, "s")])
+        assert parse_operator(format_operator(op), 8).terms == op.terms
+
+    @pytest.mark.parametrize("text,value", [
+        ("-1", -1), ("0.5i", 0.5j), ("1e-3", 1e-3), ("2-0.5i", 2 - 0.5j), ("i", 1j),
+        ("2+i", 2 + 1j), ("2-i", 2 - 1j), ("+i", 1j), ("-i", -1j), ("1e5+i", 1e5 + 1j),
+        ("1.5e+3i", 1500j), (" -0.25 + 2i ", -0.25 + 2j)])
+    def test_coefficient_grammar(self, text, value):
+        assert parse_operator(f"{text} * n@0", 4).terms == {(0, ("n",)): value}
+
+    @pytest.mark.parametrize("text", ["2j", "e-3i", "1+2", "", "(2)", "1i+2"])
+    def test_bad_coefficient(self, text):
+        with pytest.raises(ValueError, match="coefficient"):
+            parse_operator(f"{text} * n@0", 4)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,13 @@ class TestConstructors:
         with pytest.raises(ValueError):
             states.w_p(4, 5)
 
+    def test_dense_state_guard(self):
+        # raised before any 2^N array is allocated
+        for build in (states.vacuum, states.w_state, lambda n: states.w_p(n, 2),
+                      lambda n: states.w_q(n, 1), lambda n: states.droplet(n, 3, 1)):
+            with pytest.raises(opspace.CapacityError, match="N=25"):
+                build(25)
+
 
 class TestBoostedW:
     def test_m_zero_is_w(self):
