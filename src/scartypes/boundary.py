@@ -12,9 +12,10 @@ with f_n) and scalars f_n, optionally restricting A_l, B_r to Hermitian.
 The window basis is the site products of {1, traceless Hermitian}: for
 qubits the window's Pauli strings, whose coefficients the fit returns.
 
-Residuals are reported relative to the spectral norm of H_Lam with the
-accept/reject dead zone fixed at 1e-8 / 1e-3: the impossibility proofs are
-exact statements, finite-size numerics needs the buffer.
+Residuals are reported relative to the spectral norm of H_Lam (in
+equivalence_test, to the larger max_n ||H_Lam psi_n|| of its two inputs)
+with the accept/reject dead zone fixed at 1e-8 / 1e-3: the impossibility
+proofs are exact statements, finite-size numerics needs the buffer.
 """
 
 from __future__ import annotations
@@ -240,14 +241,29 @@ def _window_operator(coeffs, sites, n_sites: int) -> LocalOperator:
     return LocalOperator(n_sites, {(sites[0], c): v for c, v in zip(codes, coeffs)})
 
 
-def _require_window(r_max: int) -> None:
+def _patch_floor(r_max: int, op_range: int) -> int:
+    """The patch rule: R_max >= 1 (ValueError otherwise) and at least max(2 R_max + 2,
+    2 range + 1) sites, so the two R_max windows are disjoint and truncation is defined."""
     if r_max < 1:
         raise ValueError(f"boundary window R_max = {r_max} must be at least 1")
+    return max(2 * r_max + 2, 2 * op_range + 1)
+
+
+def _require(r_max: int, hs, states_list) -> None:
+    """The checks every public entry point makes first, in this order: R_max
+    >= 1 (ValueError), every state an eigenstate of every h
+    (ClassificationError), every h Hermitian (ValueError)."""
+    _patch_floor(r_max, 0)
+    for psi in states_list:
+        for h in hs:
+            canonical.require_eigenstate(h, psi)
+    if not all(h.hermitian() for h in hs):
+        raise ValueError("truncation tests are defined for Hermitian Hamiltonians")
 
 
 def _action(op: LocalOperator, states_list):
-    """Targets op|psi> for every state and op's spectral norm (floored at
-    1e-300), from one decode: (op psi)[i ^ f] += g_f[i] psi[i]."""
+    """op's flip diagonals and the targets op|psi> for every state, from one
+    decode: (op psi)[i ^ f] += g_f[i] psi[i]."""
     diagonals = opspace._flip_diagonals(op)
     idx = np.arange(1 << op.n_sites)
     targets = []
@@ -258,34 +274,32 @@ def _action(op: LocalOperator, states_list):
         for flip, gain in diagonals.items():
             out[idx ^ flip] += gain * psi
         targets.append(out)
-    return targets, max(_spectral_norm(diagonals, op.n_sites), 1e-300)
+    return diagonals, targets
 
 
-def _patch(h: LocalOperator, states_list, lam: Region, r_max: int):
-    """One patch of the sweep: one truncation, action, design matrix and norm.
+def _patch(hs, states_list, lam: Region, r_max: int):
+    """One patch of the Hamiltonians hs: checks the patch rule (ValueError).
 
-    Returns (fit, scale, (left_sites, right_sites)); ``fit(hermitian)`` solves
-    the patch's design matrix and returns (A, B, f, r_abs).
+    Returns (design matrix, (left_sites, right_sites), actions), with one
+    (flip diagonals, targets) pair per truncation in ``actions``.
     """
-    _require_window(r_max)
-    if lam.length < 2 * r_max + 2:
-        raise ValueError(
-            f"patch length {lam.length} < 2 R_max + 2 = {2 * r_max + 2}: windows overlap")
-    if not h.hermitian():
-        raise ValueError("truncation tests are defined for Hermitian Hamiltonians")
+    floor = _patch_floor(r_max, max(h.declared_range for h in hs))
+    if lam.length < floor:
+        raise ValueError(f"patch length {lam.length} < {floor} sites at R_max = {r_max}: "
+                         f"windows overlap or terms do not fit")
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
-    mat = _design_matrix(states_list, h.n_sites, 2, *windows)
-    targets, scale = _action(opspace.truncate(h, lam), states_list)
-    return (lambda hermitian: _fit(mat, targets, hermitian, 4 ** r_max - 1),
-            scale, windows)
+    mat = _design_matrix(states_list, hs[0].n_sites, 2, *windows)
+    return mat, windows, [_action(opspace.truncate(h, lam), states_list) for h in hs]
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
                    hermitian: bool = False) -> BoundarySolve:
     """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
-    fit, scale, (left_sites, right_sites) = _patch(h, states_list, lam, r_max)
-    a, b, f, r_abs = fit(hermitian)
+    _require(r_max, (h,), states_list)
+    mat, (left_sites, right_sites), [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
+    scale = max(_spectral_norm(diagonals, h.n_sites), 1e-300)
+    a, b, f, r_abs = _fit(mat, targets, hermitian, 4 ** r_max - 1)
     return BoundarySolve(
         left_op=_window_operator(a, left_sites, h.n_sites),
         right_op=_window_operator(b, right_sites, h.n_sites),
@@ -312,12 +326,9 @@ def action_equivalent(op_a: LocalOperator, op_b: LocalOperator, states_list,
 
 
 def default_sweep(n_sites: int, r_max: int, anchors=(0,), op_range: int = 0):
-    """Patch lengths from max(2 R_max + 2, 2*range + 1) to N - 2 per anchor.
-
-    Raises ValueError when that range is empty.
-    """
+    """Patch lengths from _patch_floor's to N - 2 per anchor; ValueError when none."""
     lams = []
-    min_len = max(2 * r_max + 2, 2 * op_range + 1)
+    min_len = _patch_floor(r_max, op_range)
     if min_len > n_sites - 2:
         raise ValueError(
             f"no patch to sweep at N={n_sites}, R_max={r_max}: patches need at "
@@ -343,15 +354,15 @@ def _left_independent(h, states_list, r_max) -> bool:
         return True
     short = Region(0, min_len - 1, n_sites)
     grown = Region(0, min_len, n_sites)
-    targets, scale = _action(opspace.truncate(h, grown) - opspace.truncate(h, short),
-                             states_list)
+    diagonals, targets = _action(opspace.truncate(h, grown) - opspace.truncate(h, short),
+                                 states_list)
     right_sites = tuple(grown.sites()[-(r_max + 1):])
     *_, r_abs = solve_boundary_dense(targets, states_list, n_sites, 2,
                                      (), right_sites, hermitian=False)
-    return r_abs / scale < ACCEPT
+    return r_abs / max(_spectral_norm(diagonals, n_sites), 1e-300) < ACCEPT
 
 
-def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
+def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     """Type I/II/III verdict from the boundary-action sweep.
 
     I: Hermitian fit accepted on every patch.  II: general fit accepted
@@ -359,9 +370,8 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
     fit itself rejected somewhere.  Residuals inside the dead zone yield an
     explicit indeterminate outcome.  The left/right-independence clause is
     cross-checked by comparing the left operator across right-edge
-    positions at fixed anchor.  Every target state must be an eigenstate
-    of h (ClassificationError otherwise), and every R_max must leave a
-    patch to sweep (ValueError otherwise).
+    positions at fixed anchor.  After _require's checks, an empty sweep
+    raises ValueError.
 
     Anchors 0 and N//3 are swept, evidence rows in that order.  When h
     equals its one-site translate term for term and every state is a
@@ -369,28 +379,23 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
     to a unitary per state, which leaves residual norms as they are: only
     anchor 0 is solved, its rows repeated (``anchors_solved``).
     """
-    for r_max in r_max_list:
-        _require_window(r_max)
-    for psi in states_list:
-        canonical.require_eigenstate(h, psi)
+    _require(r_max, (h,), states_list)
     n_sites = h.n_sites
     shifted = LocalOperator(n_sites, {(s + 1, ops): c for (s, ops), c in h.terms.items()})
     invariant = shifted.terms == h.terms and \
         nullspace._translation_eigenstates(states_list, n_sites)
     solved = (0,) if invariant else (0, n_sites // 3)
-    notes = []
     evidence = []
-    for r_max in r_max_list:
-        rows = []
-        for lam in default_sweep(n_sites, r_max, anchors=solved,
-                                 op_range=h.declared_range):
-            fit, scale, _ = _patch(h, states_list, lam, r_max)
-            rows.append((r_max, lam.length,
-                         *(fit(hermitian)[3] / scale for hermitian in (False, True))))
-        evidence += rows * (2 // len(solved))
-        if all(row[2] < ACCEPT for row in evidence) and \
-                not _left_independent(h, states_list, r_max):
-            notes.append(f"left operator varies with right edge at R_max={r_max}")
+    for lam in default_sweep(n_sites, r_max, anchors=solved, op_range=h.declared_range):
+        mat, _, [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
+        scale = max(_spectral_norm(diagonals, n_sites), 1e-300)
+        evidence.append((r_max, lam.length, *(_fit(mat, targets, hermitian, 4 ** r_max - 1)[3]
+                                              / scale for hermitian in (False, True))))
+    evidence *= 2 // len(solved)
+    notes = ()
+    if all(row[2] < ACCEPT for row in evidence) and \
+            not _left_independent(h, states_list, r_max):
+        notes = (f"left operator varies with right edge at R_max={r_max}",)
     gen, her = [row[2] for row in evidence], [row[3] for row in evidence]
     all_g_ok, all_h_ok = all(r < ACCEPT for r in gen), all(r < ACCEPT for r in her)
     dead_zone = any(not (r < ACCEPT or r > REJECT) for r in gen + her)
@@ -402,7 +407,7 @@ def classify(h: LocalOperator, states_list, r_max_list=(2,)) -> TypeLabel:
         value = "III"
     else:
         value = "indeterminate"
-    return TypeLabel(value, tuple(evidence), tuple(notes), solved)
+    return TypeLabel(value, tuple(evidence), notes, solved)
 
 
 @dataclass(frozen=True)
@@ -426,26 +431,18 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     state's residual is smallest at one sinusoid's minimum or at a crossing
     of two; the angle is the best of that finite candidate set, reported
     in [0, pi).
-    Residuals are measured against the larger of the two truncated action
-    norms.  Every target state must be an eigenstate of both inputs
-    (ClassificationError otherwise).
+    Residuals are measured against the largest ||H_Lam psi_n|| of the two
+    truncations; the default patch is the sweep's second-longest at anchor
+    0.  After _require's checks, a patch breaking the rule raises ValueError.
     """
-    _require_window(r_max)
-    for psi in states_list:
-        canonical.require_eigenstate(h_a, psi)
-        canonical.require_eigenstate(h_b, psi)
-    n_sites, n_states = h_a.n_sites, len(states_list)
+    _require(r_max, (h_a, h_b), states_list)
+    n_states = len(states_list)
     if lam is None:
-        floor = max(2 * r_max + 2,
-                    2 * max(h_a.declared_range, h_b.declared_range) + 1)
-        length = min(n_sites - 2, max(floor, n_sites - 3))
-        lam = Region(0, length - 1, n_sites)
-    h_lams = [opspace.truncate(h, lam) for h in (h_a, h_b)]
-    acts = np.array([[opspace.apply(op, psi) for psi in states_list] for op in h_lams])
+        lam = default_sweep(h_a.n_sites, r_max, op_range=max(
+            h_a.declared_range, h_b.declared_range))[-2:][0]
+    mat, _, actions = _patch((h_a, h_b), states_list, lam, r_max)
+    acts = np.array([targets for _, targets in actions])
     scale = max(np.linalg.norm(acts, axis=2).max(), 1e-300)
-    sites = lam.sites()
-    mat = _design_matrix(states_list, n_sites, 2,
-                         tuple(sites[:r_max]), tuple(sites[-r_max:]))
     _, resid = _lstsq(mat, acts.reshape(2, -1).T, hermitian=True)
     ab = resid.reshape(n_states, -1, 2)          # (state, amplitude, a/b)
     gram = (ab.conj().transpose(0, 2, 1) @ ab).real

@@ -105,7 +105,7 @@ def _emit(report: dict, args) -> None:
     report["schema"] = 1
     report["version"] = __version__
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
-    if getattr(args, "out", None) and args.out != "csv":
+    if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -163,7 +163,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_classify(args) -> int:
     h = _load_hamiltonian(args.ham, args.N)
     psis = _states_arg(args.states, args.N)
-    label = boundary.classify(h, psis, r_max_list=(args.Rmax,))
+    label = boundary.classify(h, psis, r_max=args.Rmax)
     _emit({
         "config": _config(args),
         "type": label.value,
@@ -220,9 +220,7 @@ def _cmd_droplet(args) -> int:
     if args.steps < 0 or not np.isfinite([args.tmax, shift]).all():
         raise ValueError("droplet needs --steps >= 0 and finite --tmax and --G")
     times = np.linspace(0.0, args.tmax, args.steps + 1)
-    # CSV goes to --csv, or to stdout when no JSON path was requested
-    csv_target = args.csv if args.csv else "-"
-    json_wanted = bool(args.out) and args.out != "csv"
+    csv_target = args.csv or "-"
     if args.observable == "occupations":
         occ = dynamics.occupations(run, times).tolist()
         rows = [(t, j, n_j) for t, row in zip(times.tolist(), occ)
@@ -239,7 +237,7 @@ def _cmd_droplet(args) -> int:
         _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), rows)
         if args.emit_plot:
             _write_plot_blocks(args.emit_plot, [("upsilon", rows)])
-    if json_wanted:
+    if args.out:
         _emit({"config": _config(args), "rows": len(rows)}, args)
     return EXIT_OK
 

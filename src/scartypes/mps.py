@@ -209,9 +209,8 @@ def boundary_operators(a: MPSTensor, v: np.ndarray, r_inj: int):
 def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
     """Normalized dense state sum Tr[A^{s_1}..A^{s_N}] |s_1..s_N>.
 
-    Index convention matches the dense boundary solver: little-endian with
-    site 1 as the most significant digit is avoided; amplitudes are indexed
-    by sum_j s_j d^j with site j in 0..N-1.
+    Amplitudes are indexed little-endian, by sum_j s_j d^j over sites j in
+    0..N-1, as in the dense boundary solver.
     """
     if a.d ** n_sites > DENSE_MAX_DIM:
         raise ValueError("dense chain too large")

@@ -198,9 +198,12 @@ class LocalOperator:
              for (start, ops), coeff in self.terms.items()})
 
     def hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
+        """self - self^dagger vanishes within tol x max(1, largest |coeff|): term
+        by term, or else in the boson basis, where mixed Pauli and boson codes cancel."""
         diff = self - self.dagger()
-        scale = max((abs(v) for v in self.terms.values()), default=1.0)
-        return all(abs(v) <= tol * max(scale, 1.0) for v in diff.terms.values())
+        bound = tol * max([1.0, *map(abs, self.terms.values())])
+        return all(abs(v) <= bound for v in diff.terms.values()) or \
+            all(abs(v) <= bound for v in to_boson_basis(diff).terms.values())
 
     def coeff_norm(self) -> float:
         """Sum of |coefficients|; cheap upper bound on the operator norm."""
@@ -453,14 +456,17 @@ def to_matrix(op: LocalOperator) -> np.ndarray:
 
 def _parse_coeff(text: str) -> complex:
     """Python's complex() syntax with the unit written ``i``: ``-1``, ``1e-3``,
-    ``2-0.5i``, ``-i``; ``j`` and parentheses are rejected."""
+    ``2-0.5i``, ``-i``; ``j``, parentheses, ``nan`` and ``inf`` are rejected."""
     t = text.replace(" ", "")
     try:
         if "j" in t or "(" in t:
             raise ValueError
-        return complex(t[:-1] + "j" if t.endswith("i") else t)
+        coeff = complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError as exc:
         raise ValueError(f"bad coefficient {text!r}") from exc
+    if not np.isfinite(coeff):
+        raise ValueError(f"non-finite coefficient {text!r}")
+    return coeff
 
 
 def _format_coeff(c: complex) -> str:

@@ -118,7 +118,7 @@ def _patch_operators(s):
 
 
 class TestAction:
-    """_action: every target and the norm from one decode of the flip diagonals."""
+    """_action: every target and the diagonals the norm reads from one decode."""
 
     def test_targets_and_norm_match_apply(self, setup10, monkeypatch):
         rng = np.random.default_rng(4)
@@ -134,8 +134,8 @@ class TestAction:
         results = [boundary._action(op, psis) for op, psis in cases]
         monkeypatch.undo()
         assert len(decodes) == len(cases)
-        for (op, psis), (targets, scale) in zip(cases, results):
-            assert scale == max(boundary.spectral_norm(op), 1e-300)
+        for (op, psis), (diagonals, targets) in zip(cases, results):
+            assert boundary._spectral_norm(diagonals, op.n_sites) == boundary.spectral_norm(op)
             for psi, got in zip(psis, targets):
                 want = apply(op, psi)
                 assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
@@ -333,8 +333,8 @@ class TestAnchorShortcut:
     def _classify(h, psis, monkeypatch):
         lefts, norms = [], []
         patch, norm = boundary._patch, boundary._spectral_norm
-        monkeypatch.setattr(boundary, "_patch",
-                            lambda h, psis, lam, r: lefts.append(lam.left) or patch(h, psis, lam, r))
+        monkeypatch.setattr(boundary, "_patch", lambda hs, psis, lam, r:
+                            lefts.append(lam.left) or patch(hs, psis, lam, r))
         monkeypatch.setattr(boundary, "_spectral_norm",
                             lambda diag, n: norms.append(diag) or norm(diag, n))
         label = classify(h, psis)
@@ -414,18 +414,35 @@ class TestClassify:
         assert err.value.defect > 0.1
         with pytest.raises(canonical.ClassificationError):
             equivalence_test(s["imhop"], s["rehop"], [s["vac"], drop])
+        with pytest.raises(canonical.ClassificationError):
+            boundary_solve(s["rehop"], [s["vac"], drop], s["lam"], 2)
         with pytest.raises(ValueError):
-            classify(s["rehop"], [s["vac"], s["w"]], r_max_list=(0,))
+            classify(s["rehop"], [s["vac"], s["w"]], r_max=0)
         with pytest.raises(ValueError):
             boundary_solve(s["rehop"], [s["w"]], s["lam"], 0)
         with pytest.raises(ValueError, match="Hermitian"):
             classify(canonical.p_nonherm(s["n"], 0), [s["vac"], s["w"]])
 
+    def test_hermiticity_checked_once_per_call(self, setup10, monkeypatch):
+        s = setup10
+        vw = [s["vac"], s["w"]]
+        calls, hermitian = [], opspace.LocalOperator.hermitian
+        monkeypatch.setattr(opspace.LocalOperator, "hermitian",
+                            lambda op, *a: calls.append(op) or hermitian(op, *a))
+        for run, want in ((lambda: classify(s["imhop"], vw), [s["imhop"]]),
+                          (lambda: classify(s["ntot"], vw), [s["ntot"]]),
+                          (lambda: equivalence_test(s["imhop"], s["rehop"], vw),
+                           [s["imhop"], s["rehop"]]),
+                          (lambda: boundary_solve(s["rehop"], vw, s["lam"], 2), [s["rehop"]])):
+            calls.clear()
+            run()
+            assert calls == want
+
     def test_empty_sweep_precondition(self):
         for n, r_max in ((3, 2), (10, 4)):
             with pytest.raises(ValueError, match=f"N={n}, R_max={r_max}"):
                 classify(canonical.n_tot(n), [states.vacuum(n), states.w_state(n)],
-                         r_max_list=(r_max,))
+                         r_max=r_max)
 
     def test_evidence_matches_boundary_solve(self, setup10):
         s = setup10
@@ -545,6 +562,26 @@ class TestEquivalence:
                                         method="bounded", options={"xatol": 1e-10})
                 assert abs(local.fun - res.residual) <= 1e-9
         assert res.beta / res.alpha == pytest.approx(1 / 0.7, rel=1e-8)
+
+    @pytest.mark.parametrize("n,length", [(10, 7), (8, 6)])
+    def test_default_patch_is_sweeps_second_longest(self, n, length):
+        # N - 3 sites where the sweep has two patches or more, else its only one
+        h_a, h_b = canonical.h_imhop(n), canonical.h_dmi(n)
+        psis = [states.vacuum(n), states.w_state(n)]
+        assert equivalence_test(h_a, h_b, psis) == \
+            equivalence_test(h_a, h_b, psis, lam=Region(0, length - 1, n))
+
+    @pytest.mark.parametrize("h_b,kwargs,match", [
+        ("imhop", {"lam": Region(0, 4, 10), "r_max": 3}, "patch length 5 < 8"),
+        ("imhop", {"r_max": 4}, "no patch to sweep at N=10, R_max=4"),
+        ("p_nonherm", {}, "Hermitian")], ids=["shared_site", "touching_windows", "non_hermitian"])
+    def test_patch_rule_and_hermiticity(self, setup10, h_b, kwargs, match):
+        # each returned "same-class" before the patch rule and the Hermiticity
+        # check were shared with classify
+        s = setup10
+        h_b = canonical.p_nonherm(s["n"], 0) if h_b == "p_nonherm" else s[h_b]
+        with pytest.raises(ValueError, match=match):
+            equivalence_test(s["imhop"], h_b, [s["vac"], s["w"]], **kwargs)
 
 
 class TestWindowBasis:

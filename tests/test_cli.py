@@ -116,6 +116,24 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["residual"] == 0.0
 
+    def test_mixed_code_families_decompose_as_builtin(self, tmp_path):
+        # h_rehop plus i x - i sd - i s, which is zero but mixes the two code families
+        path = tmp_path / "ham.op"
+        path.write_text(opspace.format_operator(canonical.h_rehop(8))
+                        + " ; 1i * x@0 ; -1i * sd@0 ; -1i * s@0\n")
+
+        def canonical_form(ham):
+            report = json.loads(invoke(["decompose", "--ham", ham, "--N", "8"])[1])
+            return report["Omega"], report["omega"], report["t"]
+        assert canonical_form(str(path)) == canonical_form("h_rehop")
+
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "1+nani"])
+    def test_non_finite_coefficient_exit_2(self, tmp_path, capsys, coeff):
+        path = tmp_path / "ham.op"
+        path.write_text(f"{coeff} * n@0\n")
+        assert invoke(["decompose", "--ham", str(path), "--N", "8"]) == (2, "")
+        assert "non-finite coefficient" in json.loads(capsys.readouterr().err)["error"]
+
     def test_non_eigenstate_precondition(self, tmp_path, capsys):
         path = tmp_path / "bad.op"
         path.write_text("1.0 * n@0\n")
@@ -155,8 +173,7 @@ class TestDroplet:
     def test_csv_matches_module(self):
         code, out = invoke(["droplet", "--dispersion", "chop:a=0.5,b=0.5",
                             "--N", "201", "--M", "51", "--tmax", "10",
-                            "--steps", "2", "--observable", "occupations",
-                            "--out", "csv"])
+                            "--steps", "2", "--observable", "occupations"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "t,j,n_j"
@@ -431,10 +448,16 @@ class TestProtocol:
 
 
 _N = st.integers(2, 8).map(str)
+# operator files written by the fuzz test's fixture into the {ops} directory
+_OP_FILES = {"nan.op": "nan * n@0 ; 1 * n@1", "inf.op": "inf * sd@0 s@1 ; inf * s@0 sd@1",
+             "ninf.op": "1 * n@0 ; -inf * n@1", "nani.op": "1+nani * n@0",
+             "mixed.op": "1 * sd@0 s@1 ; 1 * s@0 sd@1 ; 1i * x@0 ; -1i * sd@0 ; -1i * s@0"}
+_NON_FINITE = ("nan.op", "inf.op", "ninf.op", "nani.op")
 _HAM = st.sampled_from(["h_rehop", "h_imhop", "h_imhop2", "h_dmi", "h_heis", "n_tot",
                         "p_nonherm", "h_imhop_p:p=3", "p_re:alpha=4", "bogus",
                         "h_imhop_p:p=x", "h_rehop:bogus=1", "p_re:alpha=",
-                        "missing.op", "no/such/dir/ham.op", "missing.json"])
+                        "missing.op", "no/such/dir/ham.op", "missing.json",
+                        *(f"{{ops}}/{name}" for name in _OP_FILES)])
 _STATES = st.lists(st.sampled_from(["vacuum", "w", "wq:m=1", "wp:p=2", "droplet:M=2",
                                     "bogus", "wq:M=3", "wp:p=x", "droplet:M=2,p=1"]),
                    min_size=1, max_size=3).map(",".join)
@@ -464,13 +487,24 @@ _ARGV = st.one_of(
 ).map(lambda parts: [w for p in parts for w in (p if isinstance(p, list) else [p])])
 
 
+@pytest.fixture(scope="module")
+def op_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ops")
+    for name, text in _OP_FILES.items():
+        (path / name).write_text(text + "\n")
+    return str(path)
+
+
 class TestFuzz:
     @given(_ARGV)
     @settings(max_examples=40, deadline=None)
-    def test_documented_exit_codes(self, argv):
+    def test_documented_exit_codes(self, op_dir, argv):
         # paths under no/such/dir never exist, so nothing is written
+        argv = [word.replace("{ops}", op_dir) for word in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
         assert code in (0, 2, 3, 64)
         assert "Traceback" not in err.getvalue()
+        if any(word.endswith(_NON_FINITE) for word in argv):
+            assert code != 0

@@ -74,6 +74,17 @@ class TestDagger:
         op = string_term(6, 1j, [(0, "n")])
         assert op.dagger().terms == {(0, ("n",)): -1j}
 
+    @pytest.mark.parametrize("text", [
+        "1i * x@0 ; -1i * sd@0 ; -1i * s@0",                 # the zero operator
+        "1 * sd@0 s@1 ; 1 * s@0 sd@1 ; 1i * x@2 ; -1i * sd@2 ; -1i * s@2",
+        "1 * x@0 ; -1 * sd@0",                                 # s@0: not Hermitian
+        "1i * y@1 ; 1 * sd@1",                                 # 2 sd@1: not Hermitian
+        "0.5 * z@0 ; 1 * n@0 ; 0.5i * x@1 y@2 ; -0.5i * sd@1 z@2"])
+    def test_hermitian_across_code_families_matches_matrix(self, text):
+        op = parse_operator(text, 4)
+        mat = opspace.to_matrix(op)
+        assert op.hermitian() == np.allclose(mat, mat.conj().T, atol=1e-12)
+
     def test_involution_and_adjointness(self):
         rng = np.random.default_rng(1)
         op = random_operator(6, rng)
@@ -339,7 +350,8 @@ class TestTextFormat:
     def test_coefficient_grammar(self, text, value):
         assert parse_operator(f"{text} * n@0", 4).terms == {(0, ("n",)): value}
 
-    @pytest.mark.parametrize("text", ["2j", "e-3i", "1+2", "", "(2)", "1i+2"])
+    @pytest.mark.parametrize("text", ["2j", "e-3i", "1+2", "", "(2)", "1i+2",
+                                      "nan", "inf", "-inf", "1+nani", "1e999"])
     def test_bad_coefficient(self, text):
         with pytest.raises(ValueError, match="coefficient"):
             parse_operator(f"{text} * n@0", 4)
