@@ -179,31 +179,27 @@ def push_through_check(a: MPSTensor, generator: np.ndarray, theta: float):
 def boundary_operators(a: MPSTensor, v: np.ndarray, r_inj: int):
     """Physical window operators (W_left, W_right) realizing the V insertion.
 
-    The insertion is solved at generator level, O @ blocks = log(V) A^{(s)}
-    (least squares; exact under injectivity), and exponentiated: since the
-    matrix equation iterates, W = exp(O) then satisfies
-    sum_{s'} W[s,s'] A^{(s')} = V A^{(s)} and is invertible by construction.
-    The general (non-Hermitian) matrix exponential and logarithm come from
-    scipy.linalg, imported here: nothing else in the module needs scipy.
+    With F the R_inj-site blocks A^{(s)} as a d^R_inj x D^2 matrix and T the
+    twisted target (V A^{(s)} left, A^{(s)} V^dag right), W = T pinv(F) +
+    (1 - F pinv(F)) solves W F = T and is the identity off range(F).  Returns
+    W_left, W_right and the worst ||W F - T||; R_inj < 1 or cond(W) > 1e8 raise
+    ValueError.
     """
-    from scipy.linalg import expm, logm
+    boundary_mod._patch_floor(r_inj, 0)
     blocks = _blocked(a, r_inj)
     flat = blocks.reshape(blocks.shape[0], -1)
     pinv = np.linalg.pinv(flat)
-    vlog = logm(v)
-    gen_l = np.einsum("ab,sbc->sac", vlog, blocks).reshape(blocks.shape[0], -1)
-    gen_r = np.einsum("sab,bc->sac", blocks, -vlog).reshape(blocks.shape[0], -1)
-    w_left = expm(gen_l @ pinv)
-    w_right = expm(gen_r @ pinv)
-    tgt_l = np.einsum("ab,sbc->sac", v, blocks).reshape(blocks.shape[0], -1)
-    tgt_r = np.einsum("sab,bc->sac", blocks, v.conj().T).reshape(
-        blocks.shape[0], -1)
-    res_l = float(np.linalg.norm(w_left @ flat - tgt_l))
-    res_r = float(np.linalg.norm(w_right @ flat - tgt_r))
-    for name, w in (("left", w_left), ("right", w_right)):
+    off_range = np.eye(len(flat)) - flat @ pinv
+    out, res = [], 0.0
+    for name, target in (("left", np.einsum("ab,sbc->sac", v, blocks)),
+                         ("right", np.einsum("sab,bc->sac", blocks, v.conj().T))):
+        target = target.reshape(flat.shape)
+        w = target @ pinv + off_range
         if np.linalg.cond(w) > 1e8:
             raise ValueError(f"{name} boundary operator not invertible")
-    return w_left, w_right, max(res_l, res_r)
+        res = max(res, float(np.linalg.norm(w @ flat - target)))
+        out.append(w)
+    return out[0], out[1], res
 
 
 def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
@@ -234,7 +230,10 @@ def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,
 
 def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
                            r_inj: int) -> float:
-    """||U^theta_Lam |psi> - W_l W_r |psi>|| on a dense PBC chain."""
+    """||U^theta_Lam |psi> - W_l W_r |psi>|| on a dense PBC chain, patch 1..N-2,
+    whose R_inj windows must not overlap (ValueError)."""
+    if 2 * r_inj > n_sites - 2:
+        raise ValueError(f"R_inj = {r_inj} windows overlap on the {n_sites - 2}-site patch")
     v, res = push_through_check(a, generator, theta)
     if v is None:
         raise NotSymmetricError(f"push-through residual {res:.3e}")
@@ -242,10 +241,8 @@ def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))          # patch [1 .. N-2], PBC intact
     target = truncated_symmetry_action(a, generator, theta, lam, psi, n_sites)
-    left_sites = lam[:r_inj]
-    right_sites = lam[-r_inj:]
-    got = boundary_mod._site_axes_apply(w_left, psi, left_sites, a.d, n_sites)
-    got = boundary_mod._site_axes_apply(w_right, got, right_sites, a.d, n_sites)
+    got = boundary_mod._site_axes_apply(w_left, psi, lam[:r_inj], a.d, n_sites)
+    got = boundary_mod._site_axes_apply(w_right, got, lam[-r_inj:], a.d, n_sites)
     return float(np.linalg.norm(target - got))
 
 
@@ -255,13 +252,10 @@ def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
     gen = np.asarray(generator, dtype=complex)
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))
-    target = np.zeros_like(psi)
-    for j in lam:
-        target = target + boundary_mod._site_axes_apply(gen, psi, [j], a.d, n_sites)
-    width = max(r_inj, 1)
+    target = sum(boundary_mod._site_axes_apply(gen, psi, [j], a.d, n_sites) for j in lam)
     *_, r_abs = boundary_mod.solve_boundary_dense(
         [target], [psi], n_sites, a.d,
-        tuple(lam[:width]), tuple(lam[-width:]), hermitian=True)
+        tuple(lam[:r_inj]), tuple(lam[-r_inj:]), hermitian=True)
     scale = len(lam) * float(np.abs(np.linalg.eigvalsh(gen)).max())
     return r_abs / max(scale, 1e-300) < boundary_mod.ACCEPT
 
@@ -275,6 +269,9 @@ def classify_symmetry_generator(a: MPSTensor, generator,
     transfer matrix with a non-phase V certifies II; a locally symmetric
     tensor or a Hermitian-feasible dense boundary action gives I; the
     remaining rank-deficient non-Hermitian corner stays indeterminate.
+    The dense certificate skips sizes in ``dense_sizes`` above DENSE_MAX_DIM
+    and patches 1..N-2 below the patch rule's 2 R_inj + 2 sites, which the
+    two R_inj windows would cover; with no size left it is indeterminate.
     """
     evidence = []
     notes = []
@@ -287,11 +284,10 @@ def classify_symmetry_generator(a: MPSTensor, generator,
         phase_like = abs(abs(np.trace(v)) / a.bond - 1.0) < 1e-8
         nontrivial.append(not phase_like)
         evidence.append((theta, res, not phase_like))
-    full_rank = is_full_rank(a)
     if not any(nontrivial):
         notes.append("tensor locally symmetric: V is a pure phase")
         return boundary_mod.TypeLabel("I", tuple(evidence), tuple(notes))
-    if full_rank and all(nontrivial):
+    if all(nontrivial) and is_full_rank(a):
         notes.append("transfer matrix full-rank, V nontrivial")
         return boundary_mod.TypeLabel("II", tuple(evidence), tuple(notes))
     r_inj = injectivity_length(a)
@@ -299,8 +295,9 @@ def classify_symmetry_generator(a: MPSTensor, generator,
         return boundary_mod.TypeLabel("indeterminate", tuple(evidence),
                                       ("tensor not injective up to bound",))
     feasible = []
+    floor = boundary_mod._patch_floor(r_inj, 1)
     for n_sites in dense_sizes:
-        if a.d ** n_sites > DENSE_MAX_DIM:
+        if a.d ** n_sites > DENSE_MAX_DIM or n_sites - 2 < floor:
             continue
         feasible.append(_boundary_generator_hermitian_feasible(
             a, generator, n_sites, r_inj))

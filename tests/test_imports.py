@@ -1,5 +1,6 @@
-"""Import hygiene: scipy stays off the import path of `import scartypes` and the
-pinned CLI commands, and `python -m scartypes.cli` runs without a runpy warning.
+"""Import hygiene: scipy stays off the import path of `import scartypes`, the
+pinned CLI commands and the MPS boundary action, and `python -m scartypes.cli`
+runs without a runpy warning.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
@@ -49,6 +50,15 @@ def test_pinned_commands_load_no_scipy():
         f"for argv in {COMMANDS!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert cli.run(argv.split()) == 0, argv",
+    ])
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_boundary_action_loads_no_scipy():
+    code = "\n".join([
+        "import sys",
+        "from scartypes import mps",
+        "mps.verify_boundary_action(mps.builtin_aklt(), mps.spin1_matrix('z'), 0.3, 6, 2)",
     ])
     assert _scipy_modules_after(code) == "[]"
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from scartypes import boundary, mps
 from scartypes.mps import (MPSTensor, NotInjective, NotSymmetricError,
@@ -145,6 +145,48 @@ class TestBoundaryOperators:
         res = verify_boundary_action(builtin_ssh(), ssh_sz_matrix(), 0.5, 6, 1)
         assert res < 1e-9
 
+    @pytest.mark.parametrize("tensor,generator,r_inj", [
+        (builtin_aklt(), spin1_matrix("x"), 2), (builtin_aklt(), spin1_matrix("y"), 2),
+        (builtin_aklt(), spin1_matrix("z"), 2), (builtin_ssh(), ssh_sz_matrix(), 1)],
+        ids=["aklt-sx", "aklt-sy", "aklt-sz", "ssh-sz"])
+    def test_matches_expm_of_log_generator(self, tensor, generator, r_inj):
+        # the reference: the insertion solved at generator level with log(V),
+        # O = log(V)-twisted blocks . pinv(F), and W = exp(O)
+        blocks = mps._blocked(tensor, r_inj)
+        flat = blocks.reshape(len(blocks), -1)
+        pinv = np.linalg.pinv(flat)
+        for theta in np.linspace(-2.5, 2.5, 12):
+            v, _ = push_through_check(tensor, generator, theta)
+            w_l, w_r, res = boundary_operators(tensor, v, r_inj)
+            vlog = logm(v)
+            ref_l = expm(np.einsum("ab,sbc->sac", vlog, blocks).reshape(flat.shape) @ pinv)
+            ref_r = expm(np.einsum("sab,bc->sac", blocks, -vlog).reshape(flat.shape) @ pinv)
+            tgt_l = np.einsum("ab,sbc->sac", v, blocks).reshape(flat.shape)
+            tgt_r = np.einsum("sab,bc->sac", blocks, v.conj().T).reshape(flat.shape)
+            assert np.abs(w_l - ref_l).max() <= 1e-13
+            assert np.abs(w_r - ref_r).max() <= 1e-13
+            assert res <= 1e-12
+            for w, tgt in ((w_l, tgt_l), (w_r, tgt_r), (ref_l, tgt_l), (ref_r, tgt_r)):
+                assert np.linalg.norm(w @ flat - tgt) <= 1e-12
+
+    @pytest.mark.parametrize("v", [np.zeros((2, 2)), np.diag([1.0, 0.0])],
+                             ids=["zero", "rank-one"])
+    def test_singular_bond_matrix_rejected(self, v):
+        with pytest.raises(ValueError, match="not invertible"):
+            boundary_operators(builtin_aklt(), v.astype(complex), 2)
+
+    def test_window_length_below_one_rejected(self):
+        v, _ = push_through_check(builtin_aklt(), spin1_matrix("z"), 0.3)
+        with pytest.raises(ValueError, match="at least 1"):
+            boundary_operators(builtin_aklt(), v, 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_boundary_action(builtin_aklt(), spin1_matrix("z"), 0.3, 6, 0)
+
+    def test_overlapping_windows_rejected(self):
+        # N = 6 leaves a 4-site patch: R_inj = 2 windows touch, R_inj = 3 overlap
+        with pytest.raises(ValueError, match="overlap"):
+            verify_boundary_action(builtin_aklt(), spin1_matrix("z"), 0.3, 6, 3)
+
     def test_closed_form_ketbra_exponent_for_aklt_sz(self):
         # a closed-form left two-site ketbra generator solves the insertion
         # equation for V = e^{i theta sigma^z / 2} and reproduces the dense
@@ -230,6 +272,14 @@ class TestClassification:
         label = classify_symmetry_generator(builtin_ssh(), ssh_sz_matrix(),
                                             dense_sizes=(6,))
         assert label.value == "I"
+
+    def test_dense_certificate_skips_patches_below_patch_rule(self, monkeypatch):
+        # AKLT S^z is type II; read as rank-deficient it must not get a type-I
+        # certificate from a patch its two R_inj = 2 windows cover (N = 6)
+        monkeypatch.setattr(mps, "is_full_rank", lambda a: False)
+        label = classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"),
+                                            dense_sizes=(6,))
+        assert label.value == "indeterminate"
 
     def test_zero_generator_is_locally_symmetric(self):
         label = classify_symmetry_generator(builtin_aklt(), np.zeros((3, 3)))
