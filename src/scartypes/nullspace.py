@@ -1,6 +1,6 @@
 """Correlation-matrix null spaces and type II/III equivalence-class counts.
 
-Given an orthogonal Hermitian operator basis {V_mu} and states {psi_n},
+Given an orthogonal Hermitian operator basis {V_mu} and unit states {psi_n},
 
     C^H_munu = sum_n [ Re<V_mu psi_n, V_nu psi_n> - <V_mu>_n <V_nu>_n ],
     C^G_munu = sum_n [ <V_mu psi_n, V_nu psi_n> - <V_mu>_n <V_nu>_n ],
@@ -13,14 +13,19 @@ null spaces:
     N_III = dim(ZH_glo u ZG_loc) - dim ZG_loc
     N_II  = dim(ZH_glo u ZH_loc) - dim(ZH_glo u ZG_loc) + dim ZG_loc - dim ZH_loc
 
-with all dimensions real (a complex space counts twice).  ZH_loc and ZG_loc,
-the spans of the N windows' null spaces, are found through their
-complements: v is orthogonal to a span exactly when each window restriction
-v|_j = R_j c_j lies in the window correlation's range R_j (the eigenvectors
-above the null cut), and a string shared by windows takes one value: a
-small system K c = 0.  Window j's null space is window 0's translated by j
-for translation eigenstates, so K links a pattern's copies in window 0 with
-Bloch phases, one K per momentum sector; other states link N windows' copies.
+with all dimensions real (a complex space counts twice).  Correlations are
+Gram matrices of a small factor F (C^G = F^dagger F, C^H that of [Re F; Im F]):
+F = (1 - u u^dagger) M over a window, M_{(i,k),nu} = s_k <i|V_nu|a_k> for the
+split psi = sum_k s_k |a_k>|b_k> and u = (s_k <i|a_k>), chi 2^w rows per state;
+window ranges and gaps come from its thin SVD.  Over translation orbits of
+translation eigenstates C^G is an orbit gram, lambda^{-d} <F_p|T^d F_p'> at
+shift d.  ZH_loc and ZG_loc, the spans of the N windows' null spaces, are
+found through their complements: v is orthogonal to a span exactly when each
+window restriction v|_j = R_j c_j lies in the window's range R_j, and a
+string shared by windows takes one value: a small system K c = 0.  Window
+j's null space is window 0's translated by j for translation eigenstates, so
+K links a pattern's copies in window 0 with Bloch phases, one K per momentum
+sector; other states link N windows' copies.
 
 The operator basis is generalized Pauli strings: unlike the boson-string
 basis they are mutually Hilbert-Schmidt orthogonal, which the correlation
@@ -29,7 +34,7 @@ construction requires.  The identity string is excluded throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -41,6 +46,10 @@ NULL_TOL = 1e-10      # eigenvalue cutoff relative to the largest
 RANK_TOL = 1e-10      # singular-value cutoff for union dimensions
 PSD_TOL = -1e-10
 TRANSLATION_TOL = 1e-12   # ||T psi - lambda psi|| / ||psi|| for the sector path
+NORM_TOL = 1e-10      # | ||psi|| - 1 | accepted for a target state
+# Schmidt values <= SCHMIDT_TOL are dropped: that moves C's eigenvalues by <= 4^(w+1)
+# 1e-24, far below the NULL_TOL cut (>= 6.7e-11, since tr C >= 4^w - 2^w per state)
+SCHMIDT_TOL = 1e-12
 GLOBAL_SCAN_MAX_SITES = 12
 
 
@@ -117,37 +126,84 @@ def window_basis(n_sites: int, start: int, width: int) -> OperatorBasis:
 
 def build_correlation(basis: OperatorBasis, states_list, kind: str,
                       degenerate: bool = False) -> CorrelationMatrix:
-    """Summed correlation matrix over the given states.
+    """Summed correlation matrix over the given unit states (else ValueError).
 
-    With ``degenerate`` the per-state expectation vectors are recentred on
-    their mean and the rank-one couplings added, so null vectors are
-    operators with one *common* eigenvalue across all states (a constraint
-    absent from the plain per-state sum).
+    C^G = F^dagger F for ``_factor``'s F with each state whole (chi = 1).  When
+    the basis lists whole translation orbits, each pattern at shifts 0..N-1
+    in a row (as pauli_string_basis does), and the states are translation
+    eigenstates, ``_orbit_gram`` needs only the pattern representatives.
+    ``degenerate`` recentres the expectation vectors on their mean and adds the
+    rank-one couplings, so null vectors share one eigenvalue across the states.
     """
     if kind not in ("H", "G"):
         raise ValueError("kind must be 'H' or 'G'")
     if kind == "H" and any(c != opspace._DAGGER[c] for _, ops in basis.keys for c in ops):
         raise ValueError("kind H requires a Hermitian basis")
-    gram = np.zeros((len(basis), len(basis)), dtype=complex)
-    expect = []
+    n = basis.n_sites
+    if not len(states_list):
+        raise ValueError("at least one state is required")
     for psi in states_list:
-        if psi.shape != (1 << basis.n_sites,):
-            raise opspace.DimensionError(f"state has shape {psi.shape} for N={basis.n_sites}")
-        # rows V_mu |psi>, every key decoded in one pass
-        acts = np.zeros((len(basis), psi.size), dtype=complex)
-        masks = opspace._string_masks(basis.n_sites, ((key, 1.0) for key in basis.keys))
-        for row, (src, flip, vals) in zip(acts, masks):
-            row[src ^ flip] = vals * psi[src]
-        e = acts @ psi.conj()
-        gram += acts.conj() @ acts.T - np.outer(e.conj(), e)
-        expect.append(e)
-    if degenerate:
-        mean = np.mean(expect, axis=0)
-        for e in expect:
-            d = e - mean
-            gram += np.outer(d.conj(), d)
+        if psi.shape != (1 << n,):
+            raise opspace.DimensionError(f"state has shape {psi.shape} for N={n}")
+        if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {np.linalg.norm(psi):.6g} is not 1 within {NORM_TOL}")
+    orbits = _translation_eigenstates(states_list, n) and basis.keys == tuple(
+        opspace._canonical_key(n, s + d, ops) for s, ops in basis.keys[::n] for d in range(n))
+    keys = basis.keys[::n] if orbits else basis.keys
+    parts = _factor(opspace._string_masks(n, ((key, 1.0) for key in keys)), len(keys),
+                    [psi[:, None] for psi in states_list], degenerate)
+    gram = _orbit_gram(parts, states_list, n) if orbits else sum(p.conj().T @ p for p in parts)
     entries = gram.real.copy() if kind == "H" else gram
     return CorrelationMatrix(entries, kind, basis, tuple(states_list))
+
+
+def _factor(masks, count: int, blocks, degenerate: bool) -> list:
+    """Row blocks of F (C^G = F^dagger F, a column per decoded string): per state
+    (1 - u u^dagger) M from its B[i, k] = s_k <i|a_k>, u = vec B; then rows e_n - mean."""
+    parts = [np.zeros((count,) + block.shape, dtype=complex) for block in blocks]
+    for nu, (src, flip, vals) in enumerate(masks):      # one pass, so masks may be lazy
+        for acts, block in zip(parts, blocks):
+            acts[nu, src ^ flip] = np.reshape(vals, (-1, 1)) * block[src]
+    expect = []
+    for k, block in enumerate(blocks):
+        parts[k], u = parts[k].reshape(count, -1).T, block.ravel()
+        expect.append(u.conj() @ parts[k])
+        parts[k] -= np.outer(u, expect[-1])
+    if degenerate:
+        parts.append(np.array(expect) - np.mean(expect, axis=0))
+    return parts
+
+
+def _orbit_gram(parts, states_list, n: int) -> np.ndarray:
+    """C^G over whole orbits: sum_n lambda_n^{-d} <F_p|T^d F_p'>, d = s' - s, + degenerate rows."""
+    g, shifts = 0, np.arange(n)
+    for psi, block in zip(states_list, parts):
+        lam, left, block = np.vdot(psi, states.translate(psi, 1, n)), block.T.conj(), block.T
+        g = g + np.stack([left @ states.translate(block, d, n).T / lam ** d for d in shifts], -1)
+    for rows in parts[len(states_list):]:
+        g = g + (rows.conj().T @ rows)[..., None]
+    diff = (shifts[None, :] - shifts[:, None]) % n
+    return g[:, :, diff].transpose(0, 2, 1, 3).reshape(g.shape[0] * n, -1)
+
+
+def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, starts):
+    """F of window [j, j + width) for each j in ``starts``: window 0's strings,
+    decoded once, on the Schmidt splits of the states translated by -j."""
+    masks = list(opspace._string_masks(width, ((key, 1.0) for key in window.keys)))
+    for j in starts:
+        blocks = []
+        for psi in states_list:
+            moved = states.translate(psi, -j, window.n_sites).reshape(-1, 1 << width)
+            _, svals, vh = np.linalg.svd(moved, full_matrices=False)
+            blocks.append(vh[svals > SCHMIDT_TOL].T * svals[svals > SCHMIDT_TOL])
+        yield np.vstack(_factor(masks, len(masks), blocks, degenerate))
+
+
+def _range(factor: np.ndarray, tol: float = NULL_TOL):
+    """Range (columns) and gap of F^dagger F, cut as null_space cuts, from a thin SVD of F."""
+    _, svals, vh = np.linalg.svd(factor, full_matrices=False)
+    keep = svals ** 2 > tol * max(float(svals[0]) ** 2, 1e-300)
+    return vh[keep].conj().T, float(svals[keep][-1] ** 2) if keep.any() else np.inf
 
 
 def null_space(corr: CorrelationMatrix, tol: float = NULL_TOL) -> SubspaceReport:
@@ -270,24 +326,22 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
 
     glo = pauli_string_basis(n_sites, r_glo)
     zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate), tol)
-    windows = [window_basis(n_sites, j, r_loc) for j in range(n_sites if sectors == 1 else 1)]
+    window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
     zh, zg = [], []
-    for w in windows:
-        corr = build_correlation(w, states_list, "G", degenerate)
-        zg.append(null_space(corr, tol))
-        # C^H = Re C^G, the gram build_correlation(kind="H") computes again
-        zh.append(null_space(replace(corr, entries=corr.entries.real.copy(), kind="H"), tol))
+    for factor in _window_factors(window, r_loc, states_list, degenerate, starts):
+        zg.append(_range(factor, tol))
+        zh.append(_range(np.vstack([factor.real, factor.imag]), tol))    # C^H = Re C^G
 
     glo_rows = np.zeros((zh_glo.dim, len(index)), dtype=complex)
     glo_rows[:, [index[k] for k in glo.keys]] = zh_glo.basis
-    pos = np.array([index[k] for w in windows for k in w.keys])
+    pos = np.array([index[(s + j) % n_sites, ops] for j in starts for s, ops in window.keys])
     dims, margins = _complement_dims(
-        glo_rows, [r.range for r in zh], [r.range for r in zg], pos, sectors)
+        glo_rows, [r for r, _ in zh], [r for r, _ in zg], pos, sectors)
 
     n_iii = dims["union_G"] - dims["ZG_loc"]
     n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
-    dims.update(gap_ZH_glo=zh_glo.gap, gap_ZH_loc=min(r.gap for r in zh),
-                gap_ZG_loc=min(r.gap for r in zg), **margins)
+    dims.update(gap_ZH_glo=zh_glo.gap, gap_ZH_loc=min(g for _, g in zh),
+                gap_ZG_loc=min(g for _, g in zg), **margins)
     return ClassCount(n_ii, n_iii, dims, tol)
 
 

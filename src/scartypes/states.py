@@ -76,16 +76,13 @@ def droplet(n_sites: int, m_size: int, p: int) -> np.ndarray:
 
 
 def translate(psi: np.ndarray, shift: int, n_sites: int) -> np.ndarray:
-    """Cyclic site translation j -> j + shift."""
-    out = np.empty_like(psi)
-    idx = np.arange(1 << n_sites, dtype=np.int64)
+    """Cyclic site translation j -> j + shift of a state, or of each row of a stack."""
     s = shift % n_sites
     if s == 0:
         return psi.copy()
-    full = (1 << n_sites) - 1
-    rolled = ((idx << s) | (idx >> (n_sites - s))) & full
-    out[rolled] = psi
-    return out
+    idx = np.arange(1 << n_sites, dtype=np.int64)
+    # configuration i moves to i rotated left by s: gather from the right rotation
+    return np.take(psi, ((idx >> s) | (idx << (n_sites - s))) & ((1 << n_sites) - 1), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -122,18 +119,7 @@ def schmidt_w_family(n_sites: int, p: int, region: Region) -> SchmidtSplit:
 
 def dense_schmidt_values(psi: np.ndarray, region: Region) -> np.ndarray:
     """Singular values of the reshaped amplitude matrix (brute-force oracle)."""
-    n = region.n_sites
-    if psi.shape != (1 << n,):
+    if psi.shape != (1 << region.n_sites,):
         raise ValueError("state/region mismatch")
-    inside = region.sites()
-    outside = [j for j in range(n) if j not in inside]
-    idx = np.arange(1 << n)
-    row = np.zeros(idx.shape, dtype=np.int64)
-    for k, j in enumerate(inside):
-        row |= ((idx >> j) & 1) << k
-    col = np.zeros(idx.shape, dtype=np.int64)
-    for k, j in enumerate(outside):
-        col |= ((idx >> j) & 1) << k
-    mat = np.zeros((1 << len(inside), 1 << len(outside)), dtype=complex)
-    mat[row, col] = psi
-    return np.linalg.svd(mat, compute_uv=False)
+    moved = translate(psi, -region.left, region.n_sites)     # region -> sites 0..|X|-1
+    return np.linalg.svd(moved.reshape(-1, 1 << region.length), compute_uv=False)

@@ -168,6 +168,13 @@ class TestScanClasses:
         assert (code, out) == (2, "")
         assert "R' >= R" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_unnormalized_state_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._STATES, "w", (lambda n: 0.5 * states.w_state(n), {}))
+        code, out = invoke(["scan-classes", "--N", "8", "--R", "2", "--Rp", "3",
+                            "--states", "w,vacuum"])
+        assert (code, out) == (2, "")
+        assert "norm" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestDroplet:
     def test_csv_matches_module(self):

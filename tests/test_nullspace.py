@@ -272,7 +272,8 @@ def _product(n, theta, phi):
 
 
 def _reference_count(n, r_glo, r_loc, psis, degenerate=False):
-    """All N windows, unions as ranks of realified stacks (the dense oracle).
+    """The dense oracle: all N windows from the 2^N action rows, unions as ranks
+    of realified stacks.
 
     Coefficient vectors live in R^{2M}: a real span contributes [Re v, Im v],
     a complex span also [-Im v, Re v].
@@ -281,7 +282,8 @@ def _reference_count(n, r_glo, r_loc, psis, degenerate=False):
     index = {k: i for i, k in enumerate(full.keys)}
 
     def null_rows(basis, kind):
-        rep = null_space(build_correlation(basis, psis, kind, degenerate))
+        corr = _dense_correlation(basis, psis, kind, degenerate)
+        rep = null_space(nullspace.CorrelationMatrix(corr, kind, basis, tuple(psis)))
         out = np.zeros((rep.dim, len(full.keys)), dtype=complex)
         out[:, [index[k] for k in basis.keys]] = rep.basis
         return out
@@ -321,6 +323,127 @@ def _invariant_sets(n):
             "vac_wq": [vac, states.w_q(n, 1)],
             "phased_vac_w_w2": _phased([vac, w, w2], 5),
             "phased_vac_wq2": _phased([vac, states.w_q(n, 2)], 6)}
+
+
+def _dense_correlation(basis, psis, kind, degenerate=False):
+    """The 2^N action-row build the factor path replaced: rows V_mu|psi>."""
+    gram = np.zeros((len(basis), len(basis)), dtype=complex)
+    expect = []
+    for psi in psis:
+        acts = np.zeros((len(basis), psi.size), dtype=complex)
+        masks = opspace._string_masks(basis.n_sites, ((key, 1.0) for key in basis.keys))
+        for row, (src, flip, vals) in zip(acts, masks):
+            row[src ^ flip] = vals * psi[src]
+        e = acts @ psi.conj()
+        gram += acts.conj() @ acts.T - np.outer(e.conj(), e)
+        expect.append(e)
+    if degenerate:
+        for e in expect:
+            d = e - np.mean(expect, axis=0)
+            gram += np.outer(d.conj(), d)
+    return gram.real.copy() if kind == "H" else gram
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+def _factor_sets():
+    """(N, states) pairs: random (F taller than wide), droplet, boosted W, odd N."""
+    return {"random": (8, [_random_state(8, 3)]),
+            "vac_droplet": (8, [states.vacuum(8),
+                                states.translate(states.droplet(8, 4, 1), 3, 8)]),
+            "vac_w_w2": (8, [states.vacuum(8), states.w_state(8), states.w_p(8, 2)]),
+            "wq1_wq3": (8, [states.w_q(8, 1), states.w_q(8, 3)]),
+            "odd_vac_wq2": (7, _phased([states.vacuum(7), states.w_q(7, 2)], 6))}
+
+
+class TestFactorPath:
+    """Window factors, the orbit gram and thin-SVD ranges against the dense build."""
+
+    @pytest.mark.parametrize("name", list(_factor_sets()))
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_window_factor_matches_dense(self, name, width, degenerate):
+        n, psis = _factor_sets()[name]
+        starts = [0, 3, n - 1]                  # n - 1 wraps around the ring
+        window = window_basis(n, 0, width)
+        factors = nullspace._window_factors(window, width, psis, degenerate, starts)
+        for j, f in zip(starts, factors):
+            if name == "random":
+                assert f.shape[0] > f.shape[1]      # chi = 2^w rows per column block
+            for kind, part in (("G", f), ("H", np.vstack([f.real, f.imag]))):
+                want = _dense_correlation(window_basis(n, j, width), psis, kind, degenerate)
+                assert _rel(part.conj().T @ part, want) <= 1e-13
+                # thin-SVD range and gap against the eigh of the dense gram
+                rng, gap = nullspace._range(part)
+                rep = null_space(nullspace.CorrelationMatrix(want, kind, window, ()))
+                assert rng.shape == rep.range.shape
+                assert np.abs(rng @ rng.conj().T - rep.range @ rep.range.conj().T).max() <= 1e-13
+                assert gap == pytest.approx(rep.gap, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(_factor_sets()))
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_orbit_gram_matches_dense(self, monkeypatch, name, degenerate):
+        # whole orbits of translation eigenstates take the orbit gram, the
+        # rest (and any basis not listed orbit by orbit) the full-ring factor
+        n, psis = _factor_sets()[name]
+        calls = []
+        orbit_gram = nullspace._orbit_gram
+        monkeypatch.setattr(nullspace, "_orbit_gram",
+                            lambda *args: calls.append(1) or orbit_gram(*args))
+        invariant = nullspace._translation_eigenstates(psis, n)
+        for basis, orbits in ((pauli_string_basis(n, 2), invariant),
+                              (pauli_string_basis(n, 3), invariant),
+                              (window_basis(n, 5, 3), False)):
+            for kind in ("H", "G"):
+                calls.clear()
+                want = _dense_correlation(basis, psis, kind, degenerate)
+                got = build_correlation(basis, psis, kind, degenerate).entries
+                assert _rel(got, want) <= 1e-13
+                assert len(calls) == orbits
+
+    def test_schmidt_rank_rows(self):
+        # W has Schmidt rank 2 across any cut, the vacuum 1: F has (1 + 2) 2^w rows
+        n, width = 10, 4
+        psis = [states.vacuum(n), states.w_state(n)]
+        (f,) = nullspace._window_factors(window_basis(n, 0, width), width, psis, False, [0])
+        assert f.shape == (3 << width, 4 ** width - 1)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-8])
+    def test_unnormalized_states_rejected(self, scale):
+        n = 8
+        psis = [scale * states.vacuum(n), scale * states.w_state(n)]
+        with pytest.raises(ValueError, match="norm"):
+            count_type_classes(n, 2, 3, psis)
+        with pytest.raises(ValueError, match="norm"):
+            build_correlation(window_basis(n, 0, 2), psis[1:], "G")
+
+    def test_empty_state_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            count_type_classes(8, 2, 2, [])
+        with pytest.raises(ValueError, match="at least one state"):
+            build_correlation(window_basis(8, 0, 2), [], "G")
+
+    def test_norm_tolerance(self):
+        n = 8
+        psis = [states.vacuum(n), (1.0 + 1e-12) * states.w_state(n)]
+        res = count_type_classes(n, 2, 3, psis)
+        assert (res.n_ii, res.n_iii) == (1, 1)
+
+    def test_w_and_vacuum_n12_rp6(self):
+        # the paper's (N_II, N_III) = (1, 1) at R' = N/2 = 6
+        n = 12
+        res = count_type_classes(n, 2, 6, [states.vacuum(n), states.w_state(n)])
+        assert (res.n_ii, res.n_iii) == (1, 1)
+        assert [res.dims[k] for k in ("ZH_glo", "ZH_loc", "ZG_loc", "union_H", "union_G")] == \
+            [50, 35328, 72190, 35330, 72191]
 
 
 class TestSpanDims:
@@ -412,19 +535,25 @@ class TestSectorPath:
         n = 8
         vac, w, w2 = states.vacuum(n), states.w_state(n), states.w_p(n, 2)
         drop = states.translate(states.droplet(n, 4, 1), shift, n)
-        calls = []
-        window = nullspace.window_basis
+        # one window basis decoded in both paths; the dense path factors all
+        # N windows from it, the sector path window 0 only
+        calls, starts = [], []
+        window, factors = nullspace.window_basis, nullspace._window_factors
         monkeypatch.setattr(nullspace, "window_basis",
                             lambda *args: calls.append(args) or window(*args))
+        monkeypatch.setattr(nullspace, "_window_factors",
+                            lambda *args: starts.append(list(args[-1])) or factors(*args))
         for psis in ([vac, drop], [vac, w, w2, drop]):
             assert not nullspace._translation_eigenstates(psis, n)
             calls.clear()
+            starts.clear()
             got = _counted(count_type_classes(n, 2, 2, psis))
-            assert len(calls) == n
+            assert calls == [(n, 0, 2)] and starts == [list(range(n))]
             assert got == _reference_count(n, 2, 2, psis)
         calls.clear()
+        starts.clear()
         count_type_classes(n, 2, 2, [vac, w])
-        assert len(calls) == 1
+        assert calls == [(n, 0, 2)] and starts == [[0]]
 
     def test_droplet_dense_path_r3(self):
         n = 8
@@ -452,8 +581,10 @@ class TestSectorPath:
         win = window_basis(n, 0, 3)
         sector = count_type_classes(n, 2, 3, psis).dims
         for kind in ("H", "G"):
+            # thin-SVD gaps (squared singular values) against eigh of the gram
             gap = null_space(build_correlation(win, psis, kind)).gap
-            assert sector[f"gap_Z{kind}_loc"] == gap > 1e-3
+            assert sector[f"gap_Z{kind}_loc"] == pytest.approx(gap, rel=1e-12)
+            assert gap > 1e-3
         _dense(monkeypatch)
         dense = count_type_classes(n, 2, 3, psis).dims
         for key in ("gap_ZH_loc", "gap_ZG_loc"):
