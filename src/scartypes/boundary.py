@@ -313,16 +313,15 @@ def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
         right_window=right_sites)
 
 
-def action_equivalent(op_a: LocalOperator, op_b: LocalOperator, states_list,
-                      tol: float = 1e-8) -> bool:
+def action_equivalent(op_a: LocalOperator, op_b: LocalOperator, states_list) -> bool:
     """Equality of two boundary operators up to the solver gauge.
 
     Boundary operators are unique only up to window operators acting as
     scalars on every target state, so equality is tested on the action: the
-    difference must act as a per-state constant.
+    difference must act as a per-state constant, within ACCEPT on each unit state.
     """
     diff = op_a - op_b
-    return not any(opspace.eigen_defect(diff, psi)[1] > tol for psi in states_list)
+    return not any(opspace.eigen_defect(diff, psi)[1] > ACCEPT for psi in states_list)
 
 
 def default_sweep(n_sites: int, r_max: int, anchors=(0,), op_range: int = 0):
@@ -339,27 +338,23 @@ def default_sweep(n_sites: int, r_max: int, anchors=(0,), op_range: int = 0):
     return lams
 
 
-def _left_independent(h, states_list, r_max) -> bool:
+def _left_independent(h, states_list, r_max: int, short, grown) -> bool:
     """Gauge-free check of the left/right-independence clause.
 
     Growing the patch by one site on the right must change the action only
     by right-localized operators: the truncation difference is fitted with
-    an empty left window.  The clause is skipped (True) when the patch cannot
-    grow: the grown patch of min_len + 1 sites would leave fewer than two
-    sites outside it.
+    an empty left window.  ``short`` and ``grown`` are the (patch, flip
+    diagonals, targets) of two anchor-0 patches of classify's sweep, the
+    second one site longer; every flip of the shorter truncation is one of
+    the longer's.
     """
-    n_sites = h.n_sites
-    min_len = max(2 * r_max + 3, 2 * h.declared_range + 1)
-    if min_len + 1 > n_sites - 2:
-        return True
-    short = Region(0, min_len - 1, n_sites)
-    grown = Region(0, min_len, n_sites)
-    diagonals, targets = _action(opspace.truncate(h, grown) - opspace.truncate(h, short),
-                                 states_list)
-    right_sites = tuple(grown.sites()[-(r_max + 1):])
-    *_, r_abs = solve_boundary_dense(targets, states_list, n_sites, 2,
-                                     (), right_sites, hermitian=False)
-    return r_abs / max(_spectral_norm(diagonals, n_sites), 1e-300) < ACCEPT
+    (_, short_diagonals, short_targets), (lam, diagonals, targets) = short, grown
+    diagonals = {flip: d for flip, g in diagonals.items()      # cancelled flips left out
+                 if (d := g - short_diagonals.get(flip, 0.0)).any()}
+    targets = [g - s for g, s in zip(targets, short_targets)]
+    *_, r_abs = solve_boundary_dense(targets, states_list, h.n_sites, 2,
+                                     (), tuple(lam.sites()[-(r_max + 1):]), hermitian=False)
+    return r_abs / max(_spectral_norm(diagonals, h.n_sites), 1e-300) < ACCEPT
 
 
 def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
@@ -385,16 +380,20 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     invariant = shifted.terms == h.terms and \
         nullspace._translation_eigenstates(states_list, n_sites)
     solved = (0,) if invariant else (0, n_sites // 3)
-    evidence = []
+    # the independence clause's anchor-0 patches: ``length`` and length + 1 sites, if swept
+    length = max(2 * r_max + 3, 2 * h.declared_range + 1)
+    evidence, clause = [], {}
     for lam in default_sweep(n_sites, r_max, anchors=solved, op_range=h.declared_range):
         mat, _, [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
+        if lam.left == 0 and lam.length in (length, length + 1):
+            clause[lam.length] = lam, diagonals, targets
         scale = max(_spectral_norm(diagonals, n_sites), 1e-300)
         evidence.append((r_max, lam.length, *(_fit(mat, targets, hermitian, 4 ** r_max - 1)[3]
                                               / scale for hermitian in (False, True))))
     evidence *= 2 // len(solved)
     notes = ()
-    if all(row[2] < ACCEPT for row in evidence) and \
-            not _left_independent(h, states_list, r_max):
+    if all(row[2] < ACCEPT for row in evidence) and len(clause) == 2 and \
+            not _left_independent(h, states_list, r_max, clause[length], clause[length + 1]):
         notes = (f"left operator varies with right edge at R_max={r_max}",)
     gen, her = [row[2] for row in evidence], [row[3] for row in evidence]
     all_g_ok, all_h_ok = all(r < ACCEPT for r in gen), all(r < ACCEPT for r in her)

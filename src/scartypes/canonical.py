@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import opspace, states
-from .opspace import LocalOperator, hs_norm, identity, op_sum
+from .opspace import CANCEL_TOL, LocalOperator, hs_norm, identity, op_sum
 
 EIGENSTATE_TOL = 1e-10
 
@@ -31,15 +31,14 @@ class ClassificationError(ValueError):
         self.defect = defect
 
 
-def require_eigenstate(op: LocalOperator, psi: np.ndarray,
-                       tol: float = EIGENSTATE_TOL) -> complex:
-    """Energy <psi|op|psi> of a normalized eigenstate.
+def require_eigenstate(op: LocalOperator, psi: np.ndarray) -> complex:
+    """Energy <psi|op|psi> of a unit eigenstate.
 
-    Raises ClassificationError when ||(op - E)|psi>|| exceeds
-    tol * max(coeff_norm, 1).
+    Raises ValueError when psi is not a unit state and ClassificationError
+    when ||(op - E)|psi>|| exceeds EIGENSTATE_TOL * max(coeff_norm, 1).
     """
     energy, defect = opspace.eigen_defect(op, psi)
-    if defect > tol * max(op.coeff_norm(), 1.0):
+    if defect > EIGENSTATE_TOL * max(op.coeff_norm(), 1.0):
         raise ClassificationError(
             f"target state is not an eigenstate: ||(H - E)|psi>|| = {defect:.3e}",
             defect)
@@ -267,7 +266,7 @@ def _table_classes(op: LocalOperator):
     return creation, single, hop, bundles, lone, pairs
 
 
-def verify_table(g: LocalOperator, tol: float = 1e-12) -> TableReport:
+def verify_table(g: LocalOperator) -> TableReport:
     """Check the coefficient conditions for G|W> = lambda |W> class by class.
 
     Classes over (n = #creation, m = #annihilation) in the boson string
@@ -278,14 +277,14 @@ def verify_table(g: LocalOperator, tol: float = 1e-12) -> TableReport:
     op = opspace.to_boson_basis(g)
     scale = max((abs(v) for v in op.terms.values()), default=1.0)
     creation, single, hop, bundles, _, _ = _table_classes(op)
-    bad01 = list(single.items()) if abs(sum(single.values())) > tol * scale else []
+    bad01 = list(single.items()) if abs(sum(single.values())) > CANCEL_TOL * scale else []
     bad21 = [term for terms in bundles.values()
-             if abs(sum(terms.values())) > tol * scale for term in terms.items()]
+             if abs(sum(terms.values())) > CANCEL_TOL * scale for term in terms.items()]
     # sites with no hopping string contribute a zero row sum, so all N rows vote
     rows = hop.sum(axis=1)
     lam = complex(np.mean(rows))
     bad11 = [(j, complex(r)) for j, r in enumerate(rows)
-             if abs(r - lam) > tol * max(scale, 1.0)]
+             if abs(r - lam) > CANCEL_TOL * max(scale, 1.0)]
     conditions = (
         TableCondition("n>=1,m=0", not creation, tuple(creation.items())),
         TableCondition("n=0,m=1", not bad01, tuple(bad01)),
@@ -316,7 +315,7 @@ class CanonicalForm:
         return op_sum(n_sites, ops, coeffs)
 
 
-def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
+def decompose(h: LocalOperator) -> CanonicalForm:
     """Theorem-1 canonical form of a Hermitian W-parent Hamiltonian.
 
     The symmetric part of the hopping matrix is swept with P^Re generators
@@ -327,7 +326,7 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     """
     if not h.hermitian():
         raise ClassificationError("decompose requires a Hermitian operator")
-    require_eigenstate(h, states.w_state(h.n_sites), tol)
+    require_eigenstate(h, states.w_state(h.n_sites))
     op = opspace.to_boson_basis(h)
     n_sites = op.n_sites
     omega_id = op.identity_coefficient()
@@ -381,14 +380,14 @@ def decompose(h: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
     return CanonicalForm(omega_id, omega_n, t_im, tuple(annihilators), residual)
 
 
-def decompose_general(g: LocalOperator, tol: float = EIGENSTATE_TOL) -> CanonicalForm:
+def decompose_general(g: LocalOperator) -> CanonicalForm:
     """Non-Hermitian variant: G = Omega*1 + omega*N_tot + sum_X g_X, no t term.
 
     Hopping rows are absorbed row by row (each row with its common sum
     omega removed is a strictly local annihilator), and the (n=0, m=1)
     class is rewritten over the range-2 differences s_k - s_{k+1}.
     """
-    require_eigenstate(g, states.w_state(g.n_sites), tol)
+    require_eigenstate(g, states.w_state(g.n_sites))
     op = opspace.to_boson_basis(g)
     n_sites = op.n_sites
     omega_id = op.identity_coefficient()
@@ -489,14 +488,14 @@ def instantiate_pattern(n_sites: int, pattern, site: int) -> LocalOperator:
 
 
 def random_type1(n_sites: int, rng: np.random.Generator,
-                 max_range: int = 3, translation_invariant: bool = True) -> LocalOperator:
-    """Random sum of Table-II annihilators, coefficients uniform in [-1, 1].
+                 translation_invariant: bool = True) -> LocalOperator:
+    """Random sum of the range-3 Table-II annihilators, coefficients uniform in [-1, 1].
 
     With ``translation_invariant`` the same coefficient multiplies every
     translate of a pattern, so the construction defines one Hamiltonian
     family across chain lengths.
     """
-    pats = table2_patterns(max_range)
+    pats = table2_patterns()
     if translation_invariant:
         coeffs = np.repeat(rng.uniform(-1.0, 1.0, size=len(pats)), n_sites)
     else:

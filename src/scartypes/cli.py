@@ -185,7 +185,7 @@ def _cmd_scan_classes(args) -> int:
         "N_II": res.n_ii,
         "N_III": res.n_iii,
         "dims": res.dims,
-        "tol": res.tolerance,
+        "tol": nullspace.NULL_TOL,
     }, args)
     return EXIT_OK
 

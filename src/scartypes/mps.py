@@ -20,7 +20,6 @@ from . import boundary as boundary_mod
 from .nullspace import real_rank
 
 PUSH_TOL = 1e-10
-FULL_RANK_TOL = 1e-10
 DENSE_MAX_DIM = 70000
 
 
@@ -102,8 +101,8 @@ def transfer_spectrum(a: MPSTensor) -> np.ndarray:
     return vals[np.argsort(-np.abs(vals))]
 
 
-def is_full_rank(a: MPSTensor, tol: float = FULL_RANK_TOL) -> bool:
-    return real_rank(transfer_matrix(a), tol) == a.bond ** 2
+def is_full_rank(a: MPSTensor) -> bool:
+    return real_rank(transfer_matrix(a)) == a.bond ** 2
 
 
 def _blocked(a: MPSTensor, k: int) -> np.ndarray:

@@ -46,7 +46,6 @@ NULL_TOL = 1e-10      # eigenvalue cutoff relative to the largest
 RANK_TOL = 1e-10      # singular-value cutoff for union dimensions
 PSD_TOL = -1e-10
 TRANSLATION_TOL = 1e-12   # ||T psi - lambda psi|| / ||psi|| for the sector path
-NORM_TOL = 1e-10      # | ||psi|| - 1 | accepted for a target state
 # Schmidt values <= SCHMIDT_TOL are dropped: that moves C's eigenvalues by <= 4^(w+1)
 # 1e-24, far below the NULL_TOL cut (>= 6.7e-11, since tr C >= 4^w - 2^w per state)
 SCHMIDT_TOL = 1e-12
@@ -71,14 +70,14 @@ class CorrelationMatrix:
     basis: OperatorBasis
     states: tuple          # the state vectors summed over
 
-    def check_psd(self, tol: float = PSD_TOL) -> float:
+    def check_psd(self) -> float:
         """Smallest eigenvalue; raises if materially negative."""
-        return _require_psd(np.linalg.eigvalsh(self.entries)[0], self.entries, tol)
+        return _require_psd(np.linalg.eigvalsh(self.entries)[0], self.entries)
 
 
-def _require_psd(low, entries: np.ndarray, tol: float = PSD_TOL) -> float:
-    """``low``, the smallest eigenvalue of ``entries``; raises if materially negative."""
-    if low < tol * max(float(np.abs(entries).max()), 1.0):
+def _require_psd(low, entries: np.ndarray) -> float:
+    """``low``, the smallest eigenvalue of ``entries``; raises if below PSD_TOL x max |entry|."""
+    if low < PSD_TOL * max(float(np.abs(entries).max()), 1.0):
         raise ValueError(f"correlation matrix not PSD: min eig {low:.3e}")
     return float(low)
 
@@ -87,7 +86,6 @@ def _require_psd(low, entries: np.ndarray, tol: float = PSD_TOL) -> float:
 class SubspaceReport:
     basis: np.ndarray      # rows are orthonormal coefficient vectors
     dim: int
-    tolerance: float
     gap: float             # smallest eigenvalue above the accepted null space
     range: np.ndarray      # columns: the eigenvectors above the cut
 
@@ -145,8 +143,7 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
     for psi in states_list:
         if psi.shape != (1 << n,):
             raise opspace.DimensionError(f"state has shape {psi.shape} for N={n}")
-        if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {np.linalg.norm(psi):.6g} is not 1 within {NORM_TOL}")
+        opspace._require_unit(psi)
     orbits = _translation_eigenstates(states_list, n) and basis.keys == tuple(
         opspace._canonical_key(n, s + d, ops) for s, ops in basis.keys[::n] for d in range(n))
     keys = basis.keys[::n] if orbits else basis.keys
@@ -199,15 +196,15 @@ def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, 
         yield np.vstack(_factor(masks, len(masks), blocks, degenerate))
 
 
-def _range(factor: np.ndarray, tol: float = NULL_TOL):
+def _range(factor: np.ndarray):
     """Range (columns) and gap of F^dagger F, cut as null_space cuts, from a thin SVD of F."""
     _, svals, vh = np.linalg.svd(factor, full_matrices=False)
-    keep = svals ** 2 > tol * max(float(svals[0]) ** 2, 1e-300)
+    keep = svals ** 2 > NULL_TOL * max(float(svals[0]) ** 2, 1e-300)
     return vh[keep].conj().T, float(svals[keep][-1] ** 2) if keep.any() else np.inf
 
 
-def null_space(corr: CorrelationMatrix, tol: float = NULL_TOL) -> SubspaceReport:
-    """Eigenvectors with eigenvalue <= tol * max eigenvalue, and the range.
+def null_space(corr: CorrelationMatrix) -> SubspaceReport:
+    """Eigenvectors with eigenvalue <= NULL_TOL * max eigenvalue, and the range.
 
     Raises ValueError as ``check_psd`` does.  Also reports the spectral gap
     just above the accepted null space so the robustness of the cut is
@@ -216,19 +213,19 @@ def null_space(corr: CorrelationMatrix, tol: float = NULL_TOL) -> SubspaceReport
     vals, vecs = np.linalg.eigh(corr.entries)
     _require_psd(vals[0], corr.entries)
     top = max(float(vals[-1]), 1e-300)
-    keep = vals <= tol * top
+    keep = vals <= NULL_TOL * top
     dim = int(np.sum(keep))
     above = float(vals[dim]) if dim < len(vals) else np.inf
-    return SubspaceReport(vecs[:, keep].T.astype(complex), dim, tol, above, vecs[:, ~keep])
+    return SubspaceReport(vecs[:, keep].T.astype(complex), dim, above, vecs[:, ~keep])
 
 
 # -- span arithmetic -------------------------------------------------------------
 
-def real_rank(rows: np.ndarray, tol: float = RANK_TOL, scale: float | None = None) -> int:
-    """Number of singular values above tol * scale (default: the largest one)."""
+def real_rank(rows: np.ndarray, scale: float | None = None) -> int:
+    """Number of singular values above RANK_TOL * scale (default: the largest one)."""
     svals = np.linalg.svd(rows, compute_uv=False)
     scale = (svals[0] if svals.size else 0.0) if scale is None else scale
-    return int(np.sum(svals > tol * scale))
+    return int(np.sum(svals > RANK_TOL * scale))
 
 
 def _translation_eigenstates(states_list, n_sites: int) -> bool:
@@ -257,6 +254,7 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
     columns, shifts = pos // sectors, pos % sectors
     first = np.unique(columns, return_index=True)[1]
     later = np.setdiff1d(np.arange(len(pos)), first)
+    partner = first[columns[later]]                 # each later copy's first copy
     phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
     glo = glo.reshape(len(glo), -1, sectors) @ phases.T / np.sqrt(sectors)
 
@@ -266,16 +264,18 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
         stack = np.zeros((len(pos), left[-1]), dtype=complex)
         for j, r in enumerate(ranges):          # block diagonal; windows are equal in size
             stack[j * len(r):(j + 1) * len(r), left[j]:left[j + 1]] = r
+        copies, partners, firsts = stack[later], stack[partner], stack[first]
+        del stack                       # K's three row sets, phased per sector below
         coords, kept, cut = [], [], []
         for k, ph in enumerate(phases[:, shifts]):
-            rows = ph[:, None] * stack
-            k_mat = rows[later] - rows[first[columns[later]]]
+            k_mat = ph[later, None] * copies
+            k_mat -= ph[partner, None] * partners
             # all right singular vectors; a full U only when it is the smaller
             _, svals, vh = np.linalg.svd(k_mat, full_matrices=len(k_mat) < k_mat.shape[1])
             rank = int(np.sum(svals > RANK_TOL))
             kept.append(svals[:rank])
             cut.append(svals[rank:])
-            basis = np.linalg.qr(rows[first] @ vh[rank:].conj().T)[0]
+            basis = np.linalg.qr((ph[first, None] * firsts) @ vh[rank:].conj().T)[0]
             coords.append(glo[:, :, k] @ basis.conj())
         local = sum(len(first) - off.shape[1] for off in coords)
         added = sum(real_rank(np.hstack([off, coords[-k].conj()]), scale=1.0)
@@ -295,11 +295,10 @@ class ClassCount:
     n_ii: int
     n_iii: int
     dims: dict
-    tolerance: float
 
 
 def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
-                       degenerate: bool = False, tol: float = NULL_TOL) -> ClassCount:
+                       degenerate: bool = False) -> ClassCount:
     """Equivalence-class counts N_II, N_III at global range R, local range R'.
 
     ZH_glo is the Hermitian null space over all Pauli strings of range <= R
@@ -325,12 +324,12 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     sectors = n_sites if _translation_eigenstates(states_list, n_sites) else 1
 
     glo = pauli_string_basis(n_sites, r_glo)
-    zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate), tol)
+    zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate))
     window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
     zh, zg = [], []
     for factor in _window_factors(window, r_loc, states_list, degenerate, starts):
-        zg.append(_range(factor, tol))
-        zh.append(_range(np.vstack([factor.real, factor.imag]), tol))    # C^H = Re C^G
+        zg.append(_range(factor))
+        zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
 
     glo_rows = np.zeros((zh_glo.dim, len(index)), dtype=complex)
     glo_rows[:, [index[k] for k in glo.keys]] = zh_glo.basis
@@ -342,7 +341,7 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
     dims.update(gap_ZH_glo=zh_glo.gap, gap_ZH_loc=min(g for _, g in zh),
                 gap_ZG_loc=min(g for _, g in zg), **margins)
-    return ClassCount(n_ii, n_iii, dims, tol)
+    return ClassCount(n_ii, n_iii, dims)
 
 
 def verify_null_vector(basis: OperatorBasis, coeffs: np.ndarray, states_list) -> float:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 COEFF_TOL = 1e-14          # canonicalization drop tolerance (absolute)
-HERMITIAN_TOL = 1e-12
+CANCEL_TOL = 1e-12         # a coefficient below this x the largest |coeff| cancels
+NORM_TOL = 1e-10           # | ||psi|| - 1 | accepted for a target state
 MATRIX_MAX_SITES = 14      # dense 2^N guard
 
 PAULI_CODES = ("id", "x", "y", "z")
@@ -197,11 +198,11 @@ class LocalOperator:
             {(start, tuple(_DAGGER[c] for c in ops)): coeff.conjugate()
              for (start, ops), coeff in self.terms.items()})
 
-    def hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        """self - self^dagger vanishes within tol x max(1, largest |coeff|): term
+    def hermitian(self) -> bool:
+        """self - self^dagger vanishes within CANCEL_TOL x max(1, largest |coeff|): term
         by term, or else in the boson basis, where mixed Pauli and boson codes cancel."""
         diff = self - self.dagger()
-        bound = tol * max([1.0, *map(abs, self.terms.values())])
+        bound = CANCEL_TOL * max([1.0, *map(abs, self.terms.values())])
         return all(abs(v) <= bound for v in diff.terms.values()) or \
             all(abs(v) <= bound for v in to_boson_basis(diff).terms.values())
 
@@ -336,8 +337,15 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_unit(psi: np.ndarray) -> None:
+    """ValueError unless ||psi|| is 1 within NORM_TOL."""
+    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {np.linalg.norm(psi):.6g} is not 1 within {NORM_TOL}")
+
+
 def eigen_defect(op: LocalOperator, psi: np.ndarray) -> tuple:
-    """(E, ||op psi - E psi||) with E = <psi|op|psi>, for a normalized psi."""
+    """(E, ||op psi - E psi||) with E = <psi|op|psi>; psi must be a unit state (ValueError)."""
+    _require_unit(psi)
     out = apply(op, psi)
     energy = complex(np.vdot(psi, out))
     return energy, float(np.linalg.norm(out - energy * psi))

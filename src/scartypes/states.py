@@ -49,17 +49,12 @@ def w_p(n_sites: int, p: int) -> np.ndarray:
     return psi
 
 
-def w_q(n_sites: int, m: int, conjugate: bool = False) -> np.ndarray:
-    """Momentum-boosted W state with q = 2*pi*m/N and phases e^{-iqj}.
-
-    ``conjugate`` flips to the e^{+iqj} convention used for twisted
-    two-particle states.
-    """
+def w_q(n_sites: int, m: int) -> np.ndarray:
+    """Momentum-boosted W state with q = 2*pi*m/N and phases e^{-iqj}."""
     q = 2.0 * np.pi * (m % n_sites) / n_sites
-    sign = +1.0 if conjugate else -1.0
     psi = _zeros(n_sites)
     for j in range(n_sites):
-        psi[1 << j] = np.exp(sign * 1j * q * j) / np.sqrt(n_sites)
+        psi[1 << j] = np.exp(-1j * q * j) / np.sqrt(n_sites)
     return psi
 
 

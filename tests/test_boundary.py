@@ -406,6 +406,30 @@ class TestClassify:
         s = setup10
         assert classify(s["ntot"], [s["vac"], s["w"]]).value == "III"
 
+    def test_dead_zone_is_indeterminate(self, setup10):
+        # 1e-5 n_tot leaves a general residual of 2.1e-6, inside the dead zone
+        s = setup10
+        label = classify(s["imhop"] + 1e-5 * s["ntot"], [s["vac"], s["w"]])
+        assert label.value == "indeterminate"
+        assert boundary.ACCEPT < max(row[2] for row in label.evidence) < boundary.REJECT
+
+    def test_independence_clause_reads_the_sweep(self, monkeypatch):
+        # range 4 > R_max + 1, so the truncation difference reaches past the
+        # clause's right window; the clause truncates nothing itself
+        n = 12
+        h, psis = canonical.h_imhop_p(n, 3), [states.vacuum(n), states.w_state(n)]
+        truncated, clause = [], []
+        truncate, independent = opspace.truncate, boundary._left_independent
+        monkeypatch.setattr(opspace, "truncate",
+                            lambda op, lam, *a: truncated.append(lam) or truncate(op, lam, *a))
+        monkeypatch.setattr(boundary, "_left_independent",
+                            lambda *a: clause.append(a) or independent(*a))
+        label = classify(h, psis, r_max=1)
+        assert (label.value, label.notes, len(clause)) == ("I", (), 1)
+        assert truncated == boundary.default_sweep(n, 1, op_range=4)
+        *_, short, grown = clause[0]
+        assert (short[0], grown[0]) == (Region(0, 8, n), Region(0, 9, n))
+
     def test_preconditions(self, setup10):
         s = setup10
         drop = states.droplet(s["n"], 3, 1)
@@ -562,6 +586,14 @@ class TestEquivalence:
                                         method="bounded", options={"xatol": 1e-10})
                 assert abs(local.fun - res.residual) <= 1e-9
         assert res.beta / res.alpha == pytest.approx(1 / 0.7, rel=1e-8)
+
+    def test_dead_zone_is_indeterminate(self, setup10):
+        # h_dmi = -h_imhop; 1e-5 n_tot moves the best residual to 1.2e-5
+        s = setup10
+        res = equivalence_test(s["imhop"], canonical.h_dmi(s["n"]) + 1e-5 * s["ntot"],
+                               [s["vac"], s["w"]])
+        assert (res.verdict, res.alpha, res.beta) == ("indeterminate", None, None)
+        assert boundary.ACCEPT < res.residual < boundary.REJECT
 
     @pytest.mark.parametrize("n,length", [(10, 7), (8, 6)])
     def test_default_patch_is_sweeps_second_longest(self, n, length):

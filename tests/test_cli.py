@@ -47,6 +47,17 @@ class TestClassify:
         code, out = invoke(["classify", "--ham", ham, "--N", "8"])
         assert (code, json.loads(out)["type"]) == (0, verdict)
 
+    def test_indeterminate_exits_3(self, tmp_path):
+        # h_imhop + 1e-5 n_tot: general residual 2.1e-6, inside the 1e-8 / 1e-3 dead zone
+        n = 10
+        path = tmp_path / "ham.op"
+        path.write_text(opspace.format_operator(canonical.h_imhop(n)
+                                                + 1e-5 * canonical.n_tot(n)) + "\n")
+        code, out = invoke(["classify", "--ham", str(path), "--N", str(n)])
+        report = json.loads(out)
+        assert (code, report["type"]) == (3, "indeterminate")
+        assert max(row["residual_general"] for row in report["evidence"]) > boundary.ACCEPT
+
     def test_default_reports_byte_identical(self):
         argv = ["classify", "--ham", "h_imhop", "--states", "w,vacuum", "--N", "10"]
         assert invoke(argv) == invoke(argv)
@@ -256,6 +267,15 @@ class TestDroplet:
         code, out = invoke(["droplet", "--dispersion", "imhop", "--N", "40",
                             "--M", "8", "--steps", "0"])
         assert (code, out) == (0, "t,ReUpsilon,ImUpsilon\n")
+
+    def test_json_report_to_out(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        argv = ["droplet", "--dispersion", "imhop", "--N", "40", "--M", "8", "--steps", "3"]
+        code, out = invoke(argv + ["--out", str(report_path)])
+        assert (code, out) == (0, invoke(argv)[1])     # the CSV still goes to stdout
+        report = json.loads(report_path.read_text())
+        assert report["rows"] == 3 and report["schema"] == 1
+        assert report["config"]["out"] == str(report_path)
 
     def test_emit_plot(self, tmp_path):
         plot = tmp_path / "blocks.dat"

@@ -167,6 +167,34 @@ class TestUpsilon:
         with pytest.raises(dynamics.QuadratureError):
             upsilon_thermo(imhop(), 30, 5.0, 0, tol=1e-16, max_nodes=512)
 
+    def test_kinked_dispersion_refines_until_converged(self, monkeypatch):
+        # a kink inside a panel slows Gauss-Legendre to algebraic convergence,
+        # so the panel count doubles several times; quad splits at the kinks
+        from scipy.integrate import quad
+        m, t = 8, 1.0
+        disp = custom(lambda q: np.abs(np.sin(q - 0.3)))
+        evaluations, dirichlet = [], dynamics._dirichlet
+        monkeypatch.setattr(dynamics, "_dirichlet",
+                            lambda q, size: evaluations.append(q.size) or dirichlet(q, size))
+        got = upsilon_thermo(disp, m, t, 0)
+        monkeypatch.undo()
+        assert len(evaluations) > 3
+        assert evaluations[1:] == [2 * k for k in evaluations[:-1]]
+
+        def part(q, take):
+            val = dirichlet(np.array([q]), m)[0] ** 2 * (1 - np.exp(-1j * disp.eps(q) * t))
+            return take(val / (2 * np.pi * m))
+        want = [quad(part, -np.pi, np.pi, args=(take,), points=(0.3 - np.pi, 0.3),
+                     epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                for take in (np.real, np.imag)]
+        assert abs(got - complex(*want)) < 1e-9
+
+    @pytest.mark.parametrize("disp", [rehop(), chop(0.5, 0.5), chop(0.3, 0.8, 1.2)])
+    def test_custom_velocity_scale_matches_closed_form(self, disp):
+        # a table takes the largest |d eps/dq| on a 4097-point grid
+        assert custom(disp.eps).velocity_scale() == pytest.approx(
+            disp.velocity_scale(), rel=1e-6)
+
 
 def _deficit(phi):
     """1 - e^{i phi} without cancellation at small phi."""

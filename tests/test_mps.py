@@ -281,6 +281,19 @@ class TestClassification:
                                             dense_sizes=(6,))
         assert label.value == "indeterminate"
 
+    def test_not_injective_up_to_bound_is_indeterminate(self, monkeypatch):
+        # no tensor is known that reaches this verdict unpatched: the
+        # non-injective ones tried (AKLT (x) 1_2, AKLT (x) diag(1, c)) fail
+        # push-through, their twisted transfer map's leading eigenvalue degenerate
+        monkeypatch.setattr(mps, "is_full_rank", lambda a: False)
+        monkeypatch.setattr(mps, "injectivity_length", lambda a: NotInjective(6))
+        monkeypatch.setattr(mps, "_boundary_generator_hermitian_feasible",
+                            lambda *a: pytest.fail("no dense certificate without R_inj"))
+        label = classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"))
+        assert (label.value, label.notes) == ("indeterminate",
+                                              ("tensor not injective up to bound",))
+        assert len(label.evidence) == 3 and all(nt for *_, nt in label.evidence)
+
     def test_zero_generator_is_locally_symmetric(self):
         label = classify_symmetry_generator(builtin_aklt(), np.zeros((3, 3)))
         assert label.value == "I"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scartypes import canonical, opspace, states
+from scartypes import boundary, canonical, nullspace, opspace, scars, states
 from scartypes.opspace import (Region, apply, dagger, format_operator, hs_inner,
                                identity, op_sum, parse_operator, string_term,
                                to_boson_basis, to_matrix, to_pauli_basis,
@@ -59,6 +59,42 @@ class TestApply:
         rhs = (apply(a, psi) + 3.0 * apply(a, phi)
                + 2.0 * apply(b, psi) + 6.0 * apply(b, phi))
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestUnitStates:
+    """Every eigenstate check goes through eigen_defect, which takes unit states only."""
+
+    N = 10
+
+    @staticmethod
+    def _entry_points(n):
+        vac, w = states.vacuum(n), states.w_state(n)
+        imhop, rehop = canonical.h_imhop(n), canonical.h_rehop(n)
+        lam = Region(0, 6, n)
+        return {
+            "eigen_defect": lambda s: opspace.eigen_defect(imhop, s * w),
+            "require_eigenstate": lambda s: canonical.require_eigenstate(imhop, s * w),
+            "variance": lambda s: scars.variance(rehop, s * states.w_q(n, 1)),
+            "expectation": lambda s: scars.expectation(rehop, s * w),
+            "classify": lambda s: boundary.classify(imhop, [s * vac, s * w]),
+            "equivalence_test": lambda s: boundary.equivalence_test(
+                imhop, canonical.h_dmi(n), [s * vac, s * w]),
+            "boundary_solve": lambda s: boundary.boundary_solve(rehop, [s * w], lam, 2),
+            "action_equivalent": lambda s: boundary.action_equivalent(
+                imhop, imhop, [s * vac, s * w]),
+            "verify_null_vector": lambda s: nullspace.verify_null_vector(
+                nullspace.window_basis(n, 0, 2), np.ones(15), [s * w]),
+        }
+
+    @pytest.mark.parametrize("entry", ["eigen_defect", "require_eigenstate", "variance",
+                                       "expectation", "classify", "equivalence_test",
+                                       "boundary_solve", "action_equivalent",
+                                       "verify_null_vector"])
+    def test_scaled_state_rejected(self, entry):
+        run = self._entry_points(self.N)[entry]
+        run(1.0 + 1e-12)                     # within NORM_TOL of 1
+        with pytest.raises(ValueError, match="norm 2 is not 1"):
+            run(2.0)
 
 
 class TestDagger:

@@ -78,11 +78,6 @@ class TestBoostedW:
             shifted = states.translate(wq, 1, n)
             assert np.linalg.norm(shifted - np.exp(1j * q) * wq) < 1e-13
 
-    def test_sign_flag(self):
-        n = 6
-        assert np.allclose(states.w_q(n, 2, conjugate=True),
-                           np.conj(states.w_q(n, 2)))
-
 
 class TestDroplet:
     def test_single_particle_uniform(self):
