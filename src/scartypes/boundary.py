@@ -63,9 +63,10 @@ class TypeLabel:
 def spectral_norm(op: LocalOperator) -> float:
     """Largest |eigenvalue| of a Hermitian operator.
 
-    Lanczos with full reorthogonalisation from a seeded normal start
-    vector (a uniform one is an eigenvector of every permutation-symmetric
-    operator, where Lanczos stops at once); the matrix acts as a gather
+    Lanczos on the active sites (_spectral_norm), with full
+    reorthogonalisation from a seeded normal start vector (a uniform one is
+    an eigenvector of every permutation-symmetric operator, where Lanczos
+    stops at once); the matrix acts as a gather
     over its flip diagonals, (H v)[i] = sum_f g_f[i] v[i ^ f], in real
     arithmetic when every g_f is real.  Every LANCZOS_CHECK_EVERY steps the
     Ritz value theta of largest |theta| is accepted once its residual
@@ -78,15 +79,32 @@ def spectral_norm(op: LocalOperator) -> float:
 
 
 def _spectral_norm(diagonals: dict, n_sites: int) -> float:
-    """spectral_norm of the operator with these flip diagonals."""
-    dim = 1 << n_sites
+    """spectral_norm of the operator with these flip diagonals.
+
+    It is H_L (x) 1 over the L sites some flip touches or some diagonal reads
+    (g_f[i] != g_f[i ^ 2^j]), so Lanczos runs on H_L's 2^L amplitudes: the
+    diagonals where the idle bits are 0, index and flip bits packed alike.
+    """
     if not diagonals:
         return 0.0
-    idx = np.arange(dim)
-    perm = idx ^ np.fromiter(diagonals, dtype=np.int64)[:, None]      # (flips, dim)
-    gains = np.take_along_axis(np.array(list(diagonals.values())), perm, axis=1)
-    if not gains.imag.any():        # a real matrix: Lanczos in real arithmetic
-        gains = gains.real
+    flips = list(diagonals)
+    cube = np.array(list(diagonals.values())).reshape((len(flips),) + (2,) * n_sites)
+    touched = np.bitwise_or.reduce(flips)
+    # site j is the bit of cube axis n_sites - j
+    active = [j for j in range(n_sites) if touched >> j & 1
+              or not np.array_equal(*np.split(cube, 2, axis=n_sites - j))]
+    cube = cube[(slice(None),) + tuple(slice(None) if j in active else 0
+                                       for j in reversed(range(n_sites)))]
+    flips = [sum((f >> j & 1) << k for k, j in enumerate(active)) for f in flips]
+    idx = np.arange(1 << len(active))
+    perm = idx ^ np.array(flips, dtype=np.int64)[:, None]      # (flips, 2^L)
+    gains = np.take_along_axis(cube.reshape(len(flips), -1), perm, axis=1)
+    return _lanczos_norm(gains if gains.imag.any() else gains.real, perm)
+
+
+def _lanczos_norm(gains: np.ndarray, perm: np.ndarray) -> float:
+    """spectral_norm's Lanczos on (H v)[i] = sum_f gains[f, i] v[perm[f, i]]."""
+    dim = perm.shape[1]
     steps = min(dim, LANCZOS_MAX_STEPS)
     basis = np.empty((steps, dim), dtype=gains.dtype)
     tri = np.zeros((steps + 1, steps + 1))          # the Lanczos tridiagonal matrix
@@ -263,16 +281,19 @@ def _require(r_max: int, hs, states_list) -> None:
 
 def _action(op: LocalOperator, states_list):
     """op's flip diagonals and the targets op|psi> for every state, from one
-    decode: (op psi)[i ^ f] += g_f[i] psi[i]."""
+    decode: (op psi)[i ^ f] += g_f[i] psi[i] over the i with psi[i] != 0 (a
+    zero amplitude would add +-0 to the full sum)."""
     diagonals = opspace._flip_diagonals(op)
-    idx = np.arange(1 << op.n_sites)
+    dim = 1 << op.n_sites
     targets = []
     for psi in states_list:
-        if psi.shape != idx.shape:
-            raise opspace.DimensionError(f"state has shape {psi.shape}, expected {idx.shape}")
-        out = np.zeros(idx.size, dtype=complex)
+        if psi.shape != (dim,):
+            raise opspace.DimensionError(f"state has shape {psi.shape}, expected {(dim,)}")
+        src = np.flatnonzero(psi)
+        amps = psi[src]
+        out = np.zeros(dim, dtype=complex)
         for flip, gain in diagonals.items():
-            out[idx ^ flip] += gain * psi
+            out[src ^ flip] += gain[src] * amps
         targets.append(out)
     return diagonals, targets
 

@@ -267,7 +267,7 @@ def classify_symmetry_generator(a: MPSTensor, generator,
     Never III (injective MPS always admit a boundary action).  Full-rank
     transfer matrix with a non-phase V certifies II; a locally symmetric
     tensor or a Hermitian-feasible dense boundary action gives I; the
-    remaining rank-deficient non-Hermitian corner stays indeterminate.
+    remaining corner stays indeterminate, its note naming the failed type-II clause.
     The dense certificate skips sizes in ``dense_sizes`` above DENSE_MAX_DIM
     and patches 1..N-2 below the patch rule's 2 R_inj + 2 sites, which the
     two R_inj windows would cover; with no size left it is indeterminate.
@@ -303,5 +303,7 @@ def classify_symmetry_generator(a: MPSTensor, generator,
     if feasible and all(feasible):
         notes.append("Hermitian boundary action found on dense chains")
         return boundary_mod.TypeLabel("I", tuple(evidence), tuple(notes))
-    notes.append("rank-deficient transfer matrix, no Hermitian certificate")
+    failed = "a sampled V is a pure phase" if not all(nontrivial) \
+        else "rank-deficient transfer matrix"
+    notes.append(f"{failed}, no Hermitian certificate")
     return boundary_mod.TypeLabel("indeterminate", tuple(evidence), tuple(notes))

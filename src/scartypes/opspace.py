@@ -288,15 +288,16 @@ def _expand(factors, amp) -> list:
 
 # -- state application ------------------------------------------------------
 
-def _string_masks(n_sites: int, terms):
+def _string_masks(n_sites: int, terms, idx=None):
     """Decode every ((start, ops), coeff) string into its action on basis indices.
 
     Yields one (src, flip, vals) per string, in order: the string keeps the
     basis indices ``src`` (site j = bit j), maps each to ``src ^ flip`` and
     multiplies it by ``vals`` (a scalar, or one sign-carrying amplitude per
-    index).
+    index).  ``src`` is drawn from the sorted index array ``idx``, by default
+    every one of the 2^N basis indices.
     """
-    idx_all = np.arange(1 << n_sites)
+    idx_all = np.arange(1 << n_sites) if idx is None else idx
     for (start, ops), coeff in terms:
         sel_mask = sel_bits = flip_mask = sign_mask = 0
         amp = coeff
@@ -327,13 +328,18 @@ def _string_masks(n_sites: int, terms):
 
 
 def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
-    """Action of the operator on a dense 2^N amplitude vector (site j = bit j)."""
+    """Action of the operator on a dense 2^N amplitude vector (site j = bit j).
+
+    Strings are decoded over psi's nonzero amplitudes, and skipped if they keep
+    none: a zero amplitude adds +-0, so each entry sums the products a full decode sums.
+    """
     dim = 1 << op.n_sites
     if psi.shape != (dim,):
         raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
     out = np.zeros(dim, dtype=complex)
-    for src, flip, vals in _string_masks(op.n_sites, op.terms.items()):
-        out[src ^ flip] += vals * psi[src]
+    for src, flip, vals in _string_masks(op.n_sites, op.terms.items(), np.flatnonzero(psi)):
+        if src.size:
+            out[src ^ flip] += vals * psi[src]
     return out
 
 

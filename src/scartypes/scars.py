@@ -32,22 +32,23 @@ class VarianceScan:
     fit: FitResult | None
 
 
-def _moments(h: LocalOperator, psi: np.ndarray) -> tuple:
-    """(<H>, <H^2> - <H>^2) from one application: the variance is the
-    squared eigenstate defect ||(H - <H>) psi||^2."""
+def _moments(h: LocalOperator, psis) -> list:
+    """(<H>, <H^2> - <H>^2) for each state, after one Hermiticity check, each
+    from one application: the variance is the squared eigenstate defect
+    ||(H - <H>) psi||^2.  ``psis`` may be a generator; it is read after the check."""
     if not h.hermitian():
         raise ValueError("energy moments require a Hermitian operator")
-    energy, defect = opspace.eigen_defect(h, psi)
-    return energy.real, defect ** 2
+    return [(energy.real, defect ** 2)
+            for energy, defect in (opspace.eigen_defect(h, psi) for psi in psis)]
 
 
 def expectation(h: LocalOperator, psi: np.ndarray) -> float:
-    return _moments(h, psi)[0]
+    return _moments(h, [psi])[0][0]
 
 
 def variance(h: LocalOperator, psi: np.ndarray) -> float:
     """<H^2> - <H>^2 = ||(H - <H>) psi||^2, never negative."""
-    return _moments(h, psi)[1]
+    return _moments(h, [psi])[0][1]
 
 
 def lifetime_bound(var: float) -> float:
@@ -78,14 +79,12 @@ def variance_scan_q(h: LocalOperator, n_sites: int, m_list) -> VarianceScan:
     """Variance of the boosted W states versus q = 2 pi m / N.
 
     The largest-q point is excluded from the fit (lattice effects dominate
-    it).  W must be an exact eigenstate of h.
+    it).  W must be an exact eigenstate of h, and h Hermitian (checked once).
     """
     canonical.require_eigenstate(h, states.w_state(h.n_sites))
-    points = []
-    for m in m_list:
-        q = 2.0 * np.pi * (m % n_sites) / n_sites
-        wq = states.w_q(n_sites, m)
-        points.append((q, *_moments(h, wq)))
+    moments = _moments(h, (states.w_q(n_sites, m) for m in m_list))
+    points = [(2.0 * np.pi * (m % n_sites) / n_sites, *mom)
+              for m, mom in zip(m_list, moments)]
     fit = _fit_points(points, slice(None, -1))
     return VarianceScan(tuple(points), fit)
 
@@ -94,15 +93,12 @@ def variance_scan_n(h_builder, p: int, n_list) -> VarianceScan:
     """Variance of W^p versus chain length for one Hamiltonian family.
 
     ``h_builder(N)`` must emit the same local pattern at each N; the
-    smallest N is excluded from the fit.
+    smallest N is excluded from the fit.  Only the 24-site state guard bounds N.
     """
     points = []
     for n_sites in n_list:
-        if n_sites > opspace.MATRIX_MAX_SITES:
-            raise opspace.CapacityError(f"N={n_sites} over dense capacity")
         h = h_builder(n_sites)
-        wp = states.w_p(n_sites, p)
-        points.append((n_sites, *_moments(h, wp)))
+        points.append((n_sites, *_moments(h, [states.w_p(n_sites, p)])[0]))
     fit = _fit_points(points, slice(1, None))
     return VarianceScan(tuple(points), fit)
 

@@ -140,6 +140,25 @@ class TestAction:
                 want = apply(op, psi)
                 assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
+    def test_targets_bytes_equal_full_index_sum(self, setup10):
+        # the full sum over every index, which reading psi's support replaced
+        def full_index_targets(diagonals, psi):
+            idx = np.arange(psi.size)
+            out = np.zeros(psi.size, dtype=complex)
+            for flip, gain in diagonals.items():
+                out[idx ^ flip] += gain * psi
+            return out
+
+        rng = np.random.default_rng(6)
+        for op in _patch_operators(setup10)[::4] + [opspace.zero(10), opspace.identity(10, 2j)]:
+            planted = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+            planted[rng.random(1024) < 0.5] = 0.0
+            psis = [setup10["vac"], setup10["w"], setup10["w2"], states.w_q(10, 3),
+                    states.droplet(10, 5, 2), planted, rng.normal(size=1024)]
+            diagonals, targets = boundary._action(op, psis)
+            for psi, got in zip(psis, targets):
+                assert got.tobytes() == full_index_targets(diagonals, psi).tobytes()
+
     def test_wrong_state_shape(self, setup10):
         with pytest.raises(opspace.DimensionError):
             boundary._action(setup10["imhop"], [states.vacuum(8)])
@@ -183,6 +202,34 @@ class TestSpectralNorm:
         # two eigenvalues, 1 and 3: the Krylov space closes after two steps
         two_level = opspace.parse_operator("2 * id ; z@4", n)
         assert boundary.spectral_norm(two_level) == pytest.approx(3.0, rel=1e-12)
+
+    def test_idle_sites_match_dense_eigvalsh(self):
+        n = 9
+        # no active site: a 1 x 1 Lanczos; "2 * id ; z@4" is test_krylov_space_closes's
+        assert boundary.spectral_norm(opspace.parse_operator("2 * id", n)) == 2.0
+        ops = [opspace.parse_operator(text, n) for text in (
+            "x@0 x@1 ; 0.5 * z@5",
+            "n@2 n@4 ; -1 * sd@2 s@4 ; -1 * sd@4 s@2",      # site 3 idle inside the window
+            "n@3 ; 0.5 * z@3 ; x@0",                        # site 3 read by no diagonal
+            "y@8 z@0 ; 0.3 * n@4")]
+        ops += [opspace.truncate(canonical.h_imhop(n), Region(2, 6, n)),
+                opspace.truncate(canonical.h_dmi(n), Region(7, 2, n), "pauli")]
+        for op in ops:
+            dense = np.abs(np.linalg.eigvalsh(opspace.to_matrix(op))).max()
+            assert abs(boundary.spectral_norm(op) - dense) <= 1e-12 * dense
+
+    def test_lanczos_runs_on_active_sites(self, setup10, monkeypatch):
+        dims, lanczos = [], boundary._lanczos_norm
+        monkeypatch.setattr(boundary, "_lanczos_norm",
+                            lambda gains, perm: dims.append(perm.shape[1]) or lanczos(gains, perm))
+        ops = _patch_operators(setup10)
+        for op in ops:
+            boundary.spectral_norm(op)
+        # the sites some boson string acts on nontrivially
+        active = [{(start + k) % op.n_sites for (start, codes) in opspace.to_boson_basis(op).terms
+                   for k, c in enumerate(codes) if c != "id"} for op in ops]
+        assert dims == [1 << len(sites) for sites in active]
+        assert max(dims) == 256 < 1 << setup10["n"]
 
     def test_step_cap_raises_with_residual(self, setup10, monkeypatch):
         monkeypatch.setattr(boundary, "LANCZOS_MAX_STEPS", 6)

@@ -351,6 +351,13 @@ class TestVariance:
         assert code == 0
         assert report["fit"]["exponent"] == pytest.approx(-1.0, abs=0.3)
 
+    def test_n_scan_capacity(self, capsys):
+        code, out = invoke(["variance", "--scan", "N", "--N-list", "8,16"])
+        assert code == 0
+        assert [p[0] for p in json.loads(out)["points"]] == [8.0, 16.0]
+        assert invoke(["variance", "--scan", "N", "--N-list", "8,25"]) == (2, "")
+        assert "dense-state guard" in json.loads(capsys.readouterr().err)["error"]
+
     def test_q_scan_csv_and_fit(self, tmp_path):
         csv_path = tmp_path / "var.csv"
         code, out = invoke(["--seed", "6", "variance", "--scan", "q",

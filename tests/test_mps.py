@@ -281,6 +281,19 @@ class TestClassification:
                                             dense_sizes=(6,))
         assert label.value == "indeterminate"
 
+    def test_indeterminate_note_names_failed_clause(self, monkeypatch):
+        # V = -1 at theta = 2 pi is a pure phase; the transfer matrix is full rank
+        assert is_full_rank(builtin_aklt())
+        label = classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"),
+                                            theta_samples=(0.3, 2 * np.pi))
+        assert (label.value, label.notes) == (
+            "indeterminate", ("a sampled V is a pure phase, no Hermitian certificate",))
+        monkeypatch.setattr(mps, "is_full_rank", lambda a: False)
+        label = classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"),
+                                            dense_sizes=(6,))
+        assert (label.value, label.notes) == (
+            "indeterminate", ("rank-deficient transfer matrix, no Hermitian certificate",))
+
     def test_not_injective_up_to_bound_is_indeterminate(self, monkeypatch):
         # no tensor is known that reaches this verdict unpatched: the
         # non-injective ones tried (AKLT (x) 1_2, AKLT (x) diag(1, c)) fail

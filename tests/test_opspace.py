@@ -564,3 +564,55 @@ class TestFastPathDifferential:
                         canonical.instantiate_pattern(n, pat, j)
         assert is_canonical(got)
         assert opspace.operators_equal(got, want, tol=1e-12)
+
+
+def full_index_apply(op, psi):
+    """apply decoding every string over all 2^N basis indices: the loop that
+    reading only psi's support replaced."""
+    out = np.zeros(1 << op.n_sites, dtype=complex)
+    for src, flip, vals in opspace._string_masks(op.n_sites, op.terms.items()):
+        out[src ^ flip] += vals * psi[src]
+    return out
+
+
+def support_cases(n, rng):
+    """Operators and states for the support differential at n sites."""
+    ops = [random_operator(n, rng, max_len=min(3, n)),
+           random_operator(n, rng, max_len=min(3, n), paulis=True),
+           random_strings(n, rng, 10),
+           parse_operator(f"0.5-2i * y@0 ; 3 * z@0 ; -1 * y@{n - 1} z@0", n),
+           identity(n, 1.5 - 2j), zero(n)]
+    if n >= 4:
+        ops += [canonical.random_type1(n, rng) + canonical.h_imhop(n),
+                to_pauli_basis(canonical.h_imhop2(n)), canonical.h_dmi(n)]
+    planted = random_state(n, rng)
+    planted[rng.random(planted.size) < 0.5] = 0.0
+    planted[rng.random(planted.size) < 0.2] = -0.0
+    psis = [random_state(n, rng), planted, states.vacuum(n), states.w_state(n),
+            states.w_q(n, 1), np.zeros(1 << n)]
+    if n >= 3:
+        psis += [states.w_p(n, 2), states.droplet(n, n // 2 + 1, n // 4 + 1)]
+    return ops, psis
+
+
+class TestSupportApply:
+    """apply reads only psi's nonzero amplitudes; below 2^14 amplitudes it is bit for bit
+    the full decode (above, numpy rounds a large in-place product differently)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_bytes_equal_full_index_decode(self, n):
+        ops, psis = support_cases(n, np.random.default_rng(n))
+        for op in ops:
+            for psi in psis:
+                assert apply(op, psi).tobytes() == full_index_apply(op, psi).tobytes()
+
+    def test_index_set_restricts_decode(self):
+        op = random_strings(6, np.random.default_rng(3), 12)
+        idx = np.array([0, 5, 17, 63])
+        for (src, flip, vals), (src_all, flip_all, vals_all) in zip(
+                opspace._string_masks(6, op.terms.items(), idx),
+                opspace._string_masks(6, op.terms.items())):
+            keep = np.isin(src_all, idx)
+            assert flip == flip_all and np.array_equal(src, src_all[keep])
+            assert np.array_equal(np.broadcast_to(vals, src.shape),
+                                  np.broadcast_to(vals_all, src_all.shape)[keep])

@@ -139,6 +139,28 @@ class TestScans:
         scan = variance_scan_n(lambda n: seeded_hamiltonian(n), 0, [8, 10])
         assert all(v < 1e-12 for _, _, v in scan.points)
 
+    def test_q_scan_checks_hermiticity_once(self, monkeypatch):
+        calls, hermitian = [], opspace.LocalOperator.hermitian
+        monkeypatch.setattr(opspace.LocalOperator, "hermitian",
+                            lambda op: calls.append(op) or hermitian(op))
+        scan = variance_scan_q(seeded_hamiltonian(10), 10, [1, 2, 3, 4])
+        assert len(scan.points) == 4 and len(calls) == 1
+
+    def test_q_scan_checks_eigenstate_before_hermiticity(self):
+        # sd@0 is neither Hermitian nor has W as an eigenstate
+        with pytest.raises(canonical.ClassificationError):
+            variance_scan_q(opspace.string_term(8, 1.0, [(0, "sd")]), 8, [1])
+        # p_nonherm annihilates W but is not Hermitian
+        with pytest.raises(ValueError, match="Hermitian") as info:
+            variance_scan_q(canonical.p_nonherm(8, 2), 8, [1])
+        assert not isinstance(info.value, canonical.ClassificationError)
+
+    def test_n_scan_past_matrix_guard(self):
+        scan = variance_scan_n(lambda n: seeded_hamiltonian(n), 2, [8, 16])
+        assert [p[0] for p in scan.points] == [8, 16]
+        with pytest.raises(opspace.CapacityError):
+            variance_scan_n(lambda n: seeded_hamiltonian(n), 2, [8, 25])
+
     def test_requires_w_eigenstate(self):
         with pytest.raises(ValueError):
             variance_scan_q(opspace.string_term(8, 1.0, [(0, "n")]), 8, [1])
