@@ -43,11 +43,7 @@ class BoundarySolve:
     left_op: LocalOperator | None
     right_op: LocalOperator | None
     constants: tuple
-    residual: float          # max_n ||r_n|| / ||H_Lam||
-    residual_abs: float
-    scale: float             # spectral norm of the truncated Hamiltonian
-    hermitian_constrained: bool
-    lam: Region
+    residual: float          # max_n ||r_n|| / ||H_Lam||, the spectral norm
     left_window: tuple
     right_window: tuple
 
@@ -326,10 +322,6 @@ def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
         right_op=_window_operator(b, right_sites, h.n_sites),
         constants=f,
         residual=r_abs / scale,
-        residual_abs=r_abs,
-        scale=scale,
-        hermitian_constrained=hermitian,
-        lam=lam,
         left_window=left_sites,
         right_window=right_sites)
 
@@ -439,8 +431,8 @@ class EquivalenceResult:
 
 
 def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
-                     lam: Region | None = None, r_max: int = 2) -> EquivalenceResult:
-    """Find alpha, beta with (alpha H^A - beta H^B) Hermitian-feasible.
+                     lam: Region | None = None) -> EquivalenceResult:
+    """Find alpha, beta with (alpha H^A - beta H^B) Hermitian-feasible at R_max = 2.
 
     Both inputs are assumed to have been classified type II already.  With
     alpha = cos theta and beta = sin theta the Hermitian fit is linear in
@@ -455,6 +447,7 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     truncations; the default patch is the sweep's second-longest at anchor
     0.  After _require's checks, a patch breaking the rule raises ValueError.
     """
+    r_max = 2
     _require(r_max, (h_a, h_b), states_list)
     n_states = len(states_list)
     if lam is None:

@@ -21,6 +21,7 @@ from . import opspace, states
 from .opspace import CANCEL_TOL, LocalOperator, hs_norm, identity, op_sum
 
 EIGENSTATE_TOL = 1e-10
+TABLE2_RANGE = 3            # largest window of the Table-II generator catalog
 
 
 class ClassificationError(ValueError):
@@ -178,6 +179,8 @@ def p_nonherm(n_sites: int, j: int) -> LocalOperator:
                                   ((0, ("n",)), -0.5j), ((1, ("n",)), 0.5j))], [j])
 
 
+# named PBC operators as printed in the source material: each name's
+# constructor and {keyword: default}, built by name through the CLI grammar
 BUILTINS = {
     "n_tot": (n_tot, {}),
     "h_imhop": (h_imhop, {}),
@@ -190,23 +193,6 @@ BUILTINS = {
     "p_im": (p_im, {"j": 0, "alpha": 2}),
     "p_nonherm": (p_nonherm, {"j": 0}),
 }
-
-
-def builtin(name: str, n_sites: int, **kwargs) -> LocalOperator:
-    """Named PBC operators as printed in the source material.
-
-    ``BUILTINS`` maps each name to its constructor and {keyword: default}; an
-    unknown name raises KeyError, an unknown keyword ValueError.
-    """
-    key = name.strip().lower()
-    if key not in BUILTINS:
-        raise KeyError(f"unknown builtin {name!r}; have {sorted(BUILTINS)}")
-    build, defaults = BUILTINS[key]
-    unknown = sorted(set(kwargs) - set(defaults))
-    if unknown:
-        raise ValueError(f"{key} takes keys {', '.join(defaults) or '(none)'};"
-                         f" unknown: {', '.join(unknown)}")
-    return build(n_sites, **{**defaults, **kwargs})
 
 
 # -- Table I/II verification --------------------------------------------------
@@ -322,11 +308,12 @@ def decompose(h: LocalOperator) -> CanonicalForm:
     (longest range first, leaving omega on the diagonal) and the
     antisymmetric part with P^Im generators (leaving the uniform
     nearest-neighbor imaginary hop t); all other string classes pair with
-    their conjugates into the Hermitian annihilators h_X.
+    their conjugates into the Hermitian annihilators h_X.  W must be an
+    eigenstate (ClassificationError), then h Hermitian (ValueError).
     """
-    if not h.hermitian():
-        raise ClassificationError("decompose requires a Hermitian operator")
     require_eigenstate(h, states.w_state(h.n_sites))
+    if not h.hermitian():
+        raise ValueError("decompose requires a Hermitian operator")
     op = opspace.to_boson_basis(h)
     n_sites = op.n_sites
     omega_id = op.identity_coefficient()
@@ -425,16 +412,16 @@ def decompose_general(g: LocalOperator) -> CanonicalForm:
 
 # -- Table-II generator catalog and random type-I ensembles --------------------
 
-def table2_patterns(max_range: int = 3):
+def table2_patterns():
     """Anchored generator patterns for strictly local Hermitian annihilators.
 
     Returns a list of patterns (sorted tuples of ((offset, ops), coeff)
     entries over boson codes), each defining one Hermitian h_X anchored at
-    site 0 with window at most ``max_range``.  Covers the (n=m=1) P^Re/P^Im rows, the zero-row-sum
+    site 0 with window at most TABLE2_RANGE.  Covers the (n=m=1) P^Re/P^Im rows, the zero-row-sum
     (n>=2, m=1) + H.c. row, and the unconstrained (n>=2, m>=2) + H.c. row.
     """
-    pats = [_p_re_pattern(alpha) for alpha in range(1, max_range)]
-    pats += [_p_im_pattern(alpha) for alpha in range(2, max_range)]
+    pats = [_p_re_pattern(alpha) for alpha in range(1, TABLE2_RANGE)]
+    pats += [_p_im_pattern(alpha) for alpha in range(2, TABLE2_RANGE)]
 
     def add(entries):
         pats.append(_pattern(entries))
@@ -446,7 +433,7 @@ def table2_patterns(max_range: int = 3):
             ops.append("n" if in_c and in_a else "sd" if in_c else "s" if in_a else "id")
         return tuple(ops)
 
-    for window in range(2, max_range + 1):
+    for window in range(2, TABLE2_RANGE + 1):
         sites = list(range(window))
         # zero-row-sum (n>=2, m=1) bundles s_C^dag (s_k1 - s_k2) + H.c.
         for nc in range(2, window + 1):

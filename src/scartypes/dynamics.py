@@ -17,11 +17,11 @@ p-particle droplets.  Sites are labeled 1..N with the droplet on 1..M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scars import loglog_fit
+from .scars import FitResult, loglog_fit
 
 
 class QuadratureError(RuntimeError):
@@ -228,15 +228,7 @@ def bec_overlap_density(rho: float, upsilon: complex) -> complex:
     return complex(np.exp(-rho * upsilon))
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    exponent: float
-    prefactor: float
-    stderr: float
-    prefactor_complex: complex | None = None
-
-
-def scaling_fit(series, window, theory_exponent: float | None = None) -> ScalingFit:
+def scaling_fit(series, window, theory_exponent: float | None = None) -> FitResult:
     """Power-law fit of |upsilon(t)| over the time window.
 
     ``series`` holds (t, upsilon) pairs; the fit is unweighted least
@@ -250,10 +242,9 @@ def scaling_fit(series, window, theory_exponent: float | None = None) -> Scaling
     ts = np.array([p[0] for p in pts])
     us = np.array([p[1] for p in pts])
     fit = loglog_fit(ts, np.abs(us))
-    pref_c = None
-    if theory_exponent is not None:
-        pref_c = complex(np.mean(us / ts ** theory_exponent))
-    return ScalingFit(fit.exponent, fit.prefactor, fit.stderr, pref_c)
+    if theory_exponent is None:
+        return fit
+    return replace(fit, prefactor_complex=complex(np.mean(us / ts ** theory_exponent)))
 
 
 def integer_g_times(schedule_rate: float, t_lo: float, t_hi: float,

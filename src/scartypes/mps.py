@@ -268,6 +268,8 @@ def classify_symmetry_generator(a: MPSTensor, generator,
     transfer matrix with a non-phase V certifies II; a locally symmetric
     tensor or a Hermitian-feasible dense boundary action gives I; the
     remaining corner stays indeterminate, its note naming the failed type-II clause.
+    A failed push-through raises NotSymmetricError for an injective tensor; a
+    non-injective one may be symmetric all the same, and is indeterminate.
     The dense certificate skips sizes in ``dense_sizes`` above DENSE_MAX_DIM
     and patches 1..N-2 below the patch rule's 2 R_inj + 2 sites, which the
     two R_inj windows would cover; with no size left it is indeterminate.
@@ -278,6 +280,9 @@ def classify_symmetry_generator(a: MPSTensor, generator,
     for theta in theta_samples:
         v, res = push_through_check(a, generator, theta)
         if v is None:
+            if isinstance(injectivity_length(a), NotInjective):
+                return boundary_mod.TypeLabel("indeterminate", tuple(evidence),
+                                              ("tensor not injective up to bound",))
             raise NotSymmetricError(
                 f"state not symmetric at theta={theta}: residual {res:.3e}")
         phase_like = abs(abs(np.trace(v)) / a.bond - 1.0) < 1e-8

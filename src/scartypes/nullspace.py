@@ -64,25 +64,6 @@ class OperatorBasis:
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    entries: np.ndarray
-    kind: str              # "H" or "G"
-    basis: OperatorBasis
-    states: tuple          # the state vectors summed over
-
-    def check_psd(self) -> float:
-        """Smallest eigenvalue; raises if materially negative."""
-        return _require_psd(np.linalg.eigvalsh(self.entries)[0], self.entries)
-
-
-def _require_psd(low, entries: np.ndarray) -> float:
-    """``low``, the smallest eigenvalue of ``entries``; raises if below PSD_TOL x max |entry|."""
-    if low < PSD_TOL * max(float(np.abs(entries).max()), 1.0):
-        raise ValueError(f"correlation matrix not PSD: min eig {low:.3e}")
-    return float(low)
-
-
-@dataclass(frozen=True)
 class SubspaceReport:
     basis: np.ndarray      # rows are orthonormal coefficient vectors
     dim: int
@@ -123,8 +104,9 @@ def window_basis(n_sites: int, start: int, width: int) -> OperatorBasis:
 
 
 def build_correlation(basis: OperatorBasis, states_list, kind: str,
-                      degenerate: bool = False) -> CorrelationMatrix:
-    """Summed correlation matrix over the given unit states (else ValueError).
+                      degenerate: bool = False) -> np.ndarray:
+    """Summed correlation matrix over the given unit states (else ValueError):
+    the Gram array, real for kind H, complex for kind G.
 
     C^G = F^dagger F for ``_factor``'s F with each state whole (chi = 1).  When
     the basis lists whole translation orbits, each pattern at shifts 0..N-1
@@ -150,8 +132,7 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
     parts = _factor(opspace._string_masks(n, ((key, 1.0) for key in keys)), len(keys),
                     [psi[:, None] for psi in states_list], degenerate)
     gram = _orbit_gram(parts, states_list, n) if orbits else sum(p.conj().T @ p for p in parts)
-    entries = gram.real.copy() if kind == "H" else gram
-    return CorrelationMatrix(entries, kind, basis, tuple(states_list))
+    return gram.real.copy() if kind == "H" else gram
 
 
 def _factor(masks, count: int, blocks, degenerate: bool) -> list:
@@ -203,15 +184,16 @@ def _range(factor: np.ndarray):
     return vh[keep].conj().T, float(svals[keep][-1] ** 2) if keep.any() else np.inf
 
 
-def null_space(corr: CorrelationMatrix) -> SubspaceReport:
+def null_space(corr: np.ndarray) -> SubspaceReport:
     """Eigenvectors with eigenvalue <= NULL_TOL * max eigenvalue, and the range.
 
-    Raises ValueError as ``check_psd`` does.  Also reports the spectral gap
-    just above the accepted null space so the robustness of the cut is
-    visible to callers.
+    Raises ValueError when the smallest eigenvalue is below PSD_TOL x max
+    |entry|.  Also reports the spectral gap just above the accepted null
+    space so the robustness of the cut is visible to callers.
     """
-    vals, vecs = np.linalg.eigh(corr.entries)
-    _require_psd(vals[0], corr.entries)
+    vals, vecs = np.linalg.eigh(corr)
+    if vals[0] < PSD_TOL * max(float(np.abs(corr).max()), 1.0):
+        raise ValueError(f"correlation matrix not PSD: min eig {vals[0]:.3e}")
     top = max(float(vals[-1]), 1e-300)
     keep = vals <= NULL_TOL * top
     dim = int(np.sum(keep))

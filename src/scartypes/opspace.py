@@ -93,10 +93,6 @@ class Region:
     def __contains__(self, site: int) -> bool:
         return (site - self.left) % self.n_sites < self.length
 
-    def complement(self) -> "Region":
-        return Region((self.right + 1) % self.n_sites,
-                      (self.left - 1) % self.n_sites, self.n_sites)
-
 
 def _canonical_key(n_sites, start, ops):
     """Canonical (start, ops) for a string: minimal window, smallest start.
@@ -365,10 +361,6 @@ def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
         par ^= (idx >> j) & 1
         m &= m - 1
     return 1 - 2 * par
-
-
-def dagger(op: LocalOperator) -> LocalOperator:
-    return op.dagger()
 
 
 def hs_inner(a: LocalOperator, b: LocalOperator) -> complex:

@@ -24,6 +24,7 @@ class FitResult:
     exponent: float
     prefactor: float
     stderr: float
+    prefactor_complex: complex | None = None    # dynamics.scaling_fit's, on request
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,9 @@ def lifetime_bound(var: float) -> float:
 
 
 def loglog_fit(xs, ys) -> FitResult:
+    """Least-squares line through (log x, log y) over the points with x, y > 0."""
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    keep = ys > 0
+    keep = (xs > 0) & (ys > 0)
     lx, ly = np.log(xs[keep]), np.log(ys[keep])
     if lx.size < 2:
         raise ValueError("need at least two positive points for a fit")
@@ -110,7 +112,7 @@ def _fit_points(points, keep: slice):
     pts = sorted(points)
     if len(pts) > 2:
         pts = pts[keep]
-    pts = [p for p in pts if p[0] > 0 and p[2] > -VARIANCE_FLOOR]
+    pts = [p for p in pts if p[2] > -VARIANCE_FLOOR]
     if len(pts) < 2:
         return None
     return loglog_fit([p[0] for p in pts], [p[2] for p in pts])

@@ -650,17 +650,18 @@ class TestEquivalence:
         assert equivalence_test(h_a, h_b, psis) == \
             equivalence_test(h_a, h_b, psis, lam=Region(0, length - 1, n))
 
-    @pytest.mark.parametrize("h_b,kwargs,match", [
-        ("imhop", {"lam": Region(0, 4, 10), "r_max": 3}, "patch length 5 < 8"),
-        ("imhop", {"r_max": 4}, "no patch to sweep at N=10, R_max=4"),
-        ("p_nonherm", {}, "Hermitian")], ids=["shared_site", "touching_windows", "non_hermitian"])
-    def test_patch_rule_and_hermiticity(self, setup10, h_b, kwargs, match):
+    @pytest.mark.parametrize("n,h_b,kwargs,match", [
+        (10, "imhop", {"lam": Region(0, 2, 10)}, "patch length 3 < 6"),
+        (6, "imhop", {}, "no patch to sweep at N=6, R_max=2"),
+        (10, "p_nonherm", {}, "Hermitian")], ids=["shared_site", "touching_windows", "non_hermitian"])
+    def test_patch_rule_and_hermiticity(self, n, h_b, kwargs, match):
         # each returned "same-class" before the patch rule and the Hermiticity
-        # check were shared with classify
-        s = setup10
-        h_b = canonical.p_nonherm(s["n"], 0) if h_b == "p_nonherm" else s[h_b]
+        # check were shared with classify; at R_max = 2 the 3-site patch's
+        # windows share a site and the 4-site one, N = 6's longest, has them touch
+        h_a = canonical.h_imhop(n)
+        h_b = canonical.p_nonherm(n, 0) if h_b == "p_nonherm" else h_a
         with pytest.raises(ValueError, match=match):
-            equivalence_test(s["imhop"], h_b, [s["vac"], s["w"]], **kwargs)
+            equivalence_test(h_a, h_b, [states.vacuum(n), states.w_state(n)], **kwargs)
 
 
 class TestWindowBasis:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scartypes import canonical, opspace, states
-from scartypes.canonical import (builtin, decompose, decompose_general,
+from scartypes.canonical import (BUILTINS, decompose, decompose_general,
                                  table2_patterns, instantiate_pattern,
                                  random_type1, verify_table)
 from scartypes.opspace import apply, identity, operators_equal, string_term, to_matrix
@@ -13,28 +13,28 @@ from scartypes.opspace import apply, identity, operators_equal, string_term, to_
 class TestBuiltins:
     def test_imhop_annihilates_w(self):
         n = 8
-        assert np.linalg.norm(apply(builtin("h_imhop", n), states.w_state(n))) < 1e-14
+        assert np.linalg.norm(apply(canonical.h_imhop(n), states.w_state(n))) < 1e-14
 
     def test_p_im_row_sums_vanish(self):
         n = 8
-        op = builtin("p_im", n, j=1, alpha=2)
+        op = canonical.p_im(n, j=1, alpha=2)
         c = canonical._table_classes(opspace.to_boson_basis(op))[2]
         assert np.abs(c.sum(axis=1)).max() < 1e-14
 
     def test_imhop_p_annihilates_all_dicke_states(self):
         n = 8
-        op = builtin("h_imhop_p", n, p=2)
+        op = canonical.h_imhop_p(n, p=2)
         for m in range(n + 1):
             assert np.linalg.norm(apply(op, states.w_p(n, m))) < 1e-13
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            builtin("h_bogus", 8)
+            BUILTINS["h_bogus"]
 
     def test_heisenberg_identity(self):
         # H_ReHop - sum n_j n_{j+1} equals the singlet-projector sum
         n = 8
-        heis = builtin("h_heis", n)
+        heis = canonical.h_heis(n)
         projectors = opspace.zero(n)
         for j in range(n):
             projectors = projectors + 0.5 * (
@@ -48,8 +48,8 @@ class TestBuiltins:
     def test_dmi_z_is_minus_imhop(self):
         # sign fixed by the package spin convention; eigenstructure identical
         n = 6
-        assert operators_equal(builtin("h_dmi", n, axis="z"),
-                               -1.0 * builtin("h_imhop", n))
+        assert operators_equal(canonical.h_dmi(n, axis="z"),
+                               -1.0 * canonical.h_imhop(n))
 
     @pytest.mark.parametrize("name, kwargs, width", [
         ("n_tot", {}, 1), ("h_imhop", {}, 2), ("h_rehop", {}, 2), ("h_imhop2", {}, 3),
@@ -57,12 +57,12 @@ class TestBuiltins:
         ("p_re", {"j": 1, "alpha": 4}, 5), ("p_im", {"j": 2, "alpha": 3}, 4),
         ("p_nonherm", {"j": 0}, 2)])
     def test_window_wider_than_ring_raises(self, name, kwargs, width):
-        builtin(name, width, **kwargs)
+        BUILTINS[name][0](width, **kwargs)
         with pytest.raises(ValueError, match="exceeds the ring"):
-            builtin(name, width - 1, **kwargs)
+            BUILTINS[name][0](width - 1, **kwargs)
 
     def test_generator_wider_than_ring_raises(self):
-        pat = table2_patterns(3)[-1]
+        pat = table2_patterns()[-1]
         assert len(instantiate_pattern(3, pat, 2)) > 0
         with pytest.raises(ValueError, match="exceeds the ring"):
             instantiate_pattern(2, pat, 0)
@@ -72,8 +72,9 @@ class TestBuiltins:
     def test_all_builtins_keep_w_an_eigenstate(self):
         n = 8
         w = states.w_state(n)
-        for name in sorted(canonical.BUILTINS):
-            op = builtin(name, n)
+        for name in sorted(BUILTINS):
+            build, defaults = BUILTINS[name]
+            op = build(n, **defaults)
             hw = apply(op, w)
             e = np.vdot(w, hw)
             assert np.linalg.norm(hw - e * w) < 1e-12, name
@@ -81,7 +82,7 @@ class TestBuiltins:
 
 class TestVerifyTable:
     def test_imhop_all_satisfied(self):
-        rep = verify_table(builtin("h_imhop", 8))
+        rep = verify_table(canonical.h_imhop(8))
         assert rep.satisfied and abs(rep.lam) < 1e-14
 
     @pytest.mark.parametrize("strings, bad_classes", [
@@ -103,7 +104,7 @@ class TestVerifyTable:
         assert rep.lam == 0.0       # no hopping strings: every row sum is 0
 
     def test_ntot_lambda_one(self):
-        rep = verify_table(builtin("n_tot", 8))
+        rep = verify_table(canonical.n_tot(8))
         assert rep.satisfied and rep.lam == pytest.approx(1.0)
 
     def test_nonuniform_hopping_violates(self):
@@ -117,9 +118,9 @@ class TestVerifyTable:
         # eigenvalue given by the identity component
         n = 8
         vac = states.vacuum(n)
-        for op in (builtin("h_imhop", n) + identity(n, 2.0),
-                   builtin("n_tot", n),
-                   0.3 * builtin("h_rehop", n) + identity(n, -1.0)):
+        for op in (canonical.h_imhop(n) + identity(n, 2.0),
+                   canonical.n_tot(n),
+                   0.3 * canonical.h_rehop(n) + identity(n, -1.0)):
             rep = verify_table(op)
             assert rep.satisfied
             out = apply(op, vac)
@@ -130,7 +131,7 @@ class TestVerifyTable:
 class TestDecompose:
     def test_pure_combination(self):
         n = 8
-        h = identity(n, 3.0) + 2.0 * builtin("n_tot", n) + builtin("h_imhop", n)
+        h = identity(n, 3.0) + 2.0 * canonical.n_tot(n) + canonical.h_imhop(n)
         form = decompose(h)
         assert form.omega_id == pytest.approx(3.0)
         assert form.omega_n == pytest.approx(2.0)
@@ -139,7 +140,7 @@ class TestDecompose:
         assert form.residual_norm < 1e-12
 
     def test_rehop_is_pure_type_one(self):
-        form = decompose(builtin("h_rehop", 8))
+        form = decompose(canonical.h_rehop(8))
         assert form.omega_id == pytest.approx(0.0)
         assert form.omega_n == pytest.approx(0.0)
         assert form.t_im == pytest.approx(0.0)
@@ -148,7 +149,7 @@ class TestDecompose:
 
     def test_heisenberg_singlet_projectors(self):
         n = 8
-        form = decompose(builtin("h_heis", n))
+        form = decompose(canonical.h_heis(n))
         assert form.omega_n == pytest.approx(0.0, abs=1e-13)
         assert form.t_im == pytest.approx(0.0, abs=1e-13)
         w, vac = states.w_state(n), states.vacuum(n)
@@ -158,7 +159,7 @@ class TestDecompose:
         total = opspace.zero(n)
         for hx in form.annihilators:
             total = total + hx
-        assert operators_equal(total, builtin("h_heis", n), tol=1e-12)
+        assert operators_equal(total, canonical.h_heis(n), tol=1e-12)
 
     def test_closed_form_oracle(self):
         """omega and t are linear functionals of the hopping matrix:
@@ -167,8 +168,8 @@ class TestDecompose:
         n = 10
         for _ in range(10):
             h = (identity(n, rng.normal())
-                 + rng.normal() * builtin("n_tot", n)
-                 + rng.normal() * builtin("h_imhop", n)
+                 + rng.normal() * canonical.n_tot(n)
+                 + rng.normal() * canonical.h_imhop(n)
                  + random_type1(n, rng, translation_invariant=False))
             c = canonical._table_classes(opspace.to_boson_basis(h))[2]
             omega_oracle = float(np.mean(c.real.sum(axis=1)))
@@ -187,8 +188,8 @@ class TestDecompose:
         for n in (8, 10):
             for _ in range(10):
                 gamma, alpha, beta = rng.uniform(-2, 2, size=3)
-                h = (identity(n, gamma) + alpha * builtin("n_tot", n)
-                     + beta * builtin("h_imhop", n) + random_type1(n, rng))
+                h = (identity(n, gamma) + alpha * canonical.n_tot(n)
+                     + beta * canonical.h_imhop(n) + random_type1(n, rng))
                 form = decompose(h)
                 assert abs(form.omega_id - gamma) < 1e-9
                 assert abs(form.omega_n - alpha) < 1e-9
@@ -207,15 +208,23 @@ class TestDecompose:
         assert err.value.defect is not None and err.value.defect > 0.1
 
     def test_requires_hermitian(self):
-        with pytest.raises(canonical.ClassificationError):
+        # p_nonherm annihilates W, so the eigenstate check passes first
+        with pytest.raises(ValueError, match="Hermitian") as err:
             decompose(canonical.p_nonherm(8, 0))
+        assert not isinstance(err.value, canonical.ClassificationError)
+
+    def test_eigenstate_checked_before_hermiticity(self):
+        # sd_0 is neither Hermitian nor has W as an eigenstate
+        with pytest.raises(canonical.ClassificationError) as err:
+            decompose(opspace.parse_operator("sd@0", 8))
+        assert err.value.defect is not None and err.value.defect > 0.1
 
 
 class TestDecomposeGeneral:
     def test_nonhermitian_no_t_term(self):
         n = 8
         rng = np.random.default_rng(5)
-        g = (identity(n, 1.0 + 0.5j) + (0.3 - 0.2j) * builtin("n_tot", n)
+        g = (identity(n, 1.0 + 0.5j) + (0.3 - 0.2j) * canonical.n_tot(n)
              + canonical.p_nonherm(n, 2) + canonical.p_nonherm(n, 5)
              + random_type1(n, rng, translation_invariant=False))
         form = decompose_general(g)
@@ -241,7 +250,7 @@ class TestTable2Catalog:
     def test_every_generator_annihilates_both_states(self):
         n = 8
         w, vac = states.w_state(n), states.vacuum(n)
-        pats = table2_patterns(3)
+        pats = table2_patterns()
         assert len(pats) > 20
         for pat in pats:
             op = instantiate_pattern(n, pat, 3)

@@ -309,6 +309,34 @@ class TestMpsCommand:
         assert code == 0
         assert report["type"] == "II"
 
+    @staticmethod
+    def _json_array(path, array):
+        path.write_text(json.dumps({
+            "shape": list(array.shape),
+            "data": [{"re": z.real, "im": z.imag} for z in array.ravel()]}))
+        return str(path)
+
+    def test_non_injective_tensor_file_is_indeterminate(self, tmp_path):
+        from scartypes import mps
+        doubled = np.stack([np.kron(np.eye(2), m) for m in mps.builtin_aklt().data])
+        code, out = invoke(["mps", "--tensor", self._json_array(tmp_path / "t.json", doubled),
+                            "--generator", self._json_array(tmp_path / "g.json",
+                                                            mps.spin1_matrix("z"))])
+        report = json.loads(out)
+        assert code == 3
+        assert (report["type"], report["notes"]) == ("indeterminate",
+                                                     ["tensor not injective up to bound"])
+        assert report["injectivity_length"] == "not injective up to 6"
+
+    def test_injective_tensor_file_not_symmetric_exit_2(self, tmp_path, capsys):
+        from scartypes import mps
+        gen = np.array([[0.3, 0.2, 0], [0.2, -0.1, 0.4j], [0, -0.4j, 0.5]])
+        code, out = invoke(["mps", "--tensor", self._json_array(tmp_path / "t.json",
+                                                                mps.builtin_aklt().data),
+                            "--generator", self._json_array(tmp_path / "g.json", gen)])
+        assert (code, out) == (2, "")
+        assert "residual 1.111e-01" in json.loads(capsys.readouterr().err)["error"]
+
     def test_missing_tensor_file(self, tmp_path, capsys):
         code, out = invoke(["mps", "--tensor", str(tmp_path / "nofile.json")])
         assert code == 2

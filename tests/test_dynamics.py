@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scartypes import dynamics
+from scartypes import dynamics, scars
 from scartypes.dynamics import (DropletRun, bec_overlap, bec_overlap_density,
                                 chop, custom, early_time, fq, imhop,
                                 integer_g_times, leakage, occupations,
@@ -302,6 +302,14 @@ class TestScalingFit:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             scaling_fit([(1.0, 1.0), (2.0, 2.0)], (1, 2))
+
+    def test_one_fit_type(self):
+        series = [(t, (3.0 + 1.0j) * t ** 2) for t in np.geomspace(1, 50, 12)]
+        fit = scaling_fit(series, (1, 50))
+        assert type(fit) is scars.FitResult and fit.prefactor_complex is None
+        with_theory = scaling_fit(series, (1, 50), theory_exponent=2.0)
+        assert with_theory.exponent == fit.exponent and with_theory.stderr == fit.stderr
+        assert with_theory.prefactor_complex == pytest.approx(3.0 + 1.0j, rel=1e-12)
 
     def test_integer_snapping(self):
         ts = integer_g_times(0.5, 5, 200, 20)

@@ -295,9 +295,9 @@ class TestClassification:
             "indeterminate", ("rank-deficient transfer matrix, no Hermitian certificate",))
 
     def test_not_injective_up_to_bound_is_indeterminate(self, monkeypatch):
-        # no tensor is known that reaches this verdict unpatched: the
-        # non-injective ones tried (AKLT (x) 1_2, AKLT (x) diag(1, c)) fail
-        # push-through, their twisted transfer map's leading eigenvalue degenerate
+        # no tensor is known that reaches this verdict with push-through
+        # holding: the non-injective ones tried (AKLT (x) 1_2, AKLT (x) diag(1, c))
+        # fail it, their twisted transfer map's leading eigenvalue degenerate
         monkeypatch.setattr(mps, "is_full_rank", lambda a: False)
         monkeypatch.setattr(mps, "injectivity_length", lambda a: NotInjective(6))
         monkeypatch.setattr(mps, "_boundary_generator_hermitian_feasible",
@@ -306,6 +306,28 @@ class TestClassification:
         assert (label.value, label.notes) == ("indeterminate",
                                               ("tensor not injective up to bound",))
         assert len(label.evidence) == 3 and all(nt for *_, nt in label.evidence)
+
+    def test_non_injective_push_through_failure_is_indeterminate(self):
+        # AKLT (x) 1_2 is the AKLT state, symmetric under S^z, yet push-through
+        # fails on it: without injectivity that proves nothing
+        a = MPSTensor(np.stack([np.kron(np.eye(2), m) for m in builtin_aklt().data]))
+        assert isinstance(injectivity_length(a), NotInjective) and is_full_rank(a)
+        assert push_through_check(a, spin1_matrix("z"), 0.3)[1] == pytest.approx(1.154, abs=1e-3)
+        label = classify_symmetry_generator(a, spin1_matrix("z"))
+        assert (label.value, label.evidence, label.notes) == (
+            "indeterminate", (), ("tensor not injective up to bound",))
+
+    def test_injective_push_through_failure_raises(self, monkeypatch):
+        gen = np.array([[0.3, 0.2, 0], [0.2, -0.1, 0.4j], [0, -0.4j, 0.5]])
+        calls = []
+        monkeypatch.setattr(mps, "injectivity_length",
+                            lambda a: calls.append(a) or injectivity_length(a))
+        with pytest.raises(NotSymmetricError, match="theta=0.3: residual 1.11"):
+            classify_symmetry_generator(builtin_aklt(), gen)
+        assert len(calls) == 1
+        # a symmetric injective tensor never consults injectivity
+        classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"))
+        assert len(calls) == 1
 
     def test_zero_generator_is_locally_symmetric(self):
         label = classify_symmetry_generator(builtin_aklt(), np.zeros((3, 3)))

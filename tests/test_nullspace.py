@@ -33,20 +33,20 @@ class TestBuildCorrelation:
         n = 6
         basis = OperatorBasis(((0, ("z",)),), n)
         corr = build_correlation(basis, [states.vacuum(n)], "H")
-        assert np.allclose(corr.entries, [[0.0]])
+        assert np.allclose(corr, [[0.0]])
 
     def test_sigma_x_on_vacuum(self):
         n = 6
         basis = OperatorBasis(((0, ("x",)),), n)
         corr = build_correlation(basis, [states.vacuum(n)], "H")
-        assert np.allclose(corr.entries, [[1.0]])
+        assert np.allclose(corr, [[1.0]])
 
     def test_zero_operator_gives_zero_row(self):
         n = 6
         basis = OperatorBasis(((0, ("z",)), (0, ())), n)
         corr = build_correlation(basis, [states.w_state(n)], "G")
-        assert np.allclose(corr.entries[1, :], 0.0)
-        assert np.allclose(corr.entries[:, 1], 0.0)
+        assert np.allclose(corr[1, :], 0.0)
+        assert np.allclose(corr[:, 1], 0.0)
 
     def test_hermitian_kind_requires_hermitian_basis(self):
         n = 4
@@ -58,7 +58,7 @@ class TestBuildCorrelation:
         n = 4
         basis = OperatorBasis(((0, ("n",)), (1, ("n", "z")), (0, ())), n)
         corr = build_correlation(basis, [states.w_state(n)], "H")
-        assert corr.entries.shape == (3, 3)
+        assert corr.shape == (3, 3)
         with pytest.raises(ValueError):
             build_correlation(OperatorBasis(((0, ("n", "sd")),), n),
                               [states.w_state(n)], "H")
@@ -79,7 +79,7 @@ class TestBuildCorrelation:
                 ops[0], ops[-1] = (str(c) for c in rng.choice(codes, size=2))
                 keys.append((int(rng.integers(n)), tuple(ops)))
             basis = OperatorBasis(tuple(keys), n)
-            got = build_correlation(basis, psis, kind, degenerate).entries
+            got = build_correlation(basis, psis, kind, degenerate)
             # reference: one apply per key and state, entries summed one by one
             want = np.zeros((len(keys), len(keys)), dtype=complex)
             expect = []
@@ -96,6 +96,7 @@ class TestBuildCorrelation:
                     want += np.outer(d.conj(), d)
             if kind == "H":
                 want = want.real
+            assert got.dtype == want.dtype          # real for H, complex for G
             assert np.abs(got - want).max() <= 1e-12
 
     def test_psd(self):
@@ -104,7 +105,8 @@ class TestBuildCorrelation:
         for kind in ("H", "G"):
             corr = build_correlation(win, [states.vacuum(n), states.w_state(n)],
                                      kind)
-            assert corr.check_psd() > -1e-10
+            null_space(corr)                  # raises unless PSD
+            assert np.linalg.eigvalsh(corr)[0] > -1e-10
 
 
 class TestNullSpace:
@@ -153,11 +155,10 @@ class TestNullSpace:
         monkeypatch.setattr(nullspace.np.linalg, "eigvalsh", None)
         got = null_space(corr)
         assert got.dim == want.dim and got.gap == want.gap
-        assert np.allclose(corr.entries @ got.range, got.range @ np.diag(
-            np.linalg.eigh(corr.entries)[0][got.dim:]))
-        bad = nullspace.CorrelationMatrix(np.diag([-1.0, 1.0]), "H", corr.basis, ())
+        assert np.allclose(corr @ got.range, got.range @ np.diag(
+            np.linalg.eigh(corr)[0][got.dim:]))
         with pytest.raises(ValueError, match="not PSD"):
-            null_space(bad)
+            null_space(np.diag([-1.0, 1.0]))
 
     def test_gap_reported(self):
         n = 6
@@ -234,7 +235,7 @@ class TestClassCounts:
         psis = [states.vacuum(n), states.w_state(n)]
         win = window_basis(n, 0, 2)
         rep_h = null_space(build_correlation(win, psis, "H"))
-        corr_g = build_correlation(win, psis, "G").entries
+        corr_g = build_correlation(win, psis, "G")
         for row in rep_h.basis:
             assert np.linalg.norm(corr_g @ row) < 1e-10
 
@@ -282,8 +283,7 @@ def _reference_count(n, r_glo, r_loc, psis, degenerate=False):
     index = {k: i for i, k in enumerate(full.keys)}
 
     def null_rows(basis, kind):
-        corr = _dense_correlation(basis, psis, kind, degenerate)
-        rep = null_space(nullspace.CorrelationMatrix(corr, kind, basis, tuple(psis)))
+        rep = null_space(_dense_correlation(basis, psis, kind, degenerate))
         out = np.zeros((rep.dim, len(full.keys)), dtype=complex)
         out[:, [index[k] for k in basis.keys]] = rep.basis
         return out
@@ -383,7 +383,7 @@ class TestFactorPath:
                 assert _rel(part.conj().T @ part, want) <= 1e-13
                 # thin-SVD range and gap against the eigh of the dense gram
                 rng, gap = nullspace._range(part)
-                rep = null_space(nullspace.CorrelationMatrix(want, kind, window, ()))
+                rep = null_space(want)
                 assert rng.shape == rep.range.shape
                 assert np.abs(rng @ rng.conj().T - rep.range @ rep.range.conj().T).max() <= 1e-13
                 assert gap == pytest.approx(rep.gap, rel=1e-12)
@@ -405,7 +405,7 @@ class TestFactorPath:
             for kind in ("H", "G"):
                 calls.clear()
                 want = _dense_correlation(basis, psis, kind, degenerate)
-                got = build_correlation(basis, psis, kind, degenerate).entries
+                got = build_correlation(basis, psis, kind, degenerate)
                 assert _rel(got, want) <= 1e-13
                 assert len(calls) == orbits
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scartypes import boundary, canonical, nullspace, opspace, scars, states
-from scartypes.opspace import (Region, apply, dagger, format_operator, hs_inner,
+from scartypes.opspace import (Region, apply, format_operator, hs_inner,
                                identity, op_sum, parse_operator, string_term,
                                to_boson_basis, to_matrix, to_pauli_basis,
                                truncate, zero)
@@ -127,7 +127,7 @@ class TestDagger:
         assert (op.dagger().dagger() - op).coeff_norm() < 1e-13
         psi, phi = random_state(6, rng), random_state(6, rng)
         lhs = np.vdot(phi, apply(op, psi))
-        rhs = np.conj(np.vdot(psi, apply(dagger(op), phi)))
+        rhs = np.conj(np.vdot(psi, apply(op.dagger(), phi)))
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -283,7 +283,7 @@ class TestToMatrix:
         rng = np.random.default_rng(8)
         op = random_operator(8, rng)
         psi = random_state(8, rng)
-        lhs = apply(dagger(op), psi)
+        lhs = apply(op.dagger(), psi)
         rhs = to_matrix(op).conj().T @ psi
         assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -334,7 +334,7 @@ class TestRegion:
         reg = Region(6, 1, 8)
         assert reg.length == 4
         assert reg.sites() == [6, 7, 0, 1]
-        assert reg.complement().sites() == [2, 3, 4, 5]
+        assert [j for j in range(8) if j not in reg] == [2, 3, 4, 5]
         assert 7 in reg and 3 not in reg
 
     def test_invalid_regions(self):
@@ -539,7 +539,7 @@ class TestFastPathDifferential:
     @pytest.mark.parametrize("name", sorted(SEED_BUILTINS))
     def test_builtins_match_plus_loop(self, name):
         for n in (6, 9):
-            got = canonical.builtin(name, n, **BUILTIN_ARGS.get(name, {}))
+            got = canonical.BUILTINS[name][0](n, **BUILTIN_ARGS.get(name, {}))
             want = SEED_BUILTINS[name](n)
             assert is_canonical(got)
             assert opspace.operators_equal(got, want, tol=1e-12)
@@ -551,7 +551,7 @@ class TestFastPathDifferential:
         got = canonical.random_type1(n, np.random.default_rng(11),
                                      translation_invariant=translation_invariant)
         rng = np.random.default_rng(11)
-        pats = canonical.table2_patterns(3)
+        pats = canonical.table2_patterns()
         want = zero(n)
         if translation_invariant:
             for c, pat in zip(rng.uniform(-1.0, 1.0, size=len(pats)), pats):

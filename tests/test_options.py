@@ -1,5 +1,6 @@
-"""The public option surface: every defaulted parameter of a public function or
-method, pinned, so a new option is added to this list on purpose.
+"""The public surface, pinned so a name or an option is added or removed on purpose:
+every public function, class, method, property and dataclass field, and every
+defaulted parameter of a public function or method.
 
 Thresholds (NULL_TOL, RANK_TOL, EIGENSTATE_TOL, ACCEPT / REJECT, ...) are
 module constants, not per-call options: a verdict is only as good as them.
@@ -20,14 +21,12 @@ OPTIONS = [
     "nullspace.real_rank:scale",
     "nullspace.count_type_classes:degenerate",
     "canonical.h_dmi:axis",
-    "canonical.table2_patterns:max_range",
     "canonical.random_type1:translation_invariant",
     "boundary.boundary_solve:hermitian",
     "boundary.default_sweep:anchors",
     "boundary.default_sweep:op_range",
     "boundary.classify:r_max",
     "boundary.equivalence_test:lam",
-    "boundary.equivalence_test:r_max",
     "dynamics.rehop:w",
     "dynamics.imhop:w",
     "dynamics.chop:w",
@@ -43,18 +42,93 @@ OPTIONS = [
     "cli.run:argv",
 ]
 
+SURFACE = {
+    "opspace": """
+        CapacityError DimensionError LocalOperator LocalOperator.coeff_norm
+        LocalOperator.dagger LocalOperator.declared_range LocalOperator.hermitian
+        LocalOperator.identity_coefficient Region Region.left Region.length
+        Region.n_sites Region.right Region.sites apply eigen_defect format_operator
+        hs_inner hs_norm identity op_sum operators_equal parse_operator string_term
+        to_boson_basis to_matrix to_pauli_basis truncate zero
+    """,
+    "states": """
+        SchmidtSplit SchmidtSplit.coefficients SchmidtSplit.p SchmidtSplit.region
+        SchmidtSplit.weights dense_schmidt_values droplet schmidt_w_family translate
+        vacuum w_p w_q w_state
+    """,
+    "nullspace": """
+        ClassCount ClassCount.dims ClassCount.n_ii ClassCount.n_iii OperatorBasis
+        OperatorBasis.keys OperatorBasis.n_sites SubspaceReport SubspaceReport.basis
+        SubspaceReport.dim SubspaceReport.gap SubspaceReport.range build_correlation
+        count_type_classes null_space pauli_string_basis real_rank verify_null_vector
+        window_basis
+    """,
+    "canonical": """
+        CanonicalForm CanonicalForm.annihilators CanonicalForm.omega_id
+        CanonicalForm.omega_n CanonicalForm.reconstruct CanonicalForm.residual_norm
+        CanonicalForm.t_im ClassificationError TableCondition TableCondition.nm_class
+        TableCondition.satisfied TableCondition.violating_terms TableReport
+        TableReport.conditions TableReport.lam TableReport.satisfied decompose
+        decompose_general h_dmi h_heis h_imhop h_imhop2 h_imhop_p h_rehop
+        instantiate_pattern n_tot p_im p_nonherm p_re random_type1 require_eigenstate
+        table2_patterns verify_table
+    """,
+    "boundary": """
+        BoundarySolve BoundarySolve.constants BoundarySolve.left_op
+        BoundarySolve.left_window BoundarySolve.residual BoundarySolve.right_op
+        BoundarySolve.right_window EquivalenceResult EquivalenceResult.alpha
+        EquivalenceResult.beta EquivalenceResult.residual EquivalenceResult.verdict
+        TypeLabel TypeLabel.anchors_solved TypeLabel.evidence TypeLabel.notes
+        TypeLabel.value action_equivalent boundary_solve classify default_sweep
+        equivalence_test solve_boundary_dense spectral_norm
+    """,
+    "scars": """
+        FitResult FitResult.exponent FitResult.prefactor FitResult.prefactor_complex
+        FitResult.stderr VarianceScan VarianceScan.fit VarianceScan.points expectation
+        lifetime_bound loglog_fit variance variance_scan_n variance_scan_q
+    """,
+    "dynamics": """
+        Dispersion Dispersion.alpha Dispersion.beta Dispersion.eps Dispersion.table
+        Dispersion.velocity_scale Dispersion.w DropletRun DropletRun.dispersion
+        DropletRun.m_size DropletRun.momenta DropletRun.n_sites QuadratureError
+        bec_overlap bec_overlap_density chop custom early_time fq imhop integer_g_times
+        leakage occupations orbital_amplitudes rehop scaling_fit upsilon_finite
+        upsilon_series upsilon_thermo
+    """,
+    "mps": """
+        MPSTensor MPSTensor.bond MPSTensor.d MPSTensor.data NotInjective
+        NotInjective.max_block NotSymmetricError boundary_operators builtin_aklt
+        builtin_ssh classify_symmetry_generator injectivity_length is_full_rank
+        push_through_check spin1_matrix ssh_sz_matrix to_dense transfer_matrix
+        transfer_spectrum truncated_symmetry_action verify_boundary_action
+    """,
+    "cli": """
+        build_parser main run
+    """,
+}
 
-def _public_callables(module):
-    """(qualified name, function) for the module's own public functions and
-    the public methods of its own public classes."""
+
+def _public_members(module):
+    """(qualified name, object) for the module's own public functions and classes,
+    and each such class's public methods, properties and dataclass fields (None)."""
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
         if inspect.isfunction(obj):
             yield name, obj
         elif inspect.isclass(obj):
-            yield from ((f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
-                        if inspect.isfunction(fn) and not attr.startswith("_"))
+            yield name, obj
+            yield from ((f"{name}.{attr}", member) for attr, member in vars(obj).items()
+                        if not attr.startswith("_")
+                        and (inspect.isfunction(member) or isinstance(member, property)))
+            yield from ((f"{name}.{field}", None)
+                        for field in getattr(obj, "__dataclass_fields__", {}))
+
+
+def _public_callables(module):
+    """(qualified name, function) for the module's own public functions and
+    the public methods of its own public classes."""
+    return [(name, obj) for name, obj in _public_members(module) if inspect.isfunction(obj)]
 
 
 def test_defaulted_parameters_are_pinned():
@@ -66,3 +140,10 @@ def test_defaulted_parameters_are_pinned():
                       for p in inspect.signature(fn).parameters.values()
                       if p.default is not inspect.Parameter.empty]
     assert found == OPTIONS
+
+
+def test_public_names_are_pinned():
+    for short in MODULES:
+        module = importlib.import_module(f"scartypes.{short}")
+        found = sorted(name for name, _ in _public_members(module))
+        assert found == SURFACE[short].split(), short

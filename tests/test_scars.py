@@ -59,11 +59,21 @@ class TestMoments:
     def test_disjoint_support_products_kill_w2(self):
         n = 10
         w2 = states.w_p(n, 2)
-        pats = canonical.table2_patterns(3)
+        pats = canonical.table2_patterns()
         hx = canonical.instantiate_pattern(n, pats[0], 0)
         for pat in pats:
             hy = canonical.instantiate_pattern(n, pat, 5)   # disjoint window
             assert np.linalg.norm(apply(hy, apply(hx, w2))) < 1e-13
+
+
+class TestLogLogFit:
+    def test_non_positive_abscissae_ignored(self, capfd):
+        want = loglog_fit([1, 2, 4], [2, 4, 8])
+        assert loglog_fit([0, 1, 2, 4], [1, 2, 4, 8]) == want
+        assert loglog_fit([1, -1, 2, 4], [2, 5, 4, 8]) == want
+        with pytest.raises(ValueError, match="two positive points"):
+            loglog_fit([0, -1, 2], [1, 2, 4])
+        assert capfd.readouterr() == ("", "")
 
 
 class TestLifetime:
