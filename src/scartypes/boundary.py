@@ -128,7 +128,7 @@ def _lanczos_norm(gains: np.ndarray, perm: np.ndarray) -> float:
         f"{residual:.3e} > {LANCZOS_TOL:g} x |theta| = {theta:.6g}")
 
 
-# -- generic dense solver ------------------------------------------------------
+# -- generic least-squares solver ----------------------------------------------
 
 def _site_axes_apply(mat: np.ndarray, psi: np.ndarray, sites, local_dim: int,
                      n_sites: int) -> np.ndarray:
@@ -177,59 +177,102 @@ def _window_basis(local_dim: int, width: int) -> np.ndarray:
     return mats[1:]
 
 
-def _design_matrix(psis, n_sites, local_dim, left_sites, right_sites) -> np.ndarray:
-    """Complex design matrix of the boundary fit, one row block per state.
+def _window_images(psi, src, basis, sites, local_dim: int):
+    """One window's design columns on psi's support: (rows, images).
+
+    psi's nonzero indices ``src`` are grouped by their rest (the index with
+    the window digits set to zero); a (d^w, #rest) block of amplitudes, row
+    index big-endian over ``sites`` as in _site_axes_apply, times the basis
+    stack gives images (len(basis), d^w, #rest), landing on rows
+    (d^w, #rest) = rest + window offset.  Indices are little-endian in base d.
+    """
+    place = local_dim ** np.array(sites, dtype=np.int64)      # d^j of each window site
+    big = local_dim ** np.arange(len(sites) - 1, -1, -1)      # first listed site most significant
+    digits = src[:, None] // place % local_dim
+    rest, col = np.unique(src - digits @ place, return_inverse=True)
+    block = np.zeros((local_dim ** len(sites), len(rest)), dtype=psi.dtype)
+    block[digits @ big, col] = psi[src]
+    offsets = np.arange(len(block))[:, None] // big % local_dim @ place
+    return rest + offsets[:, None], basis @ block
+
+
+def _design(psis, n_sites, local_dim, left_sites, right_sites):
+    """Design matrix of the boundary fit on the rows it reaches: (rows, mat).
 
     Columns: the window basis acting on the left window, then on the right
-    window, then one identity-gauge column per state.
+    window, then one identity-gauge column per state.  Row k d^N + i is
+    amplitude i of the columns' images of psis[k]; ``rows`` lists, ascending,
+    the rows where some column is nonzero, and ``mat`` holds those rows.  The
+    images are built from each state's support (_window_images), so the
+    cost follows the rest configurations a state holds, not d^N.  A window
+    site that repeats or lies outside 0..N-1, a site in both windows and a
+    state not of length d^N raise ValueError.
     """
-    blocks = []
-    for sites in (left_sites, right_sites):
-        basis = _window_basis(local_dim, len(sites))
-        blocks.append(np.concatenate(
-            [_site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
-            axis=1))
-    blocks.append(_gauge_block(psis))
-    return np.vstack(blocks).T
+    windows = tuple(left_sites), tuple(right_sites)
+    for name, sites in zip(("left", "right"), windows):
+        if len(set(sites)) < len(sites) or not all(0 <= j < n_sites for j in sites):
+            raise ValueError(f"{name} window {sites}: sites must be distinct "
+                             f"and within 0..{n_sites - 1}")
+    if shared := set(windows[0]) & set(windows[1]):
+        raise ValueError(f"windows {windows[0]} and {windows[1]} share sites {sorted(shared)}")
+    dim = local_dim ** n_sites
+    bases = [_window_basis(local_dim, len(sites)) for sites in windows]
+    n_basis = len(bases[0]) + len(bases[1])
+    rows, blocks = [], []
+    for k, psi in enumerate(psis):
+        if psi.shape != (dim,):
+            raise opspace.DimensionError(f"state has shape {psi.shape}, expected {(dim,)}")
+        src = np.flatnonzero(psi)
+        images = [_window_images(psi, src, basis, sites, local_dim)
+                  for basis, sites in zip(bases, windows)]
+        reached = np.unique(np.concatenate([src] + [r.ravel() for r, _ in images]))
+        block = np.zeros((n_basis + len(psis), len(reached)), dtype=complex)
+        col = 0
+        for r, image in images:
+            block[col:col + len(image), np.searchsorted(reached, r.ravel())] = \
+                image.reshape(len(image), r.size)
+            col += len(image)
+        block[n_basis + k, np.searchsorted(reached, src)] = psi[src]
+        keep = block.any(axis=0)
+        rows.append(k * dim + reached[keep])
+        blocks.append(block.compress(keep, axis=1))
+    # column-major like the full (rows, columns) matrix, so mat @ sol sums
+    # each row in the same order whatever rows are kept
+    return np.concatenate(rows), np.concatenate(blocks, axis=1).T
 
 
-def _gauge_block(psis) -> np.ndarray:
-    """(n, n * dim) block-diagonal rows: psis[k] in row k, column block k."""
-    n_states, dim = len(psis), psis[0].size
-    block = np.zeros((n_states, n_states, dim), dtype=np.result_type(*psis))
-    block[np.arange(n_states), np.arange(n_states)] = psis
-    return block.reshape(n_states, n_states * dim)
-
-
-def _lstsq(mat, rhs, hermitian: bool):
-    """Least squares mat @ sol ~ rhs; returns (sol, mat @ sol - rhs).
+def _lstsq(design, rhs, hermitian: bool):
+    """Least squares of a _design (rows, mat) against the full-length ``rhs``;
+    returns (sol, residual over every row).
 
     ``rhs`` is one right-hand side or several as columns.  With
     ``hermitian`` the solution is real (the system is split into real and
-    imaginary rows); the residual is complex either way.  Only rows some
-    column reaches are solved: the columns are images of the target
-    states, so the other rows are exactly zero and dropping them leaves
-    mat^H mat and the minimum-norm solution as they are.  The rank cut is
-    numpy's default for the full system; the residual runs over every row.
+    imaginary rows); the residual is complex either way.  Only the reached
+    rows are solved, in their global order: every other row of the design
+    matrix is exactly zero, so dropping it leaves mat^H mat and the
+    minimum-norm solution as they are, and its residual is -rhs.  The rank
+    cut is numpy's default for the full system of len(rhs) rows.
     """
-    rows = mat.any(axis=1)
-    rcond = np.finfo(float).eps * max(len(mat) * (1 + hermitian), mat.shape[1])
-    a, b = mat[rows], rhs[rows]
+    rows, mat = design
+    rcond = np.finfo(float).eps * max(len(rhs) * (1 + hermitian), mat.shape[1])
+    a, b = mat, rhs[rows]
     if hermitian:
         a, b = (np.concatenate([x.real, x.imag]) for x in (a, b))
     sol = np.linalg.lstsq(a, b, rcond=rcond)[0].astype(complex)
-    return sol, mat @ sol - rhs
+    resid = np.negative(rhs, dtype=complex)
+    resid[rows] += mat @ sol
+    return sol, resid
 
 
-def _fit(mat, targets, hermitian: bool, n_left: int):
-    """Boundary fit of the targets on a design matrix; returns (a, b, f, r_abs).
+def _fit(design, targets, hermitian: bool, n_left: int):
+    """Boundary fit of the targets on a _design; returns (a, b, f, r_abs).
 
     ``a`` and ``b`` are the window operators' coefficients over the window
     basis (the first ``n_left`` columns, then the right window's), complex
     (unconstrained) or real (Hermitian); ``f`` holds the per-state
     constants and ``r_abs`` is the worst per-state residual norm.
     """
-    sol, resid = _lstsq(mat, np.concatenate(targets), hermitian)
+    sol, resid = _lstsq(design, np.concatenate(targets), hermitian)
     a, b, f = np.split(sol, [n_left, len(sol) - len(targets)])
     r_abs = float(np.linalg.norm(resid.reshape(len(targets), -1), axis=1).max())
     return a, b, tuple(complex(c) for c in f), r_abs
@@ -242,10 +285,12 @@ def solve_boundary_dense(targets, psis, n_sites, local_dim,
     ``targets[n]`` is the truncated-Hamiltonian action on ``psis[n]``.  The
     window operators are expanded over _window_basis with complex
     (unconstrained) or real (Hermitian) coefficients ``a`` and ``b``;
-    per-state scalars ``f`` absorb the identity gauge.
+    per-state scalars ``f`` absorb the identity gauge.  The design matrix is
+    built on the rows the states reach (_design), so a window site that
+    repeats, lies outside 0..N-1 or is in both windows raises ValueError.
     """
-    mat = _design_matrix(psis, n_sites, local_dim, left_sites, right_sites)
-    return _fit(mat, targets, hermitian, local_dim ** (2 * len(left_sites)) - 1)
+    design = _design(psis, n_sites, local_dim, left_sites, right_sites)
+    return _fit(design, targets, hermitian, local_dim ** (2 * len(left_sites)) - 1)
 
 
 def _window_operator(coeffs, sites, n_sites: int) -> LocalOperator:
@@ -278,7 +323,7 @@ def _require(r_max: int, hs, states_list) -> None:
 def _action(op: LocalOperator, states_list):
     """op's flip diagonals and the targets op|psi> for every state, from one
     decode: (op psi)[i ^ f] += g_f[i] psi[i] over the i with psi[i] != 0 (a
-    zero amplitude would add +-0 to the full sum)."""
+    zero amplitude would add +-0 to the full sum), multiplied as in opspace.apply."""
     diagonals = opspace._flip_diagonals(op)
     dim = 1 << op.n_sites
     targets = []
@@ -289,7 +334,7 @@ def _action(op: LocalOperator, states_list):
         amps = psi[src]
         out = np.zeros(dim, dtype=complex)
         for flip, gain in diagonals.items():
-            out[src ^ flip] += gain[src] * amps
+            out[src ^ flip] += np.multiply(gain[src], amps)
         targets.append(out)
     return diagonals, targets
 
@@ -297,7 +342,7 @@ def _action(op: LocalOperator, states_list):
 def _patch(hs, states_list, lam: Region, r_max: int):
     """One patch of the Hamiltonians hs: checks the patch rule (ValueError).
 
-    Returns (design matrix, (left_sites, right_sites), actions), with one
+    Returns (_design, (left_sites, right_sites), actions), with one
     (flip diagonals, targets) pair per truncation in ``actions``.
     """
     floor = _patch_floor(r_max, max(h.declared_range for h in hs))
@@ -306,17 +351,17 @@ def _patch(hs, states_list, lam: Region, r_max: int):
                          f"windows overlap or terms do not fit")
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
-    mat = _design_matrix(states_list, hs[0].n_sites, 2, *windows)
-    return mat, windows, [_action(opspace.truncate(h, lam), states_list) for h in hs]
+    design = _design(states_list, hs[0].n_sites, 2, *windows)
+    return design, windows, [_action(opspace.truncate(h, lam), states_list) for h in hs]
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
                    hermitian: bool = False) -> BoundarySolve:
     """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
     _require(r_max, (h,), states_list)
-    mat, (left_sites, right_sites), [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
+    design, (left_sites, right_sites), [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
     scale = max(_spectral_norm(diagonals, h.n_sites), 1e-300)
-    a, b, f, r_abs = _fit(mat, targets, hermitian, 4 ** r_max - 1)
+    a, b, f, r_abs = _fit(design, targets, hermitian, 4 ** r_max - 1)
     return BoundarySolve(
         left_op=_window_operator(a, left_sites, h.n_sites),
         right_op=_window_operator(b, right_sites, h.n_sites),
@@ -397,11 +442,11 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     length = max(2 * r_max + 3, 2 * h.declared_range + 1)
     evidence, clause = [], {}
     for lam in default_sweep(n_sites, r_max, anchors=solved, op_range=h.declared_range):
-        mat, _, [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
+        design, _, [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
         if lam.left == 0 and lam.length in (length, length + 1):
             clause[lam.length] = lam, diagonals, targets
         scale = max(_spectral_norm(diagonals, n_sites), 1e-300)
-        evidence.append((r_max, lam.length, *(_fit(mat, targets, hermitian, 4 ** r_max - 1)[3]
+        evidence.append((r_max, lam.length, *(_fit(design, targets, hermitian, 4 ** r_max - 1)[3]
                                               / scale for hermitian in (False, True))))
     evidence *= 2 // len(solved)
     notes = ()
@@ -453,10 +498,10 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     if lam is None:
         lam = default_sweep(h_a.n_sites, r_max, op_range=max(
             h_a.declared_range, h_b.declared_range))[-2:][0]
-    mat, _, actions = _patch((h_a, h_b), states_list, lam, r_max)
+    design, _, actions = _patch((h_a, h_b), states_list, lam, r_max)
     acts = np.array([targets for _, targets in actions])
     scale = max(np.linalg.norm(acts, axis=2).max(), 1e-300)
-    _, resid = _lstsq(mat, acts.reshape(2, -1).T, hermitian=True)
+    _, resid = _lstsq(design, acts.reshape(2, -1).T, hermitian=True)
     ab = resid.reshape(n_states, -1, 2)          # (state, amplitude, a/b)
     gram = (ab.conj().transpose(0, 2, 1) @ ab).real
     # ||r_n||^2 = A_n + Re(z_n e^{-2i theta}) with z_n = B_n + i C_n: least at

@@ -209,9 +209,14 @@ def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
     """
     if a.d ** n_sites > DENSE_MAX_DIM:
         raise ValueError("dense chain too large")
-    amps = np.trace(_blocked(a, n_sites), axis1=1, axis2=2)
-    # the blocked index is big-endian in site order (site 0 most significant);
-    # convert to the package little-endian convention
+    # Tr(L R) for the products L over the first floor(N/2) sites and R over
+    # the rest: one (d^(N/2), D^2) @ (D^2, d^(N - N/2)) matmul
+    half = n_sites // 2
+    left = _blocked(a, half) if half else np.eye(a.bond)[None]
+    right = _blocked(a, n_sites - half).transpose(0, 2, 1)
+    amps = left.reshape(len(left), -1) @ right.reshape(len(right), -1).T
+    # both blocked indices are big-endian in site order (site 0 most
+    # significant), so amps is too; convert to the package little-endian convention
     tens = amps.reshape((a.d,) * n_sites)
     amps = np.transpose(tens, list(range(n_sites - 1, -1, -1))).reshape(-1)
     return amps / np.linalg.norm(amps)

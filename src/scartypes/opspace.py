@@ -328,6 +328,9 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
 
     Strings are decoded over psi's nonzero amplitudes, and skipped if they keep
     none: a zero amplitude adds +-0, so each entry sums the products a full decode sums.
+    The product is np.multiply, not ``*``: numpy computes ``*`` on a large
+    temporary in place, which rounds differently, so the result would depend
+    on the support size.
     """
     dim = 1 << op.n_sites
     if psi.shape != (dim,):
@@ -335,7 +338,7 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     out = np.zeros(dim, dtype=complex)
     for src, flip, vals in _string_masks(op.n_sites, op.terms.items(), np.flatnonzero(psi)):
         if src.size:
-            out[src ^ flip] += vals * psi[src]
+            out[src ^ flip] += np.multiply(vals, psi[src])
     return out
 
 

@@ -140,15 +140,16 @@ class TestAction:
                 want = apply(op, psi)
                 assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
-    def test_targets_bytes_equal_full_index_sum(self, setup10):
-        # the full sum over every index, which reading psi's support replaced
-        def full_index_targets(diagonals, psi):
-            idx = np.arange(psi.size)
-            out = np.zeros(psi.size, dtype=complex)
-            for flip, gain in diagonals.items():
-                out[idx ^ flip] += gain * psi
-            return out
+    @staticmethod
+    def full_index_targets(diagonals, psi):
+        """The full sum over every index, which reading psi's support replaced."""
+        idx = np.arange(psi.size)
+        out = np.zeros(psi.size, dtype=complex)
+        for flip, gain in diagonals.items():
+            out[idx ^ flip] += gain * psi
+        return out
 
+    def test_targets_bytes_equal_full_index_sum(self, setup10):
         rng = np.random.default_rng(6)
         for op in _patch_operators(setup10)[::4] + [opspace.zero(10), opspace.identity(10, 2j)]:
             planted = rng.normal(size=1024) + 1j * rng.normal(size=1024)
@@ -157,7 +158,22 @@ class TestAction:
                     states.droplet(10, 5, 2), planted, rng.normal(size=1024)]
             diagonals, targets = boundary._action(op, psis)
             for psi, got in zip(psis, targets):
-                assert got.tobytes() == full_index_targets(diagonals, psi).tobytes()
+                assert got.tobytes() == self.full_index_targets(diagonals, psi).tobytes()
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_large_targets_bytes_equal_full_index_sum(self, n):
+        # from 2^14 amplitudes on, numpy would compute a product of
+        # temporaries in place, rounding it differently from the full sum;
+        # real and imaginary hopping on the same bonds give complex gains
+        rng = np.random.default_rng(n)
+        h = canonical.random_type1(n, rng) + canonical.h_imhop(n) + 0.3 * canonical.h_rehop(n)
+        op = opspace.truncate(h, Region(0, n - 3, n))
+        planted = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        planted[rng.random(1 << n) < 0.2] = 0.0
+        psis = [states.w_state(n), planted, rng.normal(size=1 << n)]
+        diagonals, targets = boundary._action(op, psis)
+        for psi, got in zip(psis, targets):
+            assert got.tobytes() == TestAction.full_index_targets(diagonals, psi).tobytes()
 
     def test_wrong_state_shape(self, setup10):
         with pytest.raises(opspace.DimensionError):
@@ -248,6 +264,35 @@ def _dense_norm(op) -> float:
                for p in range(op.n_sites + 1))
 
 
+def dense_design_matrix(psis, n_sites, local_dim, left_sites, right_sites):
+    """The dense design matrix, every n_states * d^N row, that the support
+    builder replaced: the oracle of boundary._design.  Columns: the window
+    basis on the left window, then on the right window, then one
+    identity-gauge column per state."""
+    blocks = []
+    for sites in (left_sites, right_sites):
+        basis = boundary._window_basis(local_dim, len(sites))
+        blocks.append(np.concatenate(
+            [boundary._site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
+            axis=1))
+    blocks.append(_gauge_block(psis))
+    return np.vstack(blocks).T
+
+
+def _gauge_block(psis) -> np.ndarray:
+    """(n, n * dim) block-diagonal rows: psis[k] in row k, column block k."""
+    n_states, dim = len(psis), psis[0].size
+    block = np.zeros((n_states, n_states, dim), dtype=np.result_type(*psis))
+    block[np.arange(n_states), np.arange(n_states)] = psis
+    return block.reshape(n_states, n_states * dim)
+
+
+def _reached(mat):
+    """A dense design matrix in _design's form: (its nonzero rows, those rows)."""
+    rows = np.flatnonzero(mat.any(axis=1))
+    return rows, mat[rows]
+
+
 class TestGaugeBlock:
     @pytest.mark.parametrize("n_states", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -255,7 +300,7 @@ class TestGaugeBlock:
         rng = np.random.default_rng(n_states)
         psis = [rng.normal(size=16).astype(dtype) * (1 + 1j if dtype is complex else 1)
                 for _ in range(n_states)]
-        got, want = boundary._gauge_block(psis), block_diag(*psis)
+        got, want = _gauge_block(psis), block_diag(*psis)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -265,8 +310,8 @@ def _phased(rng, psis):
 
 
 def _benchmark_fits(n, rng):
-    """(design matrix, right-hand sides, hermitian, states) of every patch fit
-    of the benchmark's five verdicts at both sweep anchors, of their
+    """(states, windows, right-hand sides, hermitian) of every patch fit of
+    the benchmark's five verdicts at both sweep anchors, of their
     left/right-independence clause, and of its two equivalence tests."""
     vw = _phased(rng, [states.vacuum(n), states.w_state(n)])
     vww2 = vw + _phased(rng, [states.w_p(n, 2)])
@@ -278,30 +323,50 @@ def _benchmark_fits(n, rng):
         for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3),
                                           op_range=h.declared_range):
             sites = lam.sites()
-            mat = boundary._design_matrix(psis, n, 2, tuple(sites[:2]), tuple(sites[-2:]))
+            windows = tuple(sites[:2]), tuple(sites[-2:])
             rhs = np.concatenate([apply(opspace.truncate(h, lam), psi) for psi in psis])
-            fits += [(mat, rhs, hermitian, len(psis)) for hermitian in (False, True)]
+            fits += [(psis, windows, rhs, hermitian) for hermitian in (False, True)]
         min_len = max(2 * 2 + 3, 2 * h.declared_range + 1)
         diff = opspace.truncate(h, Region(0, min_len, n)) \
             - opspace.truncate(h, Region(0, min_len - 1, n))
-        mat = boundary._design_matrix(psis, n, 2, (), tuple(range(min_len - 2, min_len + 1)))
-        fits.append((mat, np.concatenate([apply(diff, psi) for psi in psis]), False, len(psis)))
+        fits.append((psis, ((), tuple(range(min_len - 2, min_len + 1))),
+                     np.concatenate([apply(diff, psi) for psi in psis]), False))
     lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
     for h_a, h_b, psis in ((canonical.h_imhop(n), canonical.h_dmi(n), vw),
                            (canonical.h_imhop(n), canonical.h_imhop2(n), vww2)):
-        mat = boundary._design_matrix(psis, n, 2, (0, 1), (5, 6))
         rhs = np.array([np.concatenate([apply(opspace.truncate(h, lam), psi) for psi in psis])
                         for h in (h_a, h_b)]).T
-        fits.append((mat, rhs, True, len(psis)))
+        fits.append((psis, ((0, 1), (5, 6)), rhs, True))
+    return fits
+
+
+def _chain_fits():
+    """The MPS generator certificate's dense chains as pytest params of
+    (d, N, state, windows, generator fit target): AKLT (d = 3, R_inj = 2)
+    under S^z and S^x, the SSH chain (d = 4, R_inj = 1) under S^z, at N = 6, 8."""
+    cases = [(f"aklt_s{axis}", mps.builtin_aklt(), mps.spin1_matrix(axis)) for axis in "zx"]
+    cases.append(("ssh_sz", mps.builtin_ssh(), mps.ssh_sz_matrix()))
+    fits = []
+    for name, tensor, gen in cases:
+        r_inj = mps.injectivity_length(tensor)
+        for n in (6, 8):
+            psi = mps.to_dense(tensor, n)
+            lam = list(range(1, n - 1))
+            target = sum(boundary._site_axes_apply(gen, psi, [j], tensor.d, n) for j in lam)
+            windows = tuple(lam[:r_inj]), tuple(lam[-r_inj:])
+            fits.append(pytest.param(tensor.d, n, psi, windows, target, id=f"{name}-N{n}"))
     return fits
 
 
 class TestLstsqRowReduction:
-    """_lstsq solves only the rows some column reaches; the reference is
-    numpy's lstsq on every row with its default rank cut."""
+    """_lstsq on the support-built design (_design) against the oracle:
+    numpy's lstsq on every row of dense_design_matrix, default rank cut."""
 
     @staticmethod
-    def _compare(mat, rhs, hermitian, n_states, monkeypatch):
+    def _compare(design, mat, rhs, hermitian, n_states, monkeypatch):
+        rows, got = design
+        assert np.array_equal(rows, np.flatnonzero(mat.any(axis=1)))
+        assert np.abs(got - mat[rows]).max() <= 1e-15 * np.abs(mat).max()
         ranks = []
         lstsq = np.linalg.lstsq
 
@@ -311,7 +376,7 @@ class TestLstsqRowReduction:
             return out
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        _, resid = boundary._lstsq(mat, rhs, hermitian)
+        _, resid = boundary._lstsq(design, rhs, hermitian)
         monkeypatch.undo()
         a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
                 else (mat, rhs))
@@ -329,10 +394,19 @@ class TestLstsqRowReduction:
         fits = _benchmark_fits(10, np.random.default_rng(31))
         assert len(fits) == 2 * 26 + 5 + 2
         dropped = 0
-        for mat, rhs, hermitian, n_states in fits:
-            dropped += not mat.any(axis=1).all()
-            self._compare(mat, rhs, hermitian, n_states, monkeypatch)
+        for psis, windows, rhs, hermitian in fits:
+            design = boundary._design(psis, 10, 2, *windows)
+            dropped += len(design[0]) < len(rhs)
+            mat = dense_design_matrix(psis, 10, 2, *windows)
+            self._compare(design, mat, rhs, hermitian, len(psis), monkeypatch)
         assert dropped == len(fits)     # {vacuum, W} reach few rows
+
+    @pytest.mark.parametrize("local_dim,n,psi,windows,target", _chain_fits())
+    def test_dense_chains_match_all_rows(self, local_dim, n, psi, windows, target, monkeypatch):
+        design = boundary._design([psi], n, local_dim, *windows)
+        mat = dense_design_matrix([psi], n, local_dim, *windows)
+        for hermitian in (False, True):
+            self._compare(design, mat, target, hermitian, 1, monkeypatch)
 
     def test_no_row_dropped(self, monkeypatch):
         # a product state with no zero amplitude: every row is reached
@@ -341,10 +415,11 @@ class TestLstsqRowReduction:
         psi = functools.reduce(np.kron, [site] * n)
         lam = Region(1, 6, n)
         h_lam = opspace.truncate(canonical.h_rehop(n) + canonical.h_dmi(n), lam)
-        mat = boundary._design_matrix([psi], n, 2, (1, 2), (5, 6))
-        assert mat.any(axis=1).all()
+        design = boundary._design([psi], n, 2, (1, 2), (5, 6))
+        assert len(design[0]) == psi.size
+        mat = dense_design_matrix([psi], n, 2, (1, 2), (5, 6))
         for hermitian in (False, True):
-            self._compare(mat, apply(h_lam, psi), hermitian, 1, monkeypatch)
+            self._compare(design, mat, apply(h_lam, psi), hermitian, 1, monkeypatch)
 
     def test_target_off_the_column_support_counts(self, monkeypatch):
         # one particle at site 3 hops to sites 2 and 4, rows no window
@@ -353,12 +428,14 @@ class TestLstsqRowReduction:
         psi = np.zeros(1 << n, dtype=complex)
         psi[1 << 3] = 1.0
         rhs = apply(opspace.truncate(canonical.h_rehop(n), Region(0, 6, n)), psi)
-        mat = boundary._design_matrix([psi], n, 2, (0, 1), (5, 6))
-        off = ~mat.any(axis=1)
+        design = boundary._design([psi], n, 2, (0, 1), (5, 6))
+        off = np.ones(rhs.size, dtype=bool)
+        off[design[0]] = False
         assert np.linalg.norm(rhs[off]) > 0.5
-        _, resid = boundary._lstsq(mat, rhs, hermitian=False)
-        assert np.linalg.norm(resid) >= np.linalg.norm(rhs[off])
-        self._compare(mat, rhs, False, 1, monkeypatch)
+        _, resid = boundary._lstsq(design, rhs, hermitian=False)
+        assert np.array_equal(resid[off], -rhs[off])
+        self._compare(design, dense_design_matrix([psi], n, 2, (0, 1), (5, 6)), rhs, False, 1,
+                      monkeypatch)
 
     def test_rank_cut_of_the_full_system(self, monkeypatch):
         # singular values 1 and 1e-13: numpy's default cut, eps * max(M, N),
@@ -369,7 +446,29 @@ class TestLstsqRowReduction:
         mat[::201] = q * [1.0, 1e-13]
         rhs = mat @ [1.0, 1.0] + np.eye(4020)[7]
         for hermitian in (False, True):
-            self._compare(mat, rhs, hermitian, 1, monkeypatch)
+            self._compare(_reached(mat), mat, rhs, hermitian, 1, monkeypatch)
+
+
+class TestWindowPreconditions:
+    """_design, and so solve_boundary_dense, rejects windows a support build
+    would misread: repeated sites, sites outside 0..N-1, shared sites."""
+
+    @pytest.mark.parametrize("left,right,match", [
+        ((0, 1), (1, 2), r"share sites \[1\]"),
+        ((0, 0), (5, 6), r"left window \(0, 0\)"),
+        ((0, 1), (7, 8), r"right window \(7, 8\)"),
+        ((-1, 0), (5, 6), r"left window \(-1, 0\)")],
+        ids=["overlap", "repeated", "past_end", "negative"])
+    def test_bad_window_raises(self, left, right, match):
+        n = 8
+        psis = [states.vacuum(n), states.w_state(n)]
+        targets = [apply(canonical.h_imhop(n), psi) for psi in psis]
+        with pytest.raises(ValueError, match=match):
+            boundary.solve_boundary_dense(targets, psis, n, 2, left, right, hermitian=False)
+
+    def test_state_length_checked(self):
+        with pytest.raises(opspace.DimensionError):
+            boundary._design([states.vacuum(8), states.vacuum(7)], 8, 2, (0, 1), (5, 6))
 
 
 class TestAnchorShortcut:
@@ -452,6 +551,14 @@ class TestClassify:
     def test_ntot_type_three(self, setup10):
         s = setup10
         assert classify(s["ntot"], [s["vac"], s["w"]]).value == "III"
+
+    def test_types_do_not_drift_with_n(self):
+        # the N=10 verdicts at N=16, where the sweep has 20 patches per anchor
+        n = 16
+        psis = [states.vacuum(n), states.w_state(n)]
+        for h, want in ((canonical.h_imhop(n), "II"), (canonical.n_tot(n), "III"),
+                        (canonical.h_rehop(n), "I"), (canonical.h_dmi(n), "II")):
+            assert classify(h, psis).value == want
 
     def test_dead_zone_is_indeterminate(self, setup10):
         # 1e-5 n_tot leaves a general residual of 2.1e-6, inside the dead zone

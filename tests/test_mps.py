@@ -226,7 +226,26 @@ class TestBoundaryOperators:
         assert np.linalg.norm(expected - got) < 1e-9
 
 
+def traced_blocked_dense(a, n_sites):
+    """The dense chain as the trace of every N-site product, which the
+    two-half-chain matmul of to_dense replaced: the oracle."""
+    amps = np.trace(mps._blocked(a, n_sites), axis1=1, axis2=2)
+    amps = np.transpose(amps.reshape((a.d,) * n_sites), list(range(n_sites - 1, -1, -1)))
+    return amps.reshape(-1) / np.linalg.norm(amps)
+
+
 class TestDenseChain:
+    @pytest.mark.parametrize("name,n_sites", [
+        (name, n) for name in ("aklt", "ssh", "random") for n in (1, 2, 5, 6, 7)
+        if (name, n) != ("aklt", 1)])       # AKLT's one-site traces all vanish
+    def test_half_chains_match_traced_blocks(self, name, n_sites):
+        rng = np.random.default_rng(n_sites)
+        tensor = {"aklt": builtin_aklt(), "ssh": builtin_ssh(),
+                  "random": MPSTensor(rng.normal(size=(3, 3, 3))
+                                      + 1j * rng.normal(size=(3, 3, 3)))}[name]
+        got, want = to_dense(tensor, n_sites), traced_blocked_dense(tensor, n_sites)
+        assert np.abs(got - want).max() <= 1e-14
+
     def test_ssh_is_dimerized_singlets(self):
         # PBC chain of 2 unit cells: two singlets (beta_j, alpha_{j+1})
         psi = to_dense(builtin_ssh(), 2)

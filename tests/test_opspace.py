@@ -568,10 +568,11 @@ class TestFastPathDifferential:
 
 def full_index_apply(op, psi):
     """apply decoding every string over all 2^N basis indices: the loop that
-    reading only psi's support replaced."""
+    reading only psi's support replaced (np.multiply, as there, so a large
+    product is never computed in place)."""
     out = np.zeros(1 << op.n_sites, dtype=complex)
     for src, flip, vals in opspace._string_masks(op.n_sites, op.terms.items()):
-        out[src ^ flip] += vals * psi[src]
+        out[src ^ flip] += np.multiply(vals, psi[src])
     return out
 
 
@@ -596,10 +597,11 @@ def support_cases(n, rng):
 
 
 class TestSupportApply:
-    """apply reads only psi's nonzero amplitudes; below 2^14 amplitudes it is bit for bit
-    the full decode (above, numpy rounds a large in-place product differently)."""
+    """apply reads only psi's nonzero amplitudes and is bit for bit the full
+    decode, also from 2^14 amplitudes on, where numpy would compute a ``*``
+    product of a temporary in place and round it differently."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 14, 15])
     def test_bytes_equal_full_index_decode(self, n):
         ops, psis = support_cases(n, np.random.default_rng(n))
         for op in ops:
