@@ -225,7 +225,8 @@ def _design(psis, n_sites, local_dim, left_sites, right_sites):
         src = np.flatnonzero(psi)
         images = [_window_images(psi, src, basis, sites, local_dim)
                   for basis, sites in zip(bases, windows)]
-        reached = np.unique(np.concatenate([src] + [r.ravel() for r, _ in images]))
+        reached = np.sort(np.concatenate([src] + [r.ravel() for r, _ in images]))
+        reached = reached[np.diff(reached, prepend=-1) > 0]     # np.unique loads numpy.ma
         block = np.zeros((n_basis + len(psis), len(reached)), dtype=complex)
         col = 0
         for r, image in images:

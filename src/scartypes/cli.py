@@ -2,7 +2,10 @@
 
 Subcommands: decompose, classify, scan-classes, variance, droplet, mps.
 Every JSON report embeds the parsed configuration, the seed and the
-library version ("schema": 1) so runs are reproducible byte for byte.
+library version ("schema": 1), so a run repeats byte for byte on one
+numpy/BLAS build; rounding-level digits (a residual near 1e-16, a margin
+over a cut singular value at rounding level) can move with the build or
+with the rows a solve keeps.
 Exit codes: 0 success, 2 precondition failure, 3 indeterminate
 classification, 64 usage error.
 """
@@ -122,11 +125,10 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                       for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write_csv(path, header, rows, formats):
+    """One line per row tuple, its values formatted by ``formats`` ('%.12g', '%d')."""
+    line = ",".join(formats)
+    text = "\n".join([",".join(header)] + [line % row for row in rows]) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -203,7 +205,7 @@ def _cmd_variance(args) -> int:
         scan = scars.variance_scan_n(build, args.p, [int(x) for x in args.N_list.split(",")])
     rows = [(float(c), float(e), float(v)) for c, e, v in scan.points]
     if args.csv:
-        _write_csv(args.csv, ("control", "expectation", "variance"), rows)
+        _write_csv(args.csv, ("control", "expectation", "variance"), rows, ("%.12g",) * 3)
     fit = None
     if scan.fit is not None:
         fit = {"exponent": scan.fit.exponent, "prefactor": scan.fit.prefactor,
@@ -225,7 +227,7 @@ def _cmd_droplet(args) -> int:
         occ = dynamics.occupations(run, times).tolist()
         rows = [(t, j, n_j) for t, row in zip(times.tolist(), occ)
                 for j, n_j in enumerate(row, 1)]
-        _write_csv(csv_target, ("t", "j", "n_j"), rows)
+        _write_csv(csv_target, ("t", "j", "n_j"), rows, ("%.12g", "%d", "%.12g"))
         if args.emit_plot:
             _write_plot_blocks(args.emit_plot, [(f"t = {t:g}", enumerate(row, 1))
                                                 for t, row in zip(times, occ)])
@@ -234,7 +236,7 @@ def _cmd_droplet(args) -> int:
         ups = dynamics.upsilon_series(run, args.tmax / max(args.steps, 1), args.steps,
                                       rate or 0.0, shift)
         rows = [(t, u.real, u.imag) for t, u in zip(ts.tolist(), ups.tolist())]
-        _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), rows)
+        _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), rows, ("%.12g",) * 3)
         if args.emit_plot:
             _write_plot_blocks(args.emit_plot, [("upsilon", rows)])
     if args.out:

@@ -202,7 +202,8 @@ def boundary_operators(a: MPSTensor, v: np.ndarray, r_inj: int):
 
 
 def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
-    """Normalized dense state sum Tr[A^{s_1}..A^{s_N}] |s_1..s_N>.
+    """Normalized dense state sum Tr[A^{s_1}..A^{s_N}] |s_1..s_N>; ValueError
+    when every amplitude vanishes.
 
     Amplitudes are indexed little-endian, by sum_j s_j d^j over sites j in
     0..N-1, as in the dense boundary solver.
@@ -219,7 +220,10 @@ def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
     # significant), so amps is too; convert to the package little-endian convention
     tens = amps.reshape((a.d,) * n_sites)
     amps = np.transpose(tens, list(range(n_sites - 1, -1, -1))).reshape(-1)
-    return amps / np.linalg.norm(amps)
+    norm = np.linalg.norm(amps)
+    if not norm > 0:
+        raise ValueError(f"every amplitude of the {n_sites}-site chain vanishes")
+    return amps / norm
 
 
 def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,

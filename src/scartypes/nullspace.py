@@ -224,32 +224,54 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
     """Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, and K's margins.
 
     ``glo`` holds ZH_glo's orthonormal rows over the full basis (index i:
-    column i // sectors, shift i % sectors), ``pos`` the full index of each
-    row of the windows' stacked ranges X.  K_k equates each later copy of a
-    column, phased by e^{-2 pi i k shift / sectors}, with its first copy,
-    which gives the complement's coordinates.  ZH_glo's sector rows r_k on
-    it add rank [r_k, conj r_{-k}] real dimensions to a union.  X's columns
-    are orthonormal, so K's cut RANK_TOL is absolute; a margin is the
-    smallest kept over the largest cut singular value in any sector, None
-    when one side of the cut is empty.
+    column i // sectors, shift i % sectors); they are real, as ZH_glo is
+    Hermitian.  ``pos`` is the full index of each row of the windows' stacked
+    ranges X, block diagonal over equal windows; H's ranges are real.  K_k
+    equates each later copy of a column, phased by e^{-2 pi i k shift /
+    sectors}, with its first copy.  Its null space N_k gives the complement's
+    basis B_k = (phased first rows of X) N_k, orthonormalised by the Cholesky
+    factor of B_k's Gram N_k^dagger (first rows' Gram) N_k, whose eigenvalues
+    lie in [1/copies, 1].  ZH_glo's sector rows r_k on it add rank
+    [r_k, conj r_{-k}] real dimensions to a union.  For H, sector -k is
+    sector k conjugated, so only k <= sectors / 2 are solved, and K is real
+    where the phases are +-1.  X's columns are orthonormal, so K's cut
+    RANK_TOL is absolute; a margin is the smallest kept over the largest cut
+    singular value in any sector, None when one side of the cut is empty.
     """
     columns, shifts = pos // sectors, pos % sectors
     first = np.unique(columns, return_index=True)[1]
-    later = np.setdiff1d(np.arange(len(pos)), first)
+    later = np.delete(np.arange(len(pos)), first)   # not np.setdiff1d: it loads numpy.ma
     partner = first[columns[later]]                 # each later copy's first copy
     phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
-    glo = glo.reshape(len(glo), -1, sectors) @ phases.T / np.sqrt(sectors)
+    glo = glo.real.reshape(len(glo), -1, sectors)
+    held = np.flatnonzero(glo.any(axis=(0, 2)))     # the columns ZH_glo's rows hold
+    glo = glo[:, held] @ phases.T / np.sqrt(sectors)
 
-    def project(ranges):
+    def project(ranges, real: bool):
         """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
-        left = np.cumsum([0] + [r.shape[1] for r in ranges])
-        stack = np.zeros((len(pos), left[-1]), dtype=complex)
-        for j, r in enumerate(ranges):          # block diagonal; windows are equal in size
-            stack[j * len(r):(j + 1) * len(r), left[j]:left[j + 1]] = r
-        copies, partners, firsts = stack[later], stack[partner], stack[first]
-        del stack                       # K's three row sets, phased per sector below
-        coords, kept, cut = [], [], []
-        for k, ph in enumerate(phases[:, shifts]):
+        size, left = len(ranges[0]), np.cumsum([0] + [r.shape[1] for r in ranges])
+        ranges = [r.real for r in ranges] if real else ranges
+
+        def rows(idx):
+            """Rows ``idx`` of X."""
+            out = np.zeros((len(idx), left[-1]), dtype=ranges[0].dtype)
+            window, row = np.divmod(idx, size)
+            for j, r in enumerate(ranges):
+                out[window == j, left[j]:left[j + 1]] = r[row[window == j]]
+            return out
+
+        copies, partners, firsts = rows(later), rows(partner), rows(first[held]).conj()
+        gram = np.zeros((left[-1],) * 2, dtype=copies.dtype)  # of all first rows: block diagonal
+        window, row = np.divmod(first, size)
+        for j, r in enumerate(ranges):
+            cols, block = slice(left[j], left[j + 1]), r[row[window == j]]
+            gram[cols, cols] = block.conj().T @ block
+        solved = range(sectors // 2 + 1 if real else sectors)
+        coords, kept, cut = {}, [], []
+        for k in solved:
+            ph, glo_k = phases[k, shifts], glo[:, :, k]
+            if 2 * k % sectors == 0:                # phases +-1
+                ph, glo_k = ph.real, glo_k.real
             k_mat = ph[later, None] * copies
             k_mat -= ph[partner, None] * partners
             # all right singular vectors; a full U only when it is the smaller
@@ -257,16 +279,24 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
             rank = int(np.sum(svals > RANK_TOL))
             kept.append(svals[:rank])
             cut.append(svals[rank:])
-            basis = np.linalg.qr((ph[first, None] * firsts) @ vh[rank:].conj().T)[0]
-            coords.append(glo[:, :, k] @ basis.conj())
-        local = sum(len(first) - off.shape[1] for off in coords)
-        added = sum(real_rank(np.hstack([off, coords[-k].conj()]), scale=1.0)
-                    for k, off in enumerate(coords))
+            null = vh[rank:]                        # N_k^dagger
+            off = (glo_k * ph[first[held]].conj()) @ firsts @ null.T
+            if len(null):
+                chol = np.linalg.cholesky(null @ gram @ null.conj().T)
+                off = np.linalg.solve(chol, off.T).T
+            coords[k] = off
+            if real:
+                coords[-k % sectors] = off.conj()
+        twins = [2 if real and 2 * k % sectors else 1 for k in solved]
+        local = sum(t * (len(first) - coords[k].shape[1]) for t, k in zip(twins, solved))
+        added = sum(t * real_rank(np.hstack([coords[k], coords[-k % sectors].conj()]), scale=1.0)
+                    for t, k in zip(twins, solved))
         kept, cut = np.concatenate(kept), np.concatenate(cut)
         with np.errstate(divide="ignore"):
             return local, added, float(kept.min() / cut.max()) if kept.size and cut.size else None
 
-    (h_loc, h_add, margin_h), (g_loc, g_add, margin_g) = project(h_ranges), project(g_ranges)
+    h_loc, h_add, margin_h = project(h_ranges, True)
+    g_loc, g_add, margin_g = project(g_ranges, False)
     dims = {"ZH_glo": len(glo), "ZH_loc": h_loc, "ZG_loc": 2 * g_loc,
             "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
     return dims, {"margin_ZH_loc": margin_h, "margin_ZG_loc": margin_g}
@@ -313,8 +343,8 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
         zg.append(_range(factor))
         zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
 
-    glo_rows = np.zeros((zh_glo.dim, len(index)), dtype=complex)
-    glo_rows[:, [index[k] for k in glo.keys]] = zh_glo.basis
+    glo_rows = np.zeros((zh_glo.dim, len(index)))
+    glo_rows[:, [index[k] for k in glo.keys]] = zh_glo.basis.real
     pos = np.array([index[(s + j) % n_sites, ops] for j in starts for s, ops in window.keys])
     dims, margins = _complement_dims(
         glo_rows, [r for r, _ in zh], [r for r, _ in zg], pos, sectors)

@@ -240,6 +240,22 @@ class TestDroplet:
             want = _reference_upsilon(run_, t, g_of(t))
             assert abs(complex(float(re_text), float(im_text)) - want) < 1e-12
 
+    def test_csv_row_format_matches_per_value_format(self, tmp_path):
+        # one '%' per row writes what formatting each value on its own wrote
+        rows = [(float("nan"), 1, float("inf")), (-0.0, 2, -float("inf")),
+                (1.0 / 3.0, 10251, -2.5e-300), (0.1, 0, 123456789012345.0)]
+        want = "t,j,n_j\n" + "".join(
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+        assert "nan,1,inf" in want and "-0,2,-inf" in want
+        path = tmp_path / "rows.csv"
+        cli._write_csv(str(path), ("t", "j", "n_j"), rows, ("%.12g", "%d", "%.12g"))
+        assert path.read_text() == want
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli._write_csv("-", ("t", "j", "n_j"), rows, ("%.12g", "%d", "%.12g"))
+        assert buf.getvalue() == want
+
     @pytest.mark.parametrize("extra", [
         ["--tmax", "inf"], ["--tmax", "nan"], ["--G", "nan"], ["--G", "inf"],
         ["--steps", "-1"], ["--dispersion", "chop:a=0.5,b=nan"],

@@ -272,6 +272,11 @@ class TestDenseChain:
         rolled = np.moveaxis(tens, 0, 5).reshape(-1)
         assert abs(abs(np.vdot(rolled, psi)) - 1.0) < 1e-12
 
+    def test_vanishing_chain_raises(self):
+        # every one-site trace of the AKLT tensor is 0: no state to normalise
+        with pytest.raises(ValueError, match="vanishes"):
+            to_dense(builtin_aklt(), 1)
+
 
 class TestClassification:
     def test_aklt_sz_type_two(self):

@@ -644,3 +644,145 @@ class TestSectorPath:
         assert [res.dims[k] for k in ("ZH_loc", "ZG_loc", "union_H", "union_G")] == \
             [7040, 14718, 7042, 14719]
         assert elapsed < 15.0
+
+
+def _oracle_complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
+    """The complement solve with a K SVD and a tall QR in every sector, H and G
+    alike: the oracle of nullspace._complement_dims.
+
+    Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, and K's margins.
+
+    ``glo`` holds ZH_glo's orthonormal rows over the full basis (index i:
+    column i // sectors, shift i % sectors), ``pos`` the full index of each
+    row of the windows' stacked ranges X.  K_k equates each later copy of a
+    column, phased by e^{-2 pi i k shift / sectors}, with its first copy,
+    which gives the complement's coordinates.  ZH_glo's sector rows r_k on
+    it add rank [r_k, conj r_{-k}] real dimensions to a union.  X's columns
+    are orthonormal, so K's cut RANK_TOL is absolute; a margin is the
+    smallest kept over the largest cut singular value in any sector, None
+    when one side of the cut is empty.
+    """
+    columns, shifts = pos // sectors, pos % sectors
+    first = np.unique(columns, return_index=True)[1]
+    later = np.setdiff1d(np.arange(len(pos)), first)
+    partner = first[columns[later]]                 # each later copy's first copy
+    phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
+    glo = glo.reshape(len(glo), -1, sectors) @ phases.T / np.sqrt(sectors)
+
+    def project(ranges):
+        """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
+        left = np.cumsum([0] + [r.shape[1] for r in ranges])
+        stack = np.zeros((len(pos), left[-1]), dtype=complex)
+        for j, r in enumerate(ranges):          # block diagonal; windows are equal in size
+            stack[j * len(r):(j + 1) * len(r), left[j]:left[j + 1]] = r
+        copies, partners, firsts = stack[later], stack[partner], stack[first]
+        del stack                       # K's three row sets, phased per sector below
+        coords, kept, cut = [], [], []
+        for k, ph in enumerate(phases[:, shifts]):
+            k_mat = ph[later, None] * copies
+            k_mat -= ph[partner, None] * partners
+            # all right singular vectors; a full U only when it is the smaller
+            _, svals, vh = np.linalg.svd(k_mat, full_matrices=len(k_mat) < k_mat.shape[1])
+            rank = int(np.sum(svals > nullspace.RANK_TOL))
+            kept.append(svals[:rank])
+            cut.append(svals[rank:])
+            basis = np.linalg.qr((ph[first, None] * firsts) @ vh[rank:].conj().T)[0]
+            coords.append(glo[:, :, k] @ basis.conj())
+        local = sum(len(first) - off.shape[1] for off in coords)
+        added = sum(nullspace.real_rank(np.hstack([off, coords[-k].conj()]), scale=1.0)
+                    for k, off in enumerate(coords))
+        kept, cut = np.concatenate(kept), np.concatenate(cut)
+        with np.errstate(divide="ignore"):
+            return local, added, float(kept.min() / cut.max()) if kept.size and cut.size else None
+
+    (h_loc, h_add, margin_h), (g_loc, g_add, margin_g) = project(h_ranges), project(g_ranges)
+    dims = {"ZH_glo": len(glo), "ZH_loc": h_loc, "ZG_loc": 2 * g_loc,
+            "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
+    return dims, {"margin_ZH_loc": margin_h, "margin_ZG_loc": margin_g}
+
+
+def _complement_args(monkeypatch, n, r_loc, psis, degenerate=False):
+    """The arguments count_type_classes passes to _complement_dims (patches undone)."""
+    calls, solve = [], nullspace._complement_dims
+    monkeypatch.setattr(nullspace, "_complement_dims",
+                        lambda *args: calls.append(args) or solve(*args))
+    count_type_classes(n, 2, r_loc, psis, degenerate)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def _complement_sets():
+    """(N, R', states, degenerate, N-window path) for the differential test."""
+    vac, w = states.vacuum, states.w_state
+    return {"vac_w.8.3": (8, 3, [vac(8), w(8)], False, False),
+            "vac_w.8.4": (8, 4, [vac(8), w(8)], False, False),
+            "vac_w.10.4": (10, 4, [vac(10), w(10)], False, False),
+            "wq1_wq3.8.3": (8, 3, [states.w_q(8, 1), states.w_q(8, 3)], False, False),
+            "vac_w_w2_degenerate.8.3": (8, 3, [vac(8), w(8), states.w_p(8, 2)], True, False),
+            "vac_droplet.8.3": (8, 3, [vac(8), states.translate(states.droplet(8, 4, 1), 3, 8)],
+                                False, False),
+            "cluster.8.3": (8, 3, [_cluster(8)], False, False),
+            "cluster.8.4": (8, 4, [_cluster(8)], False, False),
+            "odd_vac_wq2.7.3": (7, 3, _phased([vac(7), states.w_q(7, 2)], 6), False, False),
+            "vac_w_all_windows.8.3": (8, 3, [vac(8), w(8)], False, True)}
+
+
+class TestComplementOracle:
+    """The Gram/Cholesky complement with conjugate H sectors against the QR-per-sector solve."""
+
+    @pytest.mark.parametrize("name", list(_complement_sets()))
+    def test_matches_qr_oracle(self, monkeypatch, name):
+        n, r_loc, psis, degenerate, dense = _complement_sets()[name]
+        if dense:
+            _dense(monkeypatch)
+        args = _complement_args(monkeypatch, n, r_loc, psis, degenerate)
+        sectors = args[-1]
+        assert sectors == 1 or not dense
+        seen, rank = [], nullspace.real_rank
+        monkeypatch.setattr(nullspace, "real_rank", lambda rows, scale=None: seen.append(
+            np.linalg.svd(rows, compute_uv=False)) or rank(rows, scale))
+        dims, margins = nullspace._complement_dims(*args)
+        got, seen[:] = seen[:], []
+        want_dims, want_margins = _oracle_complement_dims(*args)
+        assert dims == want_dims
+        # each union rank sees the oracle's singular values: the H sectors
+        # k <= sectors / 2, then every G sector
+        solved = sectors // 2 + 1
+        assert len(got) == solved + sectors and len(seen) == 2 * sectors
+        for svals, want in zip(got, seen[:solved] + seen[sectors:]):
+            assert svals == pytest.approx(want, abs=1e-12)
+        # a margin divides by a cut singular value at rounding level, which a
+        # real instead of a complex SVD moves by up to ~20 %; the cut stays clear
+        assert margins.keys() == want_margins.keys()
+        for key, want in want_margins.items():
+            if want is None:
+                assert margins[key] is None
+                continue
+            assert margins[key] == pytest.approx(want, rel=0.25)
+            assert margins[key] > 1e12 or want <= 1e12
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_half_the_h_sectors_and_no_qr(self, monkeypatch, n):
+        args = _complement_args(monkeypatch, n, 4 if n == 8 else 3,
+                                [states.vacuum(n), states.w_state(n)])
+        widths = [sum(r.shape[1] for r in ranges) for ranges in args[1:3]]
+        assert widths[0] != widths[1]
+        k_svds, svd = [], np.linalg.svd
+
+        def spy(a, *rest, **kwargs):        # real_rank passes compute_uv=False
+            if kwargs.get("compute_uv", True):
+                k_svds.append((a.shape[1], a.dtype))
+            return svd(a, *rest, **kwargs)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        nullspace._complement_dims(*args)
+        h_svds = [dtype for cols, dtype in k_svds if cols == widths[0]]
+        assert len(h_svds) == n // 2 + 1
+        assert sum(cols == widths[1] for cols, _ in k_svds) == n
+        # real K where the phases are +-1: k = 0, and k = N/2 for even N
+        assert [dtype == np.float64 for dtype in h_svds] == \
+            [k == 0 or 2 * k == n for k in range(n // 2 + 1)]
