@@ -13,10 +13,12 @@ classification, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -125,25 +127,31 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path, header, rows, formats):
-    """One line per row tuple, its values formatted by ``formats`` ('%.12g', '%d')."""
-    line = ",".join(formats)
-    text = "\n".join([",".join(header)] + [line % row for row in rows]) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_csv(path, header, rows, formats) -> int:
+    """One line per row tuple, its values formatted by ``formats`` ('%.12g', '%d').
+
+    ``rows`` may be any iterable; it is written as it comes, 4096 rows at a
+    time.  Returns the number of rows written.
+    """
+    line = ",".join(formats) + "\n"
+    rows, written = iter(rows), 0
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w")) as fh:
+        fh.write(",".join(header) + "\n")
+        while chunk := [line % row for row in islice(rows, 4096)]:
+            fh.write("".join(chunk))
+            written += len(chunk)
+    return written
 
 
 def _write_plot_blocks(path, blocks):
-    """Gnuplot-ready data: '# label' headed blocks separated by blank lines."""
-    chunks = []
-    for label, rows in blocks:
-        body = "\n".join(" ".join(f"{v:.12g}" for v in row) for row in rows)
-        chunks.append(f"# {label}\n{body}")
+    """Gnuplot-ready data: '# label' headed blocks separated by blank lines,
+    each written as it comes from the ``blocks`` iterable."""
     with open(path, "w") as fh:
-        fh.write("\n\n".join(chunks) + "\n")
+        for k, (label, rows) in enumerate(blocks):
+            body = "\n".join(" ".join(f"{v:.12g}" for v in row) for row in rows)
+            fh.write(("\n\n" if k else "") + f"# {label}\n{body}")
+        fh.write("\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -224,23 +232,28 @@ def _cmd_droplet(args) -> int:
     times = np.linspace(0.0, args.tmax, args.steps + 1)
     csv_target = args.csv or "-"
     if args.observable == "occupations":
-        occ = dynamics.occupations(run, times).tolist()
-        rows = [(t, j, n_j) for t, row in zip(times.tolist(), occ)
-                for j, n_j in enumerate(row, 1)]
-        _write_csv(csv_target, ("t", "j", "n_j"), rows, ("%.12g", "%d", "%.12g"))
+        per_block = max(1, 2 ** 16 // args.N)
+
+        def profiles():                   # (t, [n_1..n_N]), a block of times at once
+            for lo in range(0, len(times), per_block):
+                ts = times[lo:lo + per_block]
+                yield from zip(ts.tolist(), dynamics.occupations(run, ts).tolist())
+        rows = _write_csv(csv_target, ("t", "j", "n_j"),
+                          ((t, j, n_j) for t, row in profiles()
+                           for j, n_j in enumerate(row, 1)), ("%.12g", "%d", "%.12g"))
         if args.emit_plot:
-            _write_plot_blocks(args.emit_plot, [(f"t = {t:g}", enumerate(row, 1))
-                                                for t, row in zip(times, occ)])
+            _write_plot_blocks(args.emit_plot, ((f"t = {t:g}", enumerate(row, 1))
+                                                for t, row in profiles()))
     else:
-        ts = times[1:]
         ups = dynamics.upsilon_series(run, args.tmax / max(args.steps, 1), args.steps,
                                       rate or 0.0, shift)
-        rows = [(t, u.real, u.imag) for t, u in zip(ts.tolist(), ups.tolist())]
-        _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), rows, ("%.12g",) * 3)
+        series = [(t, u.real, u.imag) for t, u in zip(times[1:].tolist(), ups.tolist())]
+        rows = _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), series,
+                          ("%.12g",) * 3)
         if args.emit_plot:
-            _write_plot_blocks(args.emit_plot, [("upsilon", rows)])
+            _write_plot_blocks(args.emit_plot, [("upsilon", series)])
     if args.out:
-        _emit({"config": _config(args), "rows": len(rows)}, args)
+        _emit({"config": _config(args), "rows": rows}, args)
     return EXIT_OK
 
 
@@ -343,10 +356,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The argparse tree, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -9,9 +9,8 @@ momentum space: occupations via FFT, the droplet-overlap deficit
                                  * (1 - e^{i(qG - eps_q t)}),
 
 its thermodynamic-limit integral (composite Gauss-Legendre with the
-removable q=0 point evaluated by its limit), closed-form early-time
-expansions, leakage profiles, scaling fits and the BEC-style extension to
-p-particle droplets.  Sites are labeled 1..N with the droplet on 1..M.
+removable q=0 point evaluated by its limit), leakage profiles and scaling
+fits.  Sites are labeled 1..N with the droplet on 1..M.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .scars import FitResult, loglog_fit
+
+_Q_BLOCK = 1024         # momenta per block of upsilon_series
 
 
 class QuadratureError(RuntimeError):
@@ -68,10 +69,6 @@ def imhop(w: float = 1.0) -> Dispersion:
 
 def chop(alpha: float, beta: float, w: float = 1.0) -> Dispersion:
     return Dispersion(w, alpha, beta)
-
-
-def custom(table) -> Dispersion:
-    return Dispersion(table=table)
 
 
 @dataclass(frozen=True)
@@ -138,26 +135,51 @@ def upsilon_finite(run: DropletRun, t, g_shift):
     return complex(out[()]) if out.ndim == 0 else out
 
 
+def _deficit(phi):
+    """1 - e^{i phi} as -2i sin(phi/2) e^{i phi/2}, and e^{i phi}."""
+    half = np.exp(0.5j * phi)
+    return -2j * half.imag * half, half * half
+
+
+def _multiples(deficit, turn, count):
+    """Rows k = 0..count-1 of D(k phi) and e^{ik phi} from D(phi) and e^{i phi},
+    doubling with D(a + b) = D(a) + e^{ia} D(b) and e^{i(a+b)} = e^{ia} e^{ib}."""
+    ds = np.zeros((count,) + deficit.shape, dtype=complex)
+    es = np.ones_like(ds)
+    filled = 1
+    while filled < count:
+        n = min(filled, count - filled)
+        ds[filled:filled + n] = deficit + turn * ds[:n]
+        es[filled:filled + n] = turn * es[:n]
+        deficit, turn = deficit + turn * deficit, turn * turn
+        filled += n
+    return ds, es
+
+
 def upsilon_series(run: DropletRun, dt: float, steps: int, rate: float = 0.0,
                    shift: float = 0.0) -> np.ndarray:
     """Upsilon at t_k = k dt, k = 1..steps, with G_k = shift + rate t_k; shape (steps,).
 
     The phase q shift + k theta_q, theta_q = (q rate - eps_q) dt, is linear in k.
-    With k = B j + r (B = isqrt(steps)) and 1 - e^{i(a+b)} = (1 - e^{ia}) +
-    e^{ia} (1 - e^{ib}), the series is A_j plus one (J x N) @ (N x B) product over
-    about 2 sqrt(steps) N exponentials.  Each 1 - e^{i phi} is taken as
-    -2i sin(phi/2) e^{i phi/2}, so small values keep full relative accuracy.
+    With k = B j + r (B = isqrt(steps)) and D(a + b) = D(a) + e^{ia} D(b) for
+    D(phi) = 1 - e^{i phi}, the series is A_j plus one (J x N) @ (N x B) product,
+    summed over blocks of _Q_BLOCK momenta, so memory is O(_Q_BLOCK sqrt(steps))
+    whatever N.  Per momentum only D(theta), D(B theta) and D(q shift) are
+    exponentials, each taken as -2i sin(phi/2) e^{i phi/2}, so small values keep
+    full relative accuracy; the rows D(r theta) and D(j B theta) follow by
+    doubling, within O(log steps) ulp.
     """
-    qs = run.momenta
-    wts = _dirichlet(qs, run.m_size) ** 2 / (run.m_size * run.n_sites)
-    theta = (qs * rate - run.dispersion.eps(qs)) * dt
     b = max(1, math.isqrt(steps))
-    def half_and_deficit(phi):                            # e^{i phi/2}, 1 - e^{i phi}
-        half = np.exp(0.5j * phi)
-        return half, -2j * half.imag * half
-    half, deficit = half_and_deficit(qs * shift + np.arange(0, steps + 1, b)[:, None] * theta)
-    _, baby = half_and_deficit(np.arange(b)[:, None] * theta)
-    ups = (deficit @ wts)[:, None] + (wts * half * half) @ baby.T
+    ups = np.zeros((steps // b + 1, b), dtype=complex)
+    for lo in range(0, run.n_sites, _Q_BLOCK):
+        qs = 2.0 * np.pi * np.arange(lo, min(lo + _Q_BLOCK, run.n_sites)) / run.n_sites
+        wts = _dirichlet(qs, run.m_size) ** 2 / (run.m_size * run.n_sites)
+        theta = (qs * rate - run.dispersion.eps(qs)) * dt
+        baby, _ = _multiples(*_deficit(theta), b)
+        giant, turn = _multiples(*_deficit(b * theta), len(ups))
+        start, start_turn = _deficit(qs * shift)
+        ups += ((start + start_turn * giant) @ wts)[:, None] \
+            + (start_turn * turn * wts) @ baby.T
     return ups.ravel()[1:steps + 1]
 
 
@@ -196,16 +218,6 @@ def upsilon_thermo(dispersion: Dispersion, m_size: int, t: float, g_shift: float
         prev = cur
 
 
-def early_time(dispersion: Dispersion, m_size: int, t: float) -> complex:
-    """Closed-form small-t limit of Upsilon_0(t, M) for the alpha/beta formula."""
-    if m_size < 2:
-        raise ValueError("closed forms assume M >= 2")
-    if dispersion.table is not None:
-        raise ValueError("early-time forms exist for the alpha/beta formula only")
-    a, b, wt = dispersion.alpha, dispersion.beta, dispersion.w * t
-    return complex((a * a + b * b) * wt ** 2 / (2 * m_size), a * wt / m_size)
-
-
 def leakage(run: DropletRun, t: float, g_shift: float) -> float:
     """Occupation escaped past |j - center - G| > M/2 (strict), center (M+1)/2."""
     occ = occupations(run, t)
@@ -214,18 +226,6 @@ def leakage(run: DropletRun, t: float, g_shift: float) -> float:
     js = np.arange(1, n + 1, dtype=float)
     dist = np.abs((js - center + n / 2.0) % n - n / 2.0)
     return float(occ[dist > run.m_size / 2.0].sum())
-
-
-def bec_overlap(run: DropletRun, t: float, g_shift: float, p: int) -> complex:
-    """p-particle droplet overlap (1 - Upsilon_G)^p in the BEC approximation."""
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    return complex((1.0 - upsilon_finite(run, t, g_shift)) ** p)
-
-
-def bec_overlap_density(rho: float, upsilon: complex) -> complex:
-    """Finite-density form e^{-rho * upsilon} (p = rho M, M -> infinity)."""
-    return complex(np.exp(-rho * upsilon))
 
 
 def scaling_fit(series, window, theory_exponent: float | None = None) -> FitResult:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,23 @@ def invoke(argv):
     with contextlib.redirect_stdout(buf):
         code = run(argv)
     return code, buf.getvalue()
+
+
+def _invoke_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of the command in its own interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "scartypes.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestClassify:
@@ -305,6 +326,25 @@ class TestDroplet:
         assert text.count("# t =") == 3
         assert "\n\n" in text
 
+    def test_occupations_stream_across_time_blocks(self, tmp_path):
+        # at N = 2000 a block holds 32 times, so 71 times are written as three
+        plot, report = tmp_path / "blocks.dat", tmp_path / "report.json"
+        code, out = invoke(["droplet", "--dispersion", "imhop", "--N", "2000",
+                            "--M", "400", "--tmax", "30", "--steps", "70",
+                            "--observable", "occupations", "--emit-plot", str(plot),
+                            "--out", str(report)])
+        assert code == 0
+        run_ = dynamics.DropletRun(2000, 400, dynamics.imhop())
+        profiles = [(t, _reference_occupations(run_, t))
+                    for t in np.linspace(0.0, 30.0, 71)]
+        assert out == "t,j,n_j\n" + "".join(
+            f"{t:.12g},{j},{n_j:.12g}\n" for t, occ in profiles
+            for j, n_j in enumerate(occ, 1))
+        assert plot.read_text() == "\n\n".join(
+            f"# t = {t:g}\n" + "\n".join(f"{j} {n_j:.12g}" for j, n_j in enumerate(occ, 1))
+            for t, occ in profiles) + "\n"
+        assert json.loads(report.read_text())["rows"] == 71 * 2000
+
 
 class TestMpsCommand:
     def test_custom_tensor_file(self, tmp_path):
@@ -507,6 +547,17 @@ class TestProtocol:
     def test_unknown_command_is_usage_error(self):
         code, _ = invoke(["frobnicate"])
         assert code == 64
+
+    def test_reused_parser_behaves_as_fresh_processes(self):
+        # the argparse tree is built once per process; a usage error and a
+        # success, run twice over in this process, read as in their own
+        failing = ["decompose", "--ham", "h_rehop", "--bogus", "1"]
+        passing = ["--seed", "5", "decompose", "--ham", "h_rehop", "--N", "6"]
+        fresh = [_fresh_process(argv) for argv in (failing, passing)]
+        assert [code for code, _, _ in fresh] == [64, 0]
+        for _ in range(2):
+            assert [_invoke_with_stderr(argv) for argv in (failing, passing)] == fresh
+        assert cli._parser() is cli._parser()
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--ham", "h_rehop", "--N", "40"],

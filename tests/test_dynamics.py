@@ -1,13 +1,13 @@
 """Droplet quench engine: kernels, unitarity, quadrature, scaling laws."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from scartypes import dynamics, scars
-from scartypes.dynamics import (DropletRun, bec_overlap, bec_overlap_density,
-                                chop, custom, early_time, fq, imhop,
+from scartypes.dynamics import (Dispersion, DropletRun, chop, fq, imhop,
                                 integer_g_times, leakage, occupations,
                                 orbital_amplitudes, rehop, scaling_fit,
                                 upsilon_finite, upsilon_series, upsilon_thermo)
@@ -19,6 +19,35 @@ def _reference_upsilon(run, t, g):
     kern = dynamics._dirichlet(qs, run.m_size) ** 2
     phases = 1.0 - np.exp(1j * (qs * g - run.dispersion.eps(qs) * t))
     return complex(np.sum(kern * phases) / (run.m_size * run.n_sites))
+
+
+def _oracle_upsilon_series(run, dt, steps, rate=0.0, shift=0.0):
+    """The exponential-grid series that the doubling path replaced: about
+    2 sqrt(steps) N exponentials, held as (J, N) and (B, N) arrays at once."""
+    qs = run.momenta
+    wts = dynamics._dirichlet(qs, run.m_size) ** 2 / (run.m_size * run.n_sites)
+    theta = (qs * rate - run.dispersion.eps(qs)) * dt
+    b = max(1, math.isqrt(steps))
+
+    def half_and_deficit(phi):                            # e^{i phi/2}, 1 - e^{i phi}
+        half = np.exp(0.5j * phi)
+        return half, -2j * half.imag * half
+    half, deficit = half_and_deficit(qs * shift + np.arange(0, steps + 1, b)[:, None] * theta)
+    _, baby = half_and_deficit(np.arange(b)[:, None] * theta)
+    ups = (deficit @ wts)[:, None] + (wts * half * half) @ baby.T
+    return ups.ravel()[1:steps + 1]
+
+
+def _early_time(disp, m_size, t):
+    """Closed-form small-t limit of Upsilon_0(t, M) for the alpha/beta formula:
+    (alpha^2 + beta^2) (wt)^2 / 2M + i alpha wt / M."""
+    a, b, wt = disp.alpha, disp.beta, disp.w * t
+    return complex((a * a + b * b) * wt ** 2 / (2 * m_size), a * wt / m_size)
+
+
+def _bec_overlap(run, t, g_shift, p):
+    """p-particle droplet overlap (1 - Upsilon_G)^p in the BEC approximation."""
+    return complex((1.0 - upsilon_finite(run, t, g_shift)) ** p)
 
 
 def _reference_occupations(run, t):
@@ -127,7 +156,7 @@ class TestUpsilon:
         # a constant dispersion shift multiplies the overlap by e^{-ict}
         m, t, c = 30, 7.0, 0.8
         base = imhop()
-        shifted = custom(lambda q: base.eps(q) + c)
+        shifted = Dispersion(table=lambda q: base.eps(q) + c)
         run0 = DropletRun(300, m, base)
         run1 = DropletRun(300, m, shifted)
         lhs = 1 - upsilon_finite(run1, t, 0)
@@ -136,7 +165,7 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("disp", [
         rehop(), imhop(0.7), chop(0.5, 0.5),
-        custom(lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
+        Dispersion(table=lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
     @pytest.mark.parametrize("shift", ["fixed", "linear"])
     def test_series_matches_per_time_reference(self, disp, shift):
         run = DropletRun(300, 41, disp)
@@ -172,7 +201,7 @@ class TestUpsilon:
         # so the panel count doubles several times; quad splits at the kinks
         from scipy.integrate import quad
         m, t = 8, 1.0
-        disp = custom(lambda q: np.abs(np.sin(q - 0.3)))
+        disp = Dispersion(table=lambda q: np.abs(np.sin(q - 0.3)))
         evaluations, dirichlet = [], dynamics._dirichlet
         monkeypatch.setattr(dynamics, "_dirichlet",
                             lambda q, size: evaluations.append(q.size) or dirichlet(q, size))
@@ -192,7 +221,7 @@ class TestUpsilon:
     @pytest.mark.parametrize("disp", [rehop(), chop(0.5, 0.5), chop(0.3, 0.8, 1.2)])
     def test_custom_velocity_scale_matches_closed_form(self, disp):
         # a table takes the largest |d eps/dq| on a 4097-point grid
-        assert custom(disp.eps).velocity_scale() == pytest.approx(
+        assert Dispersion(table=disp.eps).velocity_scale() == pytest.approx(
             disp.velocity_scale(), rel=1e-6)
 
 
@@ -202,11 +231,12 @@ def _deficit(phi):
 
 
 class TestUpsilonSeries:
-    """The baby-step/giant-step grid form against the per-point definition."""
+    """The baby-step/giant-step grid form against the per-point definition and
+    the exponential-grid series it replaced."""
 
     @pytest.mark.parametrize("disp", [
         rehop(), imhop(0.7), chop(0.5, 0.5),
-        custom(lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
+        Dispersion(table=lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
     @pytest.mark.parametrize("rate,shift", [(0.0, 0.0), (0.0, 4.0), (0.5, 0.0),
                                             (1.2, 1.5)])
     @pytest.mark.parametrize("dt", [0.9, -0.35])
@@ -218,6 +248,7 @@ class TestUpsilonSeries:
             assert got.dtype == complex and got.shape == (steps,)
             want = upsilon_finite(run, ts, shift + rate * ts)
             assert np.abs(got - want).max(initial=0.0) < 1e-12
+            _assert_close_to_oracle(got, _oracle_upsilon_series(run, dt, steps, rate, shift))
 
     def test_small_values_keep_relative_accuracy(self):
         # |Upsilon| falls to 8e-7 here: summing 1 - e^{i phi} as computed loses
@@ -233,16 +264,43 @@ class TestUpsilonSeries:
         assert np.abs(want).min() < 1e-6
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
+    @pytest.mark.parametrize("disp,rate,shift", [(rehop(), 0.0, 0.0),
+                                                 (chop(0.5, 0.5), 0.5, 0.0),
+                                                 (chop(0.5, 0.5), 0.0, 7.0)])
+    def test_matches_oracle_across_momentum_blocks(self, disp, rate, shift):
+        # N = 10^4 spans ten momentum blocks, the last one partial
+        run = DropletRun(10000, 2000, disp)
+        for dt, steps in ((1.0 / 600, 600), (1.0 / 6, 600), (0.37, 99)):
+            _assert_close_to_oracle(upsilon_series(run, dt, steps, rate, shift),
+                                    _oracle_upsilon_series(run, dt, steps, rate, shift))
+
     def test_memory_stays_below_a_steps_by_n_array(self):
-        # a (600, 10000) complex array alone is 96 MB
-        run = DropletRun(10000, 2000, chop(0.5, 0.5))
-        tracemalloc.start()
-        try:
-            upsilon_series(run, 1.0 / 6, 600, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        # a (600, 10000) complex array alone is 96 MB, the oracle's (J, N)
+        # exponential grid 4 MB; the momentum blocks keep the peak near 3 MB
+        assert _series_peak_bytes(10000, 600) < 8 * 2 ** 20
+
+    def test_memory_does_not_grow_with_n(self):
+        # at N = 10^5 and 2,500 steps the oracle's (J, N) grid alone is 82 MB
+        assert _series_peak_bytes(100000, 2500) < 16 * 2 ** 20
+
+
+def _series_peak_bytes(n_sites, steps):
+    """tracemalloc peak of one chop upsilon_series call with M = N / 5."""
+    run = DropletRun(n_sites, n_sites // 5, chop(0.5, 0.5))
+    tracemalloc.start()
+    try:
+        upsilon_series(run, 1.0 / 6, steps, 0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_close_to_oracle(got, want):
+    """1e-12 absolute; 1e-13 relative where |Upsilon| < 1e-6."""
+    assert got.dtype == complex and got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) < 1e-12
+    small = np.abs(want) < 1e-6
+    assert np.all(np.abs(got - want)[small] < 1e-13 * np.abs(want)[small])
 
 
 class TestEarlyTime:
@@ -253,14 +311,16 @@ class TestEarlyTime:
     ])
     def test_closed_forms(self, disp, re_coeff, im_coeff):
         m, t = 40, 0.01
-        got = early_time(disp, m, t)
-        assert got.real == pytest.approx(re_coeff * t ** 2 / m)
-        assert got.imag == pytest.approx(im_coeff * t / m)
+        assert _early_time(disp, m, t) == pytest.approx(
+            complex(re_coeff * t ** 2 / m, im_coeff * t / m))
+        got = upsilon_finite(DropletRun(400, m, disp), t, 0)
+        assert got.real == pytest.approx(re_coeff * t ** 2 / m, rel=1e-3)
+        assert got.imag == pytest.approx(im_coeff * t / m, rel=1e-3, abs=1e-15)
 
     @pytest.mark.parametrize("disp", [rehop(), imhop(), chop(0.5, 0.5)])
     def test_agrees_with_quadrature(self, disp):
         m, t = 40, 0.01
-        got = early_time(disp, m, t)
+        got = _early_time(disp, m, t)
         ref = upsilon_thermo(disp, m, t, 0, tol=1e-13)
         assert abs(got - ref) < 1e-3 * abs(ref)
 
@@ -320,12 +380,12 @@ class TestBECOverlap:
     def test_single_particle_reduction(self):
         run = DropletRun(200, 40, imhop())
         t = 9.0
-        assert bec_overlap(run, t, 0, 1) == pytest.approx(
+        assert _bec_overlap(run, t, 0, 1) == pytest.approx(
             1 - upsilon_finite(run, t, 0))
 
     def test_initial_unity(self):
         run = DropletRun(120, 30, rehop())
-        assert bec_overlap(run, 0.0, 0, 2) == pytest.approx(1.0)
+        assert _bec_overlap(run, 0.0, 0, 2) == pytest.approx(1.0)
 
     def test_density_regime_rehop_root_t(self):
         # -log|overlap| ~ rho sqrt(wt) at fixed density rho = p/M
@@ -333,12 +393,12 @@ class TestBECOverlap:
         p = int(rho * m)
         run = DropletRun(600, m, rehop())
         ts = np.geomspace(5, 80, 12)
-        series = [(t, -np.log(abs(bec_overlap(run, t, 0, p)))) for t in ts]
+        series = [(t, -np.log(abs(_bec_overlap(run, t, 0, p)))) for t in ts]
         fit = scaling_fit(series, (5, 80))
         assert fit.exponent == pytest.approx(0.5, abs=0.1)
         # and the exponential form tracks the exact power of (1 - Upsilon)
         t = 20.0
         ups = upsilon_finite(run, t, 0)
-        approx = bec_overlap_density(rho, m * ups)
-        exact = bec_overlap(run, t, 0, p)
+        approx = complex(np.exp(-rho * m * ups))
+        exact = _bec_overlap(run, t, 0, p)
         assert abs(abs(approx) - abs(exact)) < 0.05

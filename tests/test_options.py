@@ -90,10 +90,9 @@ SURFACE = {
     "dynamics": """
         Dispersion Dispersion.alpha Dispersion.beta Dispersion.eps Dispersion.table
         Dispersion.velocity_scale Dispersion.w DropletRun DropletRun.dispersion
-        DropletRun.m_size DropletRun.momenta DropletRun.n_sites QuadratureError
-        bec_overlap bec_overlap_density chop custom early_time fq imhop integer_g_times
-        leakage occupations orbital_amplitudes rehop scaling_fit upsilon_finite
-        upsilon_series upsilon_thermo
+        DropletRun.m_size DropletRun.momenta DropletRun.n_sites QuadratureError chop fq
+        imhop integer_g_times leakage occupations orbital_amplitudes rehop scaling_fit
+        upsilon_finite upsilon_series upsilon_thermo
     """,
     "mps": """
         MPSTensor MPSTensor.bond MPSTensor.d MPSTensor.data NotInjective
