@@ -56,30 +56,22 @@ class TypeLabel:
     anchors_solved: tuple = ()   # sweep anchors whose patches were solved
 
 
-def spectral_norm(op: LocalOperator) -> float:
-    """Largest |eigenvalue| of a Hermitian operator.
-
-    Lanczos on the active sites (_spectral_norm), with full
-    reorthogonalisation from a seeded normal start vector (a uniform one is
-    an eigenvector of every permutation-symmetric operator, where Lanczos
-    stops at once); the matrix acts as a gather
-    over its flip diagonals, (H v)[i] = sum_f g_f[i] v[i ^ f], in real
-    arithmetic when every g_f is real.  Every LANCZOS_CHECK_EVERY steps the
-    Ritz value theta of largest |theta| is accepted once its residual
-    beta_k |s_k| is at most LANCZOS_TOL |theta|, where s_k is the last
-    component of its Ritz vector; a Krylov space that closes (beta = 0)
-    gives the exact value.  No convergence within LANCZOS_MAX_STEPS steps
-    raises ValueError with the residual reached.
-    """
-    return _spectral_norm(opspace._flip_diagonals(op), op.n_sites)
-
-
 def _spectral_norm(diagonals: dict, n_sites: int) -> float:
-    """spectral_norm of the operator with these flip diagonals.
+    """Largest |eigenvalue| of the Hermitian operator with these flip diagonals.
 
     It is H_L (x) 1 over the L sites some flip touches or some diagonal reads
     (g_f[i] != g_f[i ^ 2^j]), so Lanczos runs on H_L's 2^L amplitudes: the
     diagonals where the idle bits are 0, index and flip bits packed alike.
+    Lanczos keeps full reorthogonalisation from a seeded normal start vector
+    (a uniform one is an eigenvector of every permutation-symmetric operator,
+    where Lanczos stops at once); the matrix acts as a gather over its flip
+    diagonals, (H v)[i] = sum_f g_f[i] v[i ^ f], in real arithmetic when
+    every g_f is real.  Every LANCZOS_CHECK_EVERY steps the Ritz value theta
+    of largest |theta| is accepted once its residual beta_k |s_k| is at most
+    LANCZOS_TOL |theta|, where s_k is the last component of its Ritz vector;
+    a Krylov space that closes (beta = 0) gives the exact value.  No
+    convergence within LANCZOS_MAX_STEPS steps raises ValueError with the
+    residual reached.
     """
     if not diagonals:
         return 0.0
@@ -99,7 +91,7 @@ def _spectral_norm(diagonals: dict, n_sites: int) -> float:
 
 
 def _lanczos_norm(gains: np.ndarray, perm: np.ndarray) -> float:
-    """spectral_norm's Lanczos on (H v)[i] = sum_f gains[f, i] v[perm[f, i]]."""
+    """_spectral_norm's Lanczos on (H v)[i] = sum_f gains[f, i] v[perm[f, i]]."""
     dim = perm.shape[1]
     steps = min(dim, LANCZOS_MAX_STEPS)
     basis = np.empty((steps, dim), dtype=gains.dtype)

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import opspace, states
-from .opspace import CANCEL_TOL, LocalOperator, hs_norm, identity, op_sum
+from .opspace import LocalOperator, hs_norm, identity, op_sum
 
 EIGENSTATE_TOL = 1e-10
 TABLE2_RANGE = 3            # largest window of the Table-II generator catalog
@@ -195,40 +195,22 @@ BUILTINS = {
 }
 
 
-# -- Table I/II verification --------------------------------------------------
-
-@dataclass(frozen=True)
-class TableCondition:
-    nm_class: str
-    satisfied: bool
-    violating_terms: tuple
-
-
-@dataclass(frozen=True)
-class TableReport:
-    conditions: tuple
-    lam: complex | None
-
-    @property
-    def satisfied(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
-
+# -- Table-I string classes ---------------------------------------------------
 
 def _table_classes(op: LocalOperator):
     """Sort the boson strings of ``op`` by (n creation, m annihilation) sites.
 
-    One pass returns (creation, single, hop, bundles, lone, pairs):
-      creation  {key: coeff} of the (n>=1, m=0) strings;
+    One pass returns (single, hop, bundles, lone, pairs):
       single    {key: coeff} of the (0, 1) strings, s_k keyed (k, ("s",));
       hop       the (1, 1) matrix c[j, k] of sd_j s_k, n_j on the diagonal;
       bundles   {creation sites: {key: coeff}} of the (n>=2, m=1) strings;
       lone      {key: coeff} of the (n<=1, m>=2) strings;
       pairs     {smaller of key and conjugate key: {key: coeff}} of the
                 (n>=2, m>=2) strings, in order of first appearance.
-    The identity string is in none of them.
+    The identity string and the (n>=1, m=0) strings are in none of them.
     """
     n_sites = op.n_sites
-    creation, single, bundles, lone, pairs = {}, {}, {}, {}, {}
+    single, bundles, lone, pairs = {}, {}, {}, {}
     hop = np.zeros((n_sites, n_sites), dtype=complex)
     for key, coeff in op.terms.items():
         start, ops = key
@@ -236,9 +218,8 @@ def _table_classes(op: LocalOperator):
         cre = tuple(sorted(j for j, c in sites if c in ("sd", "n")))
         ann = tuple(sorted(j for j, c in sites if c in ("s", "n")))
         if not ann:
-            if cre:
-                creation[key] = coeff
-        elif len(ann) == 1:
+            continue
+        if len(ann) == 1:
             if not cre:
                 single[key] = coeff
             elif len(cre) == 1:
@@ -249,35 +230,7 @@ def _table_classes(op: LocalOperator):
             lone[key] = coeff
         else:
             pairs.setdefault(min(key, (start, _dagger_pattern(ops))), {})[key] = coeff
-    return creation, single, hop, bundles, lone, pairs
-
-
-def verify_table(g: LocalOperator) -> TableReport:
-    """Check the coefficient conditions for G|W> = lambda |W> class by class.
-
-    Classes over (n = #creation, m = #annihilation) in the boson string
-    basis: (n>=1, m=0) all zero; (n=0, m=1) and (n>=2, m=1) zero row sums;
-    (n=1, m=1) all row sums equal a common lambda; (m>=2) unconstrained.
-    The identity component shifts lambda and is reported inside it.
-    """
-    op = opspace.to_boson_basis(g)
-    scale = max((abs(v) for v in op.terms.values()), default=1.0)
-    creation, single, hop, bundles, _, _ = _table_classes(op)
-    bad01 = list(single.items()) if abs(sum(single.values())) > CANCEL_TOL * scale else []
-    bad21 = [term for terms in bundles.values()
-             if abs(sum(terms.values())) > CANCEL_TOL * scale for term in terms.items()]
-    # sites with no hopping string contribute a zero row sum, so all N rows vote
-    rows = hop.sum(axis=1)
-    lam = complex(np.mean(rows))
-    bad11 = [(j, complex(r)) for j, r in enumerate(rows)
-             if abs(r - lam) > CANCEL_TOL * max(scale, 1.0)]
-    conditions = (
-        TableCondition("n>=1,m=0", not creation, tuple(creation.items())),
-        TableCondition("n=0,m=1", not bad01, tuple(bad01)),
-        TableCondition("n>=2,m=1", not bad21, tuple(bad21)),
-        TableCondition("n=1,m=1", not bad11, tuple(bad11)),
-        TableCondition("n>=0,m>=2", True, ()))
-    return TableReport(conditions, None if bad11 else lam + op.identity_coefficient())
+    return single, hop, bundles, lone, pairs
 
 
 # -- Theorem-1 decomposition ---------------------------------------------------
@@ -319,7 +272,7 @@ def decompose(h: LocalOperator) -> CanonicalForm:
     omega_id = op.identity_coefficient()
     annihilators = []
 
-    _, _, c, bundles, _, pairs = _table_classes(op)
+    _, c, bundles, _, pairs = _table_classes(op)
     sym = c.real.copy()
     asym = c.imag.copy()
     # the longest ring distance |k - j| over the hops present
@@ -380,7 +333,7 @@ def decompose_general(g: LocalOperator) -> CanonicalForm:
     omega_id = op.identity_coefficient()
     annihilators = []
 
-    _, single, c, bundles, lone, pairs = _table_classes(op)
+    single, c, bundles, lone, pairs = _table_classes(op)
     row_sums = c.sum(axis=1)
     omega_n = complex(np.mean(row_sums))
     for j in range(n_sites):
@@ -468,10 +421,6 @@ def table2_patterns():
                             add({(0, p): 1.0, (0, d): 1.0})
                             add({(0, p): 1j, (0, d): -1j})
     return pats
-
-
-def instantiate_pattern(n_sites: int, pattern, site: int) -> LocalOperator:
-    return _translates(n_sites, [pattern], [site])
 
 
 def random_type1(n_sites: int, rng: np.random.Generator,

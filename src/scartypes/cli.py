@@ -3,9 +3,8 @@
 Subcommands: decompose, classify, scan-classes, variance, droplet, mps.
 Every JSON report embeds the parsed configuration, the seed and the
 library version ("schema": 1), so a run repeats byte for byte on one
-numpy/BLAS build; rounding-level digits (a residual near 1e-16, a margin
-over a cut singular value at rounding level) can move with the build or
-with the rows a solve keeps.
+numpy/BLAS build; rounding-level digits (a residual near 1e-16) can move
+with the build or with the rows a solve keeps.
 Exit codes: 0 success, 2 precondition failure, 3 indeterminate
 classification, 64 usage error.
 """
@@ -258,11 +257,17 @@ def _cmd_droplet(args) -> int:
 
 
 def _load_complex_array(path: str) -> np.ndarray:
-    """JSON tensor format: {"shape": [...], "data": [{"re":..,"im":..}, ...]}."""
+    """JSON tensor format: {"shape": [...], "data": [{"re":..,"im":..}, ...]}.
+
+    Content in any other form raises ValueError naming the file.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
-    flat = np.array([complex(z["re"], z.get("im", 0.0)) for z in payload["data"]])
-    return flat.reshape(payload["shape"])
+        try:
+            payload = json.load(fh)
+            flat = np.array([complex(z["re"], z.get("im", 0.0)) for z in payload["data"]])
+            return flat.reshape(payload["shape"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: not a JSON tensor file ({exc})") from None
 
 
 def _cmd_mps(args) -> int:

@@ -9,8 +9,8 @@ momentum space: occupations via FFT, the droplet-overlap deficit
                                  * (1 - e^{i(qG - eps_q t)}),
 
 its thermodynamic-limit integral (composite Gauss-Legendre with the
-removable q=0 point evaluated by its limit), leakage profiles and scaling
-fits.  Sites are labeled 1..N with the droplet on 1..M.
+removable q=0 point evaluated by its limit) and scaling fits.  Sites are
+labeled 1..N with the droplet on 1..M.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import numpy as np
 from .scars import FitResult, loglog_fit
 
 _Q_BLOCK = 1024         # momenta per block of upsilon_series
+THERMO_TOL = 1e-9       # agreement of two upsilon_thermo refinements
+THERMO_MAX_NODES = 2 ** 21   # quadrature nodes before QuadratureError
 
 
 class QuadratureError(RuntimeError):
@@ -33,13 +35,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dispersion:
-    """2-pi-periodic dispersion eps(q) = w (alpha (1 - cos q) + beta sin q), or
-    ``table(q)`` when a callable table is given; eps(0) = 0."""
+    """2-pi-periodic dispersion eps(q) = w (alpha (1 - cos q) + beta sin q); eps(0) = 0."""
 
     w: float = 1.0
     alpha: float = 0.0
     beta: float = 0.0
-    table: object = None
 
     def __post_init__(self):
         if not np.isfinite([self.w, self.alpha, self.beta]).all():
@@ -47,16 +47,11 @@ class Dispersion:
 
     def eps(self, q):
         q = np.asarray(q, dtype=float)
-        if self.table is not None:
-            return np.asarray(self.table(q), dtype=float)
         return self.w * (self.alpha * (1.0 - np.cos(q)) + self.beta * np.sin(q))
 
     def velocity_scale(self) -> float:
         """Bound on |d eps/dq| used to size quadrature panels."""
-        if self.table is None:
-            return abs(self.w) * float(np.hypot(self.alpha, self.beta))
-        qs = np.linspace(-np.pi, np.pi, 4097)
-        return float(np.abs(np.gradient(self.eps(qs), qs)).max())
+        return abs(self.w) * float(np.hypot(self.alpha, self.beta))
 
 
 def rehop(w: float = 1.0) -> Dispersion:
@@ -183,13 +178,14 @@ def upsilon_series(run: DropletRun, dt: float, steps: int, rate: float = 0.0,
     return ups.ravel()[1:steps + 1]
 
 
-def upsilon_thermo(dispersion: Dispersion, m_size: int, t: float, g_shift: float,
-                   tol: float = 1e-9, max_nodes: int = 2 ** 21) -> complex:
+def upsilon_thermo(dispersion: Dispersion, m_size: int, t: float,
+                   g_shift: float) -> complex:
     """Thermodynamic-limit integral of the overlap deficit.
 
     Composite 16-point Gauss-Legendre on [-pi, pi]; the panel count scales
     with the total phase variation t * max|eps'| + |G| + M and is doubled
-    until two refinements agree to ``tol``.
+    until two refinements agree to THERMO_TOL; past THERMO_MAX_NODES nodes
+    it raises QuadratureError.
     """
     variation = (abs(t) * dispersion.velocity_scale() + abs(g_shift)
                  + m_size + 16.0)
@@ -209,23 +205,13 @@ def upsilon_thermo(dispersion: Dispersion, m_size: int, t: float, g_shift: float
     prev = evaluate(panels)
     while True:
         panels *= 2
-        if panels * 16 > max_nodes:
+        if panels * 16 > THERMO_MAX_NODES:
             raise QuadratureError(
-                f"quadrature not converged below {tol:g}", abs(prev))
+                f"quadrature not converged below {THERMO_TOL:g}", abs(prev))
         cur = evaluate(panels)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= THERMO_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
-
-
-def leakage(run: DropletRun, t: float, g_shift: float) -> float:
-    """Occupation escaped past |j - center - G| > M/2 (strict), center (M+1)/2."""
-    occ = occupations(run, t)
-    center = (run.m_size + 1) / 2.0 + g_shift
-    n = run.n_sites
-    js = np.arange(1, n + 1, dtype=float)
-    dist = np.abs((js - center + n / 2.0) % n - n / 2.0)
-    return float(occ[dist > run.m_size / 2.0].sum())
 
 
 def scaling_fit(series, window, theory_exponent: float | None = None) -> FitResult:

@@ -21,6 +21,8 @@ from .nullspace import real_rank
 
 PUSH_TOL = 1e-10
 DENSE_MAX_DIM = 70000
+INJECTIVITY_MAX_BLOCK = 6               # longest block injectivity_length tries
+THETA_SAMPLES = (0.3, 0.7, 1.1)         # symmetry angles the push-through is tested at
 
 
 class NotSymmetricError(ValueError):
@@ -114,15 +116,14 @@ def _blocked(a: MPSTensor, k: int) -> np.ndarray:
     return out
 
 
-def injectivity_length(a: MPSTensor, max_block: int = 6):
-    """Smallest k whose blocked tensors span all D x D matrices."""
-    if max_block > 6:
-        raise ValueError("max_block <= 6")
+def injectivity_length(a: MPSTensor):
+    """Smallest k <= INJECTIVITY_MAX_BLOCK whose blocked tensors span all D x D
+    matrices, else NotInjective."""
     target = a.bond ** 2
-    for k in range(1, max_block + 1):
+    for k in range(1, INJECTIVITY_MAX_BLOCK + 1):
         if real_rank(_blocked(a, k).reshape(-1, target)) >= target:
             return k
-    return NotInjective(max_block)
+    return NotInjective(INJECTIVITY_MAX_BLOCK)
 
 
 def _symmetry_unitary(generator, theta: float) -> np.ndarray:
@@ -269,14 +270,14 @@ def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
 
 
 def classify_symmetry_generator(a: MPSTensor, generator,
-                                theta_samples=(0.3, 0.7, 1.1),
                                 dense_sizes=(6, 8)) -> boundary_mod.TypeLabel:
     """Type of the symmetry generator sum_j L_j as a parent Hamiltonian.
 
     Never III (injective MPS always admit a boundary action).  Full-rank
-    transfer matrix with a non-phase V certifies II; a locally symmetric
-    tensor or a Hermitian-feasible dense boundary action gives I; the
-    remaining corner stays indeterminate, its note naming the failed type-II clause.
+    transfer matrix with a non-phase V, sampled at the angles THETA_SAMPLES,
+    certifies II; a locally symmetric tensor or a Hermitian-feasible dense
+    boundary action gives I; the remaining corner stays indeterminate, its
+    note naming the failed type-II clause.
     A failed push-through raises NotSymmetricError for an injective tensor; a
     non-injective one may be symmetric all the same, and is indeterminate.
     The dense certificate skips sizes in ``dense_sizes`` above DENSE_MAX_DIM
@@ -286,7 +287,7 @@ def classify_symmetry_generator(a: MPSTensor, generator,
     evidence = []
     notes = []
     nontrivial = []
-    for theta in theta_samples:
+    for theta in THETA_SAMPLES:
         v, res = push_through_check(a, generator, theta)
         if v is None:
             if isinstance(injectivity_length(a), NotInjective):

@@ -235,8 +235,8 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
     [r_k, conj r_{-k}] real dimensions to a union.  For H, sector -k is
     sector k conjugated, so only k <= sectors / 2 are solved, and K is real
     where the phases are +-1.  X's columns are orthonormal, so K's cut
-    RANK_TOL is absolute; a margin is the smallest kept over the largest cut
-    singular value in any sector, None when one side of the cut is empty.
+    RANK_TOL is absolute; a margin is the smallest kept singular value in any
+    sector over RANK_TOL, None when nothing is kept.
     """
     columns, shifts = pos // sectors, pos % sectors
     first = np.unique(columns, return_index=True)[1]
@@ -267,7 +267,7 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
             cols, block = slice(left[j], left[j + 1]), r[row[window == j]]
             gram[cols, cols] = block.conj().T @ block
         solved = range(sectors // 2 + 1 if real else sectors)
-        coords, kept, cut = {}, [], []
+        coords, kept = {}, []
         for k in solved:
             ph, glo_k = phases[k, shifts], glo[:, :, k]
             if 2 * k % sectors == 0:                # phases +-1
@@ -278,7 +278,6 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
             _, svals, vh = np.linalg.svd(k_mat, full_matrices=len(k_mat) < k_mat.shape[1])
             rank = int(np.sum(svals > RANK_TOL))
             kept.append(svals[:rank])
-            cut.append(svals[rank:])
             null = vh[rank:]                        # N_k^dagger
             off = (glo_k * ph[first[held]].conj()) @ firsts @ null.T
             if len(null):
@@ -291,9 +290,8 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
         local = sum(t * (len(first) - coords[k].shape[1]) for t, k in zip(twins, solved))
         added = sum(t * real_rank(np.hstack([coords[k], coords[-k % sectors].conj()]), scale=1.0)
                     for t, k in zip(twins, solved))
-        kept, cut = np.concatenate(kept), np.concatenate(cut)
-        with np.errstate(divide="ignore"):
-            return local, added, float(kept.min() / cut.max()) if kept.size and cut.size else None
+        kept = np.concatenate(kept)
+        return local, added, float(kept.min() / RANK_TOL) if kept.size else None
 
     h_loc, h_add, margin_h = project(h_ranges, True)
     g_loc, g_add, margin_g = project(g_ranges, False)

@@ -25,7 +25,6 @@ import numpy as np
 COEFF_TOL = 1e-14          # canonicalization drop tolerance (absolute)
 CANCEL_TOL = 1e-12         # a coefficient below this x the largest |coeff| cancels
 NORM_TOL = 1e-10           # | ||psi|| - 1 | accepted for a target state
-MATRIX_MAX_SITES = 14      # dense 2^N guard
 
 PAULI_CODES = ("id", "x", "y", "z")
 ALL_CODES = ("id", "sd", "s", "n", "x", "y", "z")
@@ -209,10 +208,6 @@ class LocalOperator:
 
 def identity(n_sites: int, coeff=1.0) -> LocalOperator:
     return LocalOperator(n_sites, {(0, ()): coeff})
-
-
-def zero(n_sites: int) -> LocalOperator:
-    return LocalOperator(n_sites, {})
 
 
 def op_sum(n_sites: int, ops, coeffs=None) -> LocalOperator:
@@ -403,12 +398,6 @@ def to_boson_basis(op: LocalOperator) -> LocalOperator:
     return _convert(op, _TO_BOSON)
 
 
-def operators_equal(a: LocalOperator, b: LocalOperator, tol: float = 1e-12) -> bool:
-    """Equality as operators, comparing coefficients in the boson basis."""
-    diff = to_boson_basis(a) - to_boson_basis(b)
-    return all(abs(c) <= tol for c in diff.terms.values())
-
-
 def truncate(op: LocalOperator, lam: Region, basis: str = "boson") -> LocalOperator:
     """Keep exactly the fixed-basis strings supported inside the region.
 
@@ -447,18 +436,6 @@ def _flip_diagonals(op: LocalOperator) -> dict:
             diagonals[flip] = np.zeros(dim, dtype=complex)
         diagonals[flip][src] += vals
     return diagonals
-
-
-def to_matrix(op: LocalOperator) -> np.ndarray:
-    """Dense 2^N x 2^N matrix filled from _flip_diagonals; guarded against blowup."""
-    if op.n_sites > MATRIX_MAX_SITES:
-        raise CapacityError(f"N={op.n_sites} exceeds dense guard {MATRIX_MAX_SITES}")
-    dim = 1 << op.n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for flip, diag in _flip_diagonals(op).items():
-        mat[idx ^ flip, idx] = diag
-    return mat
 
 
 # -- textual format ----------------------------------------------------------

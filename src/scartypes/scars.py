@@ -52,15 +52,6 @@ def variance(h: LocalOperator, psi: np.ndarray) -> float:
     return _moments(h, [psi])[0][1]
 
 
-def lifetime_bound(var: float) -> float:
-    """Heisenberg lifetime 1/(2 sqrt(var)) with hbar = 1; inf at zero."""
-    if var < VARIANCE_FLOOR:
-        raise ValueError(f"negative variance {var:.3e}")
-    if var <= 0.0:
-        return np.inf
-    return 1.0 / (2.0 * np.sqrt(var))
-
-
 def loglog_fit(xs, ys) -> FitResult:
     """Least-squares line through (log x, log y) over the points with x, y > 0."""
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)

@@ -36,6 +36,22 @@ def test_criterion_1_equivalence_class_counts():
     elapsed = time.perf_counter() - start
     ok &= (res0.n_ii, res0.n_iii) == (0, 0) and elapsed < 60.0
     details.append(f"vacuum-only: ({res0.n_ii},{res0.n_iii})")
+    # the two classes constructively: h_imhop keeps t = 1 among Hermitian
+    # annihilators (type II) but is a sum of non-Hermitian ones (omega = 0);
+    # n_tot keeps omega = 1 either way (type III)
+    imhop, ntot = canonical.h_imhop(n), canonical.n_tot(n)
+    herm, general = canonical.decompose(imhop), canonical.decompose_general(imhop)
+    ok &= abs(herm.t_im - 1.0) < 1e-12 and herm.residual_norm < 1e-10
+    ok &= abs(general.omega_n) < 1e-12 and general.residual_norm < 1e-10
+    ok &= all(np.linalg.norm(opspace.apply(gx, psi)) < 1e-12
+              for gx in general.annihilators for psi in psis)
+    omegas = []
+    for form in (canonical.decompose(ntot), canonical.decompose_general(ntot)):
+        ok &= abs(form.omega_n - 1.0) < 1e-12 and form.residual_norm < 1e-10
+        omegas.append(f"{abs(form.omega_n):g}")
+    details.append(f"h_imhop: t={herm.t_im:g}, general omega={abs(general.omega_n):g} "
+                   f"over {len(general.annihilators)} annihilators; "
+                   f"n_tot: omega={'/'.join(omegas)}")
     _report(1, ok, "; ".join(details))
 
 

@@ -1,13 +1,13 @@
-"""Builtin Hamiltonians, coefficient-table checks, canonical decomposition."""
+"""Builtin Hamiltonians, Table-I eigenstate conditions, canonical decomposition."""
 
 import numpy as np
 import pytest
 
 from scartypes import canonical, opspace, states
 from scartypes.canonical import (BUILTINS, decompose, decompose_general,
-                                 table2_patterns, instantiate_pattern,
-                                 random_type1, verify_table)
-from scartypes.opspace import apply, identity, operators_equal, string_term, to_matrix
+                                 require_eigenstate, table2_patterns, random_type1)
+from scartypes.opspace import LocalOperator, apply, identity, string_term
+from operator_oracles import operators_equal, to_matrix
 
 
 class TestBuiltins:
@@ -18,7 +18,7 @@ class TestBuiltins:
     def test_p_im_row_sums_vanish(self):
         n = 8
         op = canonical.p_im(n, j=1, alpha=2)
-        c = canonical._table_classes(opspace.to_boson_basis(op))[2]
+        c = canonical._table_classes(opspace.to_boson_basis(op))[1]
         assert np.abs(c.sum(axis=1)).max() < 1e-14
 
     def test_imhop_p_annihilates_all_dicke_states(self):
@@ -35,7 +35,7 @@ class TestBuiltins:
         # H_ReHop - sum n_j n_{j+1} equals the singlet-projector sum
         n = 8
         heis = canonical.h_heis(n)
-        projectors = opspace.zero(n)
+        projectors = LocalOperator(n)
         for j in range(n):
             projectors = projectors + 0.5 * (
                 string_term(n, 1.0, [(j, "n")])
@@ -63,9 +63,9 @@ class TestBuiltins:
 
     def test_generator_wider_than_ring_raises(self):
         pat = table2_patterns()[-1]
-        assert len(instantiate_pattern(3, pat, 2)) > 0
+        assert len(canonical._translates(3, [pat], [2])) > 0
         with pytest.raises(ValueError, match="exceeds the ring"):
-            instantiate_pattern(2, pat, 0)
+            canonical._translates(2, [pat], [0])
         with pytest.raises(ValueError, match="exceeds the ring"):
             random_type1(2, np.random.default_rng(0))
 
@@ -81,51 +81,51 @@ class TestBuiltins:
 
 
 class TestVerifyTable:
-    def test_imhop_all_satisfied(self):
-        rep = verify_table(canonical.h_imhop(8))
-        assert rep.satisfied and abs(rep.lam) < 1e-14
+    """Table I's conditions for G|W> = lambda |W>, read through the one
+    eigenstate check: (n>=1, m=0) strings all zero, (n=0, m=1) and (n>=2, m=1)
+    zero row sums, (n=1, m=1) row sums all equal to lambda, m>=2 free."""
 
-    @pytest.mark.parametrize("strings, bad_classes", [
-        ([(1.0, [(3, "sd")])], ["n>=1,m=0"]),
-        ([(1.0, [(3, "s")]), (1.0, [(2, "sd"), (3, "sd"), (4, "s")])],
-         ["n=0,m=1", "n>=2,m=1"]),
+    def test_imhop_all_satisfied(self):
+        n = 8
+        assert abs(require_eigenstate(canonical.h_imhop(n), states.w_state(n))) < 1e-14
+
+    @pytest.mark.parametrize("strings, satisfied", [
+        ([(1.0, [(3, "sd")])], False),
+        ([(1.0, [(3, "s")]), (1.0, [(2, "sd"), (3, "sd"), (4, "s")])], False),
         ([(1.0, [(3, "s")]), (-1.0, [(5, "s")]),
           (1.0, [(1, "sd"), (2, "sd"), (3, "s")]), (-1.0, [(1, "sd"), (2, "sd"), (4, "s")])],
-         [])],
+         True)],
         ids=["creation", "row-sums", "zero-row-sums"])
-    def test_class_conditions(self, strings, bad_classes):
+    def test_class_conditions(self, strings, satisfied):
         op = opspace.op_sum(8, [string_term(8, c, s) for c, s in strings])
-        rep = verify_table(op)
-        bad = [c for c in rep.conditions if not c.satisfied]
-        assert [c.nm_class for c in bad] == bad_classes
-        # a violated class lists every string of its class
-        violating = sorted(t for c in bad for t in c.violating_terms)
-        assert violating == (sorted(op.terms.items()) if bad_classes else [])
-        assert rep.lam == 0.0       # no hopping strings: every row sum is 0
+        w = states.w_state(8)
+        if satisfied:
+            assert abs(require_eigenstate(op, w)) < 1e-14   # no hopping strings: lambda = 0
+            return
+        with pytest.raises(canonical.ClassificationError) as err:
+            require_eigenstate(op, w)
+        assert err.value.defect > 0.1
 
     def test_ntot_lambda_one(self):
-        rep = verify_table(canonical.n_tot(8))
-        assert rep.satisfied and rep.lam == pytest.approx(1.0)
+        assert require_eigenstate(canonical.n_tot(8), states.w_state(8)) == pytest.approx(1.0)
 
     def test_nonuniform_hopping_violates(self):
         op = string_term(8, 1.0, [(2, "sd"), (3, "s")])
-        rep = verify_table(op)
-        bad = [c.nm_class for c in rep.conditions if not c.satisfied]
-        assert "n=1,m=1" in bad
+        with pytest.raises(canonical.ClassificationError):
+            require_eigenstate(op, states.w_state(8))
 
     def test_cor1_vacuum_coeigenstate(self):
-        # operators passing the table have the vacuum as eigenstate with
-        # eigenvalue given by the identity component
+        # operators with W as an eigenstate have the vacuum as eigenstate,
+        # with eigenvalue given by the identity component
         n = 8
-        vac = states.vacuum(n)
+        w, vac = states.w_state(n), states.vacuum(n)
         for op in (canonical.h_imhop(n) + identity(n, 2.0),
                    canonical.n_tot(n),
                    0.3 * canonical.h_rehop(n) + identity(n, -1.0)):
-            rep = verify_table(op)
-            assert rep.satisfied
-            out = apply(op, vac)
+            require_eigenstate(op, w)
             omega = opspace.to_boson_basis(op).identity_coefficient()
-            assert np.linalg.norm(out - omega * vac) < 1e-13
+            assert require_eigenstate(op, vac) == pytest.approx(omega, abs=1e-13)
+            assert np.linalg.norm(apply(op, vac) - omega * vac) < 1e-13
 
 
 class TestDecompose:
@@ -156,7 +156,7 @@ class TestDecompose:
         for hx in form.annihilators:
             assert np.linalg.norm(apply(hx, w)) < 1e-12
             assert np.linalg.norm(apply(hx, vac)) < 1e-12
-        total = opspace.zero(n)
+        total = LocalOperator(n)
         for hx in form.annihilators:
             total = total + hx
         assert operators_equal(total, canonical.h_heis(n), tol=1e-12)
@@ -171,7 +171,7 @@ class TestDecompose:
                  + rng.normal() * canonical.n_tot(n)
                  + rng.normal() * canonical.h_imhop(n)
                  + random_type1(n, rng, translation_invariant=False))
-            c = canonical._table_classes(opspace.to_boson_basis(h))[2]
+            c = canonical._table_classes(opspace.to_boson_basis(h))[1]
             omega_oracle = float(np.mean(c.real.sum(axis=1)))
             t_oracle = 0.0
             for j in range(n):
@@ -253,7 +253,7 @@ class TestTable2Catalog:
         pats = table2_patterns()
         assert len(pats) > 20
         for pat in pats:
-            op = instantiate_pattern(n, pat, 3)
+            op = canonical._translates(n, [pat], [3])
             assert op.hermitian()
             assert np.linalg.norm(apply(op, w)) < 1e-13
             assert np.linalg.norm(apply(op, vac)) < 1e-13

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from scartypes import boundary, canonical, cli, dynamics, opspace, states
 from scartypes.cli import run
-from scartypes.opspace import operators_equal
+from operator_oracles import operators_equal
 from test_dynamics import _reference_occupations, _reference_upsilon
 
 
@@ -398,6 +398,20 @@ class TestMpsCommand:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"shape": [1], "data": [{"re": "x"}]}',
+        '{"shape": [1], "data": [{"re": null}]}',
+    ], ids=["list", "re-string", "re-null"])
+    def test_malformed_tensor_file_exit_2(self, tmp_path, content):
+        path = tmp_path / "t.json"
+        path.write_text(content)
+        code, out, err = _invoke_with_stderr(["mps", "--tensor", str(path),
+                                              "--generator", str(path)])
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and str(path) in json.loads(lines[0])["error"]
 
     def test_aklt_report(self):
         code, out = invoke(["mps", "--tensor", "aklt", "--generator", "sz"])

@@ -2,15 +2,30 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from scartypes import dynamics, scars
-from scartypes.dynamics import (Dispersion, DropletRun, chop, fq, imhop,
-                                integer_g_times, leakage, occupations,
-                                orbital_amplitudes, rehop, scaling_fit,
+from scartypes.dynamics import (DropletRun, chop, fq, imhop, integer_g_times,
+                                occupations, orbital_amplitudes, rehop, scaling_fit,
                                 upsilon_finite, upsilon_series, upsilon_thermo)
+
+
+@dataclass(frozen=True)
+class _Tabulated:
+    """A dispersion given as a callable eps(q), with ``speed`` bounding |d eps/dq|:
+    the two things the droplet kernels read of a Dispersion."""
+
+    table: object
+    speed: float = 1.0
+
+    def eps(self, q):
+        return np.asarray(self.table(np.asarray(q, dtype=float)), dtype=float)
+
+    def velocity_scale(self) -> float:
+        return self.speed
 
 
 def _reference_upsilon(run, t, g):
@@ -48,6 +63,16 @@ def _early_time(disp, m_size, t):
 def _bec_overlap(run, t, g_shift, p):
     """p-particle droplet overlap (1 - Upsilon_G)^p in the BEC approximation."""
     return complex((1.0 - upsilon_finite(run, t, g_shift)) ** p)
+
+
+def _leakage(run, t, g_shift):
+    """Occupation escaped past |j - center - G| > M/2 (strict), center (M+1)/2."""
+    occ = occupations(run, t)
+    center = (run.m_size + 1) / 2.0 + g_shift
+    n = run.n_sites
+    js = np.arange(1, n + 1, dtype=float)
+    dist = np.abs((js - center + n / 2.0) % n - n / 2.0)
+    return float(occ[dist > run.m_size / 2.0].sum())
 
 
 def _reference_occupations(run, t):
@@ -156,7 +181,7 @@ class TestUpsilon:
         # a constant dispersion shift multiplies the overlap by e^{-ict}
         m, t, c = 30, 7.0, 0.8
         base = imhop()
-        shifted = Dispersion(table=lambda q: base.eps(q) + c)
+        shifted = _Tabulated(lambda q: base.eps(q) + c)
         run0 = DropletRun(300, m, base)
         run1 = DropletRun(300, m, shifted)
         lhs = 1 - upsilon_finite(run1, t, 0)
@@ -165,7 +190,7 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("disp", [
         rehop(), imhop(0.7), chop(0.5, 0.5),
-        Dispersion(table=lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
+        _Tabulated(lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
     @pytest.mark.parametrize("shift", ["fixed", "linear"])
     def test_series_matches_per_time_reference(self, disp, shift):
         run = DropletRun(300, 41, disp)
@@ -192,16 +217,18 @@ class TestUpsilon:
         with pytest.raises(ValueError):
             dynamics.Dispersion(**bad)
 
-    def test_quadrature_convergence_error(self):
-        with pytest.raises(dynamics.QuadratureError):
-            upsilon_thermo(imhop(), 30, 5.0, 0, tol=1e-16, max_nodes=512)
+    def test_quadrature_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "THERMO_TOL", 1e-16)
+        monkeypatch.setattr(dynamics, "THERMO_MAX_NODES", 512)
+        with pytest.raises(dynamics.QuadratureError, match="below 1e-16"):
+            upsilon_thermo(imhop(), 30, 5.0, 0)
 
     def test_kinked_dispersion_refines_until_converged(self, monkeypatch):
         # a kink inside a panel slows Gauss-Legendre to algebraic convergence,
         # so the panel count doubles several times; quad splits at the kinks
         from scipy.integrate import quad
         m, t = 8, 1.0
-        disp = Dispersion(table=lambda q: np.abs(np.sin(q - 0.3)))
+        disp = _Tabulated(lambda q: np.abs(np.sin(q - 0.3)))
         evaluations, dirichlet = [], dynamics._dirichlet
         monkeypatch.setattr(dynamics, "_dirichlet",
                             lambda q, size: evaluations.append(q.size) or dirichlet(q, size))
@@ -220,9 +247,10 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("disp", [rehop(), chop(0.5, 0.5), chop(0.3, 0.8, 1.2)])
     def test_custom_velocity_scale_matches_closed_form(self, disp):
-        # a table takes the largest |d eps/dq| on a 4097-point grid
-        assert Dispersion(table=disp.eps).velocity_scale() == pytest.approx(
-            disp.velocity_scale(), rel=1e-6)
+        # the closed form against the largest |d eps/dq| on a 4097-point grid
+        qs = np.linspace(-np.pi, np.pi, 4097)
+        assert disp.velocity_scale() == pytest.approx(
+            np.abs(np.gradient(disp.eps(qs), qs)).max(), rel=1e-6)
 
 
 def _deficit(phi):
@@ -236,7 +264,7 @@ class TestUpsilonSeries:
 
     @pytest.mark.parametrize("disp", [
         rehop(), imhop(0.7), chop(0.5, 0.5),
-        Dispersion(table=lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
+        _Tabulated(lambda q: np.sin(q) + 0.3 * (1.0 - np.cos(2 * q)))])
     @pytest.mark.parametrize("rate,shift", [(0.0, 0.0), (0.0, 4.0), (0.5, 0.0),
                                             (1.2, 1.5)])
     @pytest.mark.parametrize("dt", [0.9, -0.35])
@@ -318,29 +346,30 @@ class TestEarlyTime:
         assert got.imag == pytest.approx(im_coeff * t / m, rel=1e-3, abs=1e-15)
 
     @pytest.mark.parametrize("disp", [rehop(), imhop(), chop(0.5, 0.5)])
-    def test_agrees_with_quadrature(self, disp):
+    def test_agrees_with_quadrature(self, disp, monkeypatch):
         m, t = 40, 0.01
         got = _early_time(disp, m, t)
-        ref = upsilon_thermo(disp, m, t, 0, tol=1e-13)
+        monkeypatch.setattr(dynamics, "THERMO_TOL", 1e-13)
+        ref = upsilon_thermo(disp, m, t, 0)
         assert abs(got - ref) < 1e-3 * abs(ref)
 
 
 class TestLeakage:
     def test_initially_zero(self):
         run = DropletRun(201, 51, rehop())
-        assert leakage(run, 0.0, 0) < 1e-14
+        assert _leakage(run, 0.0, 0) < 1e-14
 
     def test_rehop_diffusive(self):
         run = DropletRun(401, 51, rehop())
         ts = np.geomspace(5, 60, 12)
-        series = [(t, leakage(run, t, 0)) for t in ts]
+        series = [(t, _leakage(run, t, 0)) for t in ts]
         fit = scaling_fit(series, (5, 60))
         assert fit.exponent == pytest.approx(0.5, abs=0.1)
 
     def test_imhop_comoving_subdiffusive(self):
         run = DropletRun(401, 51, imhop())
         ts = integer_g_times(1.0, 5, 120, 16)
-        series = [(t, leakage(run, t, int(round(t)))) for t in ts]
+        series = [(t, _leakage(run, t, int(round(t)))) for t in ts]
         fit = scaling_fit(series, (5, 120))
         assert fit.exponent == pytest.approx(1 / 3, abs=0.1)
 

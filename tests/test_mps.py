@@ -59,10 +59,11 @@ class TestInjectivity:
         k = injectivity_length(MPSTensor(data))
         assert isinstance(k, int) and k <= 2
 
-    def test_not_injective_sentinel(self):
+    def test_not_injective_sentinel(self, monkeypatch):
         # a tensor with identical blocks never becomes injective
+        monkeypatch.setattr(mps, "INJECTIVITY_MAX_BLOCK", 3)
         data = np.stack([np.eye(2, dtype=complex)] * 3)
-        out = injectivity_length(MPSTensor(data), max_block=3)
+        out = injectivity_length(MPSTensor(data))
         assert isinstance(out, NotInjective) and out.max_block == 3
 
 
@@ -308,8 +309,9 @@ class TestClassification:
     def test_indeterminate_note_names_failed_clause(self, monkeypatch):
         # V = -1 at theta = 2 pi is a pure phase; the transfer matrix is full rank
         assert is_full_rank(builtin_aklt())
-        label = classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"),
-                                            theta_samples=(0.3, 2 * np.pi))
+        with monkeypatch.context() as patch:
+            patch.setattr(mps, "THETA_SAMPLES", (0.3, 2 * np.pi))
+            label = classify_symmetry_generator(builtin_aklt(), spin1_matrix("z"))
         assert (label.value, label.notes) == (
             "indeterminate", ("a sampled V is a pure phase, no Hermitian certificate",))
         monkeypatch.setattr(mps, "is_full_rank", lambda a: False)

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scartypes import boundary, canonical, nullspace, opspace, scars, states
-from scartypes.opspace import (Region, apply, format_operator, hs_inner,
-                               identity, op_sum, parse_operator, string_term,
-                               to_boson_basis, to_matrix, to_pauli_basis,
-                               truncate, zero)
+from scartypes.opspace import (LocalOperator, Region, apply, format_operator,
+                               hs_inner, identity, op_sum, parse_operator,
+                               string_term, to_boson_basis, to_pauli_basis,
+                               truncate)
+from operator_oracles import operators_equal, to_matrix
 
 
 def random_operator(n_sites, rng, n_terms=6, max_len=3, paulis=False):
     codes = ("x", "y", "z") if paulis else ("sd", "s", "n")
-    op = zero(n_sites)
+    op = LocalOperator(n_sites)
     for _ in range(n_terms):
         length = rng.integers(1, max_len + 1)
         start = int(rng.integers(0, n_sites))
@@ -118,7 +119,7 @@ class TestDagger:
         "0.5 * z@0 ; 1 * n@0 ; 0.5i * x@1 y@2 ; -0.5i * sd@1 z@2"])
     def test_hermitian_across_code_families_matches_matrix(self, text):
         op = parse_operator(text, 4)
-        mat = opspace.to_matrix(op)
+        mat = to_matrix(op)
         assert op.hermitian() == np.allclose(mat, mat.conj().T, atol=1e-12)
 
     def test_involution_and_adjointness(self):
@@ -205,19 +206,19 @@ class TestTruncate:
     def test_imhop_natural_restriction(self):
         n = 10
         lam = Region(2, 8, n)
-        expected = zero(n)
+        expected = LocalOperator(n)
         for j in range(2, 8):
             expected = expected + string_term(n, 0.5j, [(j, "sd"), (j + 1, "s")])
             expected = expected + string_term(n, -0.5j, [(j + 1, "sd"), (j, "s")])
         for basis in ("pauli", "boson"):
             got = truncate(canonical.h_imhop(n), lam, basis)
-            assert opspace.operators_equal(got, expected, tol=1e-13)
+            assert operators_equal(got, expected, tol=1e-13)
 
     def test_on_site_terms(self):
         n = 10
         lam = Region(1, 6, n)
         got = truncate(canonical.n_tot(n), lam, "boson")
-        expected = zero(n)
+        expected = LocalOperator(n)
         for j in range(1, 7):
             expected = expected + string_term(n, 1.0, [(j, "n")])
         assert (got - expected).coeff_norm() < 1e-13
@@ -321,7 +322,7 @@ class TestNormalOrdering:
     def test_basis_expansion_unique(self):
         rng = np.random.default_rng(9)
         op = random_operator(8, rng)
-        rebuilt = zero(8)
+        rebuilt = LocalOperator(8)
         for (start, ops), coeff in op.terms.items():
             factors = [((start + k) % 8, c) for k, c in enumerate(ops)
                        if c != "id"]
@@ -352,7 +353,7 @@ class TestTextFormat:
 
     def test_builtin_round_trip(self):
         for op in (canonical.h_imhop(8), canonical.h_heis(8),
-                   canonical.n_tot(8) + identity(8, 1.5 - 0.25j), zero(8)):
+                   canonical.n_tot(8) + identity(8, 1.5 - 0.25j), LocalOperator(8)):
             back = parse_operator(format_operator(op), 8)
             assert (back - op).coeff_norm() < 1e-10
 
@@ -429,7 +430,7 @@ def is_canonical(op):
 
 def plus_loop(n_sites, strings):
     """Sum built term by term with +, the construction op_sum replaces."""
-    op = zero(n_sites)
+    op = LocalOperator(n_sites)
     for coeff, factors in strings:
         op = op + string_term(n_sites, coeff, factors)
     return op
@@ -542,7 +543,7 @@ class TestFastPathDifferential:
             got = canonical.BUILTINS[name][0](n, **BUILTIN_ARGS.get(name, {}))
             want = SEED_BUILTINS[name](n)
             assert is_canonical(got)
-            assert opspace.operators_equal(got, want, tol=1e-12)
+            assert operators_equal(got, want, tol=1e-12)
             assert np.abs(to_matrix(got) - to_matrix(want)).max() < 1e-12
 
     @pytest.mark.parametrize("translation_invariant", [True, False])
@@ -552,18 +553,20 @@ class TestFastPathDifferential:
                                      translation_invariant=translation_invariant)
         rng = np.random.default_rng(11)
         pats = canonical.table2_patterns()
-        want = zero(n)
+        want = LocalOperator(n)
+
+        def placed(pat, j):                  # the pattern anchored at site j
+            return LocalOperator(n, {((j + off) % n, ops): v for (off, ops), v in pat})
         if translation_invariant:
             for c, pat in zip(rng.uniform(-1.0, 1.0, size=len(pats)), pats):
                 for j in range(n):
-                    want = want + c * canonical.instantiate_pattern(n, pat, j)
+                    want = want + c * placed(pat, j)
         else:
             for pat in pats:
                 for j in range(n):
-                    want = want + rng.uniform(-1.0, 1.0) * \
-                        canonical.instantiate_pattern(n, pat, j)
+                    want = want + rng.uniform(-1.0, 1.0) * placed(pat, j)
         assert is_canonical(got)
-        assert opspace.operators_equal(got, want, tol=1e-12)
+        assert operators_equal(got, want, tol=1e-12)
 
 
 def full_index_apply(op, psi):
@@ -582,7 +585,7 @@ def support_cases(n, rng):
            random_operator(n, rng, max_len=min(3, n), paulis=True),
            random_strings(n, rng, 10),
            parse_operator(f"0.5-2i * y@0 ; 3 * z@0 ; -1 * y@{n - 1} z@0", n),
-           identity(n, 1.5 - 2j), zero(n)]
+           identity(n, 1.5 - 2j), LocalOperator(n)]
     if n >= 4:
         ops += [canonical.random_type1(n, rng) + canonical.h_imhop(n),
                 to_pauli_basis(canonical.h_imhop2(n)), canonical.h_dmi(n)]

@@ -1,13 +1,21 @@
 """The public surface, pinned so a name or an option is added or removed on purpose:
 every public function, class, method, property and dataclass field, and every
-defaulted parameter of a public function or method.
+defaulted parameter of a public function or method.  Every public module-level
+function and class must have a reader in the package, the benchmark workloads
+or the acceptance criteria; what only tests read belongs in the tests.
 
 Thresholds (NULL_TOL, RANK_TOL, EIGENSTATE_TOL, ACCEPT / REJECT, ...) are
 module constants, not per-call options: a verdict is only as good as them.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+READERS = (*sorted((ROOT / "src" / "scartypes").glob("*.py")),
+           ROOT / "perfbench" / "workloads.py", ROOT / "tests" / "test_acceptance.py")
 
 MODULES = ("opspace", "states", "nullspace", "canonical", "boundary", "scars",
            "dynamics", "mps", "cli")
@@ -15,7 +23,6 @@ MODULES = ("opspace", "states", "nullspace", "canonical", "boundary", "scars",
 OPTIONS = [
     "opspace.identity:coeff",
     "opspace.op_sum:coeffs",
-    "opspace.operators_equal:tol",
     "opspace.truncate:basis",
     "nullspace.build_correlation:degenerate",
     "nullspace.real_rank:scale",
@@ -32,12 +39,8 @@ OPTIONS = [
     "dynamics.chop:w",
     "dynamics.upsilon_series:rate",
     "dynamics.upsilon_series:shift",
-    "dynamics.upsilon_thermo:tol",
-    "dynamics.upsilon_thermo:max_nodes",
     "dynamics.scaling_fit:theory_exponent",
     "dynamics.integer_g_times:max_points",
-    "mps.injectivity_length:max_block",
-    "mps.classify_symmetry_generator:theta_samples",
     "mps.classify_symmetry_generator:dense_sizes",
     "cli.run:argv",
 ]
@@ -48,8 +51,8 @@ SURFACE = {
         LocalOperator.dagger LocalOperator.declared_range LocalOperator.hermitian
         LocalOperator.identity_coefficient Region Region.left Region.length
         Region.n_sites Region.right Region.sites apply eigen_defect format_operator
-        hs_inner hs_norm identity op_sum operators_equal parse_operator string_term
-        to_boson_basis to_matrix to_pauli_basis truncate zero
+        hs_inner hs_norm identity op_sum parse_operator string_term to_boson_basis
+        to_pauli_basis truncate
     """,
     "states": """
         SchmidtSplit SchmidtSplit.coefficients SchmidtSplit.p SchmidtSplit.region
@@ -66,12 +69,9 @@ SURFACE = {
     "canonical": """
         CanonicalForm CanonicalForm.annihilators CanonicalForm.omega_id
         CanonicalForm.omega_n CanonicalForm.reconstruct CanonicalForm.residual_norm
-        CanonicalForm.t_im ClassificationError TableCondition TableCondition.nm_class
-        TableCondition.satisfied TableCondition.violating_terms TableReport
-        TableReport.conditions TableReport.lam TableReport.satisfied decompose
-        decompose_general h_dmi h_heis h_imhop h_imhop2 h_imhop_p h_rehop
-        instantiate_pattern n_tot p_im p_nonherm p_re random_type1 require_eigenstate
-        table2_patterns verify_table
+        CanonicalForm.t_im ClassificationError decompose decompose_general h_dmi
+        h_heis h_imhop h_imhop2 h_imhop_p h_rehop n_tot p_im p_nonherm p_re
+        random_type1 require_eigenstate table2_patterns
     """,
     "boundary": """
         BoundarySolve BoundarySolve.constants BoundarySolve.left_op
@@ -80,18 +80,18 @@ SURFACE = {
         EquivalenceResult.beta EquivalenceResult.residual EquivalenceResult.verdict
         TypeLabel TypeLabel.anchors_solved TypeLabel.evidence TypeLabel.notes
         TypeLabel.value action_equivalent boundary_solve classify default_sweep
-        equivalence_test solve_boundary_dense spectral_norm
+        equivalence_test solve_boundary_dense
     """,
     "scars": """
         FitResult FitResult.exponent FitResult.prefactor FitResult.prefactor_complex
         FitResult.stderr VarianceScan VarianceScan.fit VarianceScan.points expectation
-        lifetime_bound loglog_fit variance variance_scan_n variance_scan_q
+        loglog_fit variance variance_scan_n variance_scan_q
     """,
     "dynamics": """
-        Dispersion Dispersion.alpha Dispersion.beta Dispersion.eps Dispersion.table
+        Dispersion Dispersion.alpha Dispersion.beta Dispersion.eps
         Dispersion.velocity_scale Dispersion.w DropletRun DropletRun.dispersion
         DropletRun.m_size DropletRun.momenta DropletRun.n_sites QuadratureError chop fq
-        imhop integer_g_times leakage occupations orbital_amplitudes rehop scaling_fit
+        imhop integer_g_times occupations orbital_amplitudes rehop scaling_fit
         upsilon_finite upsilon_series upsilon_thermo
     """,
     "mps": """
@@ -146,3 +146,35 @@ def test_public_names_are_pinned():
         module = importlib.import_module(f"scartypes.{short}")
         found = sorted(name for name, _ in _public_members(module))
         assert found == SURFACE[short].split(), short
+
+
+def _reads(path: Path) -> dict:
+    """{top-level def/class name, or None for other statements: the names,
+    attributes and imported names read inside it}."""
+    reads = {}
+    for stmt in ast.parse(path.read_text()).body:
+        owner = stmt.name if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        found = reads.setdefault(owner, set())
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+    return reads
+
+
+def test_every_public_name_has_a_reader():
+    reads = {path: _reads(path) for path in READERS}
+    unread = []
+    for short, names in SURFACE.items():
+        own = ROOT / "src" / "scartypes" / f"{short}.py"
+        for name in names.split():
+            if "." not in name and not any(
+                    name in found for path, by_owner in reads.items()
+                    for owner, found in by_owner.items()
+                    if not (path == own and owner == name)):
+                unread.append(f"{short}.{name}")
+    assert unread == []
