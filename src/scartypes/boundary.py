@@ -20,6 +20,7 @@ proofs are exact statements, finite-size numerics needs the buffer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -152,6 +153,7 @@ def _traceless_hermitian_basis(dim: int) -> np.ndarray:
     return np.array(mats, dtype=complex).reshape(-1, dim, dim)
 
 
+@functools.lru_cache(maxsize=8)
 def _window_basis(local_dim: int, width: int) -> np.ndarray:
     """(d^(2w) - 1, d^w, d^w) site products of {1, traceless Hermitian}.
 
@@ -159,6 +161,7 @@ def _window_basis(local_dim: int, width: int) -> np.ndarray:
     most significant as in _site_axes_apply; the all-identity product is
     left out (the identity is the gauge of the per-state constants).  For
     qubits the products are the window's Pauli strings over _SITE_CODES.
+    Built once per (d, w) and shared by every caller, so it is read-only.
     """
     site = np.concatenate([np.eye(local_dim, dtype=complex)[None],
                            _traceless_hermitian_basis(local_dim)])
@@ -166,7 +169,9 @@ def _window_basis(local_dim: int, width: int) -> np.ndarray:
     for _ in range(width):      # Kronecker products of every pair, stack-wise
         mats = np.einsum("aij,bkl->abikjl", mats, site).reshape(
             len(mats) * len(site), mats.shape[1] * local_dim, -1)
-    return mats[1:]
+    mats = mats[1:]
+    mats.flags.writeable = False
+    return mats
 
 
 def _window_images(psi, src, basis, sites, local_dim: int):

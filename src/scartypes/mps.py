@@ -227,13 +227,21 @@ def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
     return amps / norm
 
 
+def _site_apply(mat: np.ndarray, psi: np.ndarray, site: int, local_dim: int,
+                n_sites: int) -> np.ndarray:
+    """A d x d matrix on one site of a little-endian d^N state: a matmul on
+    the (d^(N-1-j), d, d^j) view, whose middle axis is site j; no transpose."""
+    view = psi.reshape(local_dim ** (n_sites - 1 - site), local_dim, local_dim ** site)
+    return (mat @ view).reshape(psi.shape)
+
+
 def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,
                               psi: np.ndarray, n_sites: int) -> np.ndarray:
     """U^theta restricted to the patch, applied to the dense state."""
     u = _symmetry_unitary(generator, theta)
     out = psi
     for j in lam_sites:
-        out = boundary_mod._site_axes_apply(u, out, [j], a.d, n_sites)
+        out = _site_apply(u, out, j, a.d, n_sites)
     return out
 
 
@@ -261,7 +269,9 @@ def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
     gen = np.asarray(generator, dtype=complex)
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))
-    target = sum(boundary_mod._site_axes_apply(gen, psi, [j], a.d, n_sites) for j in lam)
+    target = np.zeros(psi.shape, dtype=complex)
+    for j in lam:
+        target += _site_apply(gen, psi, j, a.d, n_sites)
     *_, r_abs = boundary_mod.solve_boundary_dense(
         [target], [psi], n_sites, a.d,
         tuple(lam[:r_inj]), tuple(lam[-r_inj:]), hermitian=True)

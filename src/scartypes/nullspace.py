@@ -17,12 +17,14 @@ with all dimensions real (a complex space counts twice).  Correlations are
 Gram matrices of a small factor F (C^G = F^dagger F, C^H that of [Re F; Im F]):
 F = (1 - u u^dagger) M over a window, M_{(i,k),nu} = s_k <i|V_nu|a_k> for the
 split psi = sum_k s_k |a_k>|b_k> and u = (s_k <i|a_k>), chi 2^w rows per state;
-window ranges and gaps come from its thin SVD.  Over translation orbits of
-translation eigenstates C^G is an orbit gram, lambda^{-d} <F_p|T^d F_p'> at
-shift d.  ZH_loc and ZG_loc, the spans of the N windows' null spaces, are
-found through their complements: v is orthogonal to a span exactly when each
-window restriction v|_j = R_j c_j lies in the window's range R_j, and a
-string shared by windows takes one value: a small system K c = 0.  Window
+window ranges and gaps come from its thin SVD.  Over the whole ring F keeps
+only the basis rows psi and its images V_nu psi reach.  Over translation
+orbits of translation eigenstates C^G is an orbit gram, lambda^{-d}
+<F_p|T^d F_p'> at shift d.  ZH_loc and ZG_loc, the spans of the N windows'
+null spaces, are found through their complements: v is orthogonal to a span
+exactly when each window restriction v|_j = R_j c_j lies in the window's
+range R_j, and a string shared by windows takes one value: a small system
+K c = 0.  Window
 j's null space is window 0's translated by j for translation eigenstates, so
 K links a pattern's copies in window 0 with Bloch phases, one K per momentum
 sector; other states link N windows' copies.
@@ -129,37 +131,58 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
     orbits = _translation_eigenstates(states_list, n) and basis.keys == tuple(
         opspace._canonical_key(n, s + d, ops) for s, ops in basis.keys[::n] for d in range(n))
     keys = basis.keys[::n] if orbits else basis.keys
-    parts = _factor(opspace._string_masks(n, ((key, 1.0) for key in keys)), len(keys),
-                    [psi[:, None] for psi in states_list], degenerate)
-    gram = _orbit_gram(parts, states_list, n) if orbits else sum(p.conj().T @ p for p in parts)
+    rows, blocks, pairs = [], [], []
+    for psi in states_list:
+        src = np.flatnonzero(psi)
+        chunks = list(opspace._string_pairs(n, ((key, 1.0) for key in keys), src))
+        reached = np.sort(np.concatenate([src, *(tgt for _, _, tgt, _ in chunks)]))
+        reached = reached[np.diff(reached, prepend=-1) > 0]     # np.unique loads numpy.ma
+        rows.append(reached)
+        blocks.append(psi[reached, None])
+        pairs.append([(t, np.searchsorted(reached, kept), np.searchsorted(reached, tgt), vals)
+                      for t, kept, tgt, vals in chunks])
+    parts = _factor(len(keys), blocks, pairs, degenerate)
+    gram = _orbit_gram(parts, rows, states_list, n) if orbits else \
+        sum(p.conj().T @ p for p in parts)
     return gram.real.copy() if kind == "H" else gram
 
 
-def _factor(masks, count: int, blocks, degenerate: bool) -> list:
+def _factor(count: int, blocks, pairs, degenerate: bool) -> list:
     """Row blocks of F (C^G = F^dagger F, a column per decoded string): per state
-    (1 - u u^dagger) M from its B[i, k] = s_k <i|a_k>, u = vec B; then rows e_n - mean."""
-    parts = [np.zeros((count,) + block.shape, dtype=complex) for block in blocks]
-    for nu, (src, flip, vals) in enumerate(masks):      # one pass, so masks may be lazy
-        for acts, block in zip(parts, blocks):
-            acts[nu, src ^ flip] = np.reshape(vals, (-1, 1)) * block[src]
-    expect = []
-    for k, block in enumerate(blocks):
-        parts[k], u = parts[k].reshape(count, -1).T, block.ravel()
-        expect.append(u.conj() @ parts[k])
-        parts[k] -= np.outer(u, expect[-1])
+    (1 - u u^dagger) M from its B[i, k] = s_k <i|a_k>, u = vec B; then rows e_n - mean.
+    ``pairs[n]`` holds _string_pairs chunks over the rows of blocks[n]."""
+    parts, expect = [], []
+    for block, chunks in zip(blocks, pairs):
+        acts = np.zeros((count,) + block.shape, dtype=complex)
+        for t, src, tgt, vals in chunks:
+            acts[t, tgt] = vals[:, None] * block[src]
+        part, u = acts.reshape(count, -1).T, block.ravel()
+        expect.append(u.conj() @ part)
+        part -= np.outer(u, expect[-1])
+        parts.append(part)
     if degenerate:
         parts.append(np.array(expect) - np.mean(expect, axis=0))
     return parts
 
 
-def _orbit_gram(parts, states_list, n: int) -> np.ndarray:
-    """C^G over whole orbits: sum_n lambda_n^{-d} <F_p|T^d F_p'>, d = s' - s, + degenerate rows."""
-    g, shifts = 0, np.arange(n)
-    for psi, block in zip(states_list, parts):
-        lam, left, block = np.vdot(psi, states.translate(psi, 1, n)), block.T.conj(), block.T
-        g = g + np.stack([left @ states.translate(block, d, n).T / lam ** d for d in shifts], -1)
-    for rows in parts[len(states_list):]:
-        g = g + (rows.conj().T @ rows)[..., None]
+def _orbit_gram(parts, rows, states_list, n: int) -> np.ndarray:
+    """C^G over whole orbits: sum_n lambda_n^{-d} <F_p|T^d F_p'>, d = s' - s, + degenerate rows.
+
+    Each state's F holds only its ``rows`` (sorted basis indices); at shift d
+    row r of F_p' meets row r rotated left by d of F_p, when F_p holds it.
+    """
+    g, shifts, full = 0, np.arange(n), (1 << n) - 1
+    for psi, reached, block in zip(states_list, rows, parts):
+        lam = np.vdot(psi, states.translate(psi, 1, n))
+        terms = []
+        for d in shifts:
+            moved = ((reached << d) | (reached >> (n - d))) & full
+            pos = np.minimum(np.searchsorted(reached, moved), len(reached) - 1)
+            hit = reached[pos] == moved
+            terms.append(block[pos[hit]].conj().T @ block[hit] / lam ** d)
+        g = g + np.stack(terms, -1)
+    for extra in parts[len(states_list):]:
+        g = g + (extra.conj().T @ extra)[..., None]
     diff = (shifts[None, :] - shifts[:, None]) % n
     return g[:, :, diff].transpose(0, 2, 1, 3).reshape(g.shape[0] * n, -1)
 
@@ -167,14 +190,14 @@ def _orbit_gram(parts, states_list, n: int) -> np.ndarray:
 def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, starts):
     """F of window [j, j + width) for each j in ``starts``: window 0's strings,
     decoded once, on the Schmidt splits of the states translated by -j."""
-    masks = list(opspace._string_masks(width, ((key, 1.0) for key in window.keys)))
+    pairs = list(opspace._string_pairs(width, ((key, 1.0) for key in window.keys)))
     for j in starts:
         blocks = []
         for psi in states_list:
             moved = states.translate(psi, -j, window.n_sites).reshape(-1, 1 << width)
             _, svals, vh = np.linalg.svd(moved, full_matrices=False)
             blocks.append(vh[svals > SCHMIDT_TOL].T * svals[svals > SCHMIDT_TOL])
-        yield np.vstack(_factor(masks, len(masks), blocks, degenerate))
+        yield np.vstack(_factor(len(window), blocks, [pairs] * len(blocks), degenerate))
 
 
 def _range(factor: np.ndarray):

@@ -27,6 +27,7 @@ CANCEL_TOL = 1e-12         # a coefficient below this x the largest |coeff| canc
 NORM_TOL = 1e-10           # | ||psi|| - 1 | accepted for a target state
 
 PAULI_CODES = ("id", "x", "y", "z")
+BOSON_CODES = ("id", "sd", "s", "n")
 ALL_CODES = ("id", "sd", "s", "n", "x", "y", "z")
 
 _MATS = {
@@ -279,50 +280,74 @@ def _expand(factors, amp) -> list:
 
 # -- state application ------------------------------------------------------
 
-def _string_masks(n_sites: int, terms, idx=None):
-    """Decode every ((start, ops), coeff) string into its action on basis indices.
+PAIR_CHUNK = 1 << 14       # (string, index) candidates decoded per _string_pairs step
 
-    Yields one (src, flip, vals) per string, in order: the string keeps the
-    basis indices ``src`` (site j = bit j), maps each to ``src ^ flip`` and
-    multiplies it by ``vals`` (a scalar, or one sign-carrying amplitude per
-    index).  ``src`` is drawn from the sorted index array ``idx``, by default
-    every one of the 2^N basis indices.
+# per site code: its (select, selected bit, flip, sign, factor i) bits
+_CODE_BITS = {"id": (0, 0, 0, 0, 0), "sd": (1, 0, 1, 0, 0), "s": (1, 1, 1, 0, 0),
+              "n": (1, 1, 0, 0, 0), "x": (0, 0, 1, 0, 0), "y": (0, 0, 1, 1, 1),
+              "z": (0, 0, 0, 1, 0)}
+_CODE_INDEX = {code: k for k, code in enumerate(_CODE_BITS)}
+_BIT_TABLE = np.array(list(_CODE_BITS.values()), dtype=np.int64)
+
+
+def _string_table(n_sites: int, terms) -> tuple:
+    """Decode ((start, ops), coeff) strings into arrays, one entry per string.
+
+    Returns (sel_mask, sel_bits, flip, sign_mask, amp): a string keeps the
+    basis indices i with i & sel_mask == sel_bits (site j = bit j), maps each
+    to i ^ flip and multiplies it by amp (coeff times i per y) and by -1 per
+    set bit of i & sign_mask.  Each distinct code tuple is decoded once, at
+    start 0, and its masks are rotated to every start on the ring.
     """
-    idx_all = np.arange(1 << n_sites) if idx is None else idx
+    codes, rows, starts, coeffs = {}, [], [], []
     for (start, ops), coeff in terms:
-        sel_mask = sel_bits = flip_mask = sign_mask = 0
-        amp = coeff
-        for k, code in enumerate(ops):
-            b = 1 << ((start + k) % n_sites)
-            if code == "sd":
-                sel_mask |= b
-                flip_mask |= b
-            elif code == "s":
-                sel_mask |= b
-                sel_bits |= b
-                flip_mask |= b
-            elif code == "n":
-                sel_mask |= b
-                sel_bits |= b
-            elif code == "x":
-                flip_mask |= b
-            elif code == "y":
-                flip_mask |= b
-                sign_mask |= b
-                amp = amp * 1j
-            elif code == "z":
-                sign_mask |= b
-        src = idx_all
-        if sel_mask:
-            src = src[(src & sel_mask) == sel_bits]
-        yield src, flip_mask, amp * _parity_sign(src, sign_mask) if sign_mask else amp
+        rows.append(codes.setdefault(ops, len(codes)))
+        starts.append(start % n_sites)
+        coeffs.append(coeff)
+    width = max(map(len, codes), default=0)
+    pad = ("id",) * width
+    grid = np.fromiter((_CODE_INDEX[c] for ops in codes for c in (ops + pad)[:width]),
+                       np.int64, count=len(codes) * width).reshape(len(codes), width)
+    base = (_BIT_TABLE[grid] << np.arange(width)[:, None]).sum(axis=1)[rows]
+    shift = np.array(starts, dtype=np.int64)[:, None]
+    masks = ((base[:, :4] << shift) | (base[:, :4] >> (n_sites - shift))) & ((1 << n_sites) - 1)
+    amp, i_count = np.array(coeffs, dtype=complex), np.bitwise_count(base[:, 4])
+    for k in range(int(i_count.max(initial=0))):
+        amp = np.where(i_count > k, amp * 1j, amp)      # as coeff * 1j * 1j ..., to the bit
+    return (*masks.T, amp)
+
+
+def _signs(idx: np.ndarray) -> np.ndarray:
+    """(-1)^(number of set bits) of each index, as int64."""
+    return 1 - 2 * (np.bitwise_count(idx) & 1).astype(np.int64)
+
+
+def _string_pairs(n_sites: int, terms, idx=None):
+    """Every (string, kept index) pair of the decoded strings, in term-major order.
+
+    Yields chunks (t, src, tgt, vals): string t keeps basis index src, maps
+    it to tgt = src ^ flip[t] and multiplies it by vals.  ``src`` is drawn
+    from the sorted index array ``idx``, by default every one of the 2^N
+    basis indices; a chunk tests at most PAIR_CHUNK (string, index)
+    candidates, or one string's.
+    """
+    sel, bits, flip, sign, amp = _string_table(n_sites, terms)
+    idx = np.arange(1 << n_sites) if idx is None else idx
+    step = max(1, PAIR_CHUNK // max(len(idx), 1))
+    for lo in range(0, len(amp), step):
+        t, k = np.nonzero((idx & sel[lo:lo + step, None]) == bits[lo:lo + step, None])
+        t += lo
+        src = idx[k]
+        yield t, src, src ^ flip[t], amp[t] * _signs(src & sign[t])
 
 
 def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     """Action of the operator on a dense 2^N amplitude vector (site j = bit j).
 
-    Strings are decoded over psi's nonzero amplitudes, and skipped if they keep
-    none: a zero amplitude adds +-0, so each entry sums the products a full decode sums.
+    Strings are decoded over psi's nonzero amplitudes only: a zero amplitude
+    adds +-0, so each entry sums the products a full decode sums.  np.add.at
+    adds the term-major pairs one by one, so every entry sums its products in
+    the order of a loop over the strings.
     The product is np.multiply, not ``*``: numpy computes ``*`` on a large
     temporary in place, which rounds differently, so the result would depend
     on the support size.
@@ -331,9 +356,8 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     if psi.shape != (dim,):
         raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
     out = np.zeros(dim, dtype=complex)
-    for src, flip, vals in _string_masks(op.n_sites, op.terms.items(), np.flatnonzero(psi)):
-        if src.size:
-            out[src ^ flip] += np.multiply(vals, psi[src])
+    for _, src, tgt, vals in _string_pairs(op.n_sites, op.terms.items(), np.flatnonzero(psi)):
+        np.add.at(out, tgt, np.multiply(vals, psi[src]))
     return out
 
 
@@ -349,16 +373,6 @@ def eigen_defect(op: LocalOperator, psi: np.ndarray) -> tuple:
     out = apply(op, psi)
     energy = complex(np.vdot(psi, out))
     return energy, float(np.linalg.norm(out - energy * psi))
-
-
-def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
-    par = np.zeros(idx.shape, dtype=np.int64)
-    m = mask
-    while m:
-        j = (m & -m).bit_length() - 1
-        par ^= (idx >> j) & 1
-        m &= m - 1
-    return 1 - 2 * par
 
 
 def hs_inner(a: LocalOperator, b: LocalOperator) -> complex:
@@ -388,14 +402,21 @@ def _convert(op: LocalOperator, table) -> LocalOperator:
     return LocalOperator._trusted(op.n_sites, terms)
 
 
+def _over(op: LocalOperator, codes) -> bool:
+    """Whether every string of op uses only the given site codes."""
+    return all(c in codes for _, ops in op.terms for c in ops)
+
+
 def to_pauli_basis(op: LocalOperator) -> LocalOperator:
-    """Rewrite every string over the Pauli site codes {id,x,y,z}."""
-    return _convert(op, _TO_PAULI)
+    """Rewrite every string over the Pauli site codes {id,x,y,z}; an operator
+    already over them is returned as it is (its keys are canonical)."""
+    return op if _over(op, PAULI_CODES) else _convert(op, _TO_PAULI)
 
 
 def to_boson_basis(op: LocalOperator) -> LocalOperator:
-    """Rewrite every string over the boson site codes {id,sd,s,n}."""
-    return _convert(op, _TO_BOSON)
+    """Rewrite every string over the boson site codes {id,sd,s,n}; an operator
+    already over them is returned as it is (its keys are canonical)."""
+    return op if _over(op, BOSON_CODES) else _convert(op, _TO_BOSON)
 
 
 def truncate(op: LocalOperator, lam: Region, basis: str = "boson") -> LocalOperator:
@@ -430,11 +451,14 @@ def _flip_diagonals(op: LocalOperator) -> dict:
     O(#flip masks * 2^N), not O(#terms * 2^N).
     """
     dim = 1 << op.n_sites
+    idx = np.arange(dim)
     diagonals: dict = {}
-    for src, flip, vals in _string_masks(op.n_sites, op.terms.items()):
+    table = (col.tolist() for col in _string_table(op.n_sites, op.terms.items()))
+    for sel, bits, flip, sign, amp in zip(*table):
+        src = idx[(idx & sel) == bits] if sel else idx
         if flip not in diagonals:
             diagonals[flip] = np.zeros(dim, dtype=complex)
-        diagonals[flip][src] += vals
+        diagonals[flip][src] += amp * _signs(src & sign) if sign else amp
     return diagonals
 
 

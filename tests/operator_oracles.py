@@ -28,3 +28,54 @@ def to_matrix(op: LocalOperator) -> np.ndarray:
     for flip, diag in _flip_diagonals(op).items():
         mat[idx ^ flip, idx] = diag
     return mat
+
+
+def string_masks(n_sites: int, terms):
+    """Decode every ((start, ops), coeff) string into its action on basis indices,
+    one string at a time: the per-string loop the package's vectorized decoder
+    replaced.
+
+    Yields one (src, flip, vals) per string, in order: the string keeps the
+    basis indices ``src`` of the 2^N (site j = bit j), maps each to
+    ``src ^ flip`` and multiplies it by ``vals`` (a scalar, or one
+    sign-carrying amplitude per index).
+    """
+    idx_all = np.arange(1 << n_sites)
+    for (start, ops), coeff in terms:
+        sel_mask = sel_bits = flip_mask = sign_mask = 0
+        amp = coeff
+        for k, code in enumerate(ops):
+            b = 1 << ((start + k) % n_sites)
+            if code == "sd":
+                sel_mask |= b
+                flip_mask |= b
+            elif code == "s":
+                sel_mask |= b
+                sel_bits |= b
+                flip_mask |= b
+            elif code == "n":
+                sel_mask |= b
+                sel_bits |= b
+            elif code == "x":
+                flip_mask |= b
+            elif code == "y":
+                flip_mask |= b
+                sign_mask |= b
+                amp = amp * 1j
+            elif code == "z":
+                sign_mask |= b
+        src = idx_all
+        if sel_mask:
+            src = src[(src & sel_mask) == sel_bits]
+        yield src, flip_mask, amp * parity_sign(src, sign_mask) if sign_mask else amp
+
+
+def parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
+    """(-1)^(number of set bits of idx & mask), one bit at a time."""
+    par = np.zeros(idx.shape, dtype=np.int64)
+    m = mask
+    while m:
+        j = (m & -m).bit_length() - 1
+        par ^= (idx >> j) & 1
+        m &= m - 1
+    return 1 - 2 * par

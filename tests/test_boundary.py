@@ -785,6 +785,12 @@ class TestWindowBasis:
                 for codes in itertools.product(boundary._SITE_CODES, repeat=width)][1:]
         assert np.array_equal(boundary._window_basis(2, width), want)
 
+    def test_cached_read_only(self):
+        basis = boundary._window_basis(2, 2)
+        assert boundary._window_basis(2, 2) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0, 0] = 1.0
+
     @pytest.mark.parametrize("local_dim, width", [(3, 1), (3, 2), (4, 1), (4, 2)])
     def test_qudit_basis_traceless_hermitian_full_rank(self, local_dim, width):
         basis = boundary._window_basis(local_dim, width)

@@ -235,6 +235,21 @@ def traced_blocked_dense(a, n_sites):
     return amps.reshape(-1) / np.linalg.norm(amps)
 
 
+class TestSiteApply:
+    """The one-site matmul of the dense certificate against the transposing
+    _site_axes_apply it replaced there."""
+
+    @pytest.mark.parametrize("local_dim, n_sites", [(2, 7), (3, 5), (4, 4)])
+    def test_matches_site_axes_apply(self, local_dim, n_sites):
+        rng = np.random.default_rng(local_dim)
+        psi = rng.normal(size=local_dim ** n_sites) + 1j * rng.normal(size=local_dim ** n_sites)
+        mat = rng.normal(size=(local_dim,) * 2) + 1j * rng.normal(size=(local_dim,) * 2)
+        for j in range(n_sites):
+            got = mps._site_apply(mat, psi, j, local_dim, n_sites)
+            ref = boundary._site_axes_apply(mat, psi, [j], local_dim, n_sites)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestDenseChain:
     @pytest.mark.parametrize("name,n_sites", [
         (name, n) for name in ("aklt", "ssh", "random") for n in (1, 2, 5, 6, 7)

@@ -12,7 +12,7 @@ from scartypes.nullspace import (OperatorBasis, build_correlation,
                                  pauli_string_basis, verify_null_vector,
                                  window_basis)
 from scartypes.opspace import LocalOperator, apply, to_pauli_basis
-from operator_oracles import to_matrix
+from operator_oracles import string_masks, to_matrix
 
 
 def _vector_of(op, basis):
@@ -332,7 +332,7 @@ def _dense_correlation(basis, psis, kind, degenerate=False):
     expect = []
     for psi in psis:
         acts = np.zeros((len(basis), psi.size), dtype=complex)
-        masks = opspace._string_masks(basis.n_sites, ((key, 1.0) for key in basis.keys))
+        masks = string_masks(basis.n_sites, ((key, 1.0) for key in basis.keys))
         for row, (src, flip, vals) in zip(acts, masks):
             row[src ^ flip] = vals * psi[src]
         e = acts @ psi.conj()
@@ -408,6 +408,23 @@ class TestFactorPath:
                 want = _dense_correlation(basis, psis, kind, degenerate)
                 got = build_correlation(basis, psis, kind, degenerate)
                 assert _rel(got, want) <= 1e-13
+                assert len(calls) == orbits
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_sparse_support_matches_dense_n12(self, monkeypatch, degenerate):
+        # 1 + 12 + 66 amplitudes of 4096: each F keeps only the rows the
+        # states and their images reach, on the orbit path and off it
+        n = 12
+        psis = _phased([states.vacuum(n), states.w_state(n), states.w_p(n, 2)], 7)
+        calls = []
+        orbit_gram = nullspace._orbit_gram
+        monkeypatch.setattr(nullspace, "_orbit_gram",
+                            lambda *args: calls.append(1) or orbit_gram(*args))
+        for basis, orbits in ((pauli_string_basis(n, 2), True), (window_basis(n, 5, 3), False)):
+            for kind in ("H", "G"):
+                calls.clear()
+                want = _dense_correlation(basis, psis, kind, degenerate)
+                assert _rel(build_correlation(basis, psis, kind, degenerate), want) <= 1e-13
                 assert len(calls) == orbits
 
     def test_schmidt_rank_rows(self):

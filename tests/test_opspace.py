@@ -9,7 +9,7 @@ from scartypes.opspace import (LocalOperator, Region, apply, format_operator,
                                hs_inner, identity, op_sum, parse_operator,
                                string_term, to_boson_basis, to_pauli_basis,
                                truncate)
-from operator_oracles import operators_equal, to_matrix
+from operator_oracles import operators_equal, string_masks, to_matrix
 
 
 def random_operator(n_sites, rng, n_terms=6, max_len=3, paulis=False):
@@ -193,6 +193,17 @@ class TestBasisConversion:
             (0, ("y", "z")), (0, ("y",)), (0, ("x", "z")), (0, ("x",))]
         assert list(to_boson_basis(string_term(6, 1.0, [(0, "x"), (1, "z")])).terms) == [
             (0, ("s", "n")), (0, ("s",)), (0, ("sd", "n")), (0, ("sd",))]
+
+    def test_operator_in_target_basis_returned_as_is(self):
+        rng = np.random.default_rng(6)
+        for paulis, convert, table in ((True, to_pauli_basis, opspace._TO_PAULI),
+                                       (False, to_boson_basis, opspace._TO_BOSON)):
+            for op in (random_operator(7, rng, n_terms=12, paulis=paulis),
+                       identity(7, 1.5 - 2j), LocalOperator(7)):
+                assert convert(op) is op
+                forced = opspace._convert(op, table)
+                assert list(forced.terms) == list(op.terms)
+                assert all(forced.terms[k] == v for k, v in op.terms.items())
 
     def test_conversion_preserves_action(self):
         rng = np.random.default_rng(5)
@@ -574,7 +585,7 @@ def full_index_apply(op, psi):
     reading only psi's support replaced (np.multiply, as there, so a large
     product is never computed in place)."""
     out = np.zeros(1 << op.n_sites, dtype=complex)
-    for src, flip, vals in opspace._string_masks(op.n_sites, op.terms.items()):
+    for src, flip, vals in string_masks(op.n_sites, op.terms.items()):
         out[src ^ flip] += np.multiply(vals, psi[src])
     return out
 
@@ -611,13 +622,27 @@ class TestSupportApply:
             for psi in psis:
                 assert apply(op, psi).tobytes() == full_index_apply(op, psi).tobytes()
 
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_chunked_pairs_bytes_equal_full_index_decode(self, monkeypatch, n):
+        # one string per chunk, and 7 strings per chunk, which divides no
+        # operator's term count, so the last chunk is a short one
+        ops, psis = support_cases(n, np.random.default_rng(n + 100))
+        assert all(len(op) % 7 for op in ops if len(op) > 7)
+        for psi in psis:
+            for chunk in (1, 7 * max(np.count_nonzero(psi), 1)):
+                monkeypatch.setattr(opspace, "PAIR_CHUNK", chunk)
+                for op in ops:
+                    assert apply(op, psi).tobytes() == full_index_apply(op, psi).tobytes()
+
     def test_index_set_restricts_decode(self):
         op = random_strings(6, np.random.default_rng(3), 12)
         idx = np.array([0, 5, 17, 63])
-        for (src, flip, vals), (src_all, flip_all, vals_all) in zip(
-                opspace._string_masks(6, op.terms.items(), idx),
-                opspace._string_masks(6, op.terms.items())):
+        pairs = list(opspace._string_pairs(6, op.terms.items(), idx))
+        t, src, tgt, vals = (np.concatenate(a) for a in zip(*pairs))
+        assert np.all(np.diff(t) >= 0)                  # term-major
+        for k, (src_all, flip, vals_all) in enumerate(string_masks(6, op.terms.items())):
             keep = np.isin(src_all, idx)
-            assert flip == flip_all and np.array_equal(src, src_all[keep])
-            assert np.array_equal(np.broadcast_to(vals, src.shape),
+            assert np.array_equal(src[t == k], src_all[keep])
+            assert np.array_equal(tgt[t == k], src_all[keep] ^ flip)
+            assert np.array_equal(vals[t == k],
                                   np.broadcast_to(vals_all, src_all.shape)[keep])
