@@ -13,6 +13,7 @@ longest hops first, and groups everything else into the h_X list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -64,12 +65,14 @@ def _pattern(entries: dict) -> tuple:
     return tuple(sorted(entries.items()))
 
 
+@cache      # the decompose sweeps place one pattern per range at many sites
 def _p_re_pattern(alpha: int) -> tuple:
     """sd_0 s_a + sd_a s_0 - n_0 - n_a."""
     return _pattern({(0, _hop(alpha)): 1.0, (0, _dagger_pattern(_hop(alpha))): 1.0,
                      (0, ("n",)): -1.0, (alpha, ("n",)): -1.0})
 
 
+@cache
 def _p_im_pattern(alpha: int) -> tuple:
     """i sd_0 s_a - i (chain of nearest-neighbor hops) + H.c."""
     entries = {(0, _hop(alpha)): 1j, (0, _dagger_pattern(_hop(alpha))): -1j}
@@ -212,24 +215,29 @@ def _table_classes(op: LocalOperator):
     n_sites = op.n_sites
     single, bundles, lone, pairs = {}, {}, {}, {}
     hop = np.zeros((n_sites, n_sites), dtype=complex)
+    shapes = {}     # code tuple: creation offsets, annihilation offsets, daggered codes
     for key, coeff in op.terms.items():
         start, ops = key
-        sites = [((start + k) % n_sites, c) for k, c in enumerate(ops)]
-        cre = tuple(sorted(j for j, c in sites if c in ("sd", "n")))
-        ann = tuple(sorted(j for j, c in sites if c in ("s", "n")))
+        shape = shapes.get(ops)
+        if shape is None:
+            shape = shapes[ops] = ([k for k, c in enumerate(ops) if c in ("sd", "n")],
+                                   [k for k, c in enumerate(ops) if c in ("s", "n")],
+                                   _dagger_pattern(ops))
+        cre, ann, dag = shape
         if not ann:
             continue
         if len(ann) == 1:
             if not cre:
                 single[key] = coeff
             elif len(cre) == 1:
-                hop[cre[0], ann[0]] += coeff
+                hop[(start + cre[0]) % n_sites, (start + ann[0]) % n_sites] += coeff
             else:
-                bundles.setdefault(cre, {})[key] = coeff
+                bundles.setdefault(tuple(sorted((start + k) % n_sites for k in cre)),
+                                   {})[key] = coeff
         elif len(cre) < 2:
             lone[key] = coeff
         else:
-            pairs.setdefault(min(key, (start, _dagger_pattern(ops))), {})[key] = coeff
+            pairs.setdefault(min(key, (start, dag)), {})[key] = coeff
     return single, hop, bundles, lone, pairs
 
 
@@ -310,9 +318,12 @@ def decompose(h: LocalOperator) -> CanonicalForm:
     # strings with n, m >= 2 pair off with their conjugates; (n>=2, m=1)
     # strings only annihilate in zero-row-sum bundles per creation set, with
     # their (1, m>=2) conjugates.  Pure creation/annihilation strings vanish.
-    annihilators.extend(LocalOperator(n_sites, terms) for terms in pairs.values())
+    # the groups' keys are op's, so canonical; 0.0 + v keeps the constructor's
+    # sum, which turns a -0.0 part into 0.0
+    annihilators.extend(LocalOperator._trusted(n_sites, {k: 0.0 + v for k, v in terms.items()})
+                        for terms in pairs.values())
     for terms in bundles.values():
-        bundle = LocalOperator(n_sites, terms)
+        bundle = LocalOperator._trusted(n_sites, terms)
         annihilators.append(bundle + bundle.dagger())
 
     form = CanonicalForm(omega_id, omega_n, t_im, tuple(annihilators), 0.0)
@@ -365,14 +376,21 @@ def decompose_general(g: LocalOperator) -> CanonicalForm:
 
 # -- Table-II generator catalog and random type-I ensembles --------------------
 
-def table2_patterns():
+_TABLE2 = ()        # table2_patterns' catalog, built on its first call
+
+
+def table2_patterns() -> tuple:
     """Anchored generator patterns for strictly local Hermitian annihilators.
 
-    Returns a list of patterns (sorted tuples of ((offset, ops), coeff)
+    Returns a tuple of patterns (sorted tuples of ((offset, ops), coeff)
     entries over boson codes), each defining one Hermitian h_X anchored at
     site 0 with window at most TABLE2_RANGE.  Covers the (n=m=1) P^Re/P^Im rows, the zero-row-sum
     (n>=2, m=1) + H.c. row, and the unconstrained (n>=2, m>=2) + H.c. row.
+    The catalog is built once per process, on the first call.
     """
+    global _TABLE2
+    if _TABLE2:
+        return _TABLE2
     pats = [_p_re_pattern(alpha) for alpha in range(1, TABLE2_RANGE)]
     pats += [_p_im_pattern(alpha) for alpha in range(2, TABLE2_RANGE)]
 
@@ -420,7 +438,8 @@ def table2_patterns():
                         else:
                             add({(0, p): 1.0, (0, d): 1.0})
                             add({(0, p): 1j, (0, d): -1j})
-    return pats
+    _TABLE2 = tuple(pats)
+    return _TABLE2
 
 
 def random_type1(n_sites: int, rng: np.random.Generator,

@@ -88,8 +88,7 @@ def pauli_string_basis(n_sites: int, max_range: int) -> OperatorBasis:
     keys = []
     seen = set()
     for pat in _pauli_patterns_upto(max_range):
-        for j in range(n_sites):
-            key = opspace._canonical_key(n_sites, j, pat)
+        for key in opspace._placed_keys(n_sites, pat, range(n_sites)):
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
@@ -100,8 +99,7 @@ def window_basis(n_sites: int, start: int, width: int) -> OperatorBasis:
     """All non-identity Pauli strings supported inside one window."""
     keys = []
     for pat in _pauli_patterns_upto(width):
-        for off in range(width - len(pat) + 1):
-            keys.append(opspace._canonical_key(n_sites, start + off, pat))
+        keys += opspace._placed_keys(n_sites, pat, range(start, start + width - len(pat) + 1))
     return OperatorBasis(tuple(keys), n_sites)
 
 
@@ -129,7 +127,7 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
             raise opspace.DimensionError(f"state has shape {psi.shape} for N={n}")
         opspace._require_unit(psi)
     orbits = _translation_eigenstates(states_list, n) and basis.keys == tuple(
-        opspace._canonical_key(n, s + d, ops) for s, ops in basis.keys[::n] for d in range(n))
+        key for s, ops in basis.keys[::n] for key in opspace._placed_keys(n, ops, range(s, s + n)))
     keys = basis.keys[::n] if orbits else basis.keys
     rows, blocks, pairs = [], [], []
     for psi in states_list:
@@ -352,11 +350,14 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
         raise ValueError("need N >= 2 R' for unambiguous windows")
 
     # pauli_string_basis lists each pattern at shifts 0..N-1 in a row: index
-    # i is pattern i // N at shift i % N, and translation acts on the shift
-    index = {k: i for i, k in enumerate(pauli_string_basis(n_sites, r_loc).keys)}
+    # i is pattern i // N at shift i % N, and translation acts on the shift.
+    # Patterns come shortest first and N >= 2R' leaves no two keys equal, so
+    # the range-R basis is a prefix of the range-R' one.
+    keys = pauli_string_basis(n_sites, r_loc).keys
+    index = {k: i for i, k in enumerate(keys)}
     sectors = n_sites if _translation_eigenstates(states_list, n_sites) else 1
 
-    glo = pauli_string_basis(n_sites, r_glo)
+    glo = OperatorBasis(keys[:n_sites * len(_pauli_patterns_upto(r_glo))], n_sites)
     zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate))
     window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
     zh, zg = [], []

@@ -94,6 +94,20 @@ class Region:
         return (site - self.left) % self.n_sites < self.length
 
 
+def _shift_stable(n_sites, ops) -> bool:
+    """Whether every translate (start, ops) is canonical: both ends occupied
+    and a window of at most N/2, so the window is the unique minimal one."""
+    return bool(ops) and 2 * len(ops) <= n_sites and ops[0] != "id" and ops[-1] != "id"
+
+
+def _placed_keys(n_sites, ops, starts) -> list:
+    """Canonical keys of one code tuple placed at each start, its shift
+    stability decided once."""
+    if _shift_stable(n_sites, ops):
+        return [(start % n_sites, ops) for start in starts]
+    return [_canonical_key(n_sites, start, ops) for start in starts]
+
+
 def _canonical_key(n_sites, start, ops):
     """Canonical (start, ops) for a string: minimal window, smallest start.
 
@@ -103,8 +117,8 @@ def _canonical_key(n_sites, start, ops):
     """
     if len(ops) > n_sites:
         raise ValueError("string longer than the ring")
-    if ops and 2 * len(ops) <= n_sites and ops[0] != "id" and ops[-1] != "id":
-        return (start % n_sites, ops)   # both ends occupied: already minimal
+    if _shift_stable(n_sites, ops):
+        return (start % n_sites, ops)
     support = {}
     for k, code in enumerate(ops):
         if code != "id":
@@ -130,6 +144,9 @@ class LocalOperator:
     are always canonical (fixed points of _canonical_key): the constructor
     canonicalizes its input, and the algebra, which maps canonical keys to
     canonical keys, builds its results through the trusted ``_trusted``.
+    The constructor decides once per distinct code tuple whether its
+    translates are canonical; only the other tuples' strings go through
+    _canonical_key.
     """
 
     __slots__ = ("n_sites", "terms")
@@ -138,8 +155,13 @@ class LocalOperator:
         if n_sites < 1:
             raise ValueError("need at least one site")
         canon: dict = {}
+        stable: dict = {}
         for (start, ops), coeff in (terms or {}).items():
-            key = _canonical_key(n_sites, start, tuple(ops))
+            ops = tuple(ops)
+            shifts = stable.get(ops)
+            if shifts is None:
+                shifts = stable[ops] = _shift_stable(n_sites, ops)
+            key = (start % n_sites, ops) if shifts else _canonical_key(n_sites, start, ops)
             canon[key] = canon.get(key, 0.0) + complex(coeff)
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "terms",
@@ -189,10 +211,13 @@ class LocalOperator:
         return self * (-1.0)
 
     def dagger(self) -> "LocalOperator":
-        return LocalOperator._trusted(
-            self.n_sites,
-            {(start, tuple(_DAGGER[c] for c in ops)): coeff.conjugate()
-             for (start, ops), coeff in self.terms.items()})
+        daggered, terms = {}, {}
+        for (start, ops), coeff in self.terms.items():
+            codes = daggered.get(ops)
+            if codes is None:
+                codes = daggered[ops] = tuple(map(_DAGGER.__getitem__, ops))
+            terms[(start, codes)] = coeff.conjugate()
+        return LocalOperator._trusted(self.n_sites, terms)
 
     def hermitian(self) -> bool:
         """self - self^dagger vanishes within CANCEL_TOL x max(1, largest |coeff|): term
@@ -436,11 +461,11 @@ def truncate(op: LocalOperator, lam: Region, basis: str = "boson") -> LocalOpera
         expanded = to_boson_basis(op)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    kept = {}
-    for (start, ops), coeff in expanded.terms.items():
-        if all((start + k) % op.n_sites in lam for k in range(len(ops))):
-            kept[(start, ops)] = coeff
-    return LocalOperator._trusted(op.n_sites, kept)
+    # a window [start, start + len) lies inside the region when its offset
+    # from the region's left end plus its length does not pass the region's end
+    return LocalOperator._trusted(
+        op.n_sites, {(start, ops): coeff for (start, ops), coeff in expanded.terms.items()
+                     if not ops or (start - lam.left) % op.n_sites + len(ops) <= lam.length})
 
 
 def _flip_diagonals(op: LocalOperator) -> dict:

@@ -6,8 +6,8 @@ oracles for operator algebra, state application and the boundary solves.
 
 import numpy as np
 
-from scartypes.opspace import (CapacityError, LocalOperator, _flip_diagonals,
-                               to_boson_basis)
+from scartypes.opspace import (COEFF_TOL, _DAGGER, CapacityError, LocalOperator,
+                               _canonical_key, _flip_diagonals, to_boson_basis)
 
 MATRIX_MAX_SITES = 14      # dense 2^N guard
 
@@ -79,3 +79,49 @@ def parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
         par ^= (idx >> j) & 1
         m &= m - 1
     return 1 - 2 * par
+
+
+# -- per-term forms of the per-code-tuple operator paths --------------------------
+
+def construct_terms(n_sites: int, terms) -> dict:
+    """The constructor's canonical terms with one _canonical_key call per string:
+    the loop that resolving each distinct code tuple once replaced."""
+    canon: dict = {}
+    for (start, ops), coeff in terms.items():
+        key = _canonical_key(n_sites, start, tuple(ops))
+        canon[key] = canon.get(key, 0.0) + complex(coeff)
+    return {k: v for k, v in canon.items() if abs(v) > COEFF_TOL}
+
+
+def dagger_terms(op: LocalOperator) -> dict:
+    """op.dagger()'s terms, each string's codes daggered on their own."""
+    return {(start, tuple(_DAGGER[c] for c in ops)): coeff.conjugate()
+            for (start, ops), coeff in op.terms.items()}
+
+
+def table_classes(op: LocalOperator):
+    """canonical._table_classes with every string's sites and classes worked
+    out on their own."""
+    n_sites = op.n_sites
+    single, bundles, lone, pairs = {}, {}, {}, {}
+    hop = np.zeros((n_sites, n_sites), dtype=complex)
+    for key, coeff in op.terms.items():
+        start, ops = key
+        sites = [((start + k) % n_sites, c) for k, c in enumerate(ops)]
+        cre = tuple(sorted(j for j, c in sites if c in ("sd", "n")))
+        ann = tuple(sorted(j for j, c in sites if c in ("s", "n")))
+        if not ann:
+            continue
+        if len(ann) == 1:
+            if not cre:
+                single[key] = coeff
+            elif len(cre) == 1:
+                hop[cre[0], ann[0]] += coeff
+            else:
+                bundles.setdefault(cre, {})[key] = coeff
+        elif len(cre) < 2:
+            lone[key] = coeff
+        else:
+            dag = tuple(_DAGGER[c] for c in ops)
+            pairs.setdefault(min(key, (start, dag)), {})[key] = coeff
+    return single, hop, bundles, lone, pairs

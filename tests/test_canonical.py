@@ -1,5 +1,10 @@
 """Builtin Hamiltonians, Table-I eigenstate conditions, canonical decomposition."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,10 @@ from scartypes.canonical import (BUILTINS, decompose, decompose_general,
                                  require_eigenstate, table2_patterns, random_type1)
 from scartypes.opspace import LocalOperator, apply, identity, string_term
 from operator_oracles import operators_equal, to_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 class TestBuiltins:
@@ -247,6 +256,19 @@ class TestDecomposeGeneral:
 
 
 class TestTable2Catalog:
+    def test_built_once_on_first_call(self):
+        # not at import, so a process that draws no type-I sum never builds it
+        code = "\n".join([
+            "from scartypes import canonical",
+            "assert canonical._TABLE2 == ()",
+            "pats = canonical.table2_patterns()",
+            "assert type(pats) is tuple and len(pats) > 20",
+            "assert canonical.table2_patterns() is pats",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
     def test_every_generator_annihilates_both_states(self):
         n = 8
         w, vac = states.w_state(n), states.vacuum(n)

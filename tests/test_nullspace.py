@@ -240,6 +240,21 @@ class TestClassCounts:
         for row in rep_h.basis:
             assert np.linalg.norm(corr_g @ row) < 1e-10
 
+    def test_one_pauli_basis_per_count(self, monkeypatch):
+        built = []
+        basis = nullspace.pauli_string_basis
+        monkeypatch.setattr(nullspace, "pauli_string_basis",
+                            lambda n, r: built.append(r) or basis(n, r))
+        count_type_classes(8, 2, 3, [states.vacuum(8), states.w_state(8)])
+        assert built == [3]
+
+    def test_range_r_basis_is_a_prefix(self):
+        # patterns come shortest first and N >= 2R' leaves no two keys equal
+        for n, r, rp in ((2, 1, 1), (4, 1, 2), (8, 2, 3), (8, 1, 4), (10, 3, 5)):
+            short, full = pauli_string_basis(n, r).keys, pauli_string_basis(n, rp).keys
+            assert full[:len(short)] == short
+            assert len(short) == n * len(nullspace._pauli_patterns_upto(r))
+
     def test_preconditions(self):
         psis = [states.vacuum(8)]
         with pytest.raises(ValueError):
@@ -409,6 +424,23 @@ class TestFactorPath:
                 got = build_correlation(basis, psis, kind, degenerate)
                 assert _rel(got, want) <= 1e-13
                 assert len(calls) == orbits
+
+    def test_whole_orbits_of_windows_over_half_the_ring(self, monkeypatch):
+        # shift-stable patterns are checked by shift, longer windows through
+        # _canonical_key: at N = 6, x x x x has a unique window at every shift,
+        # while z id id z ties and canonicalizes shift 3 onto shift 0
+        n = 6
+        psis = _phased([states.vacuum(n), states.w_state(n)], 3)
+        calls = []
+        orbit_gram = nullspace._orbit_gram
+        monkeypatch.setattr(nullspace, "_orbit_gram",
+                            lambda *args: calls.append(1) or orbit_gram(*args))
+        for pats, orbits in (((("z",), ("x",) * 4), True), ((("z", "id", "id", "z"),), False)):
+            basis = OperatorBasis(tuple((d, ops) for ops in pats for d in range(n)), n)
+            calls.clear()
+            want = _dense_correlation(basis, psis, "G")
+            assert _rel(build_correlation(basis, psis, "G"), want) <= 1e-13
+            assert len(calls) == orbits
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_sparse_support_matches_dense_n12(self, monkeypatch, degenerate):

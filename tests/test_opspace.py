@@ -257,6 +257,23 @@ class TestTruncate:
         for basis in ("boson", "pauli"):
             assert truncate(herm, lam, basis).hermitian()
 
+    def test_window_rule_matches_per_site_rule(self):
+        # every region of N = 10 that exceeds 2*range, wrapping ones such as
+        # Region(7, 2, 10) included, and the identity string, which is kept
+        n = 10
+        rng = np.random.default_rng(26)
+        op = random_operator(n, rng, n_terms=30, max_len=2) + identity(n, 0.5)
+        op = op + random_operator(n, rng, n_terms=10, max_len=2, paulis=True)
+        for basis, expanded in (("boson", to_boson_basis(op)), ("pauli", to_pauli_basis(op))):
+            for left in range(n):
+                for length in range(2 * op.declared_range + 1, n):
+                    lam = Region(left, (left + length - 1) % n, n)
+                    want = [((start, ops), c) for (start, ops), c in expanded.terms.items()
+                            if all((start + k) % n in lam for k in range(len(ops)))]
+                    got = list(truncate(op, lam, basis).terms.items())
+                    assert got == want
+                    assert dict(got)[(0, ())] == expanded.terms[(0, ())]
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_projection_and_linearity(self, seed):
