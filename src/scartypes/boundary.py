@@ -57,37 +57,41 @@ class TypeLabel:
     anchors_solved: tuple = ()   # sweep anchors whose patches were solved
 
 
-def _spectral_norm(diagonals: dict, n_sites: int) -> float:
-    """Largest |eigenvalue| of the Hermitian operator with these flip diagonals.
+def _spectral_norm(op: LocalOperator) -> float:
+    """Largest |eigenvalue| of the Hermitian operator, from its string table.
 
-    It is H_L (x) 1 over the L sites some flip touches or some diagonal reads
-    (g_f[i] != g_f[i ^ 2^j]), so Lanczos runs on H_L's 2^L amplitudes: the
-    diagonals where the idle bits are 0, index and flip bits packed alike.
-    Lanczos keeps full reorthogonalisation from a seeded normal start vector
-    (a uniform one is an eigenvector of every permutation-symmetric operator,
-    where Lanczos stops at once); the matrix acts as a gather over its flip
-    diagonals, (H v)[i] = sum_f g_f[i] v[i ^ f], in real arithmetic when
-    every g_f is real.  Every LANCZOS_CHECK_EVERY steps the Ritz value theta
-    of largest |theta| is accepted once its residual beta_k |s_k| is at most
-    LANCZOS_TOL |theta|, where s_k is the last component of its Ritz vector;
-    a Krylov space that closes (beta = 0) gives the exact value.  No
-    convergence within LANCZOS_MAX_STEPS steps raises ValueError with the
-    residual reached.
+    It is H_L (x) 1 over the L sites in some string's select, flip or sign
+    mask (a superset of the sites H acts on only adds idle factors of 1), so
+    Lanczos runs on H_L's 2^L amplitudes, the masks packed onto those sites.
+    The matrix acts as a gather, (H v)[i] = sum_f gains[f, i] v[i ^ f]: a
+    string with flip mask f adds its amplitude on source index i to
+    gains[f, i ^ f], in real arithmetic when every gain is real.  Lanczos
+    keeps full reorthogonalisation from a seeded normal start vector (a
+    uniform one is an eigenvector of every permutation-symmetric operator,
+    where Lanczos stops at once).  Every LANCZOS_CHECK_EVERY steps the Ritz
+    value theta of largest |theta| is accepted once its residual beta_k
+    |s_k| is at most LANCZOS_TOL |theta|, where s_k is the last component of
+    its Ritz vector; a Krylov space that closes (beta = 0) gives the exact
+    value.  No convergence within LANCZOS_MAX_STEPS steps raises ValueError
+    with the residual reached.
     """
-    if not diagonals:
+    *masks, amp = opspace._string_table(op.n_sites, op.terms.items())
+    if not len(amp):
         return 0.0
-    flips = list(diagonals)
-    cube = np.array(list(diagonals.values())).reshape((len(flips),) + (2,) * n_sites)
-    touched = np.bitwise_or.reduce(flips)
-    # site j is the bit of cube axis n_sites - j
-    active = [j for j in range(n_sites) if touched >> j & 1
-              or not np.array_equal(*np.split(cube, 2, axis=n_sites - j))]
-    cube = cube[(slice(None),) + tuple(slice(None) if j in active else 0
-                                       for j in reversed(range(n_sites)))]
-    flips = [sum((f >> j & 1) << k for k, j in enumerate(active)) for f in flips]
+    sel, _, flip, sign = masks
+    touched = int(np.bitwise_or.reduce(sel | flip | sign))
+    active = np.array([j for j in range(op.n_sites) if touched >> j & 1], dtype=np.int64)
+    # site active[k] becomes bit k of every mask
+    packed = (np.array(masks)[..., None] >> active & 1) @ (1 << np.arange(len(active)))
     idx = np.arange(1 << len(active))
-    perm = idx ^ np.array(flips, dtype=np.int64)[:, None]      # (flips, 2^L)
-    gains = np.take_along_axis(cube.reshape(len(flips), -1), perm, axis=1)
+    rows: dict = {}
+    for sel_t, bits_t, flip_t, sign_t, amp_t in zip(*packed.tolist(), amp.tolist()):
+        src = idx[(idx & sel_t) == bits_t] if sel_t else idx
+        if flip_t not in rows:
+            rows[flip_t] = np.zeros(len(idx), dtype=complex)
+        rows[flip_t][src ^ flip_t] += amp_t * opspace._signs(src & sign_t) if sign_t else amp_t
+    gains = np.array(list(rows.values()))
+    perm = idx ^ np.array(list(rows), dtype=np.int64)[:, None]      # (flips, 2^L)
     return _lanczos_norm(gains if gains.imag.any() else gains.real, perm)
 
 
@@ -123,27 +127,6 @@ def _lanczos_norm(gains: np.ndarray, perm: np.ndarray) -> float:
 
 # -- generic least-squares solver ----------------------------------------------
 
-def _site_axes_apply(mat: np.ndarray, psi: np.ndarray, sites, local_dim: int,
-                     n_sites: int) -> np.ndarray:
-    """Apply a d^w x d^w matrix, or a (k, d^w, d^w) stack, on the given sites.
-
-    The state index is little-endian, index = sum_j s_j d^j, so site j is
-    tensor axis n_sites-1-j after reshape; the matrix row index runs
-    big-endian over ``sites`` (first listed site most significant).  A
-    stack returns one (k, d^N) row per matrix.
-    """
-    mat = np.asarray(mat)
-    lead = mat.shape[:-2]
-    tens = psi.reshape((local_dim,) * n_sites)
-    axes = [n_sites - 1 - j for j in sites]
-    rest = [a for a in range(n_sites) if a not in axes]
-    perm = axes + rest
-    moved = np.transpose(tens, perm).reshape(local_dim ** len(sites), -1)
-    out = (mat @ moved).reshape(lead + (local_dim,) * n_sites)
-    inv = [*range(len(lead)), *(len(lead) + np.argsort(perm))]
-    return np.transpose(out, inv).reshape(lead + (psi.size,))
-
-
 def _traceless_hermitian_basis(dim: int) -> np.ndarray:
     """(dim^2 - 1, dim, dim) Hermitian traceless basis of u(dim) minus the identity ray."""
     unit = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)  # unit[i, j] = |i><j|
@@ -157,10 +140,11 @@ def _traceless_hermitian_basis(dim: int) -> np.ndarray:
 def _window_basis(local_dim: int, width: int) -> np.ndarray:
     """(d^(2w) - 1, d^w, d^w) site products of {1, traceless Hermitian}.
 
-    Products run in itertools.product order over the sites, the first site
-    most significant as in _site_axes_apply; the all-identity product is
-    left out (the identity is the gauge of the per-state constants).  For
-    qubits the products are the window's Pauli strings over _SITE_CODES.
+    Products run in itertools.product order over the sites, so a matrix's
+    row index is big-endian over the window, its first site most
+    significant; the all-identity product is left out (the identity is the
+    gauge of the per-state constants).  For qubits the products are the
+    window's Pauli strings over _SITE_CODES.
     Built once per (d, w) and shared by every caller, so it is read-only.
     """
     site = np.concatenate([np.eye(local_dim, dtype=complex)[None],
@@ -179,9 +163,10 @@ def _window_images(psi, src, basis, sites, local_dim: int):
 
     psi's nonzero indices ``src`` are grouped by their rest (the index with
     the window digits set to zero); a (d^w, #rest) block of amplitudes, row
-    index big-endian over ``sites`` as in _site_axes_apply, times the basis
-    stack gives images (len(basis), d^w, #rest), landing on rows
-    (d^w, #rest) = rest + window offset.  Indices are little-endian in base d.
+    index big-endian over ``sites`` (first listed site most significant, as
+    in _window_basis), times the basis stack gives images (len(basis), d^w,
+    #rest), landing on rows (d^w, #rest) = rest + window offset.  Indices
+    are little-endian in base d.
     """
     place = local_dim ** np.array(sites, dtype=np.int64)      # d^j of each window site
     big = local_dim ** np.arange(len(sites) - 1, -1, -1)      # first listed site most significant
@@ -318,30 +303,12 @@ def _require(r_max: int, hs, states_list) -> None:
         raise ValueError("truncation tests are defined for Hermitian Hamiltonians")
 
 
-def _action(op: LocalOperator, states_list):
-    """op's flip diagonals and the targets op|psi> for every state, from one
-    decode: (op psi)[i ^ f] += g_f[i] psi[i] over the i with psi[i] != 0 (a
-    zero amplitude would add +-0 to the full sum), multiplied as in opspace.apply."""
-    diagonals = opspace._flip_diagonals(op)
-    dim = 1 << op.n_sites
-    targets = []
-    for psi in states_list:
-        if psi.shape != (dim,):
-            raise opspace.DimensionError(f"state has shape {psi.shape}, expected {(dim,)}")
-        src = np.flatnonzero(psi)
-        amps = psi[src]
-        out = np.zeros(dim, dtype=complex)
-        for flip, gain in diagonals.items():
-            out[src ^ flip] += np.multiply(gain[src], amps)
-        targets.append(out)
-    return diagonals, targets
-
-
 def _patch(hs, states_list, lam: Region, r_max: int):
     """One patch of the Hamiltonians hs: checks the patch rule (ValueError).
 
     Returns (_design, (left_sites, right_sites), actions), with one
-    (flip diagonals, targets) pair per truncation in ``actions``.
+    (truncation, [opspace.apply(truncation, psi) for psi in states_list])
+    pair per Hamiltonian in ``actions``.
     """
     floor = _patch_floor(r_max, max(h.declared_range for h in hs))
     if lam.length < floor:
@@ -350,15 +317,16 @@ def _patch(hs, states_list, lam: Region, r_max: int):
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
     design = _design(states_list, hs[0].n_sites, 2, *windows)
-    return design, windows, [_action(opspace.truncate(h, lam), states_list) for h in hs]
+    return design, windows, [(op, [opspace.apply(op, psi) for psi in states_list])
+                             for op in (opspace.truncate(h, lam) for h in hs)]
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
                    hermitian: bool = False) -> BoundarySolve:
     """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
     _require(r_max, (h,), states_list)
-    design, (left_sites, right_sites), [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
-    scale = max(_spectral_norm(diagonals, h.n_sites), 1e-300)
+    design, (left_sites, right_sites), [(op, targets)] = _patch((h,), states_list, lam, r_max)
+    scale = max(_spectral_norm(op), 1e-300)
     a, b, f, r_abs = _fit(design, targets, hermitian, 4 ** r_max - 1)
     return BoundarySolve(
         left_op=_window_operator(a, left_sites, h.n_sites),
@@ -399,18 +367,16 @@ def _left_independent(h, states_list, r_max: int, short, grown) -> bool:
 
     Growing the patch by one site on the right must change the action only
     by right-localized operators: the truncation difference is fitted with
-    an empty left window.  ``short`` and ``grown`` are the (patch, flip
-    diagonals, targets) of two anchor-0 patches of classify's sweep, the
-    second one site longer; every flip of the shorter truncation is one of
-    the longer's.
+    an empty left window.  ``short`` and ``grown`` are the (patch,
+    truncation, targets) of two anchor-0 patches of classify's sweep, the
+    second one site longer; the residual is scaled by the norm of the
+    truncations' difference.
     """
-    (_, short_diagonals, short_targets), (lam, diagonals, targets) = short, grown
-    diagonals = {flip: d for flip, g in diagonals.items()      # cancelled flips left out
-                 if (d := g - short_diagonals.get(flip, 0.0)).any()}
+    (_, short_op, short_targets), (lam, op, targets) = short, grown
     targets = [g - s for g, s in zip(targets, short_targets)]
     *_, r_abs = solve_boundary_dense(targets, states_list, h.n_sites, 2,
                                      (), tuple(lam.sites()[-(r_max + 1):]), hermitian=False)
-    return r_abs / max(_spectral_norm(diagonals, h.n_sites), 1e-300) < ACCEPT
+    return r_abs / max(_spectral_norm(op - short_op), 1e-300) < ACCEPT
 
 
 def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
@@ -440,10 +406,10 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     length = max(2 * r_max + 3, 2 * h.declared_range + 1)
     evidence, clause = [], {}
     for lam in default_sweep(n_sites, r_max, anchors=solved, op_range=h.declared_range):
-        design, _, [(diagonals, targets)] = _patch((h,), states_list, lam, r_max)
+        design, _, [(op, targets)] = _patch((h,), states_list, lam, r_max)
         if lam.left == 0 and lam.length in (length, length + 1):
-            clause[lam.length] = lam, diagonals, targets
-        scale = max(_spectral_norm(diagonals, n_sites), 1e-300)
+            clause[lam.length] = lam, op, targets
+        scale = max(_spectral_norm(op), 1e-300)
         evidence.append((r_max, lam.length, *(_fit(design, targets, hermitian, 4 ** r_max - 1)[3]
                                               / scale for hermitian in (False, True))))
     evidence *= 2 // len(solved)

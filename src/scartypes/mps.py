@@ -229,10 +229,17 @@ def to_dense(a: MPSTensor, n_sites: int) -> np.ndarray:
 
 def _site_apply(mat: np.ndarray, psi: np.ndarray, site: int, local_dim: int,
                 n_sites: int) -> np.ndarray:
-    """A d x d matrix on one site of a little-endian d^N state: a matmul on
-    the (d^(N-1-j), d, d^j) view, whose middle axis is site j; no transpose."""
-    view = psi.reshape(local_dim ** (n_sites - 1 - site), local_dim, local_dim ** site)
-    return (mat @ view).reshape(psi.shape)
+    """A d^w x d^w matrix on sites j..j+w-1 (j = ``site``) of a little-endian
+    d^N state, its row index big-endian over them, site j most significant:
+    a matmul on the (d^(N-j-w), d^w, d^j) view, whose middle axis runs
+    little-endian over the window, so the matrix's row and column digits are
+    reversed, not psi transposed."""
+    dim = len(mat)
+    width = round(np.log(dim) / np.log(local_dim))
+    rev = [*range(width)][::-1]
+    mat = mat.reshape((local_dim,) * 2 * width).transpose(rev + [width + k for k in rev])
+    view = psi.reshape(local_dim ** (n_sites - site - width), dim, local_dim ** site)
+    return (mat.reshape(dim, dim) @ view).reshape(psi.shape)
 
 
 def truncated_symmetry_action(a: MPSTensor, generator, theta, lam_sites,
@@ -258,8 +265,8 @@ def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))          # patch [1 .. N-2], PBC intact
     target = truncated_symmetry_action(a, generator, theta, lam, psi, n_sites)
-    got = boundary_mod._site_axes_apply(w_left, psi, lam[:r_inj], a.d, n_sites)
-    got = boundary_mod._site_axes_apply(w_right, got, lam[-r_inj:], a.d, n_sites)
+    got = _site_apply(w_left, psi, lam[0], a.d, n_sites)
+    got = _site_apply(w_right, got, lam[-r_inj], a.d, n_sites)
     return float(np.linalg.norm(target - got))
 
 

@@ -468,25 +468,6 @@ def truncate(op: LocalOperator, lam: Region, basis: str = "boson") -> LocalOpera
                      if not ops or (start - lam.left) % op.n_sites + len(ops) <= lam.length})
 
 
-def _flip_diagonals(op: LocalOperator) -> dict:
-    """The matrix as {flip mask: diagonal}: entry (i ^ flip, i) is diagonal[i].
-
-    Strings sharing a flip mask fill the same entries, so they are summed on
-    one dense diagonal of length 2^N per flip mask; memory is
-    O(#flip masks * 2^N), not O(#terms * 2^N).
-    """
-    dim = 1 << op.n_sites
-    idx = np.arange(dim)
-    diagonals: dict = {}
-    table = (col.tolist() for col in _string_table(op.n_sites, op.terms.items()))
-    for sel, bits, flip, sign, amp in zip(*table):
-        src = idx[(idx & sel) == bits] if sel else idx
-        if flip not in diagonals:
-            diagonals[flip] = np.zeros(dim, dtype=complex)
-        diagonals[flip][src] += amp * _signs(src & sign) if sign else amp
-    return diagonals
-
-
 # -- textual format ----------------------------------------------------------
 
 def _parse_coeff(text: str) -> complex:

@@ -1,13 +1,14 @@
 """Dense and coefficient-wise references for operator tests.
 
 Neither the package nor its command line reads these: they are the tests'
-oracles for operator algebra, state application and the boundary solves.
+oracles for operator algebra, state application, spectral norms and the
+boundary solves.
 """
 
 import numpy as np
 
 from scartypes.opspace import (COEFF_TOL, _DAGGER, CapacityError, LocalOperator,
-                               _canonical_key, _flip_diagonals, to_boson_basis)
+                               _canonical_key, to_boson_basis)
 
 MATRIX_MAX_SITES = 14      # dense 2^N guard
 
@@ -19,15 +20,51 @@ def operators_equal(a: LocalOperator, b: LocalOperator, tol: float = 1e-12) -> b
 
 
 def to_matrix(op: LocalOperator) -> np.ndarray:
-    """Dense 2^N x 2^N matrix filled from _flip_diagonals; guarded against blowup."""
+    """Dense 2^N x 2^N matrix filled from flip_diagonals; guarded against blowup."""
     if op.n_sites > MATRIX_MAX_SITES:
         raise CapacityError(f"N={op.n_sites} exceeds dense guard {MATRIX_MAX_SITES}")
     dim = 1 << op.n_sites
     mat = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    for flip, diag in _flip_diagonals(op).items():
+    for flip, diag in flip_diagonals(op).items():
         mat[idx ^ flip, idx] = diag
     return mat
+
+
+def flip_diagonals(op: LocalOperator) -> dict:
+    """The matrix as {flip mask: diagonal}: entry (i ^ flip, i) is diagonal[i].
+
+    Strings sharing a flip mask fill the same entries, so they are summed,
+    in term order, on one dense diagonal of length 2^N per flip mask.
+    """
+    diagonals: dict = {}
+    for src, flip, vals in string_masks(op.n_sites, op.terms.items()):
+        if flip not in diagonals:
+            diagonals[flip] = np.zeros(1 << op.n_sites, dtype=complex)
+        diagonals[flip][src] += vals
+    return diagonals
+
+
+def site_axes_apply(mat: np.ndarray, psi: np.ndarray, sites, local_dim: int,
+                    n_sites: int) -> np.ndarray:
+    """Apply a d^w x d^w matrix, or a (k, d^w, d^w) stack, on the given sites.
+
+    The state index is little-endian, index = sum_j s_j d^j, so site j is
+    tensor axis n_sites-1-j after reshape; the matrix row index runs
+    big-endian over ``sites`` (first listed site most significant).  A
+    stack returns one (k, d^N) row per matrix.  Transposes psi so the sites
+    lead: the general form of the package's contiguous-window matmul.
+    """
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    tens = psi.reshape((local_dim,) * n_sites)
+    axes = [n_sites - 1 - j for j in sites]
+    rest = [a for a in range(n_sites) if a not in axes]
+    perm = axes + rest
+    moved = np.transpose(tens, perm).reshape(local_dim ** len(sites), -1)
+    out = (mat @ moved).reshape(lead + (local_dim,) * n_sites)
+    inv = [*range(len(lead)), *(len(lead) + np.argsort(perm))]
+    return np.transpose(out, inv).reshape(lead + (psi.size,))
 
 
 def string_masks(n_sites: int, terms):

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import minimize_scalar
 
@@ -12,7 +13,8 @@ from scartypes import boundary, canonical, mps, opspace, states
 from scartypes.boundary import (Region, action_equivalent, boundary_solve,
                                 classify, equivalence_test)
 from scartypes.opspace import apply, string_term
-from operator_oracles import to_matrix
+from operator_oracles import site_axes_apply, to_matrix
+from test_opspace import full_index_apply
 
 
 @pytest.fixture(scope="module")
@@ -119,48 +121,41 @@ def _patch_operators(s):
 
 
 class TestAction:
-    """_action: every target and the diagonals the norm reads from one decode."""
+    """_patch: each truncation with its targets, opspace.apply of it on every state."""
 
-    def test_targets_and_norm_match_apply(self, setup10, monkeypatch):
-        rng = np.random.default_rng(4)
-        small = [opspace.truncate(h, lam) for h in (canonical.h_imhop(8), canonical.h_dmi(8))
-                 for lam in (Region(0, 5, 8), Region(2, 7, 8))]        # the dense norm branch
-        cases = [(op, [states.vacuum(op.n_sites), states.w_state(op.n_sites),
-                       _phased(rng, [states.w_p(op.n_sites, 2)])[0],
-                       rng.normal(size=1 << op.n_sites) + 1j * rng.normal(size=1 << op.n_sites)])
-                 for op in _patch_operators(setup10) + small]
-        decodes, diagonals = [], opspace._flip_diagonals
-        monkeypatch.setattr(opspace, "_flip_diagonals",
-                            lambda op: decodes.append(op) or diagonals(op))
-        results = [boundary._action(op, psis) for op, psis in cases]
-        monkeypatch.undo()
-        assert len(decodes) == len(cases)
-        for (op, psis), (diagonals, targets) in zip(cases, results):
-            assert boundary._spectral_norm(diagonals, op.n_sites) == _norm(op)
-            for psi, got in zip(psis, targets):
-                want = apply(op, psi)
-                assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
-
-    @staticmethod
-    def full_index_targets(diagonals, psi):
-        """The full sum over every index, which reading psi's support replaced."""
-        idx = np.arange(psi.size)
-        out = np.zeros(psi.size, dtype=complex)
-        for flip, gain in diagonals.items():
-            out[idx ^ flip] += gain * psi
-        return out
+    def test_targets_are_apply_of_the_truncation(self, setup10):
+        s = setup10
+        n, rng = s["n"], np.random.default_rng(4)
+        planted = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        planted[rng.random(1 << n) < 0.5] = 0.0
+        psis = [s["vac"], s["w"], _phased(rng, [s["w2"]])[0], planted]
+        hs = (s["imhop"], s["ntot"], s["rehop"], s["imhop2"],
+              canonical.random_type1(n, rng) + s["imhop"], canonical.h_dmi(n))
+        op_range = max(h.declared_range for h in hs)
+        for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3), op_range=op_range):
+            _, _, actions = boundary._patch(hs, psis, lam, 2)
+            assert len(actions) == len(hs)
+            for h, (op, targets) in zip(hs, actions):
+                assert op.terms == opspace.truncate(h, lam).terms
+                assert [t.tobytes() for t in targets] == [apply(op, psi).tobytes()
+                                                          for psi in psis]
 
     def test_targets_bytes_equal_full_index_sum(self, setup10):
-        rng = np.random.default_rng(6)
-        extra = [opspace.LocalOperator(10), opspace.identity(10, 2j)]
-        for op in _patch_operators(setup10)[::4] + extra:
-            planted = rng.normal(size=1024) + 1j * rng.normal(size=1024)
-            planted[rng.random(1024) < 0.5] = 0.0
-            psis = [setup10["vac"], setup10["w"], setup10["w2"], states.w_q(10, 3),
-                    states.droplet(10, 5, 2), planted, rng.normal(size=1024)]
-            diagonals, targets = boundary._action(op, psis)
-            for psi, got in zip(psis, targets):
-                assert got.tobytes() == self.full_index_targets(diagonals, psi).tobytes()
+        # the per-string decode over every basis index, on sparse, planted
+        # and dense states
+        s = setup10
+        n, rng = s["n"], np.random.default_rng(6)
+        planted = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        planted[rng.random(1 << n) < 0.5] = 0.0
+        psis = [s["vac"], s["w"], s["w2"], states.w_q(n, 3), states.droplet(n, 5, 2), planted,
+                rng.normal(size=1 << n)]
+        hs = (s["imhop"], s["imhop2"], canonical.random_type1(n, rng) + s["imhop"],
+              opspace.LocalOperator(n), opspace.identity(n, 2j))
+        for lam in (Region(0, 6, n), Region(3, 1, n)):
+            _, _, actions = boundary._patch(hs, psis, lam, 2)
+            for op, targets in actions:
+                for psi, got in zip(psis, targets):
+                    assert got.tobytes() == full_index_apply(op, psi).tobytes()
 
     @pytest.mark.parametrize("n", [14, 15])
     def test_large_targets_bytes_equal_full_index_sum(self, n):
@@ -169,17 +164,16 @@ class TestAction:
         # real and imaginary hopping on the same bonds give complex gains
         rng = np.random.default_rng(n)
         h = canonical.random_type1(n, rng) + canonical.h_imhop(n) + 0.3 * canonical.h_rehop(n)
-        op = opspace.truncate(h, Region(0, n - 3, n))
         planted = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         planted[rng.random(1 << n) < 0.2] = 0.0
         psis = [states.w_state(n), planted, rng.normal(size=1 << n)]
-        diagonals, targets = boundary._action(op, psis)
+        _, _, [(op, targets)] = boundary._patch((h,), psis, Region(0, n - 3, n), 2)
         for psi, got in zip(psis, targets):
-            assert got.tobytes() == TestAction.full_index_targets(diagonals, psi).tobytes()
+            assert got.tobytes() == full_index_apply(op, psi).tobytes()
 
     def test_wrong_state_shape(self, setup10):
         with pytest.raises(opspace.DimensionError):
-            boundary._action(setup10["imhop"], [states.vacuum(8)])
+            boundary._patch((setup10["imhop"],), [states.vacuum(8)], setup10["lam"], 2)
 
 
 class TestSpectralNorm:
@@ -198,7 +192,7 @@ class TestSpectralNorm:
                canonical.h_imhop2(7), canonical.h_rehop(3), canonical.n_tot(1)]
         for op in ops:
             dense = np.abs(np.linalg.eigvalsh(to_matrix(op))).max()
-            assert abs(_norm(op) - dense) <= 1e-10 * dense
+            assert abs(boundary._spectral_norm(op) - dense) <= 1e-10 * dense
 
     def test_every_patch_operator_of_the_benchmark_cases(self, setup10):
         # the patch operators of the benchmark's five verdicts at both sweep
@@ -209,32 +203,49 @@ class TestSpectralNorm:
         assert {1 << op.n_sites for op in ops} == {1024}
         for op in ops:
             dense = _dense_norm(op)
-            assert abs(_norm(op) - dense) <= 1e-10 * dense
+            assert abs(boundary._spectral_norm(op) - dense) <= 1e-10 * dense
 
     def test_krylov_space_closes(self):
         n = 9
         # x - sd - s is the zero matrix: beta = 0 at the first step
         zero_matrix = opspace.parse_operator("x@0 ; -1 * sd@0 ; -1 * s@0", n)
-        assert zero_matrix.terms and _norm(zero_matrix) == 0.0
-        assert _norm(opspace.LocalOperator(8)) == 0.0      # no flip diagonal
+        assert zero_matrix.terms and boundary._spectral_norm(zero_matrix) == 0.0
+        assert boundary._spectral_norm(opspace.LocalOperator(8)) == 0.0      # no string
         # two eigenvalues, 1 and 3: the Krylov space closes after two steps
         two_level = opspace.parse_operator("2 * id ; z@4", n)
-        assert _norm(two_level) == pytest.approx(3.0, rel=1e-12)
+        assert boundary._spectral_norm(two_level) == pytest.approx(3.0, rel=1e-12)
 
     def test_idle_sites_match_dense_eigvalsh(self):
         n = 9
         # no active site: a 1 x 1 Lanczos; "2 * id ; z@4" is test_krylov_space_closes's
-        assert _norm(opspace.parse_operator("2 * id", n)) == 2.0
+        assert boundary._spectral_norm(opspace.parse_operator("2 * id", n)) == 2.0
         ops = [opspace.parse_operator(text, n) for text in (
             "x@0 x@1 ; 0.5 * z@5",
             "n@2 n@4 ; -1 * sd@2 s@4 ; -1 * sd@4 s@2",      # site 3 idle inside the window
-            "n@3 ; 0.5 * z@3 ; x@0",                        # site 3 read by no diagonal
+            "n@3 ; 0.5 * z@3 ; x@0",                        # site 3 masked, yet idle
+            "x@0 ; -0.3 * z@5 ; 0.5 * id",                  # site 5 only in a sign mask
             "y@8 z@0 ; 0.3 * n@4")]
         ops += [opspace.truncate(canonical.h_imhop(n), Region(2, 6, n)),
                 opspace.truncate(canonical.h_dmi(n), Region(7, 2, n), "pauli")]
         for op in ops:
             dense = np.abs(np.linalg.eigvalsh(to_matrix(op))).max()
-            assert abs(_norm(op) - dense) <= 1e-12 * dense
+            assert abs(boundary._spectral_norm(op) - dense) <= 1e-12 * dense
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_codes_with_idle_sites_match_dense_eigvalsh(self, seed, n):
+        # Hermitian sums of strings over every code, "id" inside their windows,
+        # plus c n@j + c/2 z@j = c/2: site j is in the masks, yet idle
+        rng = np.random.default_rng(seed)
+        codes, terms = opspace.ALL_CODES, {}
+        for _ in range(rng.integers(1, 7)):
+            ops = tuple(codes[k] for k in rng.integers(len(codes), size=rng.integers(1, n + 1)))
+            terms[int(rng.integers(n)), ops] = complex(rng.normal(), rng.normal())
+        half = opspace.LocalOperator(n, terms)
+        j, c = int(rng.integers(n)), float(rng.normal())
+        op = half + half.dagger() + opspace.parse_operator(f"{c!r} * n@{j} ; {c / 2!r} * z@{j}", n)
+        dense = np.abs(np.linalg.eigvalsh(to_matrix(op))).max()
+        assert abs(boundary._spectral_norm(op) - dense) <= 1e-10 * dense
 
     def test_lanczos_runs_on_active_sites(self, setup10, monkeypatch):
         dims, lanczos = [], boundary._lanczos_norm
@@ -242,7 +253,7 @@ class TestSpectralNorm:
                             lambda gains, perm: dims.append(perm.shape[1]) or lanczos(gains, perm))
         ops = _patch_operators(setup10)
         for op in ops:
-            _norm(op)
+            boundary._spectral_norm(op)
         # the sites some boson string acts on nontrivially
         active = [{(start + k) % op.n_sites for (start, codes) in opspace.to_boson_basis(op).terms
                    for k, c in enumerate(codes) if c != "id"} for op in ops]
@@ -252,12 +263,7 @@ class TestSpectralNorm:
     def test_step_cap_raises_with_residual(self, setup10, monkeypatch):
         monkeypatch.setattr(boundary, "LANCZOS_MAX_STEPS", 6)
         with pytest.raises(ValueError, match="not converged in 6 steps: Ritz residual"):
-            _norm(setup10["imhop"])
-
-
-def _norm(op) -> float:
-    """The Lanczos spectral norm of an operator's flip diagonals, as classify takes it."""
-    return boundary._spectral_norm(opspace._flip_diagonals(op), op.n_sites)
+            boundary._spectral_norm(setup10["imhop"])
 
 
 def _dense_norm(op) -> float:
@@ -280,7 +286,7 @@ def dense_design_matrix(psis, n_sites, local_dim, left_sites, right_sites):
     for sites in (left_sites, right_sites):
         basis = boundary._window_basis(local_dim, len(sites))
         blocks.append(np.concatenate(
-            [boundary._site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
+            [site_axes_apply(basis, psi, sites, local_dim, n_sites) for psi in psis],
             axis=1))
     blocks.append(_gauge_block(psis))
     return np.vstack(blocks).T
@@ -359,7 +365,7 @@ def _chain_fits():
         for n in (6, 8):
             psi = mps.to_dense(tensor, n)
             lam = list(range(1, n - 1))
-            target = sum(boundary._site_axes_apply(gen, psi, [j], tensor.d, n) for j in lam)
+            target = sum(site_axes_apply(gen, psi, [j], tensor.d, n) for j in lam)
             windows = tuple(lam[:r_inj]), tuple(lam[-r_inj:])
             fits.append(pytest.param(tensor.d, n, psi, windows, target, id=f"{name}-N{n}"))
     return fits
@@ -489,7 +495,7 @@ class TestAnchorShortcut:
         monkeypatch.setattr(boundary, "_patch", lambda hs, psis, lam, r:
                             lefts.append(lam.left) or patch(hs, psis, lam, r))
         monkeypatch.setattr(boundary, "_spectral_norm",
-                            lambda diag, n: norms.append(diag) or norm(diag, n))
+                            lambda op: norms.append(op) or norm(op))
         label = classify(h, psis)
         monkeypatch.undo()
         return label, lefts, len(norms)
@@ -812,8 +818,8 @@ class TestSiteAxesApply:
         for sites in ((1,), (3, 0), (0, 2, 4)):
             dim = local_dim ** len(sites)
             stack = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
-            got = boundary._site_axes_apply(stack, psi, sites, local_dim, n_sites)
-            want = [boundary._site_axes_apply(m, psi, sites, local_dim, n_sites)
+            got = site_axes_apply(stack, psi, sites, local_dim, n_sites)
+            want = [site_axes_apply(m, psi, sites, local_dim, n_sites)
                     for m in stack]
             assert got.shape == (4, psi.size)
             assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from scartypes import boundary, mps
+from scartypes import mps
 from scartypes.mps import (MPSTensor, NotInjective, NotSymmetricError,
                            boundary_operators, builtin_aklt, builtin_ssh,
                            classify_symmetry_generator, injectivity_length,
                            is_full_rank, push_through_check, spin1_matrix,
                            ssh_sz_matrix, to_dense, transfer_spectrum,
                            verify_boundary_action)
+from operator_oracles import site_axes_apply
 
 
 class TestTransferMatrix:
@@ -221,9 +222,8 @@ class TestBoundaryOperators:
             aklt, spin1_matrix("z"), theta, lam, psi, n_sites)
         v, _ = push_through_check(aklt, spin1_matrix("z"), theta)
         _, w_right, _ = boundary_operators(aklt, v, 2)
-        got = boundary._site_axes_apply(expm(1j * theta * o_left), psi, lam[:2],
-                                        3, n_sites)
-        got = boundary._site_axes_apply(w_right, got, lam[-2:], 3, n_sites)
+        got = site_axes_apply(expm(1j * theta * o_left), psi, lam[:2], 3, n_sites)
+        got = site_axes_apply(w_right, got, lam[-2:], 3, n_sites)
         assert np.linalg.norm(expected - got) < 1e-9
 
 
@@ -236,18 +236,24 @@ def traced_blocked_dense(a, n_sites):
 
 
 class TestSiteApply:
-    """The one-site matmul of the dense certificate against the transposing
-    _site_axes_apply it replaced there."""
+    """The contiguous-window matmul of the dense certificate and the boundary
+    action against the transposing site_axes_apply oracle."""
 
     @pytest.mark.parametrize("local_dim, n_sites", [(2, 7), (3, 5), (4, 4)])
     def test_matches_site_axes_apply(self, local_dim, n_sites):
+        # every window of width 1-3 at every start
         rng = np.random.default_rng(local_dim)
         psi = rng.normal(size=local_dim ** n_sites) + 1j * rng.normal(size=local_dim ** n_sites)
-        mat = rng.normal(size=(local_dim,) * 2) + 1j * rng.normal(size=(local_dim,) * 2)
-        for j in range(n_sites):
-            got = mps._site_apply(mat, psi, j, local_dim, n_sites)
-            ref = boundary._site_axes_apply(mat, psi, [j], local_dim, n_sites)
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        for width in (1, 2, 3):
+            dim = local_dim ** width
+            mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for j in range(n_sites - width + 1):
+                got = mps._site_apply(mat, psi, j, local_dim, n_sites)
+                ref = site_axes_apply(mat, psi, range(j, j + width), local_dim, n_sites)
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+                if width == 1:      # the one-site matmul on the (d^(N-1-j), d, d^j) view
+                    view = psi.reshape(local_dim ** (n_sites - 1 - j), local_dim, local_dim ** j)
+                    assert got.tobytes() == (mat @ view).reshape(psi.shape).tobytes()
 
 
 class TestDenseChain:

@@ -2,7 +2,8 @@
 every public function, class, method, property and dataclass field, and every
 defaulted parameter of a public function or method.  Every public module-level
 function and class must have a reader in the package, the benchmark workloads
-or the acceptance criteria; what only tests read belongs in the tests.
+or the acceptance criteria, and every private one a reader in the package;
+what only tests read belongs in the tests.
 
 Thresholds (NULL_TOL, RANK_TOL, EIGENSTATE_TOL, ACCEPT / REJECT, ...) are
 module constants, not per-call options: a verdict is only as good as them.
@@ -14,7 +15,8 @@ import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-READERS = (*sorted((ROOT / "src" / "scartypes").glob("*.py")),
+PACKAGE = tuple(sorted((ROOT / "src" / "scartypes").glob("*.py")))
+READERS = (*PACKAGE,
            ROOT / "perfbench" / "workloads.py", ROOT / "tests" / "test_acceptance.py")
 
 MODULES = ("opspace", "states", "nullspace", "canonical", "boundary", "scars",
@@ -177,4 +179,19 @@ def test_every_public_name_has_a_reader():
                     for owner, found in by_owner.items()
                     if not (path == own and owner == name)):
                 unread.append(f"{short}.{name}")
+    assert unread == []
+
+
+def test_every_private_function_and_class_has_a_package_reader():
+    reads = {path: _reads(path) for path in PACKAGE}
+    unread = []
+    for own in PACKAGE:
+        for stmt in ast.parse(own.read_text()).body:
+            name = getattr(stmt, "name", "")
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and name.startswith("_") and not any(
+                        name in found for path, by_owner in reads.items()
+                        for owner, found in by_owner.items()
+                        if not (path == own and owner == name)):
+                unread.append(f"{own.stem}.{name}")
     assert unread == []
