@@ -12,10 +12,13 @@ with f_n) and scalars f_n, optionally restricting A_l, B_r to Hermitian.
 The window basis is the site products of {1, traceless Hermitian}: for
 qubits the window's Pauli strings, whose coefficients the fit returns.
 
-Residuals are reported relative to the spectral norm of H_Lam (in
-equivalence_test, to the larger max_n ||H_Lam psi_n|| of its two inputs)
-with the accept/reject dead zone fixed at 1e-8 / 1e-3: the impossibility
-proofs are exact statements, finite-size numerics needs the buffer.
+Every residual is reported relative to the fitted action, max_n ||H_Lam
+psi_n|| (_scale, floored at the targets' rounding level over ACCEPT; in
+equivalence_test, over both inputs' truncations), so it does not shrink as
+the patch grows; the zero fit is always feasible, so the fit of one
+Hamiltonian reads at most sqrt(#states).  The accept/reject dead zone is
+fixed at 1e-8 / 1e-3: the impossibility proofs are exact statements,
+finite-size numerics needs the buffer.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ from .opspace import LocalOperator, Region
 
 ACCEPT = 1e-8
 REJECT = 1e-3
-LANCZOS_TOL = 1e-9          # Ritz residual relative to the Ritz value
-LANCZOS_MAX_STEPS = 300
-LANCZOS_CHECK_EVERY = 4     # steps between convergence checks
 
 # qubit one-site basis: the identity, then _traceless_hermitian_basis(2) = (z, x, y)
 _SITE_CODES = ("id", "z", "x", "y")
@@ -44,7 +44,7 @@ class BoundarySolve:
     left_op: LocalOperator | None
     right_op: LocalOperator | None
     constants: tuple
-    residual: float          # max_n ||r_n|| / ||H_Lam||, the spectral norm
+    residual: float          # max_n ||r_n|| / max_n ||H_Lam psi_n||, in [0, sqrt(#states)]
     left_window: tuple
     right_window: tuple
 
@@ -57,72 +57,17 @@ class TypeLabel:
     anchors_solved: tuple = ()   # sweep anchors whose patches were solved
 
 
-def _spectral_norm(op: LocalOperator) -> float:
-    """Largest |eigenvalue| of the Hermitian operator, from its string table.
+def _scale(targets, hs=()) -> float:
+    """The residual scale of a fit: max_n ||H_Lam psi_n|| over the targets
+    (any array whose last axis runs over amplitudes), floored at 1e-300.
 
-    It is H_L (x) 1 over the L sites in some string's select, flip or sign
-    mask (a superset of the sites H acts on only adds idle factors of 1), so
-    Lanczos runs on H_L's 2^L amplitudes, the masks packed onto those sites.
-    The matrix acts as a gather, (H v)[i] = sum_f gains[f, i] v[i ^ f]: a
-    string with flip mask f adds its amplitude on source index i to
-    gains[f, i ^ f], in real arithmetic when every gain is real.  Lanczos
-    keeps full reorthogonalisation from a seeded normal start vector (a
-    uniform one is an eigenvector of every permutation-symmetric operator,
-    where Lanczos stops at once).  Every LANCZOS_CHECK_EVERY steps the Ritz
-    value theta of largest |theta| is accepted once its residual beta_k
-    |s_k| is at most LANCZOS_TOL |theta|, where s_k is the last component of
-    its Ritz vector; a Krylov space that closes (beta = 0) gives the exact
-    value.  No convergence within LANCZOS_MAX_STEPS steps raises ValueError
-    with the residual reached.
+    It is also floored at eps sum |c| / ACCEPT over the string coefficients
+    of the Hamiltonians ``hs`` whose truncations the targets are: eps sum |c|
+    bounds a target's rounding, so an action that vanishes only up to
+    rounding reads below ACCEPT, not O(1).
     """
-    *masks, amp = opspace._string_table(op.n_sites, op.terms.items())
-    if not len(amp):
-        return 0.0
-    sel, _, flip, sign = masks
-    touched = int(np.bitwise_or.reduce(sel | flip | sign))
-    active = np.array([j for j in range(op.n_sites) if touched >> j & 1], dtype=np.int64)
-    # site active[k] becomes bit k of every mask
-    packed = (np.array(masks)[..., None] >> active & 1) @ (1 << np.arange(len(active)))
-    idx = np.arange(1 << len(active))
-    rows: dict = {}
-    for sel_t, bits_t, flip_t, sign_t, amp_t in zip(*packed.tolist(), amp.tolist()):
-        src = idx[(idx & sel_t) == bits_t] if sel_t else idx
-        if flip_t not in rows:
-            rows[flip_t] = np.zeros(len(idx), dtype=complex)
-        rows[flip_t][src ^ flip_t] += amp_t * opspace._signs(src & sign_t) if sign_t else amp_t
-    gains = np.array(list(rows.values()))
-    perm = idx ^ np.array(list(rows), dtype=np.int64)[:, None]      # (flips, 2^L)
-    return _lanczos_norm(gains if gains.imag.any() else gains.real, perm)
-
-
-def _lanczos_norm(gains: np.ndarray, perm: np.ndarray) -> float:
-    """_spectral_norm's Lanczos on (H v)[i] = sum_f gains[f, i] v[perm[f, i]]."""
-    dim = perm.shape[1]
-    steps = min(dim, LANCZOS_MAX_STEPS)
-    basis = np.empty((steps, dim), dtype=gains.dtype)
-    tri = np.zeros((steps + 1, steps + 1))          # the Lanczos tridiagonal matrix
-    v = np.random.default_rng(0).standard_normal(dim).astype(gains.dtype)
-    v /= np.linalg.norm(v)
-    for k in range(steps):
-        basis[k] = v
-        w = (gains * v[perm]).sum(axis=0)
-        tri[k, k] = np.vdot(v, w).real
-        w -= tri[k, k] * v
-        if k:
-            w -= tri[k - 1, k] * basis[k - 1]
-        kept = basis[:k + 1]
-        w -= (kept @ w.conj()).conj() @ kept
-        tri[k, k + 1] = tri[k + 1, k] = beta = np.linalg.norm(w)
-        if beta == 0.0 or (k + 1) % LANCZOS_CHECK_EVERY == 0 or k + 1 == steps:
-            theta, ritz = np.linalg.eigh(tri[:k + 1, :k + 1])
-            top = int(np.argmax(np.abs(theta)))
-            theta, residual = abs(theta[top]), beta * abs(ritz[-1, top])
-            if residual <= LANCZOS_TOL * theta:         # always when beta = 0
-                return float(theta)
-        v = w / beta
-    raise ValueError(
-        f"Lanczos spectral norm not converged in {steps} steps: Ritz residual "
-        f"{residual:.3e} > {LANCZOS_TOL:g} x |theta| = {theta:.6g}")
+    rounding = np.finfo(float).eps * sum(abs(c) for h in hs for c in h.terms.values())
+    return max(float(np.linalg.norm(targets, axis=-1).max()), rounding / ACCEPT, 1e-300)
 
 
 # -- generic least-squares solver ----------------------------------------------
@@ -306,9 +251,9 @@ def _require(r_max: int, hs, states_list) -> None:
 def _patch(hs, states_list, lam: Region, r_max: int):
     """One patch of the Hamiltonians hs: checks the patch rule (ValueError).
 
-    Returns (_design, (left_sites, right_sites), actions), with one
-    (truncation, [opspace.apply(truncation, psi) for psi in states_list])
-    pair per Hamiltonian in ``actions``.
+    Returns (_design, (left_sites, right_sites), actions), with the targets
+    [opspace.apply(truncation, psi) for psi in states_list] of each
+    Hamiltonian's truncation in ``actions``.
     """
     floor = _patch_floor(r_max, max(h.declared_range for h in hs))
     if lam.length < floor:
@@ -317,7 +262,7 @@ def _patch(hs, states_list, lam: Region, r_max: int):
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
     design = _design(states_list, hs[0].n_sites, 2, *windows)
-    return design, windows, [(op, [opspace.apply(op, psi) for psi in states_list])
+    return design, windows, [[opspace.apply(op, psi) for psi in states_list]
                              for op in (opspace.truncate(h, lam) for h in hs)]
 
 
@@ -325,14 +270,13 @@ def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
                    hermitian: bool = False) -> BoundarySolve:
     """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
     _require(r_max, (h,), states_list)
-    design, (left_sites, right_sites), [(op, targets)] = _patch((h,), states_list, lam, r_max)
-    scale = max(_spectral_norm(op), 1e-300)
+    design, (left_sites, right_sites), [targets] = _patch((h,), states_list, lam, r_max)
     a, b, f, r_abs = _fit(design, targets, hermitian, 4 ** r_max - 1)
     return BoundarySolve(
         left_op=_window_operator(a, left_sites, h.n_sites),
         right_op=_window_operator(b, right_sites, h.n_sites),
         constants=f,
-        residual=r_abs / scale,
+        residual=r_abs / _scale(targets, (h,)),
         left_window=left_sites,
         right_window=right_sites)
 
@@ -367,16 +311,15 @@ def _left_independent(h, states_list, r_max: int, short, grown) -> bool:
 
     Growing the patch by one site on the right must change the action only
     by right-localized operators: the truncation difference is fitted with
-    an empty left window.  ``short`` and ``grown`` are the (patch,
-    truncation, targets) of two anchor-0 patches of classify's sweep, the
-    second one site longer; the residual is scaled by the norm of the
-    truncations' difference.
+    an empty left window.  ``short`` and ``grown`` are the (patch, targets)
+    of two anchor-0 patches of classify's sweep, the second one site longer;
+    the residual is scaled by _scale of the targets' difference.
     """
-    (_, short_op, short_targets), (lam, op, targets) = short, grown
+    (_, short_targets), (lam, targets) = short, grown
     targets = [g - s for g, s in zip(targets, short_targets)]
     *_, r_abs = solve_boundary_dense(targets, states_list, h.n_sites, 2,
                                      (), tuple(lam.sites()[-(r_max + 1):]), hermitian=False)
-    return r_abs / max(_spectral_norm(op - short_op), 1e-300) < ACCEPT
+    return r_abs / _scale(targets, (h,)) < ACCEPT
 
 
 def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
@@ -385,8 +328,9 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     I: Hermitian fit accepted on every patch.  II: general fit accepted
     everywhere but the Hermitian fit rejected somewhere.  III: the general
     fit itself rejected somewhere.  Residuals inside the dead zone yield an
-    explicit indeterminate outcome.  The left/right-independence clause is
-    cross-checked by comparing the left operator across right-edge
+    explicit indeterminate outcome.  Each row's residuals are scaled by
+    that patch's max_n ||H_Lam psi_n|| (_scale).  The left/right-independence
+    clause is cross-checked by comparing the left operator across right-edge
     positions at fixed anchor.  After _require's checks, an empty sweep
     raises ValueError.
 
@@ -406,10 +350,10 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     length = max(2 * r_max + 3, 2 * h.declared_range + 1)
     evidence, clause = [], {}
     for lam in default_sweep(n_sites, r_max, anchors=solved, op_range=h.declared_range):
-        design, _, [(op, targets)] = _patch((h,), states_list, lam, r_max)
+        design, _, [targets] = _patch((h,), states_list, lam, r_max)
         if lam.left == 0 and lam.length in (length, length + 1):
-            clause[lam.length] = lam, op, targets
-        scale = max(_spectral_norm(op), 1e-300)
+            clause[lam.length] = lam, targets
+        scale = _scale(targets, (h,))
         evidence.append((r_max, lam.length, *(_fit(design, targets, hermitian, 4 ** r_max - 1)[3]
                                               / scale for hermitian in (False, True))))
     evidence *= 2 // len(solved)
@@ -463,8 +407,8 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
         lam = default_sweep(h_a.n_sites, r_max, op_range=max(
             h_a.declared_range, h_b.declared_range))[-2:][0]
     design, _, actions = _patch((h_a, h_b), states_list, lam, r_max)
-    acts = np.array([targets for _, targets in actions])
-    scale = max(np.linalg.norm(acts, axis=2).max(), 1e-300)
+    acts = np.array(actions)
+    scale = _scale(acts, (h_a, h_b))
     _, resid = _lstsq(design, acts.reshape(2, -1).T, hermitian=True)
     ab = resid.reshape(n_states, -1, 2)          # (state, amplitude, a/b)
     gram = (ab.conj().transpose(0, 2, 1) @ ab).real

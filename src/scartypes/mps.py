@@ -272,7 +272,8 @@ def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
 
 def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
                                            n_sites: int, r_inj: int) -> bool:
-    """Hermitian-feasibility of the truncated generator on a dense chain."""
+    """Hermitian-feasibility of the truncated generator on a dense chain, the
+    residual scaled by ||target|| as in every boundary verdict."""
     gen = np.asarray(generator, dtype=complex)
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))
@@ -282,8 +283,7 @@ def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
     *_, r_abs = boundary_mod.solve_boundary_dense(
         [target], [psi], n_sites, a.d,
         tuple(lam[:r_inj]), tuple(lam[-r_inj:]), hermitian=True)
-    scale = len(lam) * float(np.abs(np.linalg.eigvalsh(gen)).max())
-    return r_abs / max(scale, 1e-300) < boundary_mod.ACCEPT
+    return r_abs / boundary_mod._scale([target]) < boundary_mod.ACCEPT
 
 
 def classify_symmetry_generator(a: MPSTensor, generator,

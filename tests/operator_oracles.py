@@ -1,8 +1,7 @@
 """Dense and coefficient-wise references for operator tests.
 
 Neither the package nor its command line reads these: they are the tests'
-oracles for operator algebra, state application, spectral norms and the
-boundary solves.
+oracles for operator algebra, state application and the boundary solves.
 """
 
 import numpy as np

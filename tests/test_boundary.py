@@ -102,26 +102,8 @@ class TestBoundarySolve:
                         assert {(start + k) % n for k in range(len(ops))} <= set(window)
 
 
-def _patch_operators(s):
-    """The 33 operators whose norms the benchmark cases take at N=10."""
-    n = s["n"]
-    rng = np.random.default_rng(8)
-    cases = [s["imhop"], s["ntot"], s["rehop"], s["imhop2"],
-             canonical.random_type1(n, rng) + s["imhop"]]
-    ops = [opspace.truncate(h, lam) for h in cases
-           for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3),
-                                             op_range=h.declared_range)]
-    for h in (s["imhop"], s["rehop"], s["imhop2"], cases[-1]):
-        min_len = max(2 * 2 + 3, 2 * h.declared_range + 1)
-        ops.append(opspace.truncate(h, Region(0, min_len, n))
-                   - opspace.truncate(h, Region(0, min_len - 1, n)))
-    assert len(ops) == 30
-    lam = Region(0, 6, n)       # equivalence_test's default patch at N=10
-    return ops + [opspace.truncate(h, lam) for h in (s["imhop"], canonical.h_dmi(n), s["imhop2"])]
-
-
 class TestAction:
-    """_patch: each truncation with its targets, opspace.apply of it on every state."""
+    """_patch: each Hamiltonian's targets, opspace.apply of its truncation on every state."""
 
     def test_targets_are_apply_of_the_truncation(self, setup10):
         s = setup10
@@ -135,8 +117,8 @@ class TestAction:
         for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3), op_range=op_range):
             _, _, actions = boundary._patch(hs, psis, lam, 2)
             assert len(actions) == len(hs)
-            for h, (op, targets) in zip(hs, actions):
-                assert op.terms == opspace.truncate(h, lam).terms
+            for h, targets in zip(hs, actions):
+                op = opspace.truncate(h, lam)
                 assert [t.tobytes() for t in targets] == [apply(op, psi).tobytes()
                                                           for psi in psis]
 
@@ -153,7 +135,8 @@ class TestAction:
               opspace.LocalOperator(n), opspace.identity(n, 2j))
         for lam in (Region(0, 6, n), Region(3, 1, n)):
             _, _, actions = boundary._patch(hs, psis, lam, 2)
-            for op, targets in actions:
+            for h, targets in zip(hs, actions):
+                op = opspace.truncate(h, lam)
                 for psi, got in zip(psis, targets):
                     assert got.tobytes() == full_index_apply(op, psi).tobytes()
 
@@ -167,7 +150,9 @@ class TestAction:
         planted = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         planted[rng.random(1 << n) < 0.2] = 0.0
         psis = [states.w_state(n), planted, rng.normal(size=1 << n)]
-        _, _, [(op, targets)] = boundary._patch((h,), psis, Region(0, n - 3, n), 2)
+        lam = Region(0, n - 3, n)
+        _, _, [targets] = boundary._patch((h,), psis, lam, 2)
+        op = opspace.truncate(h, lam)
         for psi, got in zip(psis, targets):
             assert got.tobytes() == full_index_apply(op, psi).tobytes()
 
@@ -176,105 +161,108 @@ class TestAction:
             boundary._patch((setup10["imhop"],), [states.vacuum(8)], setup10["lam"], 2)
 
 
-class TestSpectralNorm:
-    def test_matches_dense_eigvalsh(self, setup10):
-        s = setup10
-        n = s["n"]
-        rng = np.random.default_rng(12)
-        ops = [opspace.truncate(s["imhop2"], Region(0, 7, n), "boson"),
-               opspace.truncate(canonical.random_type1(n, rng) + s["imhop"],
-                                Region(3, 9, n), "boson"),
-               s["rehop"],
-               # |+>^N is an eigenvector of these: a uniform Lanczos start stalls
-               canonical.h_heis(n), s["imhop"], s["imhop2"],
-               # small rings, down to a 2 x 2 matrix
-               opspace.truncate(canonical.random_type1(8, rng), Region(1, 7, 8), "boson"),
-               canonical.h_imhop2(7), canonical.h_rehop(3), canonical.n_tot(1)]
-        for op in ops:
-            dense = np.abs(np.linalg.eigvalsh(to_matrix(op))).max()
-            assert abs(boundary._spectral_norm(op) - dense) <= 1e-10 * dense
+class TestResidualScale:
+    """Every boundary residual is scaled by max_n ||H_Lam psi_n|| (_scale),
+    floored at the targets' rounding level over ACCEPT."""
 
-    def test_every_patch_operator_of_the_benchmark_cases(self, setup10):
-        # the patch operators of the benchmark's five verdicts at both sweep
-        # anchors, the truncation differences of the left/right-independence
-        # clause (reached by the four type I/II cases), and the two
-        # equivalence tests' truncations
-        ops = _patch_operators(setup10)
-        assert {1 << op.n_sites for op in ops} == {1024}
-        for op in ops:
-            dense = _dense_norm(op)
-            assert abs(boundary._spectral_norm(op) - dense) <= 1e-10 * dense
+    @staticmethod
+    def _oracle_rows(h, psis, r_max):
+        """classify's evidence rows at both anchors from the dense oracles:
+        to_matrix of each truncation, _dense_lstsq on dense_design_matrix,
+        worst per-state residual over max_n ||H_Lam psi_n||."""
+        n, rows = h.n_sites, []
+        for lam in boundary.default_sweep(n, r_max, anchors=(0, n // 3),
+                                          op_range=h.declared_range):
+            sites = lam.sites()
+            mat = dense_design_matrix(psis, n, 2, sites[:r_max], sites[-r_max:])
+            targets = np.array([to_matrix(opspace.truncate(h, lam)) @ psi for psi in psis])
+            rhs, row = targets.ravel(), [r_max, lam.length]
+            for hermitian in (False, True):
+                resid = _dense_lstsq(mat, rhs, hermitian)[0].reshape(len(psis), -1)
+                row.append(np.linalg.norm(resid, axis=1).max()
+                           / np.linalg.norm(targets, axis=1).max())
+            rows.append(tuple(row))
+        return rows
 
-    def test_krylov_space_closes(self):
-        n = 9
-        # x - sd - s is the zero matrix: beta = 0 at the first step
-        zero_matrix = opspace.parse_operator("x@0 ; -1 * sd@0 ; -1 * s@0", n)
-        assert zero_matrix.terms and boundary._spectral_norm(zero_matrix) == 0.0
-        assert boundary._spectral_norm(opspace.LocalOperator(8)) == 0.0      # no string
-        # two eigenvalues, 1 and 3: the Krylov space closes after two steps
-        two_level = opspace.parse_operator("2 * id ; z@4", n)
-        assert boundary._spectral_norm(two_level) == pytest.approx(3.0, rel=1e-12)
+    @pytest.mark.parametrize("n,case", [
+        (n, case) for n in (8, 10)
+        for case in ("h_imhop", "n_tot", "h_rehop", "h_dmi", "h_imhop2", "non_invariant")
+        if n == 10 or case not in ("h_imhop2", "non_invariant")])  # range 3: no patch at N = 8
+    def test_classify_rows_match_dense_oracle(self, n, case):
+        vw = [states.vacuum(n), states.w_state(n)]
+        if case == "h_imhop2":
+            h, psis = canonical.h_imhop2(n), vw + [states.w_p(n, 2)]
+        elif case == "non_invariant":
+            rng = np.random.default_rng(n)
+            h = canonical.random_type1(n, rng, translation_invariant=False) + canonical.h_imhop(n)
+            psis = vw
+        else:
+            h, psis = getattr(canonical, case)(n), vw
+        checked = 0
+        for r_max in (1, 2, 3):
+            if boundary._patch_floor(r_max, h.declared_range) > n - 2:
+                continue
+            label = classify(h, psis, r_max=r_max)
+            want = self._oracle_rows(h, psis, r_max)
+            assert [row[:2] for row in label.evidence] == [row[:2] for row in want]
+            got = np.array([row[2:] for row in label.evidence])
+            assert np.abs(got - np.array([row[2:] for row in want])).max() <= 1e-12
+            checked += 1
+        assert checked >= 1
 
-    def test_idle_sites_match_dense_eigvalsh(self):
-        n = 9
-        # no active site: a 1 x 1 Lanczos; "2 * id ; z@4" is test_krylov_space_closes's
-        assert boundary._spectral_norm(opspace.parse_operator("2 * id", n)) == 2.0
-        ops = [opspace.parse_operator(text, n) for text in (
-            "x@0 x@1 ; 0.5 * z@5",
-            "n@2 n@4 ; -1 * sd@2 s@4 ; -1 * sd@4 s@2",      # site 3 idle inside the window
-            "n@3 ; 0.5 * z@3 ; x@0",                        # site 3 masked, yet idle
-            "x@0 ; -0.3 * z@5 ; 0.5 * id",                  # site 5 only in a sign mask
-            "y@8 z@0 ; 0.3 * n@4")]
-        ops += [opspace.truncate(canonical.h_imhop(n), Region(2, 6, n)),
-                opspace.truncate(canonical.h_dmi(n), Region(7, 2, n), "pauli")]
-        for op in ops:
-            dense = np.abs(np.linalg.eigvalsh(to_matrix(op))).max()
-            assert abs(boundary._spectral_norm(op) - dense) <= 1e-12 * dense
-
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_mixed_codes_with_idle_sites_match_dense_eigvalsh(self, seed, n):
-        # Hermitian sums of strings over every code, "id" inside their windows,
-        # plus c n@j + c/2 z@j = c/2: site j is in the masks, yet idle
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([9, 10]), st.integers(1, 2),
+           st.sampled_from(["v", "w", "vw"]), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_residuals_within_sqrt_states(self, seed, n, r_max, which, invariant):
+        # the zero fit is always feasible, so no fit leaves more than its targets;
+        # random_type1 has range 3, so N = 9 is the smallest ring with a patch
         rng = np.random.default_rng(seed)
-        codes, terms = opspace.ALL_CODES, {}
-        for _ in range(rng.integers(1, 7)):
-            ops = tuple(codes[k] for k in rng.integers(len(codes), size=rng.integers(1, n + 1)))
-            terms[int(rng.integers(n)), ops] = complex(rng.normal(), rng.normal())
-        half = opspace.LocalOperator(n, terms)
-        j, c = int(rng.integers(n)), float(rng.normal())
-        op = half + half.dagger() + opspace.parse_operator(f"{c!r} * n@{j} ; {c / 2!r} * z@{j}", n)
-        dense = np.abs(np.linalg.eigvalsh(to_matrix(op))).max()
-        assert abs(boundary._spectral_norm(op) - dense) <= 1e-10 * dense
+        h = canonical.random_type1(n, rng, translation_invariant=invariant)
+        for part in (canonical.h_imhop, canonical.h_rehop, canonical.h_dmi, canonical.n_tot):
+            if rng.random() < 0.5:
+                h = h + float(rng.normal()) * part(n)
+        psis = _phased(rng, [{"v": states.vacuum, "w": states.w_state}[k](n) for k in which])
+        bound = np.sqrt(len(psis)) + 1e-12
+        clause, solve = [], boundary.solve_boundary_dense
 
-    def test_lanczos_runs_on_active_sites(self, setup10, monkeypatch):
-        dims, lanczos = [], boundary._lanczos_norm
-        monkeypatch.setattr(boundary, "_lanczos_norm",
-                            lambda gains, perm: dims.append(perm.shape[1]) or lanczos(gains, perm))
-        ops = _patch_operators(setup10)
-        for op in ops:
-            boundary._spectral_norm(op)
-        # the sites some boson string acts on nontrivially
-        active = [{(start + k) % op.n_sites for (start, codes) in opspace.to_boson_basis(op).terms
-                   for k, c in enumerate(codes) if c != "id"} for op in ops]
-        assert dims == [1 << len(sites) for sites in active]
-        assert max(dims) == 256 < 1 << setup10["n"]
+        def spy(targets, *args, **kwargs):
+            out = solve(targets, *args, **kwargs)
+            clause.append(out[3] / boundary._scale(targets, (h,)))
+            return out
 
-    def test_step_cap_raises_with_residual(self, setup10, monkeypatch):
-        monkeypatch.setattr(boundary, "LANCZOS_MAX_STEPS", 6)
-        with pytest.raises(ValueError, match="not converged in 6 steps: Ritz residual"):
-            boundary._spectral_norm(setup10["imhop"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boundary, "solve_boundary_dense", spy)
+            label = classify(h, psis, r_max=r_max)
+        residuals = [r for row in label.evidence for r in row[2:]] + clause
+        lams = boundary.default_sweep(n, r_max, anchors=(0, n // 3), op_range=h.declared_range)
+        residuals += [boundary_solve(h, psis, lams[k], r_max, hermitian=bool(k % 2)).residual
+                      for k in rng.choice(len(lams), size=2, replace=False)]
+        assert all(0.0 <= r <= bound for r in residuals)
 
+    def test_action_vanishing_up_to_rounding_is_accepted(self):
+        # hopping and number terms one ulp apart: P_re on sites 4, 5 acts on
+        # W as 3.5e-17, which no window operator away from the bond can fit
+        n = 10
+        h = opspace.parse_operator("0.30000000000000004 * sd@4 s@5 ; "
+                                   "0.30000000000000004 * sd@5 s@4 ; -0.3 * n@4 ; -0.3 * n@5", n)
+        psis = [states.vacuum(n), states.w_state(n)]
+        assert 0 < np.linalg.norm(apply(h, psis[1])) < 1e-16
+        label = classify(h, psis)
+        assert label.value == "I"
+        assert max(max(row[2:]) for row in label.evidence) < boundary.ACCEPT
 
-def _dense_norm(op) -> float:
-    """max |eigvalsh| of the dense matrix, one particle-number block at a time
-    when the operator conserves the particle number (the whole matrix otherwise)."""
-    mat = to_matrix(op)
-    count = np.array([bin(i).count("1") for i in range(len(mat))])
-    if np.any(mat[count[:, None] != count]):
-        return float(np.abs(np.linalg.eigvalsh(mat)).max())
-    return max(float(np.abs(np.linalg.eigvalsh(mat[np.ix_(count == p, count == p)])).max())
-               for p in range(op.n_sites + 1))
+    @pytest.mark.parametrize("ham", ["h_imhop", "h_dmi"])
+    def test_hermitian_rejection_does_not_drift_with_n(self, ham):
+        # the targets' norm does not grow with the patch, so the rejection
+        # stays at 1/sqrt(2); a scale that grows with it, such as ||H_Lam||,
+        # lets a rejection fall towards REJECT as N grows
+        values = []
+        for n in (10, 12, 14, 16):
+            label = classify(getattr(canonical, ham)(n), [states.vacuum(n), states.w_state(n)])
+            assert label.value == "II"
+            values += [row[3] for row in label.evidence]
+        assert max(values) - min(values) <= 1e-9
+        assert values[0] == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
 def dense_design_matrix(psis, n_sites, local_dim, left_sites, right_sites):
@@ -298,6 +286,16 @@ def _gauge_block(psis) -> np.ndarray:
     block = np.zeros((n_states, n_states, dim), dtype=np.result_type(*psis))
     block[np.arange(n_states), np.arange(n_states)] = psis
     return block.reshape(n_states, n_states * dim)
+
+
+def _dense_lstsq(mat, rhs, hermitian):
+    """The oracle fit: numpy's lstsq on every row of a dense design matrix,
+    default rank cut, real and imaginary rows split when ``hermitian``;
+    returns (residual mat @ sol - rhs, rank)."""
+    a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
+            else (mat, rhs))
+    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return mat @ sol.astype(complex) - rhs, rank
 
 
 def _reached(mat):
@@ -391,10 +389,7 @@ class TestLstsqRowReduction:
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         _, resid = boundary._lstsq(design, rhs, hermitian)
         monkeypatch.undo()
-        a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
-                else (mat, rhs))
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        ref = mat @ sol.astype(complex) - rhs
+        ref, rank = _dense_lstsq(mat, rhs, hermitian)
 
         def per_state(r):
             return np.linalg.norm(r.reshape(n_states, -1, *r.shape[1:]), axis=1)
@@ -490,15 +485,15 @@ class TestAnchorShortcut:
 
     @staticmethod
     def _classify(h, psis, monkeypatch):
-        lefts, norms = [], []
-        patch, norm = boundary._patch, boundary._spectral_norm
+        lefts, clause_fits = [], []
+        patch, solve = boundary._patch, boundary.solve_boundary_dense
         monkeypatch.setattr(boundary, "_patch", lambda hs, psis, lam, r:
                             lefts.append(lam.left) or patch(hs, psis, lam, r))
-        monkeypatch.setattr(boundary, "_spectral_norm",
-                            lambda op: norms.append(op) or norm(op))
+        monkeypatch.setattr(boundary, "solve_boundary_dense",
+                            lambda *a, **k: clause_fits.append(a) or solve(*a, **k))
         label = classify(h, psis)
         monkeypatch.undo()
-        return label, lefts, len(norms)
+        return label, lefts, len(clause_fits)
 
     @staticmethod
     def _evidence_matches_own_anchor(h, psis, label):
@@ -514,10 +509,10 @@ class TestAnchorShortcut:
     def test_invariant_case_solves_anchor_zero(self, setup10, monkeypatch):
         s = setup10
         psis = _phased(np.random.default_rng(5), [s["vac"], s["w"]])
-        label, lefts, norms = self._classify(s["imhop"], psis, monkeypatch)
+        label, lefts, clause_fits = self._classify(s["imhop"], psis, monkeypatch)
         assert label.value == "II" and label.anchors_solved == (0,)
-        # three patch lengths at anchor 0, and the independence clause
-        assert lefts == [0, 0, 0] and norms == 4
+        # three patch lengths at anchor 0, and the independence clause's one fit
+        assert lefts == [0, 0, 0] and clause_fits == 1
         self._evidence_matches_own_anchor(s["imhop"], psis, label)
 
     def test_momentum_state_phase(self, setup10, monkeypatch):
@@ -574,7 +569,7 @@ class TestClassify:
             assert classify(h, psis).value == want
 
     def test_dead_zone_is_indeterminate(self, setup10):
-        # 1e-5 n_tot leaves a general residual of 2.1e-6, inside the dead zone
+        # 1e-5 n_tot leaves a general residual of 1.7e-5, inside the dead zone
         s = setup10
         label = classify(s["imhop"] + 1e-5 * s["ntot"], [s["vac"], s["w"]])
         assert label.value == "indeterminate"
