@@ -53,7 +53,7 @@ def require_eigenstate(op: LocalOperator, psi: np.ndarray) -> complex:
 # its window is the largest offset + len(ops).
 
 def _dagger_pattern(ops):
-    return tuple(opspace._DAGGER[c] for c in ops)
+    return tuple(map(opspace._DAGGER.__getitem__, ops))
 
 
 def _hop(alpha: int) -> tuple:
@@ -91,22 +91,34 @@ def _imhop_p_pattern(p: int) -> tuple:
 def _translates(n_sites: int, patterns, sites, coeffs=None) -> LocalOperator:
     """sum_{p, j} coeffs[p, j] * (pattern p anchored at site j), pattern-major.
 
-    Accumulates the translated keys in one dict, so the LocalOperator
-    constructor canonicalizes each distinct key once.  Raises ValueError
-    when a pattern's window exceeds the ring.
+    Sums each term under ((j + offset) mod N, ops), a canonical key when ops is
+    shift stable: if every code tuple is, that is the one pass, else the
+    constructor merges the keys.  Raises ValueError when a pattern's window
+    exceeds the ring.
     """
-    placements = [(pattern, j) for pattern in patterns for j in sites]
-    scalars = [1.0] * len(placements) if coeffs is None else list(coeffs)
+    sites = list(sites)
+    scalars = iter([1.0] * (len(patterns) * len(sites)) if coeffs is None else coeffs)
     terms: dict = {}
     for pattern in patterns:
         width = max((off + len(ops) for (off, ops), _ in pattern), default=0)
         if width > n_sites:
             raise ValueError(f"pattern window {width} exceeds the ring N = {n_sites}")
-    for (pattern, site), c in zip(placements, scalars):
-        for (offset, ops), v in pattern:
-            key = ((site + offset) % n_sites, ops)
-            terms[key] = terms.get(key, 0.0) + c * v
+        for site, c in zip(sites, scalars):
+            for (offset, ops), v in pattern:
+                key = ((site + offset) % n_sites, ops)
+                terms[key] = terms.get(key, 0.0) + c * v
+    if all(opspace._shift_stable(n_sites, ops) for pattern in patterns for (_, ops), _ in pattern):
+        return LocalOperator._trusted(n_sites, {k: 0.0 + complex(v) for k, v in terms.items()})
     return LocalOperator(n_sites, terms)
+
+
+def _placed(n_sites: int, pattern, site: int, coef) -> LocalOperator:
+    """``coef * _translates(n_sites, [pattern], [site])`` to the bit, in one pass."""
+    scalar, terms = complex(coef), {}
+    for (offset, ops), v in pattern:
+        key = opspace._canonical_key(n_sites, site + offset, ops)
+        terms[key] = terms.get(key, 0.0) + complex(v)
+    return LocalOperator._trusted(n_sites, {k: v * scalar for k, v in terms.items()})
 
 
 # -- builtin Hamiltonians ----------------------------------------------------
@@ -206,39 +218,39 @@ def _table_classes(op: LocalOperator):
     One pass returns (single, hop, bundles, lone, pairs):
       single    {key: coeff} of the (0, 1) strings, s_k keyed (k, ("s",));
       hop       the (1, 1) matrix c[j, k] of sd_j s_k, n_j on the diagonal;
-      bundles   {creation sites: {key: coeff}} of the (n>=2, m=1) strings;
+      bundles   {creation-site bitmask: {key: coeff}} of the (n>=2, m=1) strings;
       lone      {key: coeff} of the (n<=1, m>=2) strings;
       pairs     {smaller of key and conjugate key: {key: coeff}} of the
                 (n>=2, m>=2) strings, in order of first appearance.
     The identity string and the (n>=1, m=0) strings are in none of them.
     """
-    n_sites = op.n_sites
+    n_sites, ring = op.n_sites, (1 << op.n_sites) - 1
     single, bundles, lone, pairs = {}, {}, {}, {}
-    hop = np.zeros((n_sites, n_sites), dtype=complex)
-    shapes = {}     # code tuple: creation offsets, annihilation offsets, daggered codes
+    hop = [[0j] * n_sites for _ in range(n_sites)]      # numpy's sums, cheaper per item
+    shapes = {}     # code tuple: creation, annihilation offsets, daggered codes, creation mask
     for key, coeff in op.terms.items():
         start, ops = key
         shape = shapes.get(ops)
         if shape is None:
-            shape = shapes[ops] = ([k for k, c in enumerate(ops) if c in ("sd", "n")],
-                                   [k for k, c in enumerate(ops) if c in ("s", "n")],
-                                   _dagger_pattern(ops))
-        cre, ann, dag = shape
+            cre = [k for k, c in enumerate(ops) if c in ("sd", "n")]
+            shape = shapes[ops] = (cre, [k for k, c in enumerate(ops) if c in ("s", "n")],
+                                   _dagger_pattern(ops), sum(1 << k for k in cre))
+        cre, ann, dag, mask = shape
         if not ann:
             continue
         if len(ann) == 1:
             if not cre:
                 single[key] = coeff
             elif len(cre) == 1:
-                hop[(start + cre[0]) % n_sites, (start + ann[0]) % n_sites] += coeff
+                hop[(start + cre[0]) % n_sites][(start + ann[0]) % n_sites] += coeff
             else:
-                bundles.setdefault(tuple(sorted((start + k) % n_sites for k in cre)),
+                bundles.setdefault((mask << start | mask >> (n_sites - start)) & ring,
                                    {})[key] = coeff
         elif len(cre) < 2:
             lone[key] = coeff
         else:
             pairs.setdefault(min(key, (start, dag)), {})[key] = coeff
-    return single, hop, bundles, lone, pairs
+    return single, np.array(hop), bundles, lone, pairs
 
 
 # -- Theorem-1 decomposition ---------------------------------------------------
@@ -281,50 +293,53 @@ def decompose(h: LocalOperator) -> CanonicalForm:
     annihilators = []
 
     _, c, bundles, _, pairs = _table_classes(op)
-    sym = c.real.copy()
-    asym = c.imag.copy()
     # the longest ring distance |k - j| over the hops present
-    hops = (np.abs(sym) > opspace.COEFF_TOL) | (np.abs(asym) > opspace.COEFF_TOL)
+    hops = (np.abs(c.real) > opspace.COEFF_TOL) | (np.abs(c.imag) > opspace.COEFF_TOL)
     max_alpha = max((min((k - j) % n_sites, (j - k) % n_sites)
                      for j, k in zip(*np.nonzero(hops))), default=0)
+    sym, asym = c.real.tolist(), c.imag.tolist()     # numpy's sums, cheaper per item
 
     for alpha in range(max_alpha, 0, -1):
         for j in range(n_sites):
             k = (j + alpha) % n_sites
-            coef = sym[j, k]
+            coef = sym[j][k]
             if abs(coef) > opspace.COEFF_TOL:
-                annihilators.append(coef * p_re(n_sites, j, alpha))
-                sym[j, k] -= coef
-                sym[k, j] -= coef
-                sym[j, j] += coef
-                sym[k, k] += coef
+                annihilators.append(_placed(n_sites, _p_re_pattern(alpha), j, coef))
+                sym[j][k] -= coef
+                sym[k][j] -= coef
+                sym[j][j] += coef
+                sym[k][k] += coef
     omega_n = float(np.mean(np.diag(sym)))
 
     for alpha in range(max_alpha, 1, -1):
         for j in range(n_sites):
             k = (j + alpha) % n_sites
-            coef = asym[j, k]
+            coef = asym[j][k]
             if abs(coef) > opspace.COEFF_TOL:
-                annihilators.append(coef * p_im(n_sites, j, alpha))
-                asym[j, k] -= coef
-                asym[k, j] += coef
+                annihilators.append(_placed(n_sites, _p_im_pattern(alpha), j, coef))
+                asym[j][k] -= coef
+                asym[k][j] += coef
                 for step in range(1, alpha + 1):
                     a, b = (j + step - 1) % n_sites, (j + step) % n_sites
-                    asym[a, b] += coef
-                    asym[b, a] -= coef
-    nn = np.array([asym[j, (j + 1) % n_sites] for j in range(n_sites)])
+                    asym[a][b] += coef
+                    asym[b][a] -= coef
+    nn = np.array([asym[j][(j + 1) % n_sites] for j in range(n_sites)])
     t_im = float(2.0 * np.mean(nn))
 
     # strings with n, m >= 2 pair off with their conjugates; (n>=2, m=1)
     # strings only annihilate in zero-row-sum bundles per creation set, with
     # their (1, m>=2) conjugates.  Pure creation/annihilation strings vanish.
-    # the groups' keys are op's, so canonical; 0.0 + v keeps the constructor's
-    # sum, which turns a -0.0 part into 0.0
+    # the groups' keys are op's, so canonical, and a bundle's daggered keys are
+    # new ones; 0.0 + v keeps the constructor's sum, which turns a -0.0 part into 0.0
     annihilators.extend(LocalOperator._trusted(n_sites, {k: 0.0 + v for k, v in terms.items()})
                         for terms in pairs.values())
+    daggered: dict = {}
     for terms in bundles.values():
-        bundle = LocalOperator._trusted(n_sites, terms)
-        annihilators.append(bundle + bundle.dagger())
+        both = {k: 0.0 + v for k, v in terms.items()}
+        for (start, ops), v in terms.items():
+            codes = daggered.get(ops) or daggered.setdefault(ops, _dagger_pattern(ops))
+            both[(start, codes)] = 0.0 + v.conjugate()
+        annihilators.append(LocalOperator._trusted(n_sites, both))
 
     form = CanonicalForm(omega_id, omega_n, t_im, tuple(annihilators), 0.0)
     residual = hs_norm(op - form.reconstruct(n_sites))
@@ -398,11 +413,8 @@ def table2_patterns() -> tuple:
         pats.append(_pattern(entries))
 
     def pattern_of(creation, annihilation, window):
-        ops = []
-        for j in range(window):
-            in_c, in_a = j in creation, j in annihilation
-            ops.append("n" if in_c and in_a else "sd" if in_c else "s" if in_a else "id")
-        return tuple(ops)
+        return tuple(("id", "s", "sd", "n")[2 * (j in creation) + (j in annihilation)]
+                     for j in range(window))
 
     for window in range(2, TABLE2_RANGE + 1):
         sites = list(range(window))
@@ -451,6 +463,11 @@ def random_type1(n_sites: int, rng: np.random.Generator,
     family across chain lengths.
     """
     pats = table2_patterns()
+    if n_sites >= 2 * TABLE2_RANGE:
+        # all windows shift stable: id-ended tuples go on their canonical windows; each is in
+        # one entry, placed after every pattern using that window, so no sum changes
+        pats = [tuple((opspace._canonical_key(n_sites, *key) if "id" in (key[1][0], key[1][-1])
+                       else key, v) for key, v in pat) for pat in pats]
     if translation_invariant:
         coeffs = np.repeat(rng.uniform(-1.0, 1.0, size=len(pats)), n_sites)
     else:

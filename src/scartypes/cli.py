@@ -207,6 +207,8 @@ def _cmd_variance(args) -> int:
             + canonical.h_imhop(n)
 
     if args.scan == "q":
+        if not 1 <= args.points <= args.N // 2:     # q = 2 pi m / N up to pi, each once
+            raise ValueError(f"--points must be in 1..N//2 = {args.N // 2}, got {args.points}")
         scan = scars.variance_scan_q(build(args.N), args.N, list(range(1, args.points + 1)))
     else:
         scan = scars.variance_scan_n(build, args.p, [int(x) for x in args.N_list.split(",")])

@@ -220,16 +220,23 @@ class LocalOperator:
         return LocalOperator._trusted(self.n_sites, terms)
 
     def hermitian(self) -> bool:
-        """self - self^dagger vanishes within CANCEL_TOL x max(1, largest |coeff|): term
-        by term, or else in the boson basis, where mixed Pauli and boson codes cancel."""
-        diff = self - self.dagger()
+        """self - self^dagger vanishes within CANCEL_TOL x max(1, largest |coeff|): each
+        coefficient against its daggered partner's conjugate, or else in the boson
+        basis, where mixed Pauli and boson codes cancel."""
         bound = CANCEL_TOL * max([1.0, *map(abs, self.terms.values())])
-        return all(abs(v) <= bound for v in diff.terms.values()) or \
-            all(abs(v) <= bound for v in to_boson_basis(diff).terms.values())
+        terms, daggered = self.terms, {}
+        for (start, ops), coeff in terms.items():
+            codes = daggered.get(ops)
+            if codes is None:
+                codes = daggered[ops] = tuple(map(_DAGGER.__getitem__, ops))
+            if abs(coeff - terms.get((start, codes), 0.0).conjugate()) > bound:
+                diff = to_boson_basis(self - self.dagger())
+                return all(abs(v) <= bound for v in diff.terms.values())
+        return True
 
     def coeff_norm(self) -> float:
         """Sum of |coefficients|; cheap upper bound on the operator norm."""
-        return float(sum(abs(v) for v in self.terms.values()))
+        return float(sum(map(abs, self.terms.values())))
 
 
 def identity(n_sites: int, coeff=1.0) -> LocalOperator:
@@ -250,6 +257,10 @@ def op_sum(n_sites: int, ops, coeffs=None) -> LocalOperator:
     for op, c in zip(ops, scalars):
         if op.n_sites != n_sites:
             raise DimensionError("chain length mismatch")
+        if c == 1.0:    # 1 * v differs from v in zero signs only, which sums from 0.0 clear
+            for k, v in op.terms.items():
+                acc[k] = acc.get(k, 0.0) + v
+            continue
         for k, v in op.terms.items():
             acc[k] = acc.get(k, 0.0) + c * v
     return LocalOperator._trusted(n_sites, acc)
@@ -429,7 +440,7 @@ def _convert(op: LocalOperator, table) -> LocalOperator:
 
 def _over(op: LocalOperator, codes) -> bool:
     """Whether every string of op uses only the given site codes."""
-    return all(c in codes for _, ops in op.terms for c in ops)
+    return all(c in codes for ops in {ops for _, ops in op.terms} for c in ops)
 
 
 def to_pauli_basis(op: LocalOperator) -> LocalOperator:

@@ -1,4 +1,4 @@
-"""Dense and coefficient-wise references for operator tests.
+"""Dense, coefficient-wise and two-pass references for operator tests.
 
 Neither the package nor its command line reads these: they are the tests'
 oracles for operator algebra, state application and the boundary solves.
@@ -6,7 +6,8 @@ oracles for operator algebra, state application and the boundary solves.
 
 import numpy as np
 
-from scartypes.opspace import (COEFF_TOL, _DAGGER, CapacityError, LocalOperator,
+from scartypes.canonical import table2_patterns
+from scartypes.opspace import (CANCEL_TOL, COEFF_TOL, _DAGGER, CapacityError, LocalOperator,
                                _canonical_key, to_boson_basis)
 
 MATRIX_MAX_SITES = 14      # dense 2^N guard
@@ -154,10 +155,48 @@ def table_classes(op: LocalOperator):
             elif len(cre) == 1:
                 hop[cre[0], ann[0]] += coeff
             else:
-                bundles.setdefault(cre, {})[key] = coeff
+                bundles.setdefault(sum(1 << j for j in cre), {})[key] = coeff
         elif len(cre) < 2:
             lone[key] = coeff
         else:
             dag = tuple(_DAGGER[c] for c in ops)
             pairs.setdefault(min(key, (start, dag)), {})[key] = coeff
     return single, hop, bundles, lone, pairs
+
+
+# -- two-pass forms of the one-pass operator builders -----------------------------
+
+def translates_two_pass(n_sites: int, patterns, sites, coeffs=None) -> LocalOperator:
+    """canonical._translates as a raw dict of placed keys handed to the
+    constructor, which merges each raw key's sum into its canonical key."""
+    placements = [(pattern, j) for pattern in patterns for j in sites]
+    scalars = [1.0] * len(placements) if coeffs is None else list(coeffs)
+    terms: dict = {}
+    for (pattern, site), c in zip(placements, scalars):
+        for (offset, ops), v in pattern:
+            key = ((site + offset) % n_sites, ops)
+            terms[key] = terms.get(key, 0.0) + c * v
+    return LocalOperator(n_sites, terms)
+
+
+def random_type1_two_pass(n_sites: int, rng, translation_invariant: bool = True):
+    """canonical.random_type1 placing the catalog as it is, in two passes."""
+    pats = table2_patterns()
+    if translation_invariant:
+        coeffs = np.repeat(rng.uniform(-1.0, 1.0, size=len(pats)), n_sites)
+    else:
+        coeffs = rng.uniform(-1.0, 1.0, size=len(pats) * n_sites)
+    return translates_two_pass(n_sites, pats, range(n_sites), coeffs.tolist())
+
+
+def placed_two_pass(n_sites: int, pattern, site: int, coef) -> LocalOperator:
+    """A decompose sweep generator: coef times the pattern placed in two passes."""
+    return coef * translates_two_pass(n_sites, [pattern], [site])
+
+
+def hermitian_two_pass(op: LocalOperator) -> bool:
+    """LocalOperator.hermitian through the operator op - op^dagger."""
+    diff = op - op.dagger()
+    bound = CANCEL_TOL * max([1.0, *map(abs, op.terms.values())])
+    return all(abs(v) <= bound for v in diff.terms.values()) or \
+        all(abs(v) <= bound for v in to_boson_basis(diff).terms.values())

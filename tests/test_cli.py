@@ -450,6 +450,16 @@ class TestVariance:
         assert invoke(["variance", "--scan", "N", "--N-list", "8,25"]) == (2, "")
         assert "dense-state guard" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("points", ["0", "-1", "5", "9"])
+    def test_q_scan_points_within_half_ring(self, capsys, points):
+        # m = 1..points; past N//2 the momenta 2 pi m / N pass pi and repeat
+        assert invoke(["variance", "--scan", "q", "--N", "8", "--points", points]) == (2, "")
+        assert "1..N//2 = 4" in json.loads(capsys.readouterr().err)["error"]
+        code, out = invoke(["variance", "--scan", "q", "--N", "8", "--points", "4"])
+        assert code == 0
+        assert [q for q, *_ in json.loads(out)["points"]] == pytest.approx(
+            [np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi])
+
     def test_q_scan_csv_and_fit(self, tmp_path):
         csv_path = tmp_path / "var.csv"
         code, out = invoke(["--seed", "6", "variance", "--scan", "q",

@@ -34,6 +34,20 @@ class TestApply:
         w = states.w_state(3)
         assert np.allclose(apply(identity(3), w), w)
 
+    def test_zero_operator_and_identity(self):
+        n = 5
+        psi = random_state(n, np.random.default_rng(3))
+        assert np.array_equal(apply(LocalOperator(n), psi), np.zeros(1 << n))
+        assert np.array_equal(apply(identity(n, 2.5 - 1j), psi), (2.5 - 1j) * psi)
+
+    def test_string_table_takes_a_generator_or_no_terms(self):
+        n = 6
+        op = canonical.random_type1(n, np.random.default_rng(4)) + identity(n, 0.5)
+        want = opspace._string_table(n, list(op.terms.items()))
+        got = opspace._string_table(n, (item for item in op.terms.items()))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert all(a.size == 0 for a in opspace._string_table(n, iter(())))
+
     def test_nonhermitian_annihilator_kills_w(self):
         n = 8
         w = states.w_state(n)
