@@ -18,16 +18,16 @@ Gram matrices of a small factor F (C^G = F^dagger F, C^H that of [Re F; Im F]):
 F = (1 - u u^dagger) M over a window, M_{(i,k),nu} = s_k <i|V_nu|a_k> for the
 split psi = sum_k s_k |a_k>|b_k> and u = (s_k <i|a_k>), chi 2^w rows per state;
 window ranges and gaps come from its thin SVD.  Over the whole ring F keeps
-only the basis rows psi and its images V_nu psi reach.  Over translation
-orbits of translation eigenstates C^G is an orbit gram, lambda^{-d}
-<F_p|T^d F_p'> at shift d.  ZH_loc and ZG_loc, the spans of the N windows'
-null spaces, are found through their complements: v is orthogonal to a span
-exactly when each window restriction v|_j = R_j c_j lies in the window's
-range R_j, and a string shared by windows takes one value: a small system
-K c = 0.  Window
-j's null space is window 0's translated by j for translation eigenstates, so
-K links a pattern's copies in window 0 with Bloch phases, one K per momentum
-sector; other states link N windows' copies.
+only the basis rows psi and its images V_nu psi reach.  For translation
+eigenstates C^G over whole orbits is an orbit gram, g_d = lambda^{-d}
+<F_p|T^d F_p'> at shift d, and ZH_glo takes one stacked eigh of the P x P
+momentum blocks sum_d Re g_d e^{2 pi i k d / N}, k <= N/2.  ZH_loc and ZG_loc,
+the spans of the N windows' null spaces, are found through their complements:
+v is orthogonal to a span exactly when each window restriction v|_j = R_j c_j
+lies in the window's range R_j, and a string shared by windows takes one
+value: a small system K c = 0.  Window j's null space is window 0's translated
+by j for translation eigenstates, so K links a pattern's copies in window 0
+with Bloch phases, one K per momentum sector, and else N windows' copies.
 
 The operator basis is generalized Pauli strings: unlike the boson-string
 basis they are mutually Hilbert-Schmidt orthogonal, which the correlation
@@ -120,13 +120,23 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
     if kind == "H" and any(c != opspace._DAGGER[c] for _, ops in basis.keys for c in ops):
         raise ValueError("kind H requires a Hermitian basis")
     n = basis.n_sites
+    gram = _gram(basis, states_list, degenerate, _translation_eigenstates(states_list, n))
+    if gram.ndim == 3:          # orbit shift terms: C^G_{(p, s), (p', s')} = g[p, p', s' - s]
+        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        gram = gram[:, :, diff].transpose(0, 2, 1, 3).reshape(gram.shape[0] * n, -1)
+    return gram.real.copy() if kind == "H" else gram
+
+
+def _gram(basis: OperatorBasis, states_list, degenerate: bool, invariant: bool) -> np.ndarray:
+    """C^G over unit states, or its shift terms over whole orbits of ``invariant`` ones."""
+    n = basis.n_sites
     if not len(states_list):
         raise ValueError("at least one state is required")
     for psi in states_list:
         if psi.shape != (1 << n,):
             raise opspace.DimensionError(f"state has shape {psi.shape} for N={n}")
         opspace._require_unit(psi)
-    orbits = _translation_eigenstates(states_list, n) and basis.keys == tuple(
+    orbits = invariant and basis.keys == tuple(
         key for s, ops in basis.keys[::n] for key in opspace._placed_keys(n, ops, range(s, s + n)))
     keys = basis.keys[::n] if orbits else basis.keys
     rows, blocks, pairs = [], [], []
@@ -140,9 +150,8 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str,
         pairs.append([(t, np.searchsorted(reached, kept), np.searchsorted(reached, tgt), vals)
                       for t, kept, tgt, vals in chunks])
     parts = _factor(len(keys), blocks, pairs, degenerate)
-    gram = _orbit_gram(parts, rows, states_list, n) if orbits else \
+    return _orbit_gram(parts, rows, states_list, n) if orbits else \
         sum(p.conj().T @ p for p in parts)
-    return gram.real.copy() if kind == "H" else gram
 
 
 def _factor(count: int, blocks, pairs, degenerate: bool) -> list:
@@ -164,7 +173,7 @@ def _factor(count: int, blocks, pairs, degenerate: bool) -> list:
 
 
 def _orbit_gram(parts, rows, states_list, n: int) -> np.ndarray:
-    """C^G over whole orbits: sum_n lambda_n^{-d} <F_p|T^d F_p'>, d = s' - s, + degenerate rows.
+    """C^G's shift terms g[p, p', d] = sum_n lambda_n^{-d} <F_p|T^d F_p'> + degenerate rows.
 
     Each state's F holds only its ``rows`` (sorted basis indices); at shift d
     row r of F_p' meets row r rotated left by d of F_p, when F_p holds it.
@@ -181,8 +190,7 @@ def _orbit_gram(parts, rows, states_list, n: int) -> np.ndarray:
         g = g + np.stack(terms, -1)
     for extra in parts[len(states_list):]:
         g = g + (extra.conj().T @ extra)[..., None]
-    diff = (shifts[None, :] - shifts[:, None]) % n
-    return g[:, :, diff].transpose(0, 2, 1, 3).reshape(g.shape[0] * n, -1)
+    return g
 
 
 def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, starts):
@@ -212,14 +220,28 @@ def null_space(corr: np.ndarray) -> SubspaceReport:
     |entry|.  Also reports the spectral gap just above the accepted null
     space so the robustness of the cut is visible to callers.
     """
-    vals, vecs = np.linalg.eigh(corr)
-    if vals[0] < PSD_TOL * max(float(np.abs(corr).max()), 1.0):
-        raise ValueError(f"correlation matrix not PSD: min eig {vals[0]:.3e}")
-    top = max(float(vals[-1]), 1e-300)
-    keep = vals <= NULL_TOL * top
-    dim = int(np.sum(keep))
-    above = float(vals[dim]) if dim < len(vals) else np.inf
-    return SubspaceReport(vecs[:, keep].T.astype(complex), dim, above, vecs[:, ~keep])
+    vecs, keep, above = _null_eigh(corr, corr)
+    return SubspaceReport(vecs[:, keep].T.astype(complex), int(keep.sum()), above, vecs[:, ~keep])
+
+
+def _null_eigh(blocks: np.ndarray, corr: np.ndarray):
+    """eigh of C (``corr``) or of a stack of its ``blocks``, cut over all as null_space cuts."""
+    vals, vecs = np.linalg.eigh(blocks)
+    if vals.min() < PSD_TOL * max(float(np.abs(corr).max()), 1.0):
+        raise ValueError(f"correlation matrix not PSD: min eig {vals.min():.3e}")
+    keep = vals <= NULL_TOL * max(float(vals.max()), 1e-300)
+    return vecs, keep, float(vals[~keep].min()) if not keep.all() else np.inf
+
+
+def _sector_null_spaces(g: np.ndarray):
+    """C^H's null rows V_k, k <= N/2, and gap from its real shift terms g[p, p', d]: its
+    eigenvectors are u e^{2 pi i k s / N} / sqrt N for u an eigenvector of the P x P
+    block C_k = sum_d g_d e^{2 pi i k d / N}; C_{-k} = conj C_k; C_0, C_{N/2} are real."""
+    n, half = g.shape[-1], np.arange(g.shape[-1] // 2 + 1)
+    phases = np.exp(2j * np.pi / n * np.outer(np.arange(n), half))
+    phases.imag[:, 2 * half % n == 0] = 0.0             # +-1: real blocks, real V_k
+    vecs, keep, above = _null_eigh(np.moveaxis(g @ phases, -1, 0), g)
+    return [v[:, k].T for v, k in zip(vecs, keep)], above
 
 
 # -- span arithmetic -------------------------------------------------------------
@@ -237,36 +259,34 @@ def _translation_eigenstates(states_list, n_sites: int) -> bool:
         moved = states.translate(psi, 1, n_sites)
         lam = np.vdot(psi, moved) / np.vdot(psi, psi)
         return np.linalg.norm(moved - lam * psi) / np.linalg.norm(psi)
-    return all(psi.shape == (1 << n_sites,) and defect(psi) <= TRANSLATION_TOL
+    return all(psi.shape == (1 << n_sites,) and psi.any() and defect(psi) <= TRANSLATION_TOL
                for psi in states_list)
 
 
 def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
     """Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, and K's margins.
 
-    ``glo`` holds ZH_glo's orthonormal rows over the full basis (index i:
-    column i // sectors, shift i % sectors); they are real, as ZH_glo is
-    Hermitian.  ``pos`` is the full index of each row of the windows' stacked
-    ranges X, block diagonal over equal windows; H's ranges are real.  K_k
-    equates each later copy of a column, phased by e^{-2 pi i k shift /
-    sectors}, with its first copy.  Its null space N_k gives the complement's
-    basis B_k = (phased first rows of X) N_k, orthonormalised by the Cholesky
-    factor of B_k's Gram N_k^dagger (first rows' Gram) N_k, whose eigenvalues
-    lie in [1/copies, 1].  ZH_glo's sector rows r_k on it add rank
-    [r_k, conj r_{-k}] real dimensions to a union.  For H, sector -k is
-    sector k conjugated, so only k <= sectors / 2 are solved, and K is real
-    where the phases are +-1.  X's columns are orthonormal, so K's cut
-    RANK_TOL is absolute; a margin is the smallest kept singular value in any
-    sector over RANK_TOL, None when nothing is kept.
+    ``glo`` holds ZH_glo's orthonormal rows V_k, k <= sectors / 2, over its
+    columns, X's first ones (full index i: column i // sectors, shift i %
+    sectors); V_{-k} = conj V_k, and V_k is real where the phases are +-1.
+    ``pos`` is the full index of each row of the windows' stacked ranges X,
+    block diagonal over equal windows; H's ranges are real.  K_k equates each
+    later copy of a column, phased by e^{-2 pi i k shift / sectors}, with its
+    first copy.  Its null space N_k gives the complement's basis B_k = (phased
+    first rows of X) N_k, orthonormalised by the Cholesky factor of B_k's Gram
+    N_k^dagger (first rows' Gram) N_k, whose eigenvalues lie in [1/copies, 1].
+    V_k on it adds rank [V_k, conj V_{-k}] real dimensions to a union.  For H,
+    sector -k is sector k conjugated, so only k <= sectors / 2 are solved, and
+    K is real where the phases are +-1.  X's columns are orthonormal, so K's
+    cut RANK_TOL is absolute; a margin is the smallest kept singular value in
+    any sector over RANK_TOL, None when nothing is kept.
     """
     columns, shifts = pos // sectors, pos % sectors
     first = np.unique(columns, return_index=True)[1]
     later = np.delete(np.arange(len(pos)), first)   # not np.setdiff1d: it loads numpy.ma
     partner = first[columns[later]]                 # each later copy's first copy
     phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
-    glo = glo.real.reshape(len(glo), -1, sectors)
-    held = np.flatnonzero(glo.any(axis=(0, 2)))     # the columns ZH_glo's rows hold
-    glo = glo[:, held] @ phases.T / np.sqrt(sectors)
+    held = first[:glo[0].shape[1]]                  # first copies of ZH_glo's columns
 
     def project(ranges, real: bool):
         """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
@@ -281,7 +301,7 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
                 out[window == j, left[j]:left[j + 1]] = r[row[window == j]]
             return out
 
-        copies, partners, firsts = rows(later), rows(partner), rows(first[held]).conj()
+        copies, partners, firsts = rows(later), rows(partner), rows(held).conj()
         gram = np.zeros((left[-1],) * 2, dtype=copies.dtype)  # of all first rows: block diagonal
         window, row = np.divmod(first, size)
         for j, r in enumerate(ranges):
@@ -290,7 +310,7 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
         solved = range(sectors // 2 + 1 if real else sectors)
         coords, kept = {}, []
         for k in solved:
-            ph, glo_k = phases[k, shifts], glo[:, :, k]
+            ph, glo_k = phases[k, shifts], glo[k] if k < len(glo) else glo[sectors - k].conj()
             if 2 * k % sectors == 0:                # phases +-1
                 ph, glo_k = ph.real, glo_k.real
             k_mat = ph[later, None] * copies
@@ -300,7 +320,7 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
             rank = int(np.sum(svals > RANK_TOL))
             kept.append(svals[:rank])
             null = vh[rank:]                        # N_k^dagger
-            off = (glo_k * ph[first[held]].conj()) @ firsts @ null.T
+            off = (glo_k * ph[held].conj()) @ firsts @ null.T
             if len(null):
                 chol = np.linalg.cholesky(null @ gram @ null.conj().T)
                 off = np.linalg.solve(chol, off.T).T
@@ -316,8 +336,8 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
 
     h_loc, h_add, margin_h = project(h_ranges, True)
     g_loc, g_add, margin_g = project(g_ranges, False)
-    dims = {"ZH_glo": len(glo), "ZH_loc": h_loc, "ZG_loc": 2 * g_loc,
-            "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
+    dims = {"ZH_glo": sum(len(glo[min(k, sectors - k)]) for k in range(sectors)), "ZH_loc": h_loc,
+            "ZG_loc": 2 * g_loc, "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
     return dims, {"margin_ZH_loc": margin_h, "margin_ZG_loc": margin_g}
 
 
@@ -333,11 +353,11 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     """Equivalence-class counts N_II, N_III at global range R, local range R'.
 
     ZH_glo is the Hermitian null space over all Pauli strings of range <= R
-    (extensive-local combinations included automatically); ZH_loc / ZG_loc
-    are spanned by the null spaces of the N windows [j, j+R'-1] (see the
-    module docstring).  ``dims`` holds the real dimensions, the null-space
-    gap of ZH_glo, the smallest window gaps of ZH_loc and ZG_loc, and the
-    margins of the complements' cuts.
+    (extensive-local combinations included), solved by momentum block for
+    translation eigenstates; ZH_loc / ZG_loc are spanned by the null spaces of
+    the N windows [j, j+R'-1] (see the module docstring).  ``dims`` holds the
+    real dimensions, the null-space gap of ZH_glo, the smallest window gaps of
+    ZH_loc and ZG_loc, and the margins of the complements' cuts.
     """
     if r_glo < 1:
         raise ValueError(f"range R = {r_glo} must be at least 1")
@@ -358,22 +378,22 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     sectors = n_sites if _translation_eigenstates(states_list, n_sites) else 1
 
     glo = OperatorBasis(keys[:n_sites * len(_pauli_patterns_upto(r_glo))], n_sites)
-    zh_glo = null_space(build_correlation(glo, states_list, "H", degenerate))
+    gram = _gram(glo, states_list, degenerate, sectors > 1).real   # C^H, or its shift terms
+    dense = null_space(gram) if sectors == 1 else None     # its real rows: the one sector
+    zh_glo, gap = _sector_null_spaces(gram) if dense is None else ([dense.basis], dense.gap)
     window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
     zh, zg = [], []
     for factor in _window_factors(window, r_loc, states_list, degenerate, starts):
         zg.append(_range(factor))
         zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
 
-    glo_rows = np.zeros((zh_glo.dim, len(index)))
-    glo_rows[:, [index[k] for k in glo.keys]] = zh_glo.basis.real
     pos = np.array([index[(s + j) % n_sites, ops] for j in starts for s, ops in window.keys])
     dims, margins = _complement_dims(
-        glo_rows, [r for r, _ in zh], [r for r, _ in zg], pos, sectors)
+        zh_glo, [r for r, _ in zh], [r for r, _ in zg], pos, sectors)
 
     n_iii = dims["union_G"] - dims["ZG_loc"]
     n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
-    dims.update(gap_ZH_glo=zh_glo.gap, gap_ZH_loc=min(g for _, g in zh),
+    dims.update(gap_ZH_glo=gap, gap_ZH_loc=min(g for _, g in zh),
                 gap_ZG_loc=min(g for _, g in zg), **margins)
     return ClassCount(n_ii, n_iii, dims)
 

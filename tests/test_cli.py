@@ -184,6 +184,15 @@ class TestScanClasses:
         assert report["tol"] == 1e-10
         assert "ZH_glo" in report["dims"]
 
+    @pytest.mark.parametrize("n, r_loc", [("8", "2"), ("7", "3")])
+    def test_no_global_operator(self, n, r_loc):
+        # degenerate {W, vacuum} at R = 1 leaves ZH_glo empty: no class, exit 0
+        code, out = invoke(["scan-classes", "--N", n, "--R", "1", "--Rp", r_loc,
+                            "--states", "w,vacuum", "--degenerate"])
+        report = json.loads(out)
+        assert code == 0
+        assert (report["N_II"], report["N_III"], report["dims"]["ZH_glo"]) == (0, 0, 0)
+
     def test_capacity_exit_code(self):
         code, _ = invoke(["scan-classes", "--N", "14", "--R", "2", "--Rp", "2",
                           "--states", "vacuum"])

@@ -1,7 +1,8 @@
 """Import hygiene: scipy stays off the import path of `import scartypes`, the
 pinned CLI commands and the MPS boundary action; `numpy.ma` (10-16 ms to
-import) stays off the pinned commands and a class count; and `python -m
-scartypes.cli` runs without a runpy warning.
+import) stays off the pinned commands and a class count, and `numpy.fft`
+off a class count; and `python -m scartypes.cli` runs without a runpy
+warning.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
@@ -69,15 +70,23 @@ def test_pinned_commands_load_no_numpy_ma():
     assert _loaded(PINNED, "numpy.ma") == []
 
 
+# the sector path and the all-windows path (a droplet breaks translation)
+CLASS_COUNTS = "\n".join([
+    "from scartypes import nullspace, states",
+    "vac, w = states.vacuum(8), states.w_state(8)",
+    "for psis in ([vac, w], [vac, states.droplet(8, 4, 1)]):",
+    "    nullspace.count_type_classes(8, 2, 3, psis)",
+])
+
+
 def test_class_counts_load_no_numpy_ma():
-    # the sector path and the all-windows path (a droplet breaks translation)
-    code = "\n".join([
-        "from scartypes import nullspace, states",
-        "vac, w = states.vacuum(8), states.w_state(8)",
-        "for psis in ([vac, w], [vac, states.droplet(8, 4, 1)]):",
-        "    nullspace.count_type_classes(8, 2, 3, psis)",
-    ])
-    assert _loaded(code, "numpy.ma") == []
+    assert _loaded(CLASS_COUNTS, "numpy.ma") == []
+
+
+def test_class_counts_load_no_numpy_fft():
+    # ZH_glo's momentum blocks are a product with the phase matrix: numpy.fft
+    # would be imported on its first use
+    assert _loaded(CLASS_COUNTS, "numpy.fft") == []
 
 
 def test_boundary_action_loads_no_scipy():

@@ -466,7 +466,8 @@ class TestFactorPath:
         (f,) = nullspace._window_factors(window_basis(n, 0, width), width, psis, False, [0])
         assert f.shape == (3 << width, 4 ** width - 1)
 
-    @pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-8])
+    @pytest.mark.filterwarnings("error")    # a zero state: no division warning first
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0, 1.0 + 1e-8])
     def test_unnormalized_states_rejected(self, scale):
         n = 8
         psis = [scale * states.vacuum(n), scale * states.w_state(n)]
@@ -524,15 +525,42 @@ class TestSpanDims:
         flat, pos = glo.reshape(2, -1).astype(complex), np.arange(2 * n)
         every = self._range(np.zeros((0, 2 * n)))
         w_rows = np.vstack([np.roll(loc, j, axis=1).reshape(1, -1) for j in range(n)])
-        sector, _ = nullspace._complement_dims(flat, [every], [self._range(w_rows[:1])], pos, n)
+        sector, _ = nullspace._complement_dims(
+            _sector_bases(glo), [every], [self._range(w_rows[:1])], pos, n)
         dense, _ = nullspace._complement_dims(
-            flat, [every] * n, [self._range(row[None]) for row in w_rows], np.tile(pos, n), 1)
+            [flat], [every] * n, [self._range(row[None]) for row in w_rows], np.tile(pos, n), 1)
         realified = np.vstack([np.hstack([flat.real, 0 * flat.real]),
                                np.hstack([w_rows.real, w_rows.imag]),
                                np.hstack([-w_rows.imag, w_rows.real])])
         assert sector == dense
         assert dense["union_G"] == nullspace.real_rank(realified) == dense["ZG_loc"] + 2
         assert (dense["ZH_glo"], dense["ZH_loc"], dense["union_H"]) == (2, 0, 2)
+
+    def test_empty_global_span(self):
+        # an empty ZH_glo adds nothing to either local span, on both paths
+        n = 4
+        pos, every = np.arange(2 * n), self._range(np.zeros((0, 2 * n)))
+        first = self._range(np.eye(2 * n)[:1])      # a window whose null space is string 0
+        sector, _ = nullspace._complement_dims(
+            [np.zeros((0, 2))] * (n // 2 + 1), [every], [first], pos, n)
+        dense, _ = nullspace._complement_dims(
+            [np.zeros((0, 2 * n))], [every] * n, [first] * n, np.tile(pos, n), 1)
+        assert sector == {"ZH_glo": 0, "ZH_loc": 0, "ZG_loc": 2 * n, "union_H": 0,
+                          "union_G": 2 * n}
+        assert dense == {"ZH_glo": 0, "ZH_loc": 0, "ZG_loc": 2, "union_H": 0, "union_G": 2}
+
+
+def _sector_bases(rows):
+    """ZH_glo in _complement_dims' sector form from real rows (row, pattern, shift):
+    an orthonormal basis V_k of the sector-k components' span for k <= N/2."""
+    n = rows.shape[-1]
+    half = np.arange(n // 2 + 1)
+    parts = rows @ np.exp(-2j * np.pi / n * np.outer(np.arange(n), half)) / np.sqrt(n)
+    bases = []
+    for k in half:
+        _, svals, vh = np.linalg.svd(parts[:, :, k])
+        bases.append(vh[:int(np.sum(svals > 1e-12))])
+    return bases
 
 
 def _dense(monkeypatch):
@@ -563,6 +591,44 @@ class TestSectorPath:
         assert _counted(count_type_classes(n, 2, r_loc, psis, degenerate)) == sector
         if r_loc == 2 or not degenerate:
             assert sector == _reference_count(n, 2, r_loc, psis, degenerate)
+
+    def test_eigh_inputs_at_most_pattern_count(self, monkeypatch):
+        # translation eigenstates: one stacked eigh of the P x P momentum
+        # blocks k <= N/2; the all-window path takes the dense (P N)^2 matrix
+        n, p = 8, len(nullspace._pauli_patterns_upto(2))
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+        for psis in _invariant_sets(n).values():
+            shapes.clear()
+            count_type_classes(n, 2, 3, psis)
+            assert shapes == [(n // 2 + 1, p, p)]
+        shapes.clear()
+        count_type_classes(n, 2, 3, [states.vacuum(n), states.droplet(n, 4, 1)])
+        assert shapes == [(n * p, n * p)]
+
+    def test_translation_tested_once(self, monkeypatch):
+        calls, test = [], nullspace._translation_eigenstates
+        monkeypatch.setattr(nullspace, "_translation_eigenstates",
+                            lambda *args: calls.append(1) or test(*args))
+        n = 8
+        for psis in ([states.vacuum(n), states.w_state(n)],
+                     [states.vacuum(n), states.droplet(n, 4, 1)]):
+            calls.clear()
+            count_type_classes(n, 2, 2, psis)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, r_loc", [(8, 2), (7, 3)])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_empty_global_space(self, monkeypatch, n, r_loc, dense):
+        # degenerate {W, vacuum} at R = 1: the range-1 operators that keep both
+        # states (functions of N_tot) give them different eigenvalues
+        psis = [states.w_state(n), states.vacuum(n)]
+        if dense:
+            _dense(monkeypatch)
+        got = _counted(count_type_classes(n, 1, r_loc, psis, degenerate=True))
+        assert got[:2] == (0, 0) and got[2]["ZH_glo"] == 0
+        assert got == _reference_count(n, 1, r_loc, psis, degenerate=True)
 
     @pytest.mark.parametrize("r_loc", [2, 3])
     def test_odd_ring(self, r_loc):
@@ -699,18 +765,59 @@ class TestSectorPath:
         assert elapsed < 15.0
 
 
+class TestSectorNullSpace:
+    """ZH_glo's momentum blocks against the dense null_space of the assembled C^H."""
+
+    @staticmethod
+    def _sets(n):
+        vac, w = states.vacuum(n), states.w_state(n)
+        return {"phased_vac_w_w2": _phased([vac, w, states.w_p(n, 2)], n),
+                "phased_wq1_wq2": _phased([states.w_q(n, 1), states.w_q(n, 2)], n + 1),
+                "vac_wq_half": [vac, states.w_q(n, n // 2)]}
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    @pytest.mark.parametrize("r_glo", [1, 2])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_dense_null_space(self, n, r_glo, degenerate):
+        glo = pauli_string_basis(n, r_glo)
+        shifts = np.arange(n)
+        for psis in self._sets(n).values():
+            assert nullspace._translation_eigenstates(psis, n)
+            dense = null_space(build_correlation(glo, psis, "H", degenerate))
+            bases, gap = nullspace._sector_null_spaces(
+                nullspace._gram(glo, psis, degenerate, True).real)
+            assert len(bases) == n // 2 + 1
+            assert sum((2 if 2 * k % n else 1) * len(v) for k, v in enumerate(bases)) == dense.dim
+            assert gap == pytest.approx(dense.gap, rel=1e-12)
+            # real where the phases are +-1, as _complement_dims takes them
+            assert not bases[0].imag.any() and (n % 2 or not bases[n // 2].imag.any())
+            # V_k's rows u are the full vectors u_p e^{2 pi i k s / N} / sqrt N
+            full = np.vstack([((bases[k] if 2 * k <= n else bases[n - k].conj())[:, :, None]
+                               * np.exp(2j * np.pi * k * shifts / n) / np.sqrt(n)).reshape(
+                                   -1, len(glo)) for k in range(n)])
+            want = dense.basis.T @ dense.basis.conj()
+            assert np.abs(full.T @ full.conj() - want).max() <= 1e-10
+
+    def test_not_psd_rejected(self):
+        g = np.zeros((2, 2, 4))
+        g[:, :, 0] = np.diag([-1.0, 1.0])
+        with pytest.raises(ValueError, match="not PSD"):
+            nullspace._sector_null_spaces(g)
+
+
 def _oracle_complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
     """The complement solve with a K SVD and a tall QR in every sector, H and G
     alike: the oracle of nullspace._complement_dims.
 
     Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, and K's margins.
 
-    ``glo`` holds ZH_glo's orthonormal rows over the full basis (index i:
-    column i // sectors, shift i % sectors), ``pos`` the full index of each
-    row of the windows' stacked ranges X.  K_k equates each later copy of a
-    column, phased by e^{-2 pi i k shift / sectors}, with its first copy,
-    which gives the complement's coordinates.  ZH_glo's sector rows r_k on
-    it add rank [r_k, conj r_{-k}] real dimensions to a union.  X's columns
+    ``glo`` holds ZH_glo's orthonormal sector rows V_k over the first columns
+    (full index i: column i // sectors, shift i % sectors) for k <= sectors / 2,
+    real where the phases are +-1, and V_{-k} = conj V_k; ``pos`` is the full
+    index of each row of the windows' stacked ranges X.  K_k equates each
+    later copy of a column, phased by e^{-2 pi i k shift / sectors}, with its
+    first copy, which gives the complement's coordinates.  V_k on it adds
+    rank [V_k, conj V_{-k}] real dimensions to a union.  X's columns
     are orthonormal, so K's cut RANK_TOL is absolute; a margin is the
     smallest kept singular value in any sector over RANK_TOL, None when
     nothing is kept.
@@ -720,7 +827,9 @@ def _oracle_complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
     later = np.setdiff1d(np.arange(len(pos)), first)
     partner = first[columns[later]]                 # each later copy's first copy
     phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
-    glo = glo.reshape(len(glo), -1, sectors) @ phases.T / np.sqrt(sectors)
+    width = glo[0].shape[1]
+    sector_rows = [glo[k] if k < len(glo) else glo[sectors - k].conj() for k in range(sectors)]
+    sector_rows = [v.real if 2 * k % sectors == 0 else v for k, v in enumerate(sector_rows)]
 
     def project(ranges):
         """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
@@ -739,7 +848,7 @@ def _oracle_complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
             rank = int(np.sum(svals > nullspace.RANK_TOL))
             kept.append(svals[:rank])
             basis = np.linalg.qr((ph[first, None] * firsts) @ vh[rank:].conj().T)[0]
-            coords.append(glo[:, :, k] @ basis.conj())
+            coords.append(sector_rows[k] @ basis[:width].conj())
         local = sum(len(first) - off.shape[1] for off in coords)
         added = sum(nullspace.real_rank(np.hstack([off, coords[-k].conj()]), scale=1.0)
                     for k, off in enumerate(coords))
@@ -747,8 +856,8 @@ def _oracle_complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
         return local, added, float(kept.min() / nullspace.RANK_TOL) if kept.size else None
 
     (h_loc, h_add, margin_h), (g_loc, g_add, margin_g) = project(h_ranges), project(g_ranges)
-    dims = {"ZH_glo": len(glo), "ZH_loc": h_loc, "ZG_loc": 2 * g_loc,
-            "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
+    dims = {"ZH_glo": sum(map(len, sector_rows)), "ZH_loc": h_loc,
+            "ZG_loc": 2 * g_loc, "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
     return dims, {"margin_ZH_loc": margin_h, "margin_ZG_loc": margin_g}
 
 
