@@ -344,7 +344,7 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     n_sites = h.n_sites
     shifted = LocalOperator(n_sites, {(s + 1, ops): c for (s, ops), c in h.terms.items()})
     invariant = shifted.terms == h.terms and \
-        nullspace._translation_eigenstates(states_list, n_sites)
+        nullspace._translation_eigenstates(states_list, n_sites) is not None
     solved = (0,) if invariant else (0, n_sites // 3)
     # the independence clause's anchor-0 patches: ``length`` and length + 1 sites, if swept
     length = max(2 * r_max + 3, 2 * h.declared_range + 1)

@@ -18,10 +18,11 @@ Gram matrices of a small factor F (C^G = F^dagger F, C^H that of [Re F; Im F]):
 F = (1 - u u^dagger) M over a window, M_{(i,k),nu} = s_k <i|V_nu|a_k> for the
 split psi = sum_k s_k |a_k>|b_k> and u = (s_k <i|a_k>), chi 2^w rows per state;
 window ranges and gaps come from its thin SVD.  Over the whole ring F keeps
-only the basis rows psi and its images V_nu psi reach.  For translation
-eigenstates C^G over whole orbits is an orbit gram, g_d = lambda^{-d}
-<F_p|T^d F_p'> at shift d, and ZH_glo takes one stacked eigh of the P x P
-momentum blocks sum_d Re g_d e^{2 pi i k d / N}, k <= N/2.  ZH_loc and ZG_loc,
+only the basis rows psi and its images V_nu psi reach.  ZH_glo takes one
+stacked eigh of the momentum blocks sum_d Re g_d e^{2 pi i k d / N}, k <= N/2,
+of C^G's shift terms g_d: for translation eigenstates over whole orbits the
+orbit gram g_d = lambda^{-d} <F_p|T^d F_p'>, P x P at each shift d; for other
+states C^G itself, one shift and one sector.  ZH_loc and ZG_loc,
 the spans of the N windows' null spaces, are found through their complements:
 v is orthogonal to a span exactly when each window restriction v|_j = R_j c_j
 lies in the window's range R_j, and a string shared by windows takes one
@@ -70,7 +71,6 @@ class SubspaceReport:
     basis: np.ndarray      # rows are orthonormal coefficient vectors
     dim: int
     gap: float             # smallest eigenvalue above the accepted null space
-    range: np.ndarray      # columns: the eigenvectors above the cut
 
 
 def _pauli_patterns_upto(max_len: int):
@@ -103,32 +103,24 @@ def window_basis(n_sites: int, start: int, width: int) -> OperatorBasis:
     return OperatorBasis(tuple(keys), n_sites)
 
 
-def build_correlation(basis: OperatorBasis, states_list, kind: str,
-                      degenerate: bool = False) -> np.ndarray:
+def build_correlation(basis: OperatorBasis, states_list, kind: str) -> np.ndarray:
     """Summed correlation matrix over the given unit states (else ValueError):
-    the Gram array, real for kind H, complex for kind G.
-
-    C^G = F^dagger F for ``_factor``'s F with each state whole (chi = 1).  When
-    the basis lists whole translation orbits, each pattern at shifts 0..N-1
-    in a row (as pauli_string_basis does), and the states are translation
-    eigenstates, ``_orbit_gram`` needs only the pattern representatives.
-    ``degenerate`` recentres the expectation vectors on their mean and adds the
-    rank-one couplings, so null vectors share one eigenvalue across the states.
-    """
+    the Gram array, real for kind H, complex for kind G, C^G = F^dagger F for
+    ``_factor``'s F with each state whole (chi = 1)."""
     if kind not in ("H", "G"):
         raise ValueError("kind must be 'H' or 'G'")
     if kind == "H" and any(c != opspace._DAGGER[c] for _, ops in basis.keys for c in ops):
         raise ValueError("kind H requires a Hermitian basis")
-    n = basis.n_sites
-    gram = _gram(basis, states_list, degenerate, _translation_eigenstates(states_list, n))
-    if gram.ndim == 3:          # orbit shift terms: C^G_{(p, s), (p', s')} = g[p, p', s' - s]
-        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        gram = gram[:, :, diff].transpose(0, 2, 1, 3).reshape(gram.shape[0] * n, -1)
+    gram = _gram(basis, states_list, False, None)[..., 0]
     return gram.real.copy() if kind == "H" else gram
 
 
-def _gram(basis: OperatorBasis, states_list, degenerate: bool, invariant: bool) -> np.ndarray:
-    """C^G over unit states, or its shift terms over whole orbits of ``invariant`` ones."""
+def _gram(basis: OperatorBasis, states_list, degenerate: bool, lams) -> np.ndarray:
+    """C^G's shift terms g[p, p', d] over unit states: given their translation
+    eigenvalues ``lams``, over whole orbits, each pattern at shifts 0..N-1 in a
+    row (as pauli_string_basis lists them), one d per shift; else g[:, :, 0] = C^G.
+    ``degenerate`` recentres the expectation vectors on their mean and adds the
+    rank-one couplings, so null vectors share one eigenvalue across the states."""
     n = basis.n_sites
     if not len(states_list):
         raise ValueError("at least one state is required")
@@ -136,9 +128,7 @@ def _gram(basis: OperatorBasis, states_list, degenerate: bool, invariant: bool) 
         if psi.shape != (1 << n,):
             raise opspace.DimensionError(f"state has shape {psi.shape} for N={n}")
         opspace._require_unit(psi)
-    orbits = invariant and basis.keys == tuple(
-        key for s, ops in basis.keys[::n] for key in opspace._placed_keys(n, ops, range(s, s + n)))
-    keys = basis.keys[::n] if orbits else basis.keys
+    keys = basis.keys if lams is None else basis.keys[::n]
     rows, blocks, pairs = [], [], []
     for psi in states_list:
         src = np.flatnonzero(psi)
@@ -150,8 +140,9 @@ def _gram(basis: OperatorBasis, states_list, degenerate: bool, invariant: bool) 
         pairs.append([(t, np.searchsorted(reached, kept), np.searchsorted(reached, tgt), vals)
                       for t, kept, tgt, vals in chunks])
     parts = _factor(len(keys), blocks, pairs, degenerate)
-    return _orbit_gram(parts, rows, states_list, n) if orbits else \
-        sum(p.conj().T @ p for p in parts)
+    if lams is None:
+        return sum(p.conj().T @ p for p in parts)[..., None]
+    return _orbit_gram(parts, rows, lams, n)
 
 
 def _factor(count: int, blocks, pairs, degenerate: bool) -> list:
@@ -172,15 +163,14 @@ def _factor(count: int, blocks, pairs, degenerate: bool) -> list:
     return parts
 
 
-def _orbit_gram(parts, rows, states_list, n: int) -> np.ndarray:
+def _orbit_gram(parts, rows, lams, n: int) -> np.ndarray:
     """C^G's shift terms g[p, p', d] = sum_n lambda_n^{-d} <F_p|T^d F_p'> + degenerate rows.
 
     Each state's F holds only its ``rows`` (sorted basis indices); at shift d
     row r of F_p' meets row r rotated left by d of F_p, when F_p holds it.
     """
     g, shifts, full = 0, np.arange(n), (1 << n) - 1
-    for psi, reached, block in zip(states_list, rows, parts):
-        lam = np.vdot(psi, states.translate(psi, 1, n))
+    for lam, reached, block in zip(lams, rows, parts):
         terms = []
         for d in shifts:
             moved = ((reached << d) | (reached >> (n - d))) & full
@@ -188,7 +178,7 @@ def _orbit_gram(parts, rows, states_list, n: int) -> np.ndarray:
             hit = reached[pos] == moved
             terms.append(block[pos[hit]].conj().T @ block[hit] / lam ** d)
         g = g + np.stack(terms, -1)
-    for extra in parts[len(states_list):]:
+    for extra in parts[len(lams):]:
         g = g + (extra.conj().T @ extra)[..., None]
     return g
 
@@ -214,14 +204,14 @@ def _range(factor: np.ndarray):
 
 
 def null_space(corr: np.ndarray) -> SubspaceReport:
-    """Eigenvectors with eigenvalue <= NULL_TOL * max eigenvalue, and the range.
+    """Eigenvectors with eigenvalue <= NULL_TOL * max eigenvalue.
 
     Raises ValueError when the smallest eigenvalue is below PSD_TOL x max
     |entry|.  Also reports the spectral gap just above the accepted null
     space so the robustness of the cut is visible to callers.
     """
     vecs, keep, above = _null_eigh(corr, corr)
-    return SubspaceReport(vecs[:, keep].T.astype(complex), int(keep.sum()), above, vecs[:, ~keep])
+    return SubspaceReport(vecs[:, keep].T.astype(complex), int(keep.sum()), above)
 
 
 def _null_eigh(blocks: np.ndarray, corr: np.ndarray):
@@ -253,14 +243,18 @@ def real_rank(rows: np.ndarray, scale: float | None = None) -> int:
     return int(np.sum(svals > RANK_TOL * scale))
 
 
-def _translation_eigenstates(states_list, n_sites: int) -> bool:
-    """Whether ||T psi - lambda psi|| <= TRANSLATION_TOL ||psi|| for every state."""
-    def defect(psi):
+def _translation_eigenstates(states_list, n_sites: int):
+    """Each state's lambda = <psi|T psi> / <psi|psi> when ||T psi - lambda psi|| <=
+    TRANSLATION_TOL ||psi|| for every state, else None."""
+    lams = []
+    for psi in states_list:
+        if psi.shape != (1 << n_sites,) or not psi.any():
+            return None
         moved = states.translate(psi, 1, n_sites)
-        lam = np.vdot(psi, moved) / np.vdot(psi, psi)
-        return np.linalg.norm(moved - lam * psi) / np.linalg.norm(psi)
-    return all(psi.shape == (1 << n_sites,) and psi.any() and defect(psi) <= TRANSLATION_TOL
-               for psi in states_list)
+        lams.append(np.vdot(psi, moved) / np.vdot(psi, psi))
+        if np.linalg.norm(moved - lams[-1] * psi) > TRANSLATION_TOL * np.linalg.norm(psi):
+            return None
+    return lams
 
 
 def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
@@ -353,11 +347,12 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     """Equivalence-class counts N_II, N_III at global range R, local range R'.
 
     ZH_glo is the Hermitian null space over all Pauli strings of range <= R
-    (extensive-local combinations included), solved by momentum block for
-    translation eigenstates; ZH_loc / ZG_loc are spanned by the null spaces of
-    the N windows [j, j+R'-1] (see the module docstring).  ``dims`` holds the
-    real dimensions, the null-space gap of ZH_glo, the smallest window gaps of
-    ZH_loc and ZG_loc, and the margins of the complements' cuts.
+    (extensive-local combinations included), solved by momentum block, one
+    block unless the states are translation eigenstates; ZH_loc / ZG_loc are
+    spanned by the null spaces of the N windows [j, j+R'-1] (see the module
+    docstring).  ``dims`` holds the real dimensions, the null-space gap of
+    ZH_glo, the smallest window gaps of ZH_loc and ZG_loc, and the margins of
+    the complements' cuts.
     """
     if r_glo < 1:
         raise ValueError(f"range R = {r_glo} must be at least 1")
@@ -372,22 +367,20 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     # pauli_string_basis lists each pattern at shifts 0..N-1 in a row: index
     # i is pattern i // N at shift i % N, and translation acts on the shift.
     # Patterns come shortest first and N >= 2R' leaves no two keys equal, so
-    # the range-R basis is a prefix of the range-R' one.
-    keys = pauli_string_basis(n_sites, r_loc).keys
-    index = {k: i for i, k in enumerate(keys)}
-    sectors = n_sites if _translation_eigenstates(states_list, n_sites) else 1
-
-    glo = OperatorBasis(keys[:n_sites * len(_pauli_patterns_upto(r_glo))], n_sites)
-    gram = _gram(glo, states_list, degenerate, sectors > 1).real   # C^H, or its shift terms
-    dense = null_space(gram) if sectors == 1 else None     # its real rows: the one sector
-    zh_glo, gap = _sector_null_spaces(gram) if dense is None else ([dense.basis], dense.gap)
+    # string (s, ops) of range <= R' has index p N + s, p the index of ops.
+    lams = _translation_eigenstates(states_list, n_sites)
+    g = _gram(pauli_string_basis(n_sites, r_glo), states_list, degenerate, lams)
+    zh_glo, gap = _sector_null_spaces(g.real)
+    sectors = g.shape[-1]                           # N momentum sectors, or one
     window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
     zh, zg = [], []
     for factor in _window_factors(window, r_loc, states_list, degenerate, starts):
         zg.append(_range(factor))
         zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
 
-    pos = np.array([index[(s + j) % n_sites, ops] for j in starts for s, ops in window.keys])
+    pattern = {ops: p for p, ops in enumerate(_pauli_patterns_upto(r_loc))}
+    pos = np.array([pattern[ops] * n_sites + (s + j) % n_sites
+                    for j in starts for s, ops in window.keys])
     dims, margins = _complement_dims(
         zh_glo, [r for r, _ in zh], [r for r, _ in zg], pos, sectors)
 

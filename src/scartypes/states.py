@@ -23,7 +23,10 @@ def _popcounts(n_sites: int) -> np.ndarray:
 
 
 def _zeros(n_sites: int) -> np.ndarray:
-    """Zero 2^N amplitude vector; CapacityError above 24 sites (256 MiB)."""
+    """Zero 2^N amplitude vector; ValueError below 1 site, CapacityError above 24
+    (256 MiB).  Every constructor calls it before any other check."""
+    if n_sites < 1:
+        raise ValueError(f"N={n_sites} must be at least 1")
     if n_sites > 24:
         raise CapacityError(f"N={n_sites} exceeds the dense-state guard of 24 sites")
     return np.zeros(1 << n_sites, dtype=complex)
@@ -41,9 +44,9 @@ def w_state(n_sites: int) -> np.ndarray:
 
 def w_p(n_sites: int, p: int) -> np.ndarray:
     """Uniform superposition over all p-particle configurations."""
+    psi = _zeros(n_sites)
     if not 0 <= p <= n_sites:
         raise ValueError(f"p={p} outside 0..{n_sites}")
-    psi = _zeros(n_sites)
     mask = _popcounts(n_sites) == p
     psi[mask] = 1.0 / np.sqrt(comb(n_sites, p))
     return psi
@@ -51,8 +54,8 @@ def w_p(n_sites: int, p: int) -> np.ndarray:
 
 def w_q(n_sites: int, m: int) -> np.ndarray:
     """Momentum-boosted W state with q = 2*pi*m/N and phases e^{-iqj}."""
-    q = 2.0 * np.pi * (m % n_sites) / n_sites
     psi = _zeros(n_sites)
+    q = 2.0 * np.pi * (m % n_sites) / n_sites
     for j in range(n_sites):
         psi[1 << j] = np.exp(-1j * q * j) / np.sqrt(n_sites)
     return psi
@@ -60,11 +63,11 @@ def w_q(n_sites: int, m: int) -> np.ndarray:
 
 def droplet(n_sites: int, m_size: int, p: int) -> np.ndarray:
     """W^p on sites 0..M-1 tensored with vacuum on the rest."""
+    psi = _zeros(n_sites)
     if not 1 <= m_size <= n_sites:
         raise ValueError(f"droplet size {m_size} outside 1..{n_sites}")
     if not 0 <= p <= m_size:
         raise ValueError(f"p={p} outside 0..{m_size}")
-    psi = _zeros(n_sites)
     inner = w_p(m_size, p)
     psi[: 1 << m_size] = inner
     return psi

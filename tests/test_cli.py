@@ -198,6 +198,12 @@ class TestScanClasses:
                           "--states", "vacuum"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["-4", "0"])
+    def test_empty_ring_exit_2(self, n, capsys):
+        code, out = invoke(["scan-classes", "--N", n, "--R", "1", "--Rp", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(capsys.readouterr().err)["error"] == f"N={n} must be at least 1"
+
     def test_window_order_error_on_stderr(self, capsys):
         code, out = invoke(["scan-classes", "--N", "8", "--R", "3", "--Rp", "2"])
         assert (code, out) == (2, "")

@@ -80,7 +80,8 @@ class TestBuildCorrelation:
                 ops[0], ops[-1] = (str(c) for c in rng.choice(codes, size=2))
                 keys.append((int(rng.integers(n)), tuple(ops)))
             basis = OperatorBasis(tuple(keys), n)
-            got = build_correlation(basis, psis, kind, degenerate)
+            got = build_correlation(basis, psis, kind)
+            shifted = nullspace._gram(basis, psis, degenerate, None)    # one shift term
             # reference: one apply per key and state, entries summed one by one
             want = np.zeros((len(keys), len(keys)), dtype=complex)
             expect = []
@@ -91,10 +92,13 @@ class TestBuildCorrelation:
                     for j, b in enumerate(acts):
                         want[i, j] += np.vdot(a, b) - np.conj(e[i]) * e[j]
                 expect.append(e)
+            coupled = want.copy()
             if degenerate:
                 for e in expect:
                     d = e - np.mean(expect, axis=0)
-                    want += np.outer(d.conj(), d)
+                    coupled += np.outer(d.conj(), d)
+            assert shifted.shape == want.shape + (1,)
+            assert np.abs(shifted[..., 0] - coupled).max() <= 1e-12
             if kind == "H":
                 want = want.real
             assert got.dtype == want.dtype          # real for H, complex for G
@@ -156,8 +160,8 @@ class TestNullSpace:
         monkeypatch.setattr(nullspace.np.linalg, "eigvalsh", None)
         got = null_space(corr)
         assert got.dim == want.dim and got.gap == want.gap
-        assert np.allclose(corr @ got.range, got.range @ np.diag(
-            np.linalg.eigh(corr)[0][got.dim:]))
+        null = got.basis.T
+        assert np.allclose(corr @ null, null @ np.diag(np.linalg.eigh(corr)[0][:got.dim]))
         with pytest.raises(ValueError, match="not PSD"):
             null_space(np.diag([-1.0, 1.0]))
 
@@ -245,8 +249,11 @@ class TestClassCounts:
         basis = nullspace.pauli_string_basis
         monkeypatch.setattr(nullspace, "pauli_string_basis",
                             lambda n, r: built.append(r) or basis(n, r))
-        count_type_classes(8, 2, 3, [states.vacuum(8), states.w_state(8)])
-        assert built == [3]
+        for psis in ([states.vacuum(8), states.w_state(8)],
+                     [states.vacuum(8), states.droplet(8, 4, 1)]):
+            built.clear()
+            count_type_classes(8, 2, 3, psis)
+            assert built == [2]                     # range R only, on both paths
 
     def test_range_r_basis_is_a_prefix(self):
         # patterns come shortest first and N >= 2R' leaves no two keys equal
@@ -364,6 +371,13 @@ def _rel(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def _assembled(g):
+    """The (P S) x (P S) matrix C_{(p, s), (p', s')} = g[p, p', s' - s] of shift terms g."""
+    n = g.shape[-1]
+    diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return g[:, :, diff].transpose(0, 2, 1, 3).reshape(g.shape[0] * n, -1)
+
+
 def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -399,65 +413,41 @@ class TestFactorPath:
                 assert _rel(part.conj().T @ part, want) <= 1e-13
                 # thin-SVD range and gap against the eigh of the dense gram
                 rng, gap = nullspace._range(part)
-                rep = null_space(want)
-                assert rng.shape == rep.range.shape
-                assert np.abs(rng @ rng.conj().T - rep.range @ rep.range.conj().T).max() <= 1e-13
-                assert gap == pytest.approx(rep.gap, rel=1e-12)
+                vals, vecs = np.linalg.eigh(want)
+                above = vals > nullspace.NULL_TOL * vals[-1]
+                assert rng.shape == vecs[:, above].shape
+                assert np.abs(rng @ rng.conj().T - vecs[:, above] @ vecs[:, above].conj().T).max() \
+                    <= 1e-13
+                assert gap == pytest.approx(vals[above][0], rel=1e-12)
 
     @pytest.mark.parametrize("name", list(_factor_sets()))
     @pytest.mark.parametrize("degenerate", [False, True])
-    def test_orbit_gram_matches_dense(self, monkeypatch, name, degenerate):
-        # whole orbits of translation eigenstates take the orbit gram, the
-        # rest (and any basis not listed orbit by orbit) the full-ring factor
+    def test_orbit_gram_matches_dense(self, name, degenerate):
+        # whole orbits of translation eigenstates take the orbit gram's N
+        # shift terms, every set and basis the full-ring factor's one
         n, psis = _factor_sets()[name]
-        calls = []
-        orbit_gram = nullspace._orbit_gram
-        monkeypatch.setattr(nullspace, "_orbit_gram",
-                            lambda *args: calls.append(1) or orbit_gram(*args))
-        invariant = nullspace._translation_eigenstates(psis, n)
-        for basis, orbits in ((pauli_string_basis(n, 2), invariant),
-                              (pauli_string_basis(n, 3), invariant),
+        lams = nullspace._translation_eigenstates(psis, n)
+        assert (lams is None) == (name in ("random", "vac_droplet"))
+        for basis, orbits in ((pauli_string_basis(n, 2), True), (pauli_string_basis(n, 3), True),
                               (window_basis(n, 5, 3), False)):
-            for kind in ("H", "G"):
-                calls.clear()
-                want = _dense_correlation(basis, psis, kind, degenerate)
-                got = build_correlation(basis, psis, kind, degenerate)
-                assert _rel(got, want) <= 1e-13
-                assert len(calls) == orbits
-
-    def test_whole_orbits_of_windows_over_half_the_ring(self, monkeypatch):
-        # shift-stable patterns are checked by shift, longer windows through
-        # _canonical_key: at N = 6, x x x x has a unique window at every shift,
-        # while z id id z ties and canonicalizes shift 3 onto shift 0
-        n = 6
-        psis = _phased([states.vacuum(n), states.w_state(n)], 3)
-        calls = []
-        orbit_gram = nullspace._orbit_gram
-        monkeypatch.setattr(nullspace, "_orbit_gram",
-                            lambda *args: calls.append(1) or orbit_gram(*args))
-        for pats, orbits in (((("z",), ("x",) * 4), True), ((("z", "id", "id", "z"),), False)):
-            basis = OperatorBasis(tuple((d, ops) for ops in pats for d in range(n)), n)
-            calls.clear()
-            want = _dense_correlation(basis, psis, "G")
-            assert _rel(build_correlation(basis, psis, "G"), want) <= 1e-13
-            assert len(calls) == orbits
+            want = _dense_correlation(basis, psis, "G", degenerate)
+            grams = [nullspace._gram(basis, psis, degenerate, None)]
+            if orbits and lams is not None:
+                grams.append(nullspace._gram(basis, psis, degenerate, lams))
+                assert grams[-1].shape == (len(basis) // n, len(basis) // n, n)
+            for g in grams:
+                assert _rel(_assembled(g), want) <= 1e-13
 
     @pytest.mark.parametrize("degenerate", [False, True])
-    def test_sparse_support_matches_dense_n12(self, monkeypatch, degenerate):
+    def test_sparse_support_matches_dense_n12(self, degenerate):
         # 1 + 12 + 66 amplitudes of 4096: each F keeps only the rows the
         # states and their images reach, on the orbit path and off it
         n = 12
         psis = _phased([states.vacuum(n), states.w_state(n), states.w_p(n, 2)], 7)
-        calls = []
-        orbit_gram = nullspace._orbit_gram
-        monkeypatch.setattr(nullspace, "_orbit_gram",
-                            lambda *args: calls.append(1) or orbit_gram(*args))
-        for basis, orbits in ((pauli_string_basis(n, 2), True), (window_basis(n, 5, 3), False)):
-            for kind in ("H", "G"):
-                calls.clear()
-                want = _dense_correlation(basis, psis, kind, degenerate)
-                assert _rel(build_correlation(basis, psis, kind, degenerate), want) <= 1e-13
-                assert len(calls) == orbits
+        lams = nullspace._translation_eigenstates(psis, n)
+        for basis, shifts in ((pauli_string_basis(n, 2), lams), (window_basis(n, 5, 3), None)):
+            want = _dense_correlation(basis, psis, "G", degenerate)
+            assert _rel(_assembled(nullspace._gram(basis, psis, degenerate, shifts)), want) <= 1e-13
 
     def test_schmidt_rank_rows(self):
         # W has Schmidt rank 2 across any cut, the vacuum 1: F has (1 + 2) 2^w rows
@@ -565,19 +555,27 @@ def _sector_bases(rows):
 
 def _dense(monkeypatch):
     """Route count_type_classes through the N-window path whatever the states."""
-    monkeypatch.setattr(nullspace, "_translation_eigenstates", lambda *args: False)
+    monkeypatch.setattr(nullspace, "_translation_eigenstates", lambda *args: None)
 
 
 class TestSectorPath:
     """Momentum sectors of window 0 against all N windows and the realified oracle."""
 
     def test_full_basis_is_pattern_by_shift(self):
-        # count_type_classes reshapes full-basis columns to (pattern, shift)
-        n = 8
-        for r in (2, 3, 4):
-            keys = pauli_string_basis(n, r).keys
-            pats = nullspace._pauli_patterns_upto(r)
-            assert keys == tuple((i % n, pats[i // n]) for i in range(n * len(pats)))
+        # count_type_classes puts window j's string (s, ops) at p N + (s + j) mod N,
+        # p the index of ops among the patterns: its index in the full basis
+        for rp in range(1, 7):
+            pats = nullspace._pauli_patterns_upto(rp)
+            pattern = {ops: p for p, ops in enumerate(pats)}
+            for n in range(2 * rp, 13):
+                keys = pauli_string_basis(n, rp).keys
+                assert keys == tuple((i % n, pats[i // n]) for i in range(n * len(pats)))
+                index = {key: i for i, key in enumerate(keys)}
+                window = window_basis(n, 0, rp)
+                for j in range(n):
+                    placed = window_basis(n, j, rp).keys
+                    assert [pattern[ops] * n + (s + j) % n for s, ops in window.keys] == \
+                        [index[key] for key in placed]
 
     @pytest.mark.parametrize("name", list(_invariant_sets(8)))
     @pytest.mark.parametrize("r_loc", [2, 3])
@@ -585,7 +583,7 @@ class TestSectorPath:
     def test_sector_equals_dense(self, monkeypatch, name, r_loc, degenerate):
         n = 8
         psis = _invariant_sets(n)[name]
-        assert nullspace._translation_eigenstates(psis, n)
+        assert nullspace._translation_eigenstates(psis, n) is not None
         sector = _counted(count_type_classes(n, 2, r_loc, psis, degenerate))
         _dense(monkeypatch)
         assert _counted(count_type_classes(n, 2, r_loc, psis, degenerate)) == sector
@@ -594,18 +592,23 @@ class TestSectorPath:
 
     def test_eigh_inputs_at_most_pattern_count(self, monkeypatch):
         # translation eigenstates: one stacked eigh of the P x P momentum
-        # blocks k <= N/2; the all-window path takes the dense (P N)^2 matrix
+        # blocks k <= N/2; other sets one sector of one shift, the (P N)^2 C^H
         n, p = 8, len(nullspace._pauli_patterns_upto(2))
         shapes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+
+        def uncalled(*args):
+            raise AssertionError("a count called a dense-matrix entry point")
+        for name in ("null_space", "build_correlation"):
+            monkeypatch.setattr(nullspace, name, uncalled)
         for psis in _invariant_sets(n).values():
             shapes.clear()
             count_type_classes(n, 2, 3, psis)
             assert shapes == [(n // 2 + 1, p, p)]
         shapes.clear()
         count_type_classes(n, 2, 3, [states.vacuum(n), states.droplet(n, 4, 1)])
-        assert shapes == [(n * p, n * p)]
+        assert shapes == [(1, n * p, n * p)]
 
     def test_translation_tested_once(self, monkeypatch):
         calls, test = [], nullspace._translation_eigenstates
@@ -617,6 +620,18 @@ class TestSectorPath:
             calls.clear()
             count_type_classes(n, 2, 2, psis)
             assert len(calls) == 1
+
+    def test_translation_eigenvalues(self):
+        # lambda_n = <psi_n|T psi_n> for translation eigenstates, else None
+        n = 8
+        for psis in _invariant_sets(n).values():
+            lams = nullspace._translation_eigenstates(psis, n)
+            assert len(lams) == len(psis)
+            for lam, psi in zip(lams, psis):
+                assert abs(lam - np.vdot(psi, states.translate(psi, 1, n))) <= 1e-14
+        vac = states.vacuum(n)
+        for psis in ([vac, states.droplet(n, 4, 1)], [vac, 0 * vac], [vac, states.vacuum(n - 1)]):
+            assert nullspace._translation_eigenstates(psis, n) is None
 
     @pytest.mark.parametrize("n, r_loc", [(8, 2), (7, 3)])
     @pytest.mark.parametrize("dense", [False, True])
@@ -660,7 +675,7 @@ class TestSectorPath:
         monkeypatch.setattr(nullspace, "_window_factors",
                             lambda *args: starts.append(list(args[-1])) or factors(*args))
         for psis in ([vac, drop], [vac, w, w2, drop]):
-            assert not nullspace._translation_eigenstates(psis, n)
+            assert nullspace._translation_eigenstates(psis, n) is None
             calls.clear()
             starts.clear()
             got = _counted(count_type_classes(n, 2, 2, psis))
@@ -684,7 +699,7 @@ class TestSectorPath:
         # the cluster state has no non-trivial eigenoperator on two sites
         n = 8
         psis = [_cluster(n)]
-        assert nullspace._translation_eigenstates(psis, n)
+        assert nullspace._translation_eigenstates(psis, n) is not None
         if dense:
             _dense(monkeypatch)
         res = count_type_classes(n, 2, 2, psis)
@@ -782,10 +797,11 @@ class TestSectorNullSpace:
         glo = pauli_string_basis(n, r_glo)
         shifts = np.arange(n)
         for psis in self._sets(n).values():
-            assert nullspace._translation_eigenstates(psis, n)
-            dense = null_space(build_correlation(glo, psis, "H", degenerate))
+            lams = nullspace._translation_eigenstates(psis, n)
+            assert lams is not None
+            dense = null_space(_dense_correlation(glo, psis, "H", degenerate))
             bases, gap = nullspace._sector_null_spaces(
-                nullspace._gram(glo, psis, degenerate, True).real)
+                nullspace._gram(glo, psis, degenerate, lams).real)
             assert len(bases) == n // 2 + 1
             assert sum((2 if 2 * k % n else 1) * len(v) for k, v in enumerate(bases)) == dense.dim
             assert gap == pytest.approx(dense.gap, rel=1e-12)

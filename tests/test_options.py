@@ -26,7 +26,6 @@ OPTIONS = [
     "opspace.identity:coeff",
     "opspace.op_sum:coeffs",
     "opspace.truncate:basis",
-    "nullspace.build_correlation:degenerate",
     "nullspace.real_rank:scale",
     "nullspace.count_type_classes:degenerate",
     "canonical.h_dmi:axis",
@@ -64,7 +63,7 @@ SURFACE = {
     "nullspace": """
         ClassCount ClassCount.dims ClassCount.n_ii ClassCount.n_iii OperatorBasis
         OperatorBasis.keys OperatorBasis.n_sites SubspaceReport SubspaceReport.basis
-        SubspaceReport.dim SubspaceReport.gap SubspaceReport.range build_correlation
+        SubspaceReport.dim SubspaceReport.gap build_correlation
         count_type_classes null_space pauli_string_basis real_rank verify_null_vector
         window_basis
     """,

@@ -49,6 +49,14 @@ class TestConstructors:
             with pytest.raises(opspace.CapacityError, match="N=25"):
                 build(25)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_empty_ring_rejected(self, n):
+        # checked before p, M or m, whose own errors would not name N
+        for build in (states.vacuum, states.w_state, lambda n: states.w_p(n, 1),
+                      lambda n: states.w_q(n, 1), lambda n: states.droplet(n, 1, 1)):
+            with pytest.raises(ValueError, match=f"N={n} must be at least 1"):
+                build(n)
+
 
 class TestBoostedW:
     def test_m_zero_is_w(self):
