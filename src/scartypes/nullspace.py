@@ -30,6 +30,16 @@ value: a small system K c = 0.  Window j's null space is window 0's translated
 by j for translation eigenstates, so K links a pattern's copies in window 0
 with Bloch phases, one K per momentum sector, and else N windows' copies.
 
+Real states: let psi_n = e^{i phi_n} r_n, r_n real, and y_mu the number of y
+codes in string mu.  V~_mu = (-i)^{y_mu} V_mu is real, so in the V~ basis (c~
+= i^y c) C^G = F~^T F~ with F~ = F diag((-i)^y) real: F's even-y columns are
+real and its odd-y ones imaginary, and C^H = Re C^G couples no even-y string
+to an odd-y one.  When every state is real to rounding over the phase of its
+largest amplitude, a count (a) cuts the windows' G ranges and solves K in real
+arithmetic, (b) solves the G sectors k <= N/2 only, as for H, since K~_{-k} =
+conj K~_k, though ZH_glo's rows obey V~_{-k} = (-1)^y conj V~_k, and (c)
+splits ZH_loc's window ranges and K into even-y and odd-y blocks.
+
 The operator basis is generalized Pauli strings: unlike the boson-string
 basis they are mutually Hilbert-Schmidt orthogonal, which the correlation
 construction requires.  The identity string is excluded throughout.
@@ -196,11 +206,14 @@ def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, 
         yield np.vstack(_factor(len(window), blocks, [pairs] * len(blocks), degenerate))
 
 
-def _range(factor: np.ndarray):
-    """Range (columns) and gap of F^dagger F, cut as null_space cuts, from a thin SVD of F."""
-    _, svals, vh = np.linalg.svd(factor, full_matrices=False)
-    keep = svals ** 2 > NULL_TOL * max(float(svals[0]) ** 2, 1e-300)
-    return vh[keep].conj().T, float(svals[keep][-1] ** 2) if keep.any() else np.inf
+def _range(*factors):
+    """Range (columns) of each F^dagger F and their gap, from thin SVDs of the F, cut
+    as null_space cuts the block-diagonal matrix of them all."""
+    svds = [np.linalg.svd(f, full_matrices=False)[1:] for f in factors]
+    cut = NULL_TOL * max(max(float(s[0]) ** 2 for s, _ in svds), 1e-300)
+    kept = [(s[s ** 2 > cut], vh[s ** 2 > cut].conj().T) for s, vh in svds]
+    gap = min((float(s[-1] ** 2) for s, _ in kept if s.size), default=np.inf)
+    return *(r for _, r in kept), gap
 
 
 def null_space(corr: np.ndarray) -> SubspaceReport:
@@ -230,6 +243,7 @@ def _sector_null_spaces(g: np.ndarray):
     n, half = g.shape[-1], np.arange(g.shape[-1] // 2 + 1)
     phases = np.exp(2j * np.pi / n * np.outer(np.arange(n), half))
     phases.imag[:, 2 * half % n == 0] = 0.0             # +-1: real blocks, real V_k
+    phases = phases.real if n <= 2 else phases          # every column +-1: a real eigh
     vecs, keep, above = _null_eigh(np.moveaxis(g @ phases, -1, 0), g)
     return [v[:, k].T for v, k in zip(vecs, keep)], above
 
@@ -257,35 +271,49 @@ def _translation_eigenstates(states_list, n_sites: int):
     return lams
 
 
-def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
+def _real_states(states_list):
+    """The states over the phase of each one's largest amplitude, as real arrays,
+    when every one is real there to rounding; else None."""
+    turned = [psi * np.exp(-1j * np.angle(psi[np.argmax(np.abs(psi))])) for psi in states_list]
+    # e^{i phi} r holds r_j e^{i phi} to a rounding in each part, and the unit phase and
+    # the product add a few: |Im| <= ~4 eps |psi_j|, so 8 eps max|psi| bounds rounding
+    if any(np.abs(t.imag).max() > 8 * np.finfo(float).eps * np.abs(t).max() for t in turned):
+        return None
+    return [t.real for t in turned]
+
+
+def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int, ys=None):
     """Real dimensions of ZH_glo, ZH_loc, ZG_loc and their unions, and K's margins.
 
     ``glo`` holds ZH_glo's orthonormal rows V_k, k <= sectors / 2, over its
     columns, X's first ones (full index i: column i // sectors, shift i %
     sectors); V_{-k} = conj V_k, and V_k is real where the phases are +-1.
     ``pos`` is the full index of each row of the windows' stacked ranges X,
-    block diagonal over equal windows; H's ranges are real.  K_k equates each
+    block diagonal over equal windows; H's ranges are real.  Given ``ys``, the
+    y counts of X's rows, the states are real: each H range is a pair of
+    blocks over the window's even-y and odd-y rows, and G's are real in the V~
+    basis, c~ = t c with t = i^y (see the module docstring).  K_k equates each
     later copy of a column, phased by e^{-2 pi i k shift / sectors}, with its
     first copy.  Its null space N_k gives the complement's basis B_k = (phased
     first rows of X) N_k, orthonormalised by the Cholesky factor of B_k's Gram
     N_k^dagger (first rows' Gram) N_k, whose eigenvalues lie in [1/copies, 1].
-    V_k on it adds rank [V_k, conj V_{-k}] real dimensions to a union.  For H,
-    sector -k is sector k conjugated, so only k <= sectors / 2 are solved, and
-    K is real where the phases are +-1.  X's columns are orthonormal, so K's
-    cut RANK_TOL is absolute; a margin is the smallest kept singular value in
-    any sector over RANK_TOL, None when nothing is kept.
+    V_k on it adds rank [V_k, conj V_{-k}] real dimensions to a union.  Where
+    X is real, K_{-k} = conj K_k, so only k <= sectors / 2 are solved: conj
+    V~_{-k} on B_{-k} = conj B_k is conj(t) V_k on B_k.  K is real where the
+    phases are +-1.  X's columns are orthonormal, so K's cut RANK_TOL is
+    absolute; a margin is the smallest kept singular value in any block and
+    sector over RANK_TOL, None when nothing is kept.
     """
-    columns, shifts = pos // sectors, pos % sectors
-    first = np.unique(columns, return_index=True)[1]
-    later = np.delete(np.arange(len(pos)), first)   # not np.setdiff1d: it loads numpy.ma
-    partner = first[columns[later]]                 # each later copy's first copy
     phases = np.exp(-2j * np.pi / sectors * np.outer(np.arange(sectors), np.arange(sectors)))
-    held = first[:glo[0].shape[1]]                  # first copies of ZH_glo's columns
 
-    def project(ranges, real: bool):
-        """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
+    def block(ranges, at, phased: bool):
+        """K's row sets over X's rows ``at``, their first rows' Gram, ZH_glo's columns."""
         size, left = len(ranges[0]), np.cumsum([0] + [r.shape[1] for r in ranges])
-        ranges = [r.real for r in ranges] if real else ranges
+        columns, shifts = np.divmod(pos[at], sectors)
+        first = np.unique(columns, return_index=True)[1]
+        later = np.delete(np.arange(len(columns)), first)   # not np.setdiff1d: it loads numpy.ma
+        partner = first[np.searchsorted(columns[first], columns[later])]    # the first copy
+        held = first[:np.searchsorted(columns[first], glo[0].shape[1])]     # ZH_glo's columns
 
         def rows(idx):
             """Rows ``idx`` of X."""
@@ -295,41 +323,56 @@ def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int):
                 out[window == j, left[j]:left[j + 1]] = r[row[window == j]]
             return out
 
-        copies, partners, firsts = rows(later), rows(partner), rows(held).conj()
-        gram = np.zeros((left[-1],) * 2, dtype=copies.dtype)  # of all first rows: block diagonal
+        gram = np.zeros((left[-1],) * 2, dtype=ranges[0].dtype)  # of all first rows
         window, row = np.divmod(first, size)
         for j, r in enumerate(ranges):
-            cols, block = slice(left[j], left[j + 1]), r[row[window == j]]
-            gram[cols, cols] = block.conj().T @ block
+            cols, part = slice(left[j], left[j + 1]), r[row[window == j]]
+            gram[cols, cols] = part.conj().T @ part
+        tw = np.array([1, 1j, -1, -1j])[ys[at][held] % 4] if phased else 1.0    # V~: t = i^y
+        ph = phases[:, shifts]                          # every sector's, gathered once
+        return (ph[:, later, None], ph[:, partner, None], ph[:, held].conj(), columns[held],
+                rows(later), rows(partner), rows(held).conj(), gram,
+                [tw, np.conj(tw)] if phased else [tw], len(first))
+
+    def project(parts, real: bool, phased=False):
+        """The local span's complex dimension, the real dimension ZH_glo adds, K's margin."""
+        blocks = [block([r.real for r in ranges] if real else ranges, at, phased)
+                  for ranges, at in parts]
         solved = range(sectors // 2 + 1 if real else sectors)
-        coords, kept = {}, []
-        for k in solved:
-            ph, glo_k = phases[k, shifts], glo[k] if k < len(glo) else glo[sectors - k].conj()
-            if 2 * k % sectors == 0:                # phases +-1
-                ph, glo_k = ph.real, glo_k.real
-            k_mat = ph[later, None] * copies
-            k_mat -= ph[partner, None] * partners
-            # all right singular vectors; a full U only when it is the smaller
-            _, svals, vh = np.linalg.svd(k_mat, full_matrices=len(k_mat) < k_mat.shape[1])
-            rank = int(np.sum(svals > RANK_TOL))
-            kept.append(svals[:rank])
-            null = vh[rank:]                        # N_k^dagger
-            off = (glo_k * ph[held].conj()) @ firsts @ null.T
-            if len(null):
-                chol = np.linalg.cholesky(null @ gram @ null.conj().T)
-                off = np.linalg.solve(chol, off.T).T
-            coords[k] = off
-            if real:
-                coords[-k % sectors] = off.conj()
         twins = [2 if real and 2 * k % sectors else 1 for k in solved]
-        local = sum(t * (len(first) - coords[k].shape[1]) for t, k in zip(twins, solved))
-        added = sum(t * real_rank(np.hstack([coords[k], coords[-k % sectors].conj()]), scale=1.0)
-                    for t, k in zip(twins, solved))
+        coords, pairs, kept, local = {}, [], [], 0
+        for k, twin in zip(solved, twins):
+            glo_k, offs = glo[k] if k < len(glo) else glo[sectors - k].conj(), []
+            for at_later, at_partner, at_held, cols, copies, partners, firsts, gram, tws, count \
+                    in blocks:
+                ph_later, ph_partner, ph_held, glo_b = [
+                    a.real if 2 * k % sectors == 0 else a           # phases +-1
+                    for a in (at_later[k], at_partner[k], at_held[k], glo_k[:, cols])]
+                k_mat = ph_later * copies
+                k_mat -= ph_partner * partners
+                # all right singular vectors; a full U only when it is the smaller
+                _, svals, vh = np.linalg.svd(k_mat, full_matrices=len(k_mat) < k_mat.shape[1])
+                rank = int(np.sum(svals > RANK_TOL))
+                kept.append(svals[:rank])
+                null = vh[rank:]                    # N_k^dagger
+                off = np.vstack([glo_b * ph_held * t for t in tws]) @ firsts @ null.T
+                if len(null):
+                    chol = np.linalg.cholesky(null @ gram @ null.conj().T)
+                    off = np.linalg.solve(chol, off.T).T
+                offs.append(off.reshape(len(tws), len(glo_b), off.shape[1]))
+                local += twin * (count - len(null))
+            coords[k] = np.hstack([off[0] for off in offs])
+            if real:                                # conj V_{-k} on B_{-k}, from B_k
+                pairs.append(np.hstack([coords[k]] + [off[-1] for off in offs]))
+        if not real:
+            pairs = [np.hstack([coords[k], coords[-k % sectors].conj()]) for k in solved]
+        added = sum(t * real_rank(p, scale=1.0) for t, p in zip(twins, pairs))
         kept = np.concatenate(kept)
         return local, added, float(kept.min() / RANK_TOL) if kept.size else None
 
-    h_loc, h_add, margin_h = project(h_ranges, True)
-    g_loc, g_add, margin_g = project(g_ranges, False)
+    h_loc, h_add, margin_h = project([(h_ranges, slice(None))] if ys is None else [
+        (list(r), ys % 2 == odd) for odd, r in enumerate(zip(*h_ranges))], True)
+    g_loc, g_add, margin_g = project([(g_ranges, slice(None))], ys is not None, ys is not None)
     dims = {"ZH_glo": sum(len(glo[min(k, sectors - k)]) for k in range(sectors)), "ZH_loc": h_loc,
             "ZG_loc": 2 * g_loc, "union_H": h_loc + h_add, "union_G": 2 * g_loc + g_add}
     return dims, {"margin_ZH_loc": margin_h, "margin_ZG_loc": margin_g}
@@ -350,9 +393,9 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     (extensive-local combinations included), solved by momentum block, one
     block unless the states are translation eigenstates; ZH_loc / ZG_loc are
     spanned by the null spaces of the N windows [j, j+R'-1] (see the module
-    docstring).  ``dims`` holds the real dimensions, the null-space gap of
-    ZH_glo, the smallest window gaps of ZH_loc and ZG_loc, and the margins of
-    the complements' cuts.
+    docstring; real states take real arithmetic).  ``dims`` holds the real
+    dimensions, the null-space gap of ZH_glo, the smallest window gaps of
+    ZH_loc and ZG_loc, and the margins of the complements' cuts.
     """
     if r_glo < 1:
         raise ValueError(f"range R = {r_glo} must be at least 1")
@@ -373,21 +416,28 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     zh_glo, gap = _sector_null_spaces(g.real)
     sectors = g.shape[-1]                           # N momentum sectors, or one
     window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
+    real = _real_states(states_list)
+    ys = np.array([ops.count("y") for _, ops in window.keys])
     zh, zg = [], []
-    for factor in _window_factors(window, r_loc, states_list, degenerate, starts):
+    for factor in _window_factors(window, r_loc, real or states_list, degenerate, starts):
+        if real is None:
+            zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
+        else:       # F's even-y columns are real, its odd-y ones imaginary: F (-i)^y is real
+            zh.append(_range(factor.real[:, ys % 2 == 0], factor.imag[:, ys % 2 == 1]))
+            factor = (factor * np.array([1, -1j, -1, 1j])[ys % 4]).real
         zg.append(_range(factor))
-        zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
 
     pattern = {ops: p for p, ops in enumerate(_pauli_patterns_upto(r_loc))}
     pos = np.array([pattern[ops] * n_sites + (s + j) % n_sites
                     for j in starts for s, ops in window.keys])
-    dims, margins = _complement_dims(
-        zh_glo, [r for r, _ in zh], [r for r, _ in zg], pos, sectors)
+    dims, margins = _complement_dims(zh_glo, [r[0] if real is None else r[:-1] for r in zh],
+                                     [r[0] for r in zg], pos, sectors,
+                                     None if real is None else np.tile(ys, len(starts)))
 
     n_iii = dims["union_G"] - dims["ZG_loc"]
     n_ii = dims["union_H"] - dims["union_G"] + dims["ZG_loc"] - dims["ZH_loc"]
-    dims.update(gap_ZH_glo=gap, gap_ZH_loc=min(g for _, g in zh),
-                gap_ZG_loc=min(g for _, g in zg), **margins)
+    dims.update(gap_ZH_glo=gap, gap_ZH_loc=min(r[-1] for r in zh),
+                gap_ZG_loc=min(r[-1] for r in zg), **margins)
     return ClassCount(n_ii, n_iii, dims)
 
 

@@ -70,11 +70,16 @@ def test_pinned_commands_load_no_numpy_ma():
     assert _loaded(PINNED, "numpy.ma") == []
 
 
-# the sector path and the all-windows path (a droplet breaks translation)
+# the sector path and the all-windows path (a droplet breaks translation),
+# each for real states, phased real states and complex ones ({W_1, W_2})
 CLASS_COUNTS = "\n".join([
+    "import numpy as np",
     "from scartypes import nullspace, states",
-    "vac, w = states.vacuum(8), states.w_state(8)",
-    "for psis in ([vac, w], [vac, states.droplet(8, 4, 1)]):",
+    "vac, w, w1, w2 = states.vacuum(8), states.w_state(8), states.w_q(8, 1), states.w_q(8, 2)",
+    "drop = states.droplet(8, 4, 1)",
+    "for psis in ([vac, w], [vac, drop], [vac * np.exp(0.3j), w * np.exp(-1.1j)],",
+    "             [vac, drop * np.exp(2.0j)], [w1, w2], [w1, drop]):",
+    "    assert (nullspace._real_states(psis) is None) == (w1 is psis[0])",
     "    nullspace.count_type_classes(8, 2, 3, psis)",
 ])
 

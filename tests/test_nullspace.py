@@ -594,9 +594,9 @@ class TestSectorPath:
         # translation eigenstates: one stacked eigh of the P x P momentum
         # blocks k <= N/2; other sets one sector of one shift, the (P N)^2 C^H
         n, p = 8, len(nullspace._pauli_patterns_upto(2))
-        shapes, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+        shapes, dtypes, eigh = [], [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: shapes.append(a.shape)
+                            or dtypes.append(a.dtype) or eigh(a, *args))
 
         def uncalled(*args):
             raise AssertionError("a count called a dense-matrix entry point")
@@ -609,6 +609,8 @@ class TestSectorPath:
         shapes.clear()
         count_type_classes(n, 2, 3, [states.vacuum(n), states.droplet(n, 4, 1)])
         assert shapes == [(1, n * p, n * p)]
+        # one sector's phases are all +-1: a real eigh
+        assert dtypes[-1] == np.float64 and dtypes[0] == np.complex128
 
     def test_translation_tested_once(self, monkeypatch):
         calls, test = [], nullspace._translation_eigenstates
@@ -887,6 +889,25 @@ def _complement_args(monkeypatch, n, r_loc, psis, degenerate=False):
     return calls[0]
 
 
+def _v_coordinates(args):
+    """_complement_dims' arguments as the oracle takes them: for real states, G's
+    ranges turned from V~ coordinates c~ = i^y c into V coordinates c, and each H
+    range's two parity blocks put back together."""
+    glo, h_ranges, g_ranges, pos, sectors, ys = args
+    if ys is None:
+        return args[:5]
+    size = len(g_ranges[0])
+    odd, phase = ys[:size] % 2 == 1, np.array([1, -1j, -1, 1j])[ys[:size] % 4][:, None]
+
+    def joined(even_range, odd_range):
+        out = np.zeros((size, even_range.shape[1] + odd_range.shape[1]))
+        out[~odd, :even_range.shape[1]] = even_range
+        out[odd, even_range.shape[1]:] = odd_range
+        return out
+
+    return glo, [joined(*pair) for pair in h_ranges], [phase * r for r in g_ranges], pos, sectors
+
+
 def _complement_sets():
     """(N, R', states, degenerate, N-window path) for the differential test."""
     vac, w = states.vacuum, states.w_state
@@ -904,7 +925,8 @@ def _complement_sets():
 
 
 class TestComplementOracle:
-    """The Gram/Cholesky complement with conjugate H sectors against the QR-per-sector solve."""
+    """The Gram/Cholesky complement, with conjugate H sectors and, for real states, conjugate
+    G sectors and H's parity blocks, against the QR-per-sector solve."""
 
     @pytest.mark.parametrize("name", list(_complement_sets()))
     def test_matches_qr_oracle(self, monkeypatch, name):
@@ -912,20 +934,24 @@ class TestComplementOracle:
         if dense:
             _dense(monkeypatch)
         args = _complement_args(monkeypatch, n, r_loc, psis, degenerate)
-        sectors = args[-1]
+        sectors, real = args[4], args[5] is not None
         assert sectors == 1 or not dense
+        assert real == (name not in ("wq1_wq3.8.3", "odd_vac_wq2.7.3"))
         seen, rank = [], nullspace.real_rank
         monkeypatch.setattr(nullspace, "real_rank", lambda rows, scale=None: seen.append(
             np.linalg.svd(rows, compute_uv=False)) or rank(rows, scale))
         dims, margins = nullspace._complement_dims(*args)
         got, seen[:] = seen[:], []
-        want_dims, want_margins = _oracle_complement_dims(*args)
+        want_dims, want_margins = _oracle_complement_dims(*_v_coordinates(args))
         assert dims == want_dims
         # each union rank sees the oracle's singular values: the H sectors
-        # k <= sectors / 2, then every G sector
+        # k <= sectors / 2, then the G sectors k <= sectors / 2 for real
+        # states and every G sector else; one rank per sector over H's blocks
         solved = sectors // 2 + 1
-        assert len(got) == solved + sectors and len(seen) == 2 * sectors
-        for svals, want in zip(got, seen[:solved] + seen[sectors:]):
+        assert len(seen) == 2 * sectors
+        want_svals = seen[:solved] + seen[sectors:sectors + solved if real else None]
+        assert len(got) == len(want_svals) == solved + (solved if real else sectors)
+        for svals, want in zip(got, want_svals):
             assert svals == pytest.approx(want, abs=1e-12)
         assert margins.keys() == want_margins.keys()
         for key, want in want_margins.items():
@@ -936,10 +962,12 @@ class TestComplementOracle:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_half_the_h_sectors_and_no_qr(self, monkeypatch, n):
+        # real states: H's even-y and odd-y blocks and G, each in the sectors k <= N/2
         args = _complement_args(monkeypatch, n, 4 if n == 8 else 3,
                                 [states.vacuum(n), states.w_state(n)])
-        widths = [sum(r.shape[1] for r in ranges) for ranges in args[1:3]]
-        assert widths[0] != widths[1]
+        widths = [sum(r[0].shape[1] for r in args[1]), sum(r[1].shape[1] for r in args[1]),
+                  sum(r.shape[1] for r in args[2])]
+        assert len(set(widths)) == 3
         k_svds, svd = [], np.linalg.svd
 
         def spy(a, *rest, **kwargs):        # real_rank passes compute_uv=False
@@ -953,9 +981,117 @@ class TestComplementOracle:
         monkeypatch.setattr(np.linalg, "svd", spy)
         monkeypatch.setattr(np.linalg, "qr", no_qr)
         nullspace._complement_dims(*args)
-        h_svds = [dtype for cols, dtype in k_svds if cols == widths[0]]
-        assert len(h_svds) == n // 2 + 1
-        assert sum(cols == widths[1] for cols, _ in k_svds) == n
-        # real K where the phases are +-1: k = 0, and k = N/2 for even N
-        assert [dtype == np.float64 for dtype in h_svds] == \
-            [k == 0 or 2 * k == n for k in range(n // 2 + 1)]
+        assert len(k_svds) == 3 * (n // 2 + 1)
+        for width in widths:
+            # real K where the phases are +-1: k = 0, and k = N/2 for even N
+            assert [dtype == np.float64 for cols, dtype in k_svds if cols == width] == \
+                [k == 0 or 2 * k == n for k in range(n // 2 + 1)]
+
+    def test_g_sectors_by_realness(self, monkeypatch):
+        # G's K is solved in the sectors k <= N/2 for real states, in all N for
+        # complex ones; the droplet count's one sector takes three real K SVDs
+        n = 8
+        vac = states.vacuum(n)
+        for psis, g_svds, dtypes in (
+                (_phased([vac, states.w_state(n)], 3), n // 2 + 1, None),
+                ([states.w_q(n, 1), states.w_q(n, 2)], n, None),
+                ([vac, states.translate(states.droplet(n, 4, 1), 3, n)], 1, [np.float64] * 3)):
+            args = _complement_args(monkeypatch, n, 3, psis)
+            width = sum(r.shape[1] for r in args[2])
+            k_svds, svd = [], np.linalg.svd
+
+            def spy(a, *rest, **kwargs):
+                if kwargs.get("compute_uv", True):
+                    k_svds.append((a.shape[1], a.dtype))
+                return svd(a, *rest, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", spy)
+            nullspace._complement_dims(*args)
+            monkeypatch.undo()
+            assert sum(cols == width for cols, _ in k_svds) == g_svds
+            if dtypes is not None:
+                assert [dtype for _, dtype in k_svds] == dtypes
+
+
+def _y_counts(basis):
+    return np.array([ops.count("y") for _, ops in basis.keys])
+
+
+def _real_path_sets():
+    """(N, R, R', states, degenerate) for the real path against the complex one."""
+    def sets(n):
+        vac, w = states.vacuum(n), states.w_state(n)
+        drop = states.translate(states.droplet(n, 4, 1), 3, n)
+        return {"vac_w": [vac, w], "vac": [vac], "w": [w], "vac_w_w2": [vac, w, states.w_p(n, 2)],
+                "vac_wq_half": [vac, states.w_q(n, n // 2)], "vac_drop": [vac, drop],
+                "vac_drop_w": [vac, drop, w]}
+    cases = {}
+    for n, r_glo, r_loc, name, degenerate, phased in (
+            (8, 2, 3, "vac_w", False, False), (8, 2, 3, "vac_w", True, True),
+            (7, 1, 3, "vac_w", False, True), (10, 2, 4, "vac_w", False, True),
+            (8, 2, 2, "vac", False, False), (6, 1, 2, "w", True, True),
+            (8, 2, 3, "vac_w_w2", True, False), (8, 2, 3, "vac_wq_half", False, True),
+            (8, 2, 3, "vac_drop", False, True), (8, 1, 2, "vac_drop_w", True, True),
+            (7, 2, 3, "vac_drop_w", False, False)):
+        psis = sets(n)[name]
+        key = f"{name}.N{n}.R{r_glo}.Rp{r_loc}" + ".degenerate" * degenerate + ".phased" * phased
+        cases[key] = (n, r_glo, r_loc, _phased(psis, n + r_loc) if phased else psis, degenerate)
+    return cases
+
+
+class TestRealStates:
+    """The y-phase fact behind the real-arithmetic path, and that path against the complex one."""
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("phased", [False, True])
+    def test_y_phased_correlation_is_real(self, n, degenerate, phased):
+        # real r_n: W^dagger C^G W is real for W = diag((-i)^y), so C^H = Re C^G
+        # couples no even-y string to an odd-y one
+        rng = np.random.default_rng(n)
+        psis = [v / np.linalg.norm(v) for v in rng.normal(size=(2, 1 << n))]
+        psis = _phased(psis, n) if phased else psis
+        basis = pauli_string_basis(n, 3)
+        ys = _y_counts(basis)
+        odd, phase = ys % 2 == 1, np.array([1, -1j, -1, 1j])[ys % 4]
+        corr = _dense_correlation(basis, psis, "G", degenerate)
+        scale = np.abs(corr).max()
+        assert np.abs((phase.conj()[:, None] * corr * phase).imag).max() <= 1e-14 * scale
+        assert np.abs(corr.real[np.ix_(odd, ~odd)]).max() <= 1e-14 * scale
+        assert len(nullspace._real_states(psis)) == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_boosted_w_couples_parities(self, m):
+        # the control: W_q with q != 0, pi is no real state up to a phase
+        n = 8
+        psis = [states.vacuum(n), states.w_q(n, m)]
+        basis = pauli_string_basis(n, 3)
+        odd = _y_counts(basis) % 2 == 1
+        corr = _dense_correlation(basis, psis, "G")
+        assert np.abs(corr.real[np.ix_(odd, ~odd)]).max() > 1e-3 * np.abs(corr).max()
+        assert nullspace._real_states(psis) is None
+
+    def test_realness_test(self):
+        n = 8
+        w, w_pi = states.w_state(n), states.w_q(n, n // 2)       # w_pi: rounding residue
+        for psi, want in ((w, w), (w * np.exp(2.1j), w), (w.real, w), (w_pi, w_pi)):
+            (got,) = nullspace._real_states([psi])
+            assert got.dtype == np.float64 and np.abs(got - want.real).max() <= 1e-15
+        # a residue far above rounding, on the largest amplitude's phase or elsewhere
+        for psi in (w + 1e-13j * states.vacuum(n), states.w_q(n, 1)):
+            assert nullspace._real_states([w, psi]) is None
+
+    @pytest.mark.parametrize("name", list(_real_path_sets()))
+    def test_real_path_matches_complex_path(self, monkeypatch, name):
+        n, r_glo, r_loc, psis, degenerate = _real_path_sets()[name]
+        assert nullspace._real_states(psis) is not None
+        real = count_type_classes(n, r_glo, r_loc, psis, degenerate)
+        monkeypatch.setattr(nullspace, "_real_states", lambda states_list: None)
+        cplx = count_type_classes(n, r_glo, r_loc, psis, degenerate)
+        assert _counted(real) == _counted(cplx)
+        assert real.dims.keys() == cplx.dims.keys()
+        for key, want in cplx.dims.items():
+            if isinstance(want, float):
+                assert real.dims[key] == pytest.approx(want, rel=1e-12)
+            else:
+                assert real.dims[key] == want
