@@ -58,16 +58,56 @@ class TypeLabel:
 
 
 def _scale(targets, hs=()) -> float:
-    """The residual scale of a fit: max_n ||H_Lam psi_n|| over the targets
-    (any array whose last axis runs over amplitudes), floored at 1e-300.
+    """The residual scale of a fit: max_n ||H_Lam psi_n|| over support-form
+    targets, (indices, values) pairs, floored at 1e-300.
 
     It is also floored at eps sum |c| / ACCEPT over the string coefficients
     of the Hamiltonians ``hs`` whose truncations the targets are: eps sum |c|
     bounds a target's rounding, so an action that vanishes only up to
     rounding reads below ACCEPT, not O(1).
     """
-    rounding = np.finfo(float).eps * sum(abs(c) for h in hs for c in h.terms.values())
-    return max(float(np.linalg.norm(targets, axis=-1).max()), rounding / ACCEPT, 1e-300)
+    rounding = np.finfo(float).eps * sum(h.coeff_norm() for h in hs)
+    return max(*(float(np.linalg.norm(vals)) for _, vals in targets),
+               rounding / ACCEPT, 1e-300)
+
+
+# -- support-form vectors --------------------------------------------------------
+#
+# A target or residual is kept as (indices, values): its entries' ascending
+# basis indices (base d, little-endian) and their values, one right-hand side
+# or several as columns.  An index it does not list holds zero.
+
+def _summed(indices: np.ndarray, values: np.ndarray) -> tuple:
+    """Support form of the sum of ``values`` placed at ``indices``: each entry
+    adds its values with np.add.at in the order given, from zero."""
+    idx = opspace._distinct(indices)
+    sums = np.zeros(len(idx), dtype=complex)
+    np.add.at(sums, np.searchsorted(idx, indices), values)
+    return idx, sums
+
+
+def _merged(vectors) -> tuple:
+    """Support-form vectors on their union support: (indices, (len, k)
+    values), vector k's values in column k and zero where it has no entry."""
+    idx = opspace._distinct(np.concatenate([i for i, _ in vectors]))
+    vals = np.zeros((len(idx), len(vectors)), dtype=complex)
+    for k, (i, v) in enumerate(vectors):
+        vals[np.searchsorted(idx, i), k] = v
+    return idx, vals
+
+
+def _support_action(n_sites: int, table, psi: np.ndarray) -> tuple:
+    """Support form of opspace.apply(op, psi) for op's decoded _string_table.
+
+    The (string, kept index) pairs over psi's nonzero amplitudes are summed
+    term-major as apply sums them (_summed), so every value equals apply's
+    entry bit for bit; the indices are every entry apply writes.
+    """
+    tgts, prods = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    for _, src, tgt, vals in opspace._string_pairs(n_sites, table, np.flatnonzero(psi)):
+        tgts.append(tgt)
+        prods.append(np.multiply(vals, psi[src]))     # as in apply: never in place
+    return _summed(np.concatenate(tgts), np.concatenate(prods))
 
 
 # -- generic least-squares solver ----------------------------------------------
@@ -152,8 +192,7 @@ def _design(psis, n_sites, local_dim, left_sites, right_sites):
         src = np.flatnonzero(psi)
         images = [_window_images(psi, src, basis, sites, local_dim)
                   for basis, sites in zip(bases, windows)]
-        reached = np.sort(np.concatenate([src] + [r.ravel() for r, _ in images]))
-        reached = reached[np.diff(reached, prepend=-1) > 0]     # np.unique loads numpy.ma
+        reached = opspace._distinct(np.concatenate([src] + [r.ravel() for r, _ in images]))
         block = np.zeros((n_basis + len(psis), len(reached)), dtype=complex)
         col = 0
         for r, image in images:
@@ -169,56 +208,69 @@ def _design(psis, n_sites, local_dim, left_sites, right_sites):
     return np.concatenate(rows), np.concatenate(blocks, axis=1).T
 
 
-def _lstsq(design, rhs, hermitian: bool):
-    """Least squares of a _design (rows, mat) against the full-length ``rhs``;
-    returns (sol, residual over every row).
+def _lstsq(design, targets, dim: int, hermitian: bool):
+    """Least squares of a _design (rows, mat) against support-form targets,
+    one per state of length ``dim`` = d^N; returns (sol, residuals), one
+    support-form residual per state.
 
-    ``rhs`` is one right-hand side or several as columns.  With
+    A target's values are one right-hand side or several as columns.  With
     ``hermitian`` the solution is real (the system is split into real and
-    imaginary rows); the residual is complex either way.  Only the reached
-    rows are solved, in their global order: every other row of the design
-    matrix is exactly zero, so dropping it leaves mat^H mat and the
-    minimum-norm solution as they are, and its residual is -rhs.  The rank
-    cut is numpy's default for the full system of len(rhs) rows.
+    imaginary rows); the residual is complex either way.  Only the design
+    rows are solved, in their global order (row k d^N + i is entry i of
+    state k): every other row of the design matrix is exactly zero, so
+    dropping it leaves mat^H mat and the minimum-norm solution as they are,
+    and its residual is -t where target t has an entry.  A residual lists
+    its state's design rows and target entries.  The rank cut is numpy's
+    default for the full system of n_states d^N rows; nothing of length d^N
+    is allocated.
     """
     rows, mat = design
-    rcond = np.finfo(float).eps * max(len(rhs) * (1 + hermitian), mat.shape[1])
-    a, b = mat, rhs[rows]
+    glob = np.concatenate([k * dim + idx for k, (idx, _) in enumerate(targets)])
+    union = opspace._distinct(np.concatenate([rows, glob]))
+    at_rows = np.searchsorted(union, rows)
+    full = np.zeros((len(union),) + np.shape(targets[0][1])[1:], dtype=complex)
+    full[np.searchsorted(union, glob)] = np.concatenate([vals for _, vals in targets])
+    rcond = np.finfo(float).eps * max(len(targets) * dim * (1 + hermitian), mat.shape[1])
+    a, b = mat, full[at_rows]
     if hermitian:
         a, b = (np.concatenate([x.real, x.imag]) for x in (a, b))
     sol = np.linalg.lstsq(a, b, rcond=rcond)[0].astype(complex)
-    resid = np.negative(rhs, dtype=complex)
-    resid[rows] += mat @ sol
-    return sol, resid
+    resid = np.negative(full)
+    resid[at_rows] += mat @ sol
+    bounds = np.searchsorted(union, np.arange(len(targets) + 1) * dim)
+    return sol, [(union[lo:hi] - k * dim, resid[lo:hi])
+                 for k, (lo, hi) in enumerate(itertools.pairwise(bounds))]
 
 
-def _fit(design, targets, hermitian: bool, n_left: int):
-    """Boundary fit of the targets on a _design; returns (a, b, f, r_abs).
+def _fit(design, targets, dim: int, hermitian: bool, n_left: int):
+    """Boundary fit of support-form targets on a _design; returns (a, b, f, r_abs).
 
     ``a`` and ``b`` are the window operators' coefficients over the window
     basis (the first ``n_left`` columns, then the right window's), complex
     (unconstrained) or real (Hermitian); ``f`` holds the per-state
     constants and ``r_abs`` is the worst per-state residual norm.
     """
-    sol, resid = _lstsq(design, np.concatenate(targets), hermitian)
+    sol, resid = _lstsq(design, targets, dim, hermitian)
     a, b, f = np.split(sol, [n_left, len(sol) - len(targets)])
-    r_abs = float(np.linalg.norm(resid.reshape(len(targets), -1), axis=1).max())
+    r_abs = max(float(np.linalg.norm(r)) for _, r in resid)
     return a, b, tuple(complex(c) for c in f), r_abs
 
 
 def solve_boundary_dense(targets, psis, n_sites, local_dim,
                          left_sites, right_sites, hermitian: bool):
-    """Least-squares boundary fit on dense vectors; returns (a, b, f, r_abs).
+    """Least-squares boundary fit of dense states; returns (a, b, f, r_abs).
 
-    ``targets[n]`` is the truncated-Hamiltonian action on ``psis[n]``.  The
-    window operators are expanded over _window_basis with complex
-    (unconstrained) or real (Hermitian) coefficients ``a`` and ``b``;
-    per-state scalars ``f`` absorb the identity gauge.  The design matrix is
-    built on the rows the states reach (_design), so a window site that
-    repeats, lies outside 0..N-1 or is in both windows raises ValueError.
+    ``targets[n]`` is the truncated-Hamiltonian action on ``psis[n]`` in
+    support form, an (indices, values) pair.  The window operators are
+    expanded over _window_basis with complex (unconstrained) or real
+    (Hermitian) coefficients ``a`` and ``b``; per-state scalars ``f`` absorb
+    the identity gauge.  The design matrix is built on the rows the states
+    reach (_design), so a window site that repeats, lies outside 0..N-1 or
+    is in both windows raises ValueError.
     """
     design = _design(psis, n_sites, local_dim, left_sites, right_sites)
-    return _fit(design, targets, hermitian, local_dim ** (2 * len(left_sites)) - 1)
+    return _fit(design, targets, local_dim ** n_sites, hermitian,
+                local_dim ** (2 * len(left_sites)) - 1)
 
 
 def _window_operator(coeffs, sites, n_sites: int) -> LocalOperator:
@@ -252,8 +304,8 @@ def _patch(hs, states_list, lam: Region, r_max: int):
     """One patch of the Hamiltonians hs: checks the patch rule (ValueError).
 
     Returns (_design, (left_sites, right_sites), actions), with the targets
-    [opspace.apply(truncation, psi) for psi in states_list] of each
-    Hamiltonian's truncation in ``actions``.
+    of each Hamiltonian's truncation in ``actions``: its action on each
+    state in support form (_support_action), the truncation decoded once.
     """
     floor = _patch_floor(r_max, max(h.declared_range for h in hs))
     if lam.length < floor:
@@ -261,9 +313,12 @@ def _patch(hs, states_list, lam: Region, r_max: int):
                          f"windows overlap or terms do not fit")
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
-    design = _design(states_list, hs[0].n_sites, 2, *windows)
-    return design, windows, [[opspace.apply(op, psi) for psi in states_list]
-                             for op in (opspace.truncate(h, lam) for h in hs)]
+    n_sites = hs[0].n_sites
+    design = _design(states_list, n_sites, 2, *windows)
+    tables = (opspace._string_table(n_sites, opspace.truncate(h, lam).terms.items())
+              for h in hs)
+    return design, windows, [[_support_action(n_sites, table, psi) for psi in states_list]
+                             for table in tables]
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
@@ -271,7 +326,7 @@ def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
     """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
     _require(r_max, (h,), states_list)
     design, (left_sites, right_sites), [targets] = _patch((h,), states_list, lam, r_max)
-    a, b, f, r_abs = _fit(design, targets, hermitian, 4 ** r_max - 1)
+    a, b, f, r_abs = _fit(design, targets, 1 << h.n_sites, hermitian, 4 ** r_max - 1)
     return BoundarySolve(
         left_op=_window_operator(a, left_sites, h.n_sites),
         right_op=_window_operator(b, right_sites, h.n_sites),
@@ -316,7 +371,8 @@ def _left_independent(h, states_list, r_max: int, short, grown) -> bool:
     the residual is scaled by _scale of the targets' difference.
     """
     (_, short_targets), (lam, targets) = short, grown
-    targets = [g - s for g, s in zip(targets, short_targets)]
+    targets = [(idx, vals[:, 0] - vals[:, 1])
+               for idx, vals in map(_merged, zip(targets, short_targets))]
     *_, r_abs = solve_boundary_dense(targets, states_list, h.n_sites, 2,
                                      (), tuple(lam.sites()[-(r_max + 1):]), hermitian=False)
     return r_abs / _scale(targets, (h,)) < ACCEPT
@@ -354,8 +410,9 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
         if lam.left == 0 and lam.length in (length, length + 1):
             clause[lam.length] = lam, targets
         scale = _scale(targets, (h,))
-        evidence.append((r_max, lam.length, *(_fit(design, targets, hermitian, 4 ** r_max - 1)[3]
-                                              / scale for hermitian in (False, True))))
+        evidence.append((r_max, lam.length, *(_fit(design, targets, 1 << n_sites, hermitian,
+                                                   4 ** r_max - 1)[3] / scale
+                                              for hermitian in (False, True))))
     evidence *= 2 // len(solved)
     notes = ()
     if all(row[2] < ACCEPT for row in evidence) and len(clause) == 2 and \
@@ -407,11 +464,11 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
         lam = default_sweep(h_a.n_sites, r_max, op_range=max(
             h_a.declared_range, h_b.declared_range))[-2:][0]
     design, _, actions = _patch((h_a, h_b), states_list, lam, r_max)
-    acts = np.array(actions)
-    scale = _scale(acts, (h_a, h_b))
-    _, resid = _lstsq(design, acts.reshape(2, -1).T, hermitian=True)
-    ab = resid.reshape(n_states, -1, 2)          # (state, amplitude, a/b)
-    gram = (ab.conj().transpose(0, 2, 1) @ ab).real
+    scale = _scale(actions[0] + actions[1], (h_a, h_b))
+    _, resid = _lstsq(design, [_merged(pair) for pair in zip(*actions)],
+                      1 << h_a.n_sites, hermitian=True)
+    ab = [r for _, r in resid]                   # per state: (entry, a/b)
+    gram = np.array([(r.conj().T @ r).real for r in ab])
     # ||r_n||^2 = A_n + Re(z_n e^{-2i theta}) with z_n = B_n + i C_n: least at
     # 2 theta = arg(-z_n); states m, n cross where |dz| cos(arg dz - 2 theta) = A_n - A_m
     big_a = (gram[:, 0, 0] + gram[:, 1, 1]) / 2
@@ -423,8 +480,8 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     two_theta = np.concatenate([np.angle(-z), np.angle(dz) + spread,
                                 np.angle(dz) - spread])
     thetas = np.mod(two_theta / 2, np.pi)
-    vals = np.linalg.norm(ab @ np.stack([np.cos(thetas), -np.sin(thetas)]),
-                          axis=1).max(axis=0) / scale
+    rotation = np.stack([np.cos(thetas), -np.sin(thetas)])
+    vals = np.max([np.linalg.norm(r @ rotation, axis=0) for r in ab], axis=0) / scale
     best = int(np.argmin(vals))
     best_theta, best_val = thetas[best], float(vals[best])
     if best_val < ACCEPT:

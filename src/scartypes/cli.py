@@ -126,20 +126,26 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path, header, rows, formats) -> int:
-    """One line per row tuple, its values formatted by ``formats`` ('%.12g', '%d').
-
-    ``rows`` may be any iterable; it is written as it comes, 4096 rows at a
-    time.  Returns the number of rows written.
-    """
+def _csv_blocks(rows, formats):
+    """(text, line count) blocks of up to 4096 lines, one line per row tuple,
+    its values formatted by ``formats`` ('%.12g', '%d'); ``rows`` may be any
+    iterable and is read as the blocks are."""
     line = ",".join(formats) + "\n"
-    rows, written = iter(rows), 0
+    rows = iter(rows)
+    while chunk := [line % row for row in islice(rows, 4096)]:
+        yield "".join(chunk), len(chunk)
+
+
+def _write_csv(path, header, blocks) -> int:
+    """The header line, then each (text, line count) block as it comes from
+    ``blocks`` (see _csv_blocks); returns the number of lines after the header."""
+    written = 0
     with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
           else open(path, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := [line % row for row in islice(rows, 4096)]:
-            fh.write("".join(chunk))
-            written += len(chunk)
+        for text, count in blocks:
+            fh.write(text)
+            written += count
     return written
 
 
@@ -214,7 +220,8 @@ def _cmd_variance(args) -> int:
         scan = scars.variance_scan_n(build, args.p, [int(x) for x in args.N_list.split(",")])
     rows = [(float(c), float(e), float(v)) for c, e, v in scan.points]
     if args.csv:
-        _write_csv(args.csv, ("control", "expectation", "variance"), rows, ("%.12g",) * 3)
+        _write_csv(args.csv, ("control", "expectation", "variance"),
+                   _csv_blocks(rows, ("%.12g",) * 3))
     fit = None
     if scan.fit is not None:
         fit = {"exponent": scan.fit.exponent, "prefactor": scan.fit.prefactor,
@@ -239,9 +246,13 @@ def _cmd_droplet(args) -> int:
             for lo in range(0, len(times), per_block):
                 ts = times[lo:lo + per_block]
                 yield from zip(ts.tolist(), dynamics.occupations(run, ts).tolist())
-        rows = _write_csv(csv_target, ("t", "j", "n_j"),
-                          ((t, j, n_j) for t, row in profiles()
-                           for j, n_j in enumerate(row, 1)), ("%.12g", "%d", "%.12g"))
+        cells = [f",{j},%.12g\n" for j in range(1, args.N + 1)]   # line j after its t
+
+        def blocks():                     # per time: t formatted once, its N lines by one %
+            for t, row in profiles():
+                stamp = "%.12g" % t
+                yield (stamp + stamp.join(cells)) % tuple(row), len(row)
+        rows = _write_csv(csv_target, ("t", "j", "n_j"), blocks())
         if args.emit_plot:
             _write_plot_blocks(args.emit_plot, ((f"t = {t:g}", enumerate(row, 1))
                                                 for t, row in profiles()))
@@ -249,8 +260,8 @@ def _cmd_droplet(args) -> int:
         ups = dynamics.upsilon_series(run, args.tmax / max(args.steps, 1), args.steps,
                                       rate or 0.0, shift)
         series = [(t, u.real, u.imag) for t, u in zip(times[1:].tolist(), ups.tolist())]
-        rows = _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"), series,
-                          ("%.12g",) * 3)
+        rows = _write_csv(csv_target, ("t", "ReUpsilon", "ImUpsilon"),
+                          _csv_blocks(series, ("%.12g",) * 3))
         if args.emit_plot:
             _write_plot_blocks(args.emit_plot, [("upsilon", series)])
     if args.out:

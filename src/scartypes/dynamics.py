@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .opspace import _distinct
 from .scars import FitResult, loglog_fit
 
 _Q_BLOCK = 1024         # momenta per block of upsilon_series
@@ -242,5 +243,4 @@ def integer_g_times(schedule_rate: float, t_lo: float, t_hi: float,
     raw = np.geomspace(t_lo, t_hi, max_points)
     if schedule_rate == 0.0:
         return raw
-    gs = np.unique(np.maximum(1, np.round(raw * schedule_rate)))
-    return gs / schedule_rate
+    return _distinct(np.maximum(1, np.round(raw * schedule_rate))) / schedule_rate

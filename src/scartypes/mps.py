@@ -270,16 +270,24 @@ def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
     return float(np.linalg.norm(target - got))
 
 
+def _generator_action(generator, psi: np.ndarray, sites, local_dim: int) -> tuple:
+    """sum_j L_j psi over the given sites in support form, (indices, values):
+    each site's one-site window images on psi's support (the boundary design's
+    window action), summed site by site in the order given."""
+    gen = np.asarray(generator, dtype=complex)[None]
+    src = np.flatnonzero(psi)
+    images = [boundary_mod._window_images(psi, src, gen, (j,), local_dim) for j in sites]
+    return boundary_mod._summed(np.concatenate([rows.ravel() for rows, _ in images]),
+                                np.concatenate([image.ravel() for _, image in images]))
+
+
 def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
                                            n_sites: int, r_inj: int) -> bool:
     """Hermitian-feasibility of the truncated generator on a dense chain, the
     residual scaled by ||target|| as in every boundary verdict."""
-    gen = np.asarray(generator, dtype=complex)
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))
-    target = np.zeros(psi.shape, dtype=complex)
-    for j in lam:
-        target += _site_apply(gen, psi, j, a.d, n_sites)
+    target = _generator_action(generator, psi, lam, a.d)
     *_, r_abs = boundary_mod.solve_boundary_dense(
         [target], [psi], n_sites, a.d,
         tuple(lam[:r_inj]), tuple(lam[-r_inj:]), hermitian=True)

@@ -140,11 +140,11 @@ def _gram(basis: OperatorBasis, states_list, degenerate: bool, lams) -> np.ndarr
         opspace._require_unit(psi)
     keys = basis.keys if lams is None else basis.keys[::n]
     rows, blocks, pairs = [], [], []
+    table = opspace._string_table(n, ((key, 1.0) for key in keys))
     for psi in states_list:
         src = np.flatnonzero(psi)
-        chunks = list(opspace._string_pairs(n, ((key, 1.0) for key in keys), src))
-        reached = np.sort(np.concatenate([src, *(tgt for _, _, tgt, _ in chunks)]))
-        reached = reached[np.diff(reached, prepend=-1) > 0]     # np.unique loads numpy.ma
+        chunks = list(opspace._string_pairs(n, table, src))
+        reached = opspace._distinct(np.concatenate([src, *(tgt for _, _, tgt, _ in chunks)]))
         rows.append(reached)
         blocks.append(psi[reached, None])
         pairs.append([(t, np.searchsorted(reached, kept), np.searchsorted(reached, tgt), vals)
@@ -196,7 +196,8 @@ def _orbit_gram(parts, rows, lams, n: int) -> np.ndarray:
 def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, starts):
     """F of window [j, j + width) for each j in ``starts``: window 0's strings,
     decoded once, on the Schmidt splits of the states translated by -j."""
-    pairs = list(opspace._string_pairs(width, ((key, 1.0) for key in window.keys)))
+    pairs = list(opspace._string_pairs(
+        width, opspace._string_table(width, ((key, 1.0) for key in window.keys))))
     for j in starts:
         blocks = []
         for psi in states_list:

@@ -353,13 +353,20 @@ def _string_table(n_sites: int, terms) -> tuple:
     return (*masks.T, amp)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an array of numbers >= 0, ascending (np.unique
+    would load numpy.ma, 10-16 ms on first use)."""
+    out = np.sort(values)
+    return out[np.diff(out, prepend=-1) > 0]
+
+
 def _signs(idx: np.ndarray) -> np.ndarray:
     """(-1)^(number of set bits) of each index, as int64."""
     return 1 - 2 * (np.bitwise_count(idx) & 1).astype(np.int64)
 
 
-def _string_pairs(n_sites: int, terms, idx=None):
-    """Every (string, kept index) pair of the decoded strings, in term-major order.
+def _string_pairs(n_sites: int, table, idx=None):
+    """Every (string, kept index) pair of a _string_table, in term-major order.
 
     Yields chunks (t, src, tgt, vals): string t keeps basis index src, maps
     it to tgt = src ^ flip[t] and multiplies it by vals.  ``src`` is drawn
@@ -367,7 +374,7 @@ def _string_pairs(n_sites: int, terms, idx=None):
     basis indices; a chunk tests at most PAIR_CHUNK (string, index)
     candidates, or one string's.
     """
-    sel, bits, flip, sign, amp = _string_table(n_sites, terms)
+    sel, bits, flip, sign, amp = table
     idx = np.arange(1 << n_sites) if idx is None else idx
     step = max(1, PAIR_CHUNK // max(len(idx), 1))
     for lo in range(0, len(amp), step):
@@ -392,7 +399,8 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     if psi.shape != (dim,):
         raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
     out = np.zeros(dim, dtype=complex)
-    for _, src, tgt, vals in _string_pairs(op.n_sites, op.terms.items(), np.flatnonzero(psi)):
+    table = _string_table(op.n_sites, op.terms.items())
+    for _, src, tgt, vals in _string_pairs(op.n_sites, table, np.flatnonzero(psi)):
         np.add.at(out, tgt, np.multiply(vals, psi[src]))
     return out
 

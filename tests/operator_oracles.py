@@ -45,6 +45,26 @@ def flip_diagonals(op: LocalOperator) -> dict:
     return diagonals
 
 
+def support_form(rhs: np.ndarray, n_states: int) -> list:
+    """A dense right-hand side of n_states blocks of d^N entries (one column or
+    several) in the boundary fit's support form: per state, the (indices,
+    values) of its block's rows with a nonzero entry."""
+    out = []
+    for block in np.split(rhs, n_states):
+        idx = np.flatnonzero(block.reshape(len(block), -1).any(axis=1))
+        out.append((idx, block[idx]))
+    return out
+
+
+def dense_form(vectors, dim: int) -> np.ndarray:
+    """Support-form vectors, one per state, as one dense array of len(vectors)
+    blocks of ``dim`` entries, zero where a vector has no entry."""
+    out = np.zeros((len(vectors) * dim,) + np.shape(vectors[0][1])[1:], dtype=complex)
+    for k, (idx, vals) in enumerate(vectors):
+        out[k * dim + idx] = vals
+    return out
+
+
 def site_axes_apply(mat: np.ndarray, psi: np.ndarray, sites, local_dim: int,
                     n_sites: int) -> np.ndarray:
     """Apply a d^w x d^w matrix, or a (k, d^w, d^w) stack, on the given sites.

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scartypes import boundary, canonical, mps, opspace, states
 from scartypes.boundary import (Region, action_equivalent, boundary_solve,
                                 classify, equivalence_test)
 from scartypes.opspace import apply, string_term
-from operator_oracles import site_axes_apply, to_matrix
+from operator_oracles import dense_form, site_axes_apply, support_form, to_matrix
 from test_opspace import full_index_apply
 
 
@@ -119,8 +120,8 @@ class TestAction:
             assert len(actions) == len(hs)
             for h, targets in zip(hs, actions):
                 op = opspace.truncate(h, lam)
-                assert [t.tobytes() for t in targets] == [apply(op, psi).tobytes()
-                                                          for psi in psis]
+                assert [dense_form([t], 1 << n).tobytes() for t in targets] == \
+                    [apply(op, psi).tobytes() for psi in psis]
 
     def test_targets_bytes_equal_full_index_sum(self, setup10):
         # the per-string decode over every basis index, on sparse, planted
@@ -138,6 +139,7 @@ class TestAction:
             for h, targets in zip(hs, actions):
                 op = opspace.truncate(h, lam)
                 for psi, got in zip(psis, targets):
+                    got = dense_form([got], 1 << n)
                     assert got.tobytes() == full_index_apply(op, psi).tobytes()
 
     @pytest.mark.parametrize("n", [14, 15])
@@ -154,6 +156,7 @@ class TestAction:
         _, _, [targets] = boundary._patch((h,), psis, lam, 2)
         op = opspace.truncate(h, lam)
         for psi, got in zip(psis, targets):
+            got = dense_form([got], 1 << n)
             assert got.tobytes() == full_index_apply(op, psi).tobytes()
 
     def test_wrong_state_shape(self, setup10):
@@ -387,7 +390,9 @@ class TestLstsqRowReduction:
             return out
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        _, resid = boundary._lstsq(design, rhs, hermitian)
+        dim = len(rhs) // n_states
+        resid = dense_form(boundary._lstsq(design, support_form(rhs, n_states), dim,
+                                           hermitian)[1], dim)
         monkeypatch.undo()
         ref, rank = _dense_lstsq(mat, rhs, hermitian)
 
@@ -440,7 +445,8 @@ class TestLstsqRowReduction:
         off = np.ones(rhs.size, dtype=bool)
         off[design[0]] = False
         assert np.linalg.norm(rhs[off]) > 0.5
-        _, resid = boundary._lstsq(design, rhs, hermitian=False)
+        resid = dense_form(boundary._lstsq(design, support_form(rhs, 1), rhs.size,
+                                           hermitian=False)[1], rhs.size)
         assert np.array_equal(resid[off], -rhs[off])
         self._compare(design, dense_design_matrix([psi], n, 2, (0, 1), (5, 6)), rhs, False, 1,
                       monkeypatch)
@@ -455,6 +461,117 @@ class TestLstsqRowReduction:
         rhs = mat @ [1.0, 1.0] + np.eye(4020)[7]
         for hermitian in (False, True):
             self._compare(_reached(mat), mat, rhs, hermitian, 1, monkeypatch)
+
+
+def _dense_solution(mat, rhs, hermitian):
+    """The oracle fit's solution: numpy's lstsq on every row of a dense design
+    matrix, as _dense_lstsq solves it."""
+    a, b = ([np.concatenate([x.real, x.imag]) for x in (mat, rhs)] if hermitian
+            else (mat, rhs))
+    return np.linalg.lstsq(a, b, rcond=None)[0].astype(complex)
+
+
+class TestSupportFit:
+    """_fit and _lstsq on support-form targets, (indices, values) per state,
+    against the dense oracle on every row."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(5, 8), st.integers(1, 3),
+           st.integers(1, 2), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fit_matches_dense_oracle(self, seed, n, n_states, width, hermitian, two):
+        rng = np.random.default_rng(seed)
+        dim, width = 1 << n, min(width, (n - 2) // 2)
+        start = int(rng.integers(0, n - 2 * width - 1))
+        left = tuple(range(start, start + width))
+        right = tuple(range(n - width, n)) if rng.random() < 0.5 else \
+            tuple(range(start + width + 1, start + 2 * width + 1))
+        psis = []
+        for _ in range(n_states):       # unit-modulus amplitudes on 1-3 basis states
+            psi = np.zeros(dim, dtype=complex)
+            support = rng.choice(dim, size=int(rng.integers(1, 4)), replace=False)
+            psi[support] = np.exp(2j * np.pi * rng.random(len(support)))
+            psis.append(psi / np.linalg.norm(psi))
+        design = boundary._design(psis, n, 2, left, right)
+        mat = dense_design_matrix(psis, n, 2, left, right)
+        # values on some design rows and on rows no column reaches
+        rhs = np.zeros((n_states * dim, 2 if two else 1), dtype=complex)
+        outside = np.setdiff1d(np.arange(n_states * dim), design[0])
+        for rows in (design[0], outside):
+            picked = rng.choice(rows, size=min(len(rows), int(rng.integers(1, 8))), replace=False)
+            rhs[picked] = rng.normal(size=(len(picked), rhs.shape[1])) \
+                + 1j * rng.normal(size=(len(picked), rhs.shape[1]))
+        rhs = rhs if two else rhs[:, 0]
+        targets = support_form(rhs, n_states)
+        assert sum(len(idx) for idx, _ in targets) > np.count_nonzero(rhs[design[0]].reshape(
+            len(design[0]), -1).any(axis=1))                    # some entry off the design
+        ref_sol = _dense_solution(mat, rhs, hermitian)
+        ref_resid, _ = _dense_lstsq(mat, rhs, hermitian)
+        sol, resid = boundary._lstsq(design, targets, dim, hermitian)
+        scale = max(1.0, np.abs(rhs).max())
+        assert np.abs(sol - ref_sol).max() <= 1e-12 * max(1.0, np.abs(ref_sol).max())
+        assert np.abs(dense_form(resid, dim) - ref_resid).max() <= 1e-12 * scale
+        per_state = np.linalg.norm(ref_resid.reshape(n_states, dim, -1), axis=1)
+        got = np.array([np.linalg.norm(r.reshape(len(r), -1), axis=0) for _, r in resid])
+        assert np.abs(got - per_state).max() <= 1e-12 * scale
+        if not two:
+            a, b, f, r_abs = boundary._fit(design, targets, dim, hermitian, 4 ** width - 1)
+            assert np.abs(np.concatenate([a, b, f]) - ref_sol).max() <= \
+                1e-12 * max(1.0, np.abs(ref_sol).max())
+            assert abs(r_abs - per_state.max()) <= 1e-12 * scale
+
+    def test_targets_hold_apply_nonzero_entries_bitwise(self, setup10):
+        s = setup10
+        n, rng = s["n"], np.random.default_rng(8)
+        psis = [s["vac"], s["w"], _phased(rng, [s["w2"]])[0], states.droplet(n, 5, 2)]
+        hs = (s["imhop"], s["imhop2"], canonical.h_dmi(n), opspace.LocalOperator(n),
+              canonical.random_type1(n, rng) + s["imhop"])
+        for lam in (Region(0, 6, n), Region(7, 3, n)):
+            _, _, actions = boundary._patch(hs, psis, lam, 2)
+            for h, targets in zip(hs, actions):
+                op = opspace.truncate(h, lam)
+                for psi, (idx, vals) in zip(psis, targets):
+                    dense = apply(op, psi)
+                    assert np.all(np.diff(idx) > 0)
+                    assert np.isin(np.flatnonzero(dense), idx).all()
+                    assert vals.tobytes() == dense[idx].tobytes()
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_fit_at_two_to_the_forty(self, hermitian):
+        # a d^N = 2^40 vector would take 16 TiB: the fit runs only if it
+        # allocates nothing of that length, and tracemalloc sees numpy's arrays
+        dim, n_states, rng = 1 << 40, 2, np.random.default_rng(40)
+        local = [np.unique(rng.integers(0, dim, size=30)) for _ in range(n_states)]
+        rows = np.concatenate([k * dim + r for k, r in enumerate(local)])
+        mat = rng.normal(size=(len(rows), 6)) + 1j * rng.normal(size=(len(rows), 6))
+        targets = []
+        for r in local:                 # half of the design rows and 10 rows off them
+            idx = np.unique(np.concatenate([r[::2], rng.integers(0, dim, size=10)]))
+            targets.append((idx, rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))))
+        tracemalloc.start()
+        a, b, f, r_abs = boundary._fit((rows, mat), targets, dim, hermitian, 2)
+        scale = boundary._scale(targets)
+        _, resid = boundary._lstsq((rows, mat), targets, dim, hermitian)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
+        assert scale == max(np.linalg.norm(v) for _, v in targets)
+        # the oracle: the same system with each state's entries relabelled 0..U-1
+        unions = [np.union1d(r, idx) for r, (idx, _) in zip(local, targets)]
+        small = max(map(len, unions))
+        dense_mat = np.zeros((n_states * small, mat.shape[1]), dtype=complex)
+        rhs = np.zeros(n_states * small, dtype=complex)
+        blocks = np.split(mat, np.cumsum([len(r) for r in local])[:-1])
+        for k, (u, r, block, (idx, vals)) in enumerate(zip(unions, local, blocks, targets)):
+            dense_mat[k * small + np.searchsorted(u, r)] = block
+            rhs[k * small + np.searchsorted(u, idx)] = vals
+        ref = _dense_lstsq(dense_mat, rhs, hermitian)[0].reshape(n_states, small)
+        assert abs(r_abs - np.linalg.norm(ref, axis=1).max()) <= 1e-12 * scale
+        ref_sol = _dense_solution(dense_mat, rhs, hermitian)
+        assert np.abs(np.concatenate([a, b, f]) - ref_sol).max() <= 1e-12 * np.abs(ref_sol).max()
+        for (got_idx, got), u, r, (idx, vals) in zip(resid, unions, local, targets):
+            assert np.array_equal(got_idx, u)       # its design rows and target entries
+            off = ~np.isin(idx, r)                  # -t where no column reaches
+            assert off.any() and np.array_equal(got[np.searchsorted(u, idx[off])], -vals[off])
 
 
 class TestWindowPreconditions:
@@ -731,8 +848,8 @@ class TestEquivalence:
             def reference(theta):
                 targets = [np.cos(theta) * a - np.sin(theta) * b for a, b in acts]
                 *_, r_abs = boundary.solve_boundary_dense(
-                    targets, psis, n, 2, tuple(sites[:2]), tuple(sites[-2:]),
-                    hermitian=True)
+                    support_form(np.concatenate(targets), len(targets)), psis, n, 2,
+                    tuple(sites[:2]), tuple(sites[-2:]), hermitian=True)
                 return r_abs / scale
 
             grid = np.linspace(0.0, np.pi, 64, endpoint=False)

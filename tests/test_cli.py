@@ -279,11 +279,12 @@ class TestDroplet:
             for row in rows)
         assert "nan,1,inf" in want and "-0,2,-inf" in want
         path = tmp_path / "rows.csv"
-        cli._write_csv(str(path), ("t", "j", "n_j"), rows, ("%.12g", "%d", "%.12g"))
+        cli._write_csv(str(path), ("t", "j", "n_j"),
+                       cli._csv_blocks(rows, ("%.12g", "%d", "%.12g")))
         assert path.read_text() == want
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            cli._write_csv("-", ("t", "j", "n_j"), rows, ("%.12g", "%d", "%.12g"))
+            cli._write_csv("-", ("t", "j", "n_j"), cli._csv_blocks(rows, ("%.12g", "%d", "%.12g")))
         assert buf.getvalue() == want
 
     @pytest.mark.parametrize("extra", [

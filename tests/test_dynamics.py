@@ -404,6 +404,13 @@ class TestScalingFit:
         ts = integer_g_times(0.5, 5, 200, 20)
         assert np.allclose(np.round(ts * 0.5), ts * 0.5)
 
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0, -1.0])
+    def test_snapped_grid_is_np_unique(self, rate):
+        # the distinct snapped G values, ascending, as np.unique gives them
+        raw = np.geomspace(0.1, 300, 60)
+        want = np.unique(np.maximum(1, np.round(raw * rate))) / rate
+        assert integer_g_times(rate, 0.1, 300, 60).tobytes() == want.tobytes()
+
 
 class TestBECOverlap:
     def test_single_particle_reduction(self):

@@ -94,6 +94,12 @@ def test_class_counts_load_no_numpy_fft():
     assert _loaded(CLASS_COUNTS, "numpy.fft") == []
 
 
+def test_integer_g_times_loads_no_numpy_ma():
+    # the criterion 6/7 time grid dedupes its snapped G values
+    code = "from scartypes import dynamics\ndynamics.integer_g_times(0.5, 5.0, 200.0, 20)"
+    assert _loaded(code, "numpy.ma") == []
+
+
 def test_boundary_action_loads_no_scipy():
     code = "\n".join([
         "import sys",

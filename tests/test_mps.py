@@ -256,6 +256,28 @@ class TestSiteApply:
                     assert got.tobytes() == (mat @ view).reshape(psi.shape).tobytes()
 
 
+class TestGeneratorAction:
+    """The dense certificate's target sum_j L_j psi on psi's support against
+    the dense sum of _site_apply passes it replaced."""
+
+    @pytest.mark.parametrize("name,axis,n_sites", [
+        (name, axis, n) for name, axes in (("aklt", "xyz"), ("ssh", "z"))
+        for axis in axes for n in (6, 8)])
+    def test_support_target_equals_site_apply_sum(self, name, axis, n_sites):
+        tensor = {"aklt": builtin_aklt(), "ssh": builtin_ssh()}[name]
+        gen = spin1_matrix(axis) if name == "aklt" else ssh_sz_matrix()
+        psi = to_dense(tensor, n_sites)
+        lam = list(range(1, n_sites - 1))
+        want = np.zeros(psi.shape, dtype=complex)
+        for j in lam:
+            want += mps._site_apply(np.asarray(gen, dtype=complex), psi, j, tensor.d, n_sites)
+        idx, vals = mps._generator_action(gen, psi, lam, tensor.d)
+        assert np.all(np.diff(idx) > 0) and len(idx) < psi.size
+        got = np.zeros(psi.shape, dtype=complex)
+        got[idx] = vals
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDenseChain:
     @pytest.mark.parametrize("name,n_sites", [
         (name, n) for name in ("aklt", "ssh", "random") for n in (1, 2, 5, 6, 7)

@@ -668,7 +668,7 @@ class TestSupportApply:
     def test_index_set_restricts_decode(self):
         op = random_strings(6, np.random.default_rng(3), 12)
         idx = np.array([0, 5, 17, 63])
-        pairs = list(opspace._string_pairs(6, op.terms.items(), idx))
+        pairs = list(opspace._string_pairs(6, opspace._string_table(6, op.terms.items()), idx))
         t, src, tgt, vals = (np.concatenate(a) for a in zip(*pairs))
         assert np.all(np.diff(t) >= 0)                  # term-major
         for k, (src_all, flip, vals_all) in enumerate(string_masks(6, op.terms.items())):
