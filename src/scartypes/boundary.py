@@ -71,43 +71,19 @@ def _scale(targets, hs=()) -> float:
                rounding / ACCEPT, 1e-300)
 
 
-# -- support-form vectors --------------------------------------------------------
-#
-# A target or residual is kept as (indices, values): its entries' ascending
-# basis indices (base d, little-endian) and their values, one right-hand side
-# or several as columns.  An index it does not list holds zero.
-
-def _summed(indices: np.ndarray, values: np.ndarray) -> tuple:
-    """Support form of the sum of ``values`` placed at ``indices``: each entry
-    adds its values with np.add.at in the order given, from zero."""
-    idx = opspace._distinct(indices)
-    sums = np.zeros(len(idx), dtype=complex)
-    np.add.at(sums, np.searchsorted(idx, indices), values)
-    return idx, sums
-
-
-def _merged(vectors) -> tuple:
-    """Support-form vectors on their union support: (indices, (len, k)
-    values), vector k's values in column k and zero where it has no entry."""
-    idx = opspace._distinct(np.concatenate([i for i, _ in vectors]))
-    vals = np.zeros((len(idx), len(vectors)), dtype=complex)
-    for k, (i, v) in enumerate(vectors):
-        vals[np.searchsorted(idx, i), k] = v
-    return idx, vals
-
-
-def _support_action(n_sites: int, table, psi: np.ndarray) -> tuple:
-    """Support form of opspace.apply(op, psi) for op's decoded _string_table.
+def _support_action(n_sites: int, table, state) -> tuple:
+    """Support form of opspace.apply(op, psi) from op's _string_table and psi's ``state``.
 
     The (string, kept index) pairs over psi's nonzero amplitudes are summed
-    term-major as apply sums them (_summed), so every value equals apply's
-    entry bit for bit; the indices are every entry apply writes.
+    term-major as apply sums them (opspace._summed), so every value equals
+    apply's entry bit for bit; the indices are every entry apply writes.
     """
+    src, amps = state
     tgts, prods = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
-    for _, src, tgt, vals in opspace._string_pairs(n_sites, table, np.flatnonzero(psi)):
+    for _, k, tgt, vals in opspace._string_pairs(n_sites, table, src):
         tgts.append(tgt)
-        prods.append(np.multiply(vals, psi[src]))     # as in apply: never in place
-    return _summed(np.concatenate(tgts), np.concatenate(prods))
+        prods.append(np.multiply(vals, amps[k]))     # as in apply: never in place
+    return opspace._summed(np.concatenate(tgts), np.concatenate(prods))
 
 
 # -- generic least-squares solver ----------------------------------------------
@@ -143,37 +119,17 @@ def _window_basis(local_dim: int, width: int) -> np.ndarray:
     return mats
 
 
-def _window_images(psi, src, basis, sites, local_dim: int):
-    """One window's design columns on psi's support: (rows, images).
-
-    psi's nonzero indices ``src`` are grouped by their rest (the index with
-    the window digits set to zero); a (d^w, #rest) block of amplitudes, row
-    index big-endian over ``sites`` (first listed site most significant, as
-    in _window_basis), times the basis stack gives images (len(basis), d^w,
-    #rest), landing on rows (d^w, #rest) = rest + window offset.  Indices
-    are little-endian in base d.
-    """
-    place = local_dim ** np.array(sites, dtype=np.int64)      # d^j of each window site
-    big = local_dim ** np.arange(len(sites) - 1, -1, -1)      # first listed site most significant
-    digits = src[:, None] // place % local_dim
-    rest, col = np.unique(src - digits @ place, return_inverse=True)
-    block = np.zeros((local_dim ** len(sites), len(rest)), dtype=psi.dtype)
-    block[digits @ big, col] = psi[src]
-    offsets = np.arange(len(block))[:, None] // big % local_dim @ place
-    return rest + offsets[:, None], basis @ block
-
-
-def _design(psis, n_sites, local_dim, left_sites, right_sites):
+def _design(states, n_sites, local_dim, left_sites, right_sites):
     """Design matrix of the boundary fit on the rows it reaches: (rows, mat).
 
     Columns: the window basis acting on the left window, then on the right
     window, then one identity-gauge column per state.  Row k d^N + i is
-    amplitude i of the columns' images of psis[k]; ``rows`` lists, ascending,
-    the rows where some column is nonzero, and ``mat`` holds those rows.  The
-    images are built from each state's support (_window_images), so the
-    cost follows the rest configurations a state holds, not d^N.  A window
-    site that repeats or lies outside 0..N-1, a site in both windows and a
-    state not of length d^N raise ValueError.
+    amplitude i of the columns' images of states[k], in support form;
+    ``rows`` lists, ascending, the rows where some column is nonzero, and
+    ``mat`` holds those rows.  The images are the window basis times each
+    state's opspace._window_block, so the cost follows the rest
+    configurations a state holds, not d^N.  A window site that repeats or
+    lies outside 0..N-1 and a site in both windows raise ValueError.
     """
     windows = tuple(left_sites), tuple(right_sites)
     for name, sites in zip(("left", "right"), windows):
@@ -186,20 +142,16 @@ def _design(psis, n_sites, local_dim, left_sites, right_sites):
     bases = [_window_basis(local_dim, len(sites)) for sites in windows]
     n_basis = len(bases[0]) + len(bases[1])
     rows, blocks = [], []
-    for k, psi in enumerate(psis):
-        if psi.shape != (dim,):
-            raise opspace.DimensionError(f"state has shape {psi.shape}, expected {(dim,)}")
-        src = np.flatnonzero(psi)
-        images = [_window_images(psi, src, basis, sites, local_dim)
-                  for basis, sites in zip(bases, windows)]
-        reached = opspace._distinct(np.concatenate([src] + [r.ravel() for r, _ in images]))
-        block = np.zeros((n_basis + len(psis), len(reached)), dtype=complex)
+    for k, (src, amps) in enumerate(states):
+        grouped = [opspace._window_block((src, amps), sites, local_dim) for sites in windows]
+        reached = opspace._distinct(np.concatenate([src] + [r.ravel() for r, _ in grouped]))
+        block = np.zeros((n_basis + len(states), len(reached)), dtype=complex)
         col = 0
-        for r, image in images:
-            block[col:col + len(image), np.searchsorted(reached, r.ravel())] = \
-                image.reshape(len(image), r.size)
-            col += len(image)
-        block[n_basis + k, np.searchsorted(reached, src)] = psi[src]
+        for basis, (r, amp_block) in zip(bases, grouped):
+            block[col:col + len(basis), np.searchsorted(reached, r.ravel())] = \
+                (basis @ amp_block).reshape(len(basis), r.size)
+            col += len(basis)
+        block[n_basis + k, np.searchsorted(reached, src)] = amps
         keep = block.any(axis=0)
         rows.append(k * dim + reached[keep])
         blocks.append(block.compress(keep, axis=1))
@@ -266,11 +218,13 @@ def solve_boundary_dense(targets, psis, n_sites, local_dim,
     (Hermitian) coefficients ``a`` and ``b``; per-state scalars ``f`` absorb
     the identity gauge.  The design matrix is built on the rows the states
     reach (_design), so a window site that repeats, lies outside 0..N-1 or
-    is in both windows raises ValueError.
+    is in both windows raises ValueError, and a state not of length d^N
+    DimensionError.
     """
-    design = _design(psis, n_sites, local_dim, left_sites, right_sites)
-    return _fit(design, targets, local_dim ** n_sites, hermitian,
-                local_dim ** (2 * len(left_sites)) - 1)
+    dim = local_dim ** n_sites
+    design = _design([opspace._support(psi, dim) for psi in psis], n_sites, local_dim,
+                     left_sites, right_sites)
+    return _fit(design, targets, dim, hermitian, local_dim ** (2 * len(left_sites)) - 1)
 
 
 def _window_operator(coeffs, sites, n_sites: int) -> LocalOperator:
@@ -288,20 +242,25 @@ def _patch_floor(r_max: int, op_range: int) -> int:
     return max(2 * r_max + 2, 2 * op_range + 1)
 
 
-def _require(r_max: int, hs, states_list) -> None:
+def _require(r_max: int, hs, states_list) -> list:
     """The checks every public entry point makes first, in this order: R_max
-    >= 1 (ValueError), every state an eigenstate of every h
-    (ClassificationError), every h Hermitian (ValueError)."""
+    >= 1 (ValueError), at least one state (ValueError), every state an
+    eigenstate of every h (ClassificationError), every h Hermitian
+    (ValueError).  Returns the states in support form (opspace._support)."""
     _patch_floor(r_max, 0)
+    if not len(states_list):
+        raise ValueError("at least one state is required")
     for psi in states_list:
         for h in hs:
             canonical.require_eigenstate(h, psi)
     if not all(h.hermitian() for h in hs):
         raise ValueError("truncation tests are defined for Hermitian Hamiltonians")
+    return [opspace._support(psi, 1 << hs[0].n_sites) for psi in states_list]
 
 
-def _patch(hs, states_list, lam: Region, r_max: int):
-    """One patch of the Hamiltonians hs: checks the patch rule (ValueError).
+def _patch(hs, states, lam: Region, r_max: int):
+    """One patch of the Hamiltonians hs on support-form states: checks the
+    patch rule (ValueError).
 
     Returns (_design, (left_sites, right_sites), actions), with the targets
     of each Hamiltonian's truncation in ``actions``: its action on each
@@ -314,18 +273,18 @@ def _patch(hs, states_list, lam: Region, r_max: int):
     sites = lam.sites()
     windows = tuple(sites[:r_max]), tuple(sites[-r_max:])
     n_sites = hs[0].n_sites
-    design = _design(states_list, n_sites, 2, *windows)
+    design = _design(states, n_sites, 2, *windows)
     tables = (opspace._string_table(n_sites, opspace.truncate(h, lam).terms.items())
               for h in hs)
-    return design, windows, [[_support_action(n_sites, table, psi) for psi in states_list]
+    return design, windows, [[_support_action(n_sites, table, state) for state in states]
                              for table in tables]
 
 
 def boundary_solve(h: LocalOperator, states_list, lam: Region, r_max: int,
                    hermitian: bool = False) -> BoundarySolve:
     """Boundary fit for a truncated qubit Hamiltonian; A_l, B_r are Pauli strings."""
-    _require(r_max, (h,), states_list)
-    design, (left_sites, right_sites), [targets] = _patch((h,), states_list, lam, r_max)
+    states = _require(r_max, (h,), states_list)
+    design, (left_sites, right_sites), [targets] = _patch((h,), states, lam, r_max)
     a, b, f, r_abs = _fit(design, targets, 1 << h.n_sites, hermitian, 4 ** r_max - 1)
     return BoundarySolve(
         left_op=_window_operator(a, left_sites, h.n_sites),
@@ -372,7 +331,7 @@ def _left_independent(h, states_list, r_max: int, short, grown) -> bool:
     """
     (_, short_targets), (lam, targets) = short, grown
     targets = [(idx, vals[:, 0] - vals[:, 1])
-               for idx, vals in map(_merged, zip(targets, short_targets))]
+               for idx, vals in map(opspace._merged, zip(targets, short_targets))]
     *_, r_abs = solve_boundary_dense(targets, states_list, h.n_sites, 2,
                                      (), tuple(lam.sites()[-(r_max + 1):]), hermitian=False)
     return r_abs / _scale(targets, (h,)) < ACCEPT
@@ -396,17 +355,17 @@ def classify(h: LocalOperator, states_list, r_max: int = 2) -> TypeLabel:
     to a unitary per state, which leaves residual norms as they are: only
     anchor 0 is solved, its rows repeated (``anchors_solved``).
     """
-    _require(r_max, (h,), states_list)
+    states = _require(r_max, (h,), states_list)
     n_sites = h.n_sites
     shifted = LocalOperator(n_sites, {(s + 1, ops): c for (s, ops), c in h.terms.items()})
     invariant = shifted.terms == h.terms and \
-        nullspace._translation_eigenstates(states_list, n_sites) is not None
+        nullspace._translation_eigenstates(states, n_sites) is not None
     solved = (0,) if invariant else (0, n_sites // 3)
     # the independence clause's anchor-0 patches: ``length`` and length + 1 sites, if swept
     length = max(2 * r_max + 3, 2 * h.declared_range + 1)
     evidence, clause = [], {}
     for lam in default_sweep(n_sites, r_max, anchors=solved, op_range=h.declared_range):
-        design, _, [targets] = _patch((h,), states_list, lam, r_max)
+        design, _, [targets] = _patch((h,), states, lam, r_max)
         if lam.left == 0 and lam.length in (length, length + 1):
             clause[lam.length] = lam, targets
         scale = _scale(targets, (h,))
@@ -458,14 +417,14 @@ def equivalence_test(h_a: LocalOperator, h_b: LocalOperator, states_list,
     0.  After _require's checks, a patch breaking the rule raises ValueError.
     """
     r_max = 2
-    _require(r_max, (h_a, h_b), states_list)
-    n_states = len(states_list)
+    states = _require(r_max, (h_a, h_b), states_list)
+    n_states = len(states)
     if lam is None:
         lam = default_sweep(h_a.n_sites, r_max, op_range=max(
             h_a.declared_range, h_b.declared_range))[-2:][0]
-    design, _, actions = _patch((h_a, h_b), states_list, lam, r_max)
+    design, _, actions = _patch((h_a, h_b), states, lam, r_max)
     scale = _scale(actions[0] + actions[1], (h_a, h_b))
-    _, resid = _lstsq(design, [_merged(pair) for pair in zip(*actions)],
+    _, resid = _lstsq(design, [opspace._merged(pair) for pair in zip(*actions)],
                       1 << h_a.n_sites, hermitian=True)
     ab = [r for _, r in resid]                   # per state: (entry, a/b)
     gram = np.array([(r.conj().T @ r).real for r in ab])

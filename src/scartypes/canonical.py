@@ -224,7 +224,7 @@ def _table_classes(op: LocalOperator):
                 (n>=2, m>=2) strings, in order of first appearance.
     The identity string and the (n>=1, m=0) strings are in none of them.
     """
-    n_sites, ring = op.n_sites, (1 << op.n_sites) - 1
+    n_sites = op.n_sites
     single, bundles, lone, pairs = {}, {}, {}, {}
     hop = [[0j] * n_sites for _ in range(n_sites)]      # numpy's sums, cheaper per item
     shapes = {}     # code tuple: creation, annihilation offsets, daggered codes, creation mask
@@ -244,8 +244,7 @@ def _table_classes(op: LocalOperator):
             elif len(cre) == 1:
                 hop[(start + cre[0]) % n_sites][(start + ann[0]) % n_sites] += coeff
             else:
-                bundles.setdefault((mask << start | mask >> (n_sites - start)) & ring,
-                                   {})[key] = coeff
+                bundles.setdefault(opspace._rotated(mask, start, n_sites), {})[key] = coeff
         elif len(cre) < 2:
             lone[key] = coeff
         else:

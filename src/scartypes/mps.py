@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundary as boundary_mod
+from . import opspace
 from .nullspace import real_rank
 
 PUSH_TOL = 1e-10
@@ -270,15 +271,14 @@ def verify_boundary_action(a: MPSTensor, generator, theta, n_sites: int,
     return float(np.linalg.norm(target - got))
 
 
-def _generator_action(generator, psi: np.ndarray, sites, local_dim: int) -> tuple:
-    """sum_j L_j psi over the given sites in support form, (indices, values):
-    each site's one-site window images on psi's support (the boundary design's
-    window action), summed site by site in the order given."""
-    gen = np.asarray(generator, dtype=complex)[None]
-    src = np.flatnonzero(psi)
-    images = [boundary_mod._window_images(psi, src, gen, (j,), local_dim) for j in sites]
-    return boundary_mod._summed(np.concatenate([rows.ravel() for rows, _ in images]),
-                                np.concatenate([image.ravel() for _, image in images]))
+def _generator_action(generator, state, sites, local_dim: int) -> tuple:
+    """sum_j L_j psi over the given sites in support form, (indices, values), for
+    psi's support form ``state``: L times each site's opspace._window_block (the
+    boundary design's window action), summed site by site in the order given."""
+    gen = np.asarray(generator, dtype=complex)
+    blocks = [opspace._window_block(state, (j,), local_dim) for j in sites]
+    return opspace._summed(np.concatenate([rows.ravel() for rows, _ in blocks]),
+                           np.concatenate([(gen @ block).ravel() for _, block in blocks]))
 
 
 def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
@@ -287,7 +287,7 @@ def _boundary_generator_hermitian_feasible(a: MPSTensor, generator,
     residual scaled by ||target|| as in every boundary verdict."""
     psi = to_dense(a, n_sites)
     lam = list(range(1, n_sites - 1))
-    target = _generator_action(generator, psi, lam, a.d)
+    target = _generator_action(generator, opspace._support(psi, psi.size), lam, a.d)
     *_, r_abs = boundary_mod.solve_boundary_dense(
         [target], [psi], n_sites, a.d,
         tuple(lam[:r_inj]), tuple(lam[-r_inj:]), hermitian=True)

@@ -52,7 +52,7 @@ from itertools import product
 
 import numpy as np
 
-from . import opspace, states
+from . import opspace
 from .opspace import LocalOperator
 
 NULL_TOL = 1e-10      # eigenvalue cutoff relative to the largest
@@ -121,34 +121,34 @@ def build_correlation(basis: OperatorBasis, states_list, kind: str) -> np.ndarra
         raise ValueError("kind must be 'H' or 'G'")
     if kind == "H" and any(c != opspace._DAGGER[c] for _, ops in basis.keys for c in ops):
         raise ValueError("kind H requires a Hermitian basis")
-    gram = _gram(basis, states_list, False, None)[..., 0]
+    states = [opspace._support(psi, 1 << basis.n_sites) for psi in states_list]
+    gram = _gram(basis, states, False, None)[..., 0]
     return gram.real.copy() if kind == "H" else gram
 
 
-def _gram(basis: OperatorBasis, states_list, degenerate: bool, lams) -> np.ndarray:
-    """C^G's shift terms g[p, p', d] over unit states: given their translation
+def _gram(basis: OperatorBasis, states, degenerate: bool, lams) -> np.ndarray:
+    """C^G's shift terms g[p, p', d] over unit support-form states: given their translation
     eigenvalues ``lams``, over whole orbits, each pattern at shifts 0..N-1 in a
     row (as pauli_string_basis lists them), one d per shift; else g[:, :, 0] = C^G.
     ``degenerate`` recentres the expectation vectors on their mean and adds the
     rank-one couplings, so null vectors share one eigenvalue across the states."""
     n = basis.n_sites
-    if not len(states_list):
+    if not len(states):
         raise ValueError("at least one state is required")
-    for psi in states_list:
-        if psi.shape != (1 << n,):
-            raise opspace.DimensionError(f"state has shape {psi.shape} for N={n}")
-        opspace._require_unit(psi)
+    for _, amps in states:
+        opspace._require_unit(amps)
     keys = basis.keys if lams is None else basis.keys[::n]
     rows, blocks, pairs = [], [], []
     table = opspace._string_table(n, ((key, 1.0) for key in keys))
-    for psi in states_list:
-        src = np.flatnonzero(psi)
+    for src, amps in states:
         chunks = list(opspace._string_pairs(n, table, src))
         reached = opspace._distinct(np.concatenate([src, *(tgt for _, _, tgt, _ in chunks)]))
+        at = np.searchsorted(reached, src)
         rows.append(reached)
-        blocks.append(psi[reached, None])
-        pairs.append([(t, np.searchsorted(reached, kept), np.searchsorted(reached, tgt), vals)
-                      for t, kept, tgt, vals in chunks])
+        blocks.append(np.zeros((len(reached), 1), dtype=amps.dtype))
+        blocks[-1][at, 0] = amps
+        pairs.append([(t, at[k], np.searchsorted(reached, tgt), vals)
+                      for t, k, tgt, vals in chunks])
     parts = _factor(len(keys), blocks, pairs, degenerate)
     if lams is None:
         return sum(p.conj().T @ p for p in parts)[..., None]
@@ -179,11 +179,11 @@ def _orbit_gram(parts, rows, lams, n: int) -> np.ndarray:
     Each state's F holds only its ``rows`` (sorted basis indices); at shift d
     row r of F_p' meets row r rotated left by d of F_p, when F_p holds it.
     """
-    g, shifts, full = 0, np.arange(n), (1 << n) - 1
+    g = 0
     for lam, reached, block in zip(lams, rows, parts):
         terms = []
-        for d in shifts:
-            moved = ((reached << d) | (reached >> (n - d))) & full
+        for d in range(n):
+            moved = opspace._rotated(reached, d, n)
             pos = np.minimum(np.searchsorted(reached, moved), len(reached) - 1)
             hit = reached[pos] == moved
             terms.append(block[pos[hit]].conj().T @ block[hit] / lam ** d)
@@ -193,16 +193,18 @@ def _orbit_gram(parts, rows, lams, n: int) -> np.ndarray:
     return g
 
 
-def _window_factors(window: OperatorBasis, width: int, states_list, degenerate, starts):
+def _window_factors(window: OperatorBasis, width: int, states, degenerate, starts):
     """F of window [j, j + width) for each j in ``starts``: window 0's strings,
-    decoded once, on the Schmidt splits of the states translated by -j."""
-    pairs = list(opspace._string_pairs(
-        width, opspace._string_table(width, ((key, 1.0) for key in window.keys))))
+    decoded once, on the support-form states' Schmidt splits, each the SVD of
+    the state's opspace._window_block, transposed, with site j least significant."""
+    table = opspace._string_table(width, ((key, 1.0) for key in window.keys))
+    pairs = list(opspace._string_pairs(width, table, np.arange(1 << width)))
     for j in starts:
+        sites = [(j + k) % window.n_sites for k in reversed(range(width))]
         blocks = []
-        for psi in states_list:
-            moved = states.translate(psi, -j, window.n_sites).reshape(-1, 1 << width)
-            _, svals, vh = np.linalg.svd(moved, full_matrices=False)
+        for state in states:
+            _, svals, vh = np.linalg.svd(opspace._window_block(state, sites, 2)[1].T,
+                                         full_matrices=False)
             blocks.append(vh[svals > SCHMIDT_TOL].T * svals[svals > SCHMIDT_TOL])
         yield np.vstack(_factor(len(window), blocks, [pairs] * len(blocks), degenerate))
 
@@ -258,29 +260,31 @@ def real_rank(rows: np.ndarray, scale: float | None = None) -> int:
     return int(np.sum(svals > RANK_TOL * scale))
 
 
-def _translation_eigenstates(states_list, n_sites: int):
-    """Each state's lambda = <psi|T psi> / <psi|psi> when ||T psi - lambda psi|| <=
-    TRANSLATION_TOL ||psi|| for every state, else None."""
+def _translation_eigenstates(states, n_sites: int):
+    """Each support-form state's lambda = <psi|T psi> / <psi|psi> when ||T psi -
+    lambda psi|| <= TRANSLATION_TOL ||psi|| for every state, else None; T psi
+    (psi's amplitudes at its indices rotated by one site) meets psi on their union."""
     lams = []
-    for psi in states_list:
-        if psi.shape != (1 << n_sites,) or not psi.any():
+    for idx, amps in states:
+        if not amps.any():
             return None
-        moved = states.translate(psi, 1, n_sites)
-        lams.append(np.vdot(psi, moved) / np.vdot(psi, psi))
-        if np.linalg.norm(moved - lams[-1] * psi) > TRANSLATION_TOL * np.linalg.norm(psi):
+        moved = opspace._rotated(idx, 1, n_sites)
+        psi, shifted = opspace._merged([(idx, amps), (moved, amps)])[1].T
+        lams.append(np.vdot(psi, shifted) / np.vdot(amps, amps))
+        if np.linalg.norm(shifted - lams[-1] * psi) > TRANSLATION_TOL * np.linalg.norm(amps):
             return None
     return lams
 
 
-def _real_states(states_list):
-    """The states over the phase of each one's largest amplitude, as real arrays,
-    when every one is real there to rounding; else None."""
-    turned = [psi * np.exp(-1j * np.angle(psi[np.argmax(np.abs(psi))])) for psi in states_list]
+def _real_states(states):
+    """The support-form states over the phase of each one's largest amplitude,
+    with real amplitude arrays, when every one is real there to rounding; else None."""
+    turned = [a * np.exp(-1j * np.angle(a[np.argmax(np.abs(a))])) for _, a in states]
     # e^{i phi} r holds r_j e^{i phi} to a rounding in each part, and the unit phase and
     # the product add a few: |Im| <= ~4 eps |psi_j|, so 8 eps max|psi| bounds rounding
     if any(np.abs(t.imag).max() > 8 * np.finfo(float).eps * np.abs(t).max() for t in turned):
         return None
-    return [t.real for t in turned]
+    return [(idx, t.real) for (idx, _), t in zip(states, turned)]
 
 
 def _complement_dims(glo, h_ranges, g_ranges, pos, sectors: int, ys=None):
@@ -412,15 +416,16 @@ def count_type_classes(n_sites: int, r_glo: int, r_loc: int, states_list,
     # i is pattern i // N at shift i % N, and translation acts on the shift.
     # Patterns come shortest first and N >= 2R' leaves no two keys equal, so
     # string (s, ops) of range <= R' has index p N + s, p the index of ops.
-    lams = _translation_eigenstates(states_list, n_sites)
-    g = _gram(pauli_string_basis(n_sites, r_glo), states_list, degenerate, lams)
+    states = [opspace._support(psi, 1 << n_sites) for psi in states_list]
+    lams = _translation_eigenstates(states, n_sites)
+    g = _gram(pauli_string_basis(n_sites, r_glo), states, degenerate, lams)
     zh_glo, gap = _sector_null_spaces(g.real)
     sectors = g.shape[-1]                           # N momentum sectors, or one
     window, starts = window_basis(n_sites, 0, r_loc), range(n_sites if sectors == 1 else 1)
-    real = _real_states(states_list)
+    real = _real_states(states)
     ys = np.array([ops.count("y") for _, ops in window.keys])
     zh, zg = [], []
-    for factor in _window_factors(window, r_loc, real or states_list, degenerate, starts):
+    for factor in _window_factors(window, r_loc, real or states, degenerate, starts):
         if real is None:
             zh.append(_range(np.vstack([factor.real, factor.imag])))    # C^H = Re C^G
         else:       # F's even-y columns are real, its odd-y ones imaginary: F (-i)^y is real

@@ -345,12 +345,29 @@ def _string_table(n_sites: int, terms) -> tuple:
     grid = np.fromiter((_CODE_INDEX[c] for ops in codes for c in (ops + pad)[:width]),
                        np.int64, count=len(codes) * width).reshape(len(codes), width)
     base = (_BIT_TABLE[grid] << np.arange(width)[:, None]).sum(axis=1)[rows]
-    shift = np.array(starts, dtype=np.int64)[:, None]
-    masks = ((base[:, :4] << shift) | (base[:, :4] >> (n_sites - shift))) & ((1 << n_sites) - 1)
+    masks = _rotated(base[:, :4], np.array(starts, dtype=np.int64)[:, None], n_sites)
     amp, i_count = np.array(coeffs, dtype=complex), np.bitwise_count(base[:, 4])
     for k in range(int(i_count.max(initial=0))):
         amp = np.where(i_count > k, amp * 1j, amp)      # as coeff * 1j * 1j ..., to the bit
     return (*masks.T, amp)
+
+
+def _support(psi: np.ndarray, dim: int) -> tuple:
+    """A dense state in support form, (indices, values): its nonzero entries'
+    ascending basis indices and amplitudes (a support-form vector lists its
+    entries so, base d little-endian, one vector or several as columns; an
+    unlisted index holds zero).  DimensionError unless psi has shape (dim,)."""
+    if psi.shape != (dim,):
+        raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
+    idx = np.flatnonzero(psi)
+    return idx, psi[idx]
+
+
+def _rotated(bits, shift, n_sites: int):
+    """Basis indices or bit masks with site j moved to site j + shift: each
+    rotated left by shift mod N on N bits (site j = bit j)."""
+    shift = shift % n_sites
+    return ((bits << shift) | (bits >> (n_sites - shift))) & ((1 << n_sites) - 1)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -365,23 +382,56 @@ def _signs(idx: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(idx) & 1).astype(np.int64)
 
 
-def _string_pairs(n_sites: int, table, idx=None):
+def _summed(indices: np.ndarray, values: np.ndarray) -> tuple:
+    """Support form of the sum of ``values`` placed at ``indices``: each entry
+    adds its values with np.add.at in the order given, from zero."""
+    idx = _distinct(indices)
+    sums = np.zeros(len(idx), dtype=complex)
+    np.add.at(sums, np.searchsorted(idx, indices), values)
+    return idx, sums
+
+
+def _merged(vectors) -> tuple:
+    """Support-form vectors, their indices in any order, on their union support:
+    (indices, (len, k) values), vector k's in column k and zero where it has none."""
+    idx = _distinct(np.concatenate([i for i, _ in vectors]))
+    vals = np.zeros((len(idx), len(vectors)), dtype=complex)
+    for k, (i, v) in enumerate(vectors):
+        vals[np.searchsorted(idx, i), k] = v
+    return idx, vals
+
+
+def _window_block(state, sites, local_dim: int) -> tuple:
+    """A support-form state grouped by the digits of ``sites``: (rows, block),
+    block[a, r] the amplitude at rest r (its index with those digits zero) and
+    window digits a, big-endian over ``sites`` (first listed site most
+    significant), rows[a, r] its basis index; zero where the state has none."""
+    src, amps = state
+    place = local_dim ** np.array(sites, dtype=np.int64)      # d^j of each window site
+    big = local_dim ** np.arange(len(sites) - 1, -1, -1)      # first listed site most significant
+    digits = src[:, None] // place % local_dim
+    rest, col = np.unique(src - digits @ place, return_inverse=True)
+    block = np.zeros((local_dim ** len(sites), len(rest)), dtype=amps.dtype)
+    block[digits @ big, col] = amps
+    offsets = np.arange(len(block))[:, None] // big % local_dim @ place
+    return rest + offsets[:, None], block
+
+
+def _string_pairs(n_sites: int, table, idx: np.ndarray):
     """Every (string, kept index) pair of a _string_table, in term-major order.
 
-    Yields chunks (t, src, tgt, vals): string t keeps basis index src, maps
-    it to tgt = src ^ flip[t] and multiplies it by vals.  ``src`` is drawn
-    from the sorted index array ``idx``, by default every one of the 2^N
-    basis indices; a chunk tests at most PAIR_CHUNK (string, index)
-    candidates, or one string's.
+    Yields chunks (t, k, tgt, vals): string t keeps basis index src =
+    idx[k], k a position in the sorted index array ``idx``, maps it to tgt =
+    src ^ flip[t] and multiplies it by vals; a chunk tests at most
+    PAIR_CHUNK (string, index) candidates, or one string's.
     """
     sel, bits, flip, sign, amp = table
-    idx = np.arange(1 << n_sites) if idx is None else idx
     step = max(1, PAIR_CHUNK // max(len(idx), 1))
     for lo in range(0, len(amp), step):
         t, k = np.nonzero((idx & sel[lo:lo + step, None]) == bits[lo:lo + step, None])
         t += lo
         src = idx[k]
-        yield t, src, src ^ flip[t], amp[t] * _signs(src & sign[t])
+        yield t, k, src ^ flip[t], amp[t] * _signs(src & sign[t])
 
 
 def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
@@ -396,12 +446,11 @@ def apply(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
     on the support size.
     """
     dim = 1 << op.n_sites
-    if psi.shape != (dim,):
-        raise DimensionError(f"state has shape {psi.shape}, expected ({dim},)")
+    idx, amps = _support(psi, dim)
     out = np.zeros(dim, dtype=complex)
     table = _string_table(op.n_sites, op.terms.items())
-    for _, src, tgt, vals in _string_pairs(op.n_sites, table, np.flatnonzero(psi)):
-        np.add.at(out, tgt, np.multiply(vals, psi[src]))
+    for _, k, tgt, vals in _string_pairs(op.n_sites, table, idx):
+        np.add.at(out, tgt, np.multiply(vals, amps[k]))
     return out
 
 

@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from .opspace import CapacityError, Region
+from .opspace import CapacityError, Region, _rotated
 
 
 def _popcounts(n_sites: int) -> np.ndarray:
@@ -75,12 +75,9 @@ def droplet(n_sites: int, m_size: int, p: int) -> np.ndarray:
 
 def translate(psi: np.ndarray, shift: int, n_sites: int) -> np.ndarray:
     """Cyclic site translation j -> j + shift of a state, or of each row of a stack."""
-    s = shift % n_sites
-    if s == 0:
-        return psi.copy()
-    idx = np.arange(1 << n_sites, dtype=np.int64)
-    # configuration i moves to i rotated left by s: gather from the right rotation
-    return np.take(psi, ((idx >> s) | (idx << (n_sites - s))) & ((1 << n_sites) - 1), axis=-1)
+    # configuration i moves to i rotated left by shift: gather from the right rotation
+    return np.take(psi, _rotated(np.arange(1 << n_sites, dtype=np.int64), -shift, n_sites),
+                   axis=-1)
 
 
 @dataclass(frozen=True)

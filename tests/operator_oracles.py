@@ -6,9 +6,10 @@ oracles for operator algebra, state application and the boundary solves.
 
 import numpy as np
 
+from scartypes import nullspace, opspace, states
 from scartypes.canonical import table2_patterns
 from scartypes.opspace import (CANCEL_TOL, COEFF_TOL, _DAGGER, CapacityError, LocalOperator,
-                               _canonical_key, to_boson_basis)
+                               _canonical_key, _support, to_boson_basis)
 
 MATRIX_MAX_SITES = 14      # dense 2^N guard
 
@@ -54,6 +55,12 @@ def support_form(rhs: np.ndarray, n_states: int) -> list:
         idx = np.flatnonzero(block.reshape(len(block), -1).any(axis=1))
         out.append((idx, block[idx]))
     return out
+
+
+def supports(psis) -> list:
+    """Dense states in the package's support form (opspace._support), each
+    state over its own length."""
+    return [_support(psi, psi.size) for psi in psis]
 
 
 def dense_form(vectors, dim: int) -> np.ndarray:
@@ -220,3 +227,41 @@ def hermitian_two_pass(op: LocalOperator) -> bool:
     bound = CANCEL_TOL * max([1.0, *map(abs, op.terms.values())])
     return all(abs(v) <= bound for v in diff.terms.values()) or \
         all(abs(v) <= bound for v in to_boson_basis(diff).terms.values())
+
+
+# -- dense forms of the support-form state paths ----------------------------------
+
+def translate_reshape_factors(window, width: int, psis, degenerate, starts):
+    """nullspace._window_factors on dense states: window 0's strings, decoded
+    once over all 2^w window indices, on the Schmidt splits of each state
+    translated by -j and reshaped to (rest, window), the window little-endian
+    from site j."""
+    pairs = list(opspace._string_pairs(
+        width, opspace._string_table(width, ((key, 1.0) for key in window.keys)),
+        np.arange(1 << width)))
+    for j in starts:
+        blocks = []
+        for psi in psis:
+            moved = states.translate(psi, -j, window.n_sites).reshape(-1, 1 << width)
+            _, svals, vh = np.linalg.svd(moved, full_matrices=False)
+            kept = svals > nullspace.SCHMIDT_TOL
+            blocks.append(vh[kept].T * svals[kept])
+        yield np.vstack(nullspace._factor(len(window), blocks, [pairs] * len(blocks),
+                                          degenerate))
+
+
+def dense_translation_eigenstates(psis, n_sites: int):
+    """nullspace._translation_eigenstates on dense states: lambda = <psi|T psi> /
+    <psi|psi> from states.translate by one site, when ||T psi - lambda psi|| <=
+    TRANSLATION_TOL ||psi|| for every state, else None (also for a state of
+    the wrong length or a zero state)."""
+    lams = []
+    for psi in psis:
+        if psi.shape != (1 << n_sites,) or not psi.any():
+            return None
+        moved = states.translate(psi, 1, n_sites)
+        lams.append(np.vdot(psi, moved) / np.vdot(psi, psi))
+        if np.linalg.norm(moved - lams[-1] * psi) > \
+                nullspace.TRANSLATION_TOL * np.linalg.norm(psi):
+            return None
+    return lams

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import minimize_scalar
 
-from scartypes import boundary, canonical, mps, opspace, states
+from scartypes import boundary, canonical, mps, nullspace, opspace, states
 from scartypes.boundary import (Region, action_equivalent, boundary_solve,
                                 classify, equivalence_test)
 from scartypes.opspace import apply, string_term
-from operator_oracles import dense_form, site_axes_apply, support_form, to_matrix
+from operator_oracles import dense_form, site_axes_apply, support_form, supports, to_matrix
 from test_opspace import full_index_apply
 
 
@@ -116,7 +116,7 @@ class TestAction:
               canonical.random_type1(n, rng) + s["imhop"], canonical.h_dmi(n))
         op_range = max(h.declared_range for h in hs)
         for lam in boundary.default_sweep(n, 2, anchors=(0, n // 3), op_range=op_range):
-            _, _, actions = boundary._patch(hs, psis, lam, 2)
+            _, _, actions = boundary._patch(hs, supports(psis), lam, 2)
             assert len(actions) == len(hs)
             for h, targets in zip(hs, actions):
                 op = opspace.truncate(h, lam)
@@ -135,7 +135,7 @@ class TestAction:
         hs = (s["imhop"], s["imhop2"], canonical.random_type1(n, rng) + s["imhop"],
               opspace.LocalOperator(n), opspace.identity(n, 2j))
         for lam in (Region(0, 6, n), Region(3, 1, n)):
-            _, _, actions = boundary._patch(hs, psis, lam, 2)
+            _, _, actions = boundary._patch(hs, supports(psis), lam, 2)
             for h, targets in zip(hs, actions):
                 op = opspace.truncate(h, lam)
                 for psi, got in zip(psis, targets):
@@ -153,7 +153,7 @@ class TestAction:
         planted[rng.random(1 << n) < 0.2] = 0.0
         psis = [states.w_state(n), planted, rng.normal(size=1 << n)]
         lam = Region(0, n - 3, n)
-        _, _, [targets] = boundary._patch((h,), psis, lam, 2)
+        _, _, [targets] = boundary._patch((h,), supports(psis), lam, 2)
         op = opspace.truncate(h, lam)
         for psi, got in zip(psis, targets):
             got = dense_form([got], 1 << n)
@@ -161,7 +161,8 @@ class TestAction:
 
     def test_wrong_state_shape(self, setup10):
         with pytest.raises(opspace.DimensionError):
-            boundary._patch((setup10["imhop"],), [states.vacuum(8)], setup10["lam"], 2)
+            boundary._patch((setup10["imhop"],), [opspace._support(states.vacuum(8), 1 << 10)],
+                            setup10["lam"], 2)
 
 
 class TestResidualScale:
@@ -408,7 +409,7 @@ class TestLstsqRowReduction:
         assert len(fits) == 2 * 26 + 5 + 2
         dropped = 0
         for psis, windows, rhs, hermitian in fits:
-            design = boundary._design(psis, 10, 2, *windows)
+            design = boundary._design(supports(psis), 10, 2, *windows)
             dropped += len(design[0]) < len(rhs)
             mat = dense_design_matrix(psis, 10, 2, *windows)
             self._compare(design, mat, rhs, hermitian, len(psis), monkeypatch)
@@ -416,7 +417,7 @@ class TestLstsqRowReduction:
 
     @pytest.mark.parametrize("local_dim,n,psi,windows,target", _chain_fits())
     def test_dense_chains_match_all_rows(self, local_dim, n, psi, windows, target, monkeypatch):
-        design = boundary._design([psi], n, local_dim, *windows)
+        design = boundary._design(supports([psi]), n, local_dim, *windows)
         mat = dense_design_matrix([psi], n, local_dim, *windows)
         for hermitian in (False, True):
             self._compare(design, mat, target, hermitian, 1, monkeypatch)
@@ -428,7 +429,7 @@ class TestLstsqRowReduction:
         psi = functools.reduce(np.kron, [site] * n)
         lam = Region(1, 6, n)
         h_lam = opspace.truncate(canonical.h_rehop(n) + canonical.h_dmi(n), lam)
-        design = boundary._design([psi], n, 2, (1, 2), (5, 6))
+        design = boundary._design(supports([psi]), n, 2, (1, 2), (5, 6))
         assert len(design[0]) == psi.size
         mat = dense_design_matrix([psi], n, 2, (1, 2), (5, 6))
         for hermitian in (False, True):
@@ -441,7 +442,7 @@ class TestLstsqRowReduction:
         psi = np.zeros(1 << n, dtype=complex)
         psi[1 << 3] = 1.0
         rhs = apply(opspace.truncate(canonical.h_rehop(n), Region(0, 6, n)), psi)
-        design = boundary._design([psi], n, 2, (0, 1), (5, 6))
+        design = boundary._design(supports([psi]), n, 2, (0, 1), (5, 6))
         off = np.ones(rhs.size, dtype=bool)
         off[design[0]] = False
         assert np.linalg.norm(rhs[off]) > 0.5
@@ -491,7 +492,7 @@ class TestSupportFit:
             support = rng.choice(dim, size=int(rng.integers(1, 4)), replace=False)
             psi[support] = np.exp(2j * np.pi * rng.random(len(support)))
             psis.append(psi / np.linalg.norm(psi))
-        design = boundary._design(psis, n, 2, left, right)
+        design = boundary._design(supports(psis), n, 2, left, right)
         mat = dense_design_matrix(psis, n, 2, left, right)
         # values on some design rows and on rows no column reaches
         rhs = np.zeros((n_states * dim, 2 if two else 1), dtype=complex)
@@ -526,7 +527,7 @@ class TestSupportFit:
         hs = (s["imhop"], s["imhop2"], canonical.h_dmi(n), opspace.LocalOperator(n),
               canonical.random_type1(n, rng) + s["imhop"])
         for lam in (Region(0, 6, n), Region(7, 3, n)):
-            _, _, actions = boundary._patch(hs, psis, lam, 2)
+            _, _, actions = boundary._patch(hs, supports(psis), lam, 2)
             for h, targets in zip(hs, actions):
                 op = opspace.truncate(h, lam)
                 for psi, (idx, vals) in zip(psis, targets):
@@ -593,7 +594,39 @@ class TestWindowPreconditions:
 
     def test_state_length_checked(self):
         with pytest.raises(opspace.DimensionError):
-            boundary._design([states.vacuum(8), states.vacuum(7)], 8, 2, (0, 1), (5, 6))
+            boundary._design([opspace._support(states.vacuum(8), 256),
+                              opspace._support(states.vacuum(7), 256)], 8, 2, (0, 1), (5, 6))
+
+
+@pytest.mark.parametrize("entry", ["classify", "boundary_solve", "equivalence_test",
+                                   "count_type_classes"])
+def test_empty_state_list_rejected(entry):
+    n = 8
+    h = canonical.h_imhop(n)
+    call = {"classify": lambda: classify(h, []),
+            "boundary_solve": lambda: boundary_solve(h, [], Region(0, 5, n), 2),
+            "equivalence_test": lambda: equivalence_test(h, canonical.h_dmi(n), []),
+            "count_type_classes": lambda: nullspace.count_type_classes(n, 2, 3, [])}[entry]
+    with pytest.raises(ValueError, match="^at least one state is required$"):
+        call()
+
+
+def test_support_conversions_do_not_grow_with_the_sweep(monkeypatch):
+    # each state is converted to its support form a fixed number of times per
+    # classify (eigenstate checks, the sweep's one conversion, the independence
+    # clause's fit), however many patches the sweep holds
+    n = 12
+    h, psis = canonical.h_imhop(n), [states.vacuum(n), states.w_state(n)]
+    calls, support, sweep = [], opspace._support, boundary.default_sweep
+    monkeypatch.setattr(opspace, "_support", lambda *a: calls.append(1) or support(*a))
+    counts = []
+    for repeat in (1, 3):
+        monkeypatch.setattr(boundary, "default_sweep", lambda *a, **k: sweep(*a, **k) * repeat)
+        calls.clear()
+        label = classify(h, psis)
+        assert label.value == "II" and len(label.evidence) == 2 * repeat * 5
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3 * len(psis)
 
 
 class TestAnchorShortcut:

@@ -74,12 +74,13 @@ def test_pinned_commands_load_no_numpy_ma():
 # each for real states, phased real states and complex ones ({W_1, W_2})
 CLASS_COUNTS = "\n".join([
     "import numpy as np",
-    "from scartypes import nullspace, states",
+    "from scartypes import nullspace, opspace, states",
     "vac, w, w1, w2 = states.vacuum(8), states.w_state(8), states.w_q(8, 1), states.w_q(8, 2)",
     "drop = states.droplet(8, 4, 1)",
     "for psis in ([vac, w], [vac, drop], [vac * np.exp(0.3j), w * np.exp(-1.1j)],",
     "             [vac, drop * np.exp(2.0j)], [w1, w2], [w1, drop]):",
-    "    assert (nullspace._real_states(psis) is None) == (w1 is psis[0])",
+    "    assert (nullspace._real_states([opspace._support(p, 256) for p in psis]) is None) \\",
+    "        == (w1 is psis[0])",
     "    nullspace.count_type_classes(8, 2, 3, psis)",
 ])
 

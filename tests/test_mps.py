@@ -11,7 +11,7 @@ from scartypes.mps import (MPSTensor, NotInjective, NotSymmetricError,
                            is_full_rank, push_through_check, spin1_matrix,
                            ssh_sz_matrix, to_dense, transfer_spectrum,
                            verify_boundary_action)
-from operator_oracles import site_axes_apply
+from operator_oracles import site_axes_apply, supports
 
 
 class TestTransferMatrix:
@@ -271,7 +271,7 @@ class TestGeneratorAction:
         want = np.zeros(psi.shape, dtype=complex)
         for j in lam:
             want += mps._site_apply(np.asarray(gen, dtype=complex), psi, j, tensor.d, n_sites)
-        idx, vals = mps._generator_action(gen, psi, lam, tensor.d)
+        idx, vals = mps._generator_action(gen, supports([psi])[0], lam, tensor.d)
         assert np.all(np.diff(idx) > 0) and len(idx) < psi.size
         got = np.zeros(psi.shape, dtype=complex)
         got[idx] = vals

@@ -11,8 +11,9 @@ from scartypes.nullspace import (OperatorBasis, build_correlation,
                                  count_type_classes, null_space,
                                  pauli_string_basis, verify_null_vector,
                                  window_basis)
-from scartypes.opspace import LocalOperator, apply, to_pauli_basis
-from operator_oracles import string_masks, to_matrix
+from scartypes.opspace import LocalOperator, Region, apply, to_pauli_basis
+from operator_oracles import (dense_translation_eigenstates, string_masks, supports, to_matrix,
+                              translate_reshape_factors)
 
 
 def _vector_of(op, basis):
@@ -81,7 +82,7 @@ class TestBuildCorrelation:
                 keys.append((int(rng.integers(n)), tuple(ops)))
             basis = OperatorBasis(tuple(keys), n)
             got = build_correlation(basis, psis, kind)
-            shifted = nullspace._gram(basis, psis, degenerate, None)    # one shift term
+            shifted = nullspace._gram(basis, supports(psis), degenerate, None)    # one shift term
             # reference: one apply per key and state, entries summed one by one
             want = np.zeros((len(keys), len(keys)), dtype=complex)
             expect = []
@@ -404,7 +405,7 @@ class TestFactorPath:
         n, psis = _factor_sets()[name]
         starts = [0, 3, n - 1]                  # n - 1 wraps around the ring
         window = window_basis(n, 0, width)
-        factors = nullspace._window_factors(window, width, psis, degenerate, starts)
+        factors = nullspace._window_factors(window, width, supports(psis), degenerate, starts)
         for j, f in zip(starts, factors):
             if name == "random":
                 assert f.shape[0] > f.shape[1]      # chi = 2^w rows per column block
@@ -426,14 +427,14 @@ class TestFactorPath:
         # whole orbits of translation eigenstates take the orbit gram's N
         # shift terms, every set and basis the full-ring factor's one
         n, psis = _factor_sets()[name]
-        lams = nullspace._translation_eigenstates(psis, n)
+        lams = nullspace._translation_eigenstates(supports(psis), n)
         assert (lams is None) == (name in ("random", "vac_droplet"))
         for basis, orbits in ((pauli_string_basis(n, 2), True), (pauli_string_basis(n, 3), True),
                               (window_basis(n, 5, 3), False)):
             want = _dense_correlation(basis, psis, "G", degenerate)
-            grams = [nullspace._gram(basis, psis, degenerate, None)]
+            grams = [nullspace._gram(basis, supports(psis), degenerate, None)]
             if orbits and lams is not None:
-                grams.append(nullspace._gram(basis, psis, degenerate, lams))
+                grams.append(nullspace._gram(basis, supports(psis), degenerate, lams))
                 assert grams[-1].shape == (len(basis) // n, len(basis) // n, n)
             for g in grams:
                 assert _rel(_assembled(g), want) <= 1e-13
@@ -444,16 +445,18 @@ class TestFactorPath:
         # states and their images reach, on the orbit path and off it
         n = 12
         psis = _phased([states.vacuum(n), states.w_state(n), states.w_p(n, 2)], 7)
-        lams = nullspace._translation_eigenstates(psis, n)
+        lams = nullspace._translation_eigenstates(supports(psis), n)
         for basis, shifts in ((pauli_string_basis(n, 2), lams), (window_basis(n, 5, 3), None)):
             want = _dense_correlation(basis, psis, "G", degenerate)
-            assert _rel(_assembled(nullspace._gram(basis, psis, degenerate, shifts)), want) <= 1e-13
+            assert _rel(_assembled(nullspace._gram(basis, supports(psis), degenerate, shifts)),
+                        want) <= 1e-13
 
     def test_schmidt_rank_rows(self):
         # W has Schmidt rank 2 across any cut, the vacuum 1: F has (1 + 2) 2^w rows
         n, width = 10, 4
         psis = [states.vacuum(n), states.w_state(n)]
-        (f,) = nullspace._window_factors(window_basis(n, 0, width), width, psis, False, [0])
+        (f,) = nullspace._window_factors(window_basis(n, 0, width), width, supports(psis),
+                                         False, [0])
         assert f.shape == (3 << width, 4 ** width - 1)
 
     @pytest.mark.filterwarnings("error")    # a zero state: no division warning first
@@ -485,6 +488,81 @@ class TestFactorPath:
         assert (res.n_ii, res.n_iii) == (1, 1)
         assert [res.dims[k] for k in ("ZH_glo", "ZH_loc", "ZG_loc", "union_H", "union_G")] == \
             [50, 35328, 72190, 35330, 72191]
+
+
+def _split_states(n):
+    """Vacuum, W, W^2, W_q, droplets (one wrapping the ring) and a random state."""
+    return {"vacuum": states.vacuum(n), "w": states.w_state(n), "w2": states.w_p(n, 2),
+            "wq": states.w_q(n, 1), "droplet": states.droplet(n, n // 2 + 1, 2),
+            "droplet_wrapped": states.translate(states.droplet(n, n // 2, 1), n - 2, n),
+            "random": _random_state(n, n)}
+
+
+class TestSupportForm:
+    """The support-form paths against the dense ones they replaced: window
+    Schmidt splits, window factors, the translation test, and N beyond 2^N."""
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_window_block_schmidt_values(self, n, width):
+        for name, psi in _split_states(n).items():
+            for j in (0, n - width + 1, n - 1):          # the last two wrap the ring
+                sites = [(j + k) % n for k in reversed(range(width))]
+                block = opspace._window_block(opspace._support(psi, 1 << n), sites, 2)[1]
+                got = np.linalg.svd(block.T, compute_uv=False)
+                want = states.dense_schmidt_values(psi, Region(j, (j + width - 1) % n, n))
+                got = np.concatenate([got, np.zeros(len(want) - len(got))])
+                assert np.abs(got - want).max() <= 1e-13, (name, j)
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_window_factors_match_translate_reshape(self, n, width, degenerate):
+        split = _split_states(n)
+        starts = [0, n - width + 1, n - 1]
+        for psis in ([split["vacuum"], split["w"]], [split["w2"], split["wq"]],
+                     _phased([split["droplet"], split["droplet_wrapped"]], n),
+                     [split["random"]]):
+            window = window_basis(n, 0, width)
+            got = nullspace._window_factors(window, width, supports(psis), degenerate, starts)
+            want = translate_reshape_factors(window, width, psis, degenerate, starts)
+            for f, ref in zip(got, want, strict=True):
+                assert f.shape == ref.shape
+                assert _rel(f.conj().T @ f, ref.conj().T @ ref) <= 1e-13
+
+    def test_translation_test_matches_dense(self):
+        n = 8
+        w = states.w_state(n)
+        one = np.zeros(1 << n)
+        one[1] = 1.0
+        sets = [*_invariant_sets(n).values(), [_random_state(n, 1)],
+                [states.vacuum(n), states.droplet(n, 4, 1)], [w, 0 * w]]
+        # W with one amplitude moved by delta: ||T psi - lambda psi|| = sqrt 2 delta to
+        # first order, just inside and just outside TRANSLATION_TOL
+        for delta, inside in ((0.6e-12, True), (0.8e-12, False)):
+            psi = w + delta * one
+            sets.append([states.vacuum(n), psi / np.linalg.norm(psi)])
+            assert (nullspace._translation_eigenstates(supports(sets[-1]), n) is None) != inside
+        for psis in sets:
+            got = nullspace._translation_eigenstates(supports(psis), n)
+            want = dense_translation_eigenstates(psis, n)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.abs(np.array(got) - want).max() <= 1e-15
+
+    def test_reach_beyond_dense_states(self):
+        # support-form {vacuum, W} at N = 40, where a dense state has 2^40 entries
+        n = 40
+        vac = (np.array([0]), np.array([1.0 + 0j]))
+        w = (1 << np.arange(n, dtype=np.int64), np.full(n, 1 / np.sqrt(n), dtype=complex))
+        lams = nullspace._translation_eigenstates([vac, w], n)
+        assert lams == pytest.approx([1.0, 1.0], abs=1e-14)
+        g = nullspace._gram(pauli_string_basis(n, 2), [vac, w], False, lams)
+        assert g.shape == (12, 12, n)
+        for width in (2, 3, 4):
+            (f,) = nullspace._window_factors(window_basis(n, 0, width), width, [vac, w], False,
+                                             [0])
+            assert f.shape == (3 << width, 4 ** width - 1)
 
 
 class TestSpanDims:
@@ -583,7 +661,7 @@ class TestSectorPath:
     def test_sector_equals_dense(self, monkeypatch, name, r_loc, degenerate):
         n = 8
         psis = _invariant_sets(n)[name]
-        assert nullspace._translation_eigenstates(psis, n) is not None
+        assert nullspace._translation_eigenstates(supports(psis), n) is not None
         sector = _counted(count_type_classes(n, 2, r_loc, psis, degenerate))
         _dense(monkeypatch)
         assert _counted(count_type_classes(n, 2, r_loc, psis, degenerate)) == sector
@@ -627,13 +705,15 @@ class TestSectorPath:
         # lambda_n = <psi_n|T psi_n> for translation eigenstates, else None
         n = 8
         for psis in _invariant_sets(n).values():
-            lams = nullspace._translation_eigenstates(psis, n)
+            lams = nullspace._translation_eigenstates(supports(psis), n)
             assert len(lams) == len(psis)
             for lam, psi in zip(lams, psis):
                 assert abs(lam - np.vdot(psi, states.translate(psi, 1, n))) <= 1e-14
         vac = states.vacuum(n)
-        for psis in ([vac, states.droplet(n, 4, 1)], [vac, 0 * vac], [vac, states.vacuum(n - 1)]):
-            assert nullspace._translation_eigenstates(psis, n) is None
+        for psis in ([vac, states.droplet(n, 4, 1)], [vac, 0 * vac]):
+            assert nullspace._translation_eigenstates(supports(psis), n) is None
+        with pytest.raises(opspace.DimensionError):     # a state's length: the conversion's check
+            opspace._support(states.vacuum(n - 1), 1 << n)
 
     @pytest.mark.parametrize("n, r_loc", [(8, 2), (7, 3)])
     @pytest.mark.parametrize("dense", [False, True])
@@ -677,7 +757,7 @@ class TestSectorPath:
         monkeypatch.setattr(nullspace, "_window_factors",
                             lambda *args: starts.append(list(args[-1])) or factors(*args))
         for psis in ([vac, drop], [vac, w, w2, drop]):
-            assert nullspace._translation_eigenstates(psis, n) is None
+            assert nullspace._translation_eigenstates(supports(psis), n) is None
             calls.clear()
             starts.clear()
             got = _counted(count_type_classes(n, 2, 2, psis))
@@ -701,7 +781,7 @@ class TestSectorPath:
         # the cluster state has no non-trivial eigenoperator on two sites
         n = 8
         psis = [_cluster(n)]
-        assert nullspace._translation_eigenstates(psis, n) is not None
+        assert nullspace._translation_eigenstates(supports(psis), n) is not None
         if dense:
             _dense(monkeypatch)
         res = count_type_classes(n, 2, 2, psis)
@@ -799,11 +879,11 @@ class TestSectorNullSpace:
         glo = pauli_string_basis(n, r_glo)
         shifts = np.arange(n)
         for psis in self._sets(n).values():
-            lams = nullspace._translation_eigenstates(psis, n)
+            lams = nullspace._translation_eigenstates(supports(psis), n)
             assert lams is not None
             dense = null_space(_dense_correlation(glo, psis, "H", degenerate))
             bases, gap = nullspace._sector_null_spaces(
-                nullspace._gram(glo, psis, degenerate, lams).real)
+                nullspace._gram(glo, supports(psis), degenerate, lams).real)
             assert len(bases) == n // 2 + 1
             assert sum((2 if 2 * k % n else 1) * len(v) for k, v in enumerate(bases)) == dense.dim
             assert gap == pytest.approx(dense.gap, rel=1e-12)
@@ -1058,7 +1138,7 @@ class TestRealStates:
         scale = np.abs(corr).max()
         assert np.abs((phase.conj()[:, None] * corr * phase).imag).max() <= 1e-14 * scale
         assert np.abs(corr.real[np.ix_(odd, ~odd)]).max() <= 1e-14 * scale
-        assert len(nullspace._real_states(psis)) == 2
+        assert len(nullspace._real_states(supports(psis))) == 2
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_boosted_w_couples_parities(self, m):
@@ -1069,22 +1149,22 @@ class TestRealStates:
         odd = _y_counts(basis) % 2 == 1
         corr = _dense_correlation(basis, psis, "G")
         assert np.abs(corr.real[np.ix_(odd, ~odd)]).max() > 1e-3 * np.abs(corr).max()
-        assert nullspace._real_states(psis) is None
+        assert nullspace._real_states(supports(psis)) is None
 
     def test_realness_test(self):
         n = 8
         w, w_pi = states.w_state(n), states.w_q(n, n // 2)       # w_pi: rounding residue
         for psi, want in ((w, w), (w * np.exp(2.1j), w), (w.real, w), (w_pi, w_pi)):
-            (got,) = nullspace._real_states([psi])
-            assert got.dtype == np.float64 and np.abs(got - want.real).max() <= 1e-15
+            ((idx, got),) = nullspace._real_states(supports([psi]))
+            assert got.dtype == np.float64 and np.abs(got - want.real[idx]).max() <= 1e-15
         # a residue far above rounding, on the largest amplitude's phase or elsewhere
         for psi in (w + 1e-13j * states.vacuum(n), states.w_q(n, 1)):
-            assert nullspace._real_states([w, psi]) is None
+            assert nullspace._real_states(supports([w, psi])) is None
 
     @pytest.mark.parametrize("name", list(_real_path_sets()))
     def test_real_path_matches_complex_path(self, monkeypatch, name):
         n, r_glo, r_loc, psis, degenerate = _real_path_sets()[name]
-        assert nullspace._real_states(psis) is not None
+        assert nullspace._real_states(supports(psis)) is not None
         real = count_type_classes(n, r_glo, r_loc, psis, degenerate)
         monkeypatch.setattr(nullspace, "_real_states", lambda states_list: None)
         cplx = count_type_classes(n, r_glo, r_loc, psis, degenerate)

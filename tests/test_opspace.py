@@ -669,7 +669,8 @@ class TestSupportApply:
         op = random_strings(6, np.random.default_rng(3), 12)
         idx = np.array([0, 5, 17, 63])
         pairs = list(opspace._string_pairs(6, opspace._string_table(6, op.terms.items()), idx))
-        t, src, tgt, vals = (np.concatenate(a) for a in zip(*pairs))
+        t, pos, tgt, vals = (np.concatenate(a) for a in zip(*pairs))
+        src = idx[pos]
         assert np.all(np.diff(t) >= 0)                  # term-major
         for k, (src_all, flip, vals_all) in enumerate(string_masks(6, op.terms.items())):
             keep = np.isin(src_all, idx)

@@ -194,3 +194,23 @@ def test_every_private_function_and_class_has_a_package_reader():
                         if not (path == own and owner == name)):
                 unread.append(f"{own.stem}.{name}")
     assert unread == []
+
+
+def test_one_dense_state_decoder():
+    # opspace._support is the one place that reads a dense state's nonzero
+    # entries; nullspace reads support forms only and imports no states
+    found = []
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute) and node.attr == "flatnonzero") or \
+                        (isinstance(node, ast.Name) and node.id == "flatnonzero") or \
+                        (isinstance(node, ast.alias) and node.name == "flatnonzero"):
+                    found.append(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert found == ["opspace._support"]
+    tree = ast.parse((ROOT / "src" / "scartypes" / "nullspace.py").read_text())
+    imported = [alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    imported += [node.module.rpartition(".")[2] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert "states" not in imported

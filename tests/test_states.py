@@ -115,6 +115,20 @@ class TestDroplet:
             assert np.linalg.norm(apply(op, psi)) < 1e-15
 
 
+class TestRotation:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rotated_is_translate_index_map(self, n):
+        # translate moves basis state i to _rotated(i, shift): site j -> j + shift
+        idx = np.arange(1 << n, dtype=np.int64)
+        for shift in range(-n, 2 * n):
+            moved = opspace._rotated(idx, shift, n)
+            bitwise = sum(((idx >> j) & 1) << ((j + shift) % n) for j in range(n))
+            assert np.array_equal(moved, bitwise)
+            assert np.array_equal(states.translate(idx, shift, n)[moved], idx)
+            assert [opspace._rotated(int(i), shift, n) for i in idx[::7]] == \
+                bitwise[::7].tolist()
+
+
 class TestSchmidt:
     def test_w_weights(self):
         split = states.schmidt_w_family(12, 1, Region(0, 2, 12))
